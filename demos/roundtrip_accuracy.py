@@ -10,7 +10,7 @@ is well conditioned.
 
 import time
 
-from spherehhd import FactorCache, decompose, differentiate, random_spectrum, relative_l2_error
+from spherehhd import decompose, differentiate, random_spectrum, relative_l2_error
 
 print(f"{'n':>6} {'rel error (s)':>14} {'rel error (t)':>14} {'seconds':>9}")
 for n in (16, 32, 64, 128, 256, 512):
@@ -21,7 +21,7 @@ for n in (16, 32, 64, 128, 256, 512):
 
     t0 = time.perf_counter()
     field = differentiate(s, t)
-    result = decompose(field, cache=FactorCache(n))
+    result = decompose(field)
     elapsed = time.perf_counter() - t0
 
     err_s = relative_l2_error(result.spheroidal, s)

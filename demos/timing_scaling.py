@@ -1,47 +1,42 @@
 #!/usr/bin/env python3
 """Timing of the decomposition: quadratic overall, linear per order.
 
-Every order is factored and solved in time linear in its size, and there
-are n - 1 orders, so the whole decomposition costs O(n^2).  Factorization
-(system assembly plus banded QR) and execution (basis conversions,
-rotation application, triangular solves) are timed separately.
+Every order is solved by one Givens sweep over its two tridiagonal halves,
+in time linear in its size, and there are n - 1 orders, so the whole
+decomposition costs O(n^2).  Each ``decompose`` call is timed end to end.
 """
 
 import time
 
 import numpy as np
 
-from spherehhd import decompose_timed, differentiate, factor_order, random_spectrum, solve_order
+from spherehhd import decompose, differentiate, random_spectrum, solve_order
 
 sizes = (128, 256, 512, 1024)
-pre_times = []
-exe_times = []
-print(f"{'n':>6} {'precompute s':>13} {'execute s':>11}")
+times = []
+print(f"{'n':>6} {'decompose s':>12}")
 for n in sizes:
     s = random_spectrum(n - 1, seed=1)
     t = random_spectrum(n - 1, seed=2)
     s[0, 0] = 0.0
     t[0, 0] = 0.0
     field = differentiate(s, t)
-    _, pre, exe = decompose_timed(field)
-    pre_times.append(pre)
-    exe_times.append(exe)
-    print(f"{n:6d} {pre:13.3f} {exe:11.3f}")
+    t0 = time.perf_counter()
+    decompose(field)
+    times.append(time.perf_counter() - t0)
+    print(f"{n:6d} {times[-1]:12.3f}")
 
-log_n = np.log(sizes)
-print(f"precompute log-log slope: {np.polyfit(log_n, np.log(pre_times), 1)[0]:.2f}")
-print(f"execute log-log slope:    {np.polyfit(log_n, np.log(exe_times), 1)[0]:.2f}")
+print(f"decompose log-log slope: {np.polyfit(np.log(sizes), np.log(times), 1)[0]:.2f}")
 
 print()
-print("one order at m = 1: factor + solve scales linearly in n - m")
+print("one order at m = 1: the solve scales linearly in n - m")
 rng = np.random.default_rng(0)
-print(f"{'n':>6} {'seconds':>10} {'rotations':>10}")
+print(f"{'n':>6} {'seconds':>10}")
 for n in sizes:
     rhs = rng.standard_normal((2 * n, 2))
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        fact = factor_order(n, 1)
-        solve_order(fact, rhs)
+        solve_order(n, 1, rhs)
         best = min(best, time.perf_counter() - t0)
-    print(f"{n:6d} {best:10.4f} {fact.rotation_count:10d}")
+    print(f"{n:6d} {best:10.4f}")

@@ -36,14 +36,9 @@ from .operators import (
     cscy_to_z,
 )
 from .solver import (
-    BandedQRFactorization,
-    FactorCache,
-    factor_order,
-    factor_order_zero,
     solve_order,
     differentiate,
     decompose,
-    decompose_timed,
     decompose_order_zero,
 )
 from .conditioning import (

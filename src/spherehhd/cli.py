@@ -5,15 +5,14 @@ Subcommands
 decompose     read tangential-component coefficient files, write potentials
 differentiate generate seeded random potentials and their tangential field
 roundtrip     differentiate-then-decompose experiment with timings (CSV)
-bench         precompute/execute timings over a list of degrees (CSV)
+bench         decompose timings over a list of degrees (CSV)
 cond          condition numbers and bounds over (n, m) grids (CSV)
 verify        run the numerical verification suites
 
-All CSV goes to stdout with a fixed header; timings use the monotonic
-clock, discard one warm-up iteration and report a mean row.  Exit codes:
-0 success, 1 validation failure, 2 numerical-suite failure.  The
-environment variable ``HHD_THREADS`` caps worker threads for the
-per-order solves.
+All CSV goes to stdout with a fixed header; ``decompose_seconds`` is the
+``perf_counter`` wall time of one ``decompose`` call, after one discarded
+warm-up call, and a mean row closes each run.  Exit codes: 0 success,
+1 validation failure, 2 numerical-suite failure.
 """
 
 import argparse
@@ -22,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import conditioning as cond
-from .solver import decompose, decompose_timed, differentiate
+from .solver import decompose, differentiate
 from .spectra import (
     TangentField,
     ZSpectrum,
@@ -122,18 +121,21 @@ def cmd_differentiate(cfg):
 
 
 def _timed_roundtrip_rows(n, seed, iters):
+    """(iter, rel_error, decompose_seconds) for ``iters`` seeded round trips."""
     rows = []
     s, t = _random_potentials(n, seed)
-    decompose_timed(differentiate(s, t))  # warm-up, discarded
+    decompose(differentiate(s, t))  # warm-up, discarded
     for it in range(1, iters + 1):
         s, t = _random_potentials(n, seed + it)
         field = differentiate(s, t)
-        result, pre, exe = decompose_timed(field)
+        t0 = time.perf_counter()
+        result = decompose(field)
+        seconds = time.perf_counter() - t0
         err = max(
             relative_l2_error(result.spheroidal, s),
             relative_l2_error(result.toroidal, t),
         )
-        rows.append((n, it, err, pre, exe))
+        rows.append((it, err, seconds))
     return rows
 
 
@@ -141,27 +143,25 @@ def cmd_roundtrip(cfg):
     if cfg.n is None:
         raise ValueError("roundtrip needs --n")
     rows = _timed_roundtrip_rows(cfg.n, cfg.seed, cfg.iters)
-    print("n,iter,rel_error,precompute_seconds,execute_seconds")
-    for n, it, err, pre, exe in rows:
-        print(f"{n},{it},{err:.16e},{pre:.6f},{exe:.6f}")
-    mean = [sum(r[k] for r in rows) / len(rows) for k in (2, 3, 4)]
-    print(f"{cfg.n},mean,{mean[0]:.16e},{mean[1]:.6f},{mean[2]:.6f}")
+    print("n,iter,rel_error,decompose_seconds")
+    for it, err, seconds in rows:
+        print(f"{cfg.n},{it},{err:.16e},{seconds:.6f}")
+    mean_err = sum(r[1] for r in rows) / len(rows)
+    mean_seconds = sum(r[2] for r in rows) / len(rows)
+    print(f"{cfg.n},mean,{mean_err:.16e},{mean_seconds:.6f}")
     return 0
 
 
 def cmd_bench(cfg):
     n_list = cfg.n_list or (256, 512, 1024)
-    print("n,iter,precompute_seconds,execute_seconds")
+    print("n,iter,decompose_seconds")
     for n in n_list:
         if n < 2:
             raise ValueError("--n-list entries must be >= 2")
         rows = _timed_roundtrip_rows(n, cfg.seed, cfg.iters)
-        for n_, it, _, pre, exe in rows:
-            print(f"{n_},{it},{pre:.6f},{exe:.6f}")
-        print(
-            f"{n},mean,{sum(r[3] for r in rows) / len(rows):.6f},"
-            f"{sum(r[4] for r in rows) / len(rows):.6f}"
-        )
+        for it, _, seconds in rows:
+            print(f"{n},{it},{seconds:.6f}")
+        print(f"{n},mean,{sum(r[2] for r in rows) / len(rows):.6f}")
     return 0
 
 

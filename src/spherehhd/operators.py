@@ -231,10 +231,21 @@ def z_to_cscy(z, m, n):
     L = n - mu + 2
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L}, got {z.shape}")
-    w = np.zeros(L - 1)
-    w += rec.beta(np.arange(mu - 1, n), mu) * z[:-1]
-    if L > 2:
-        w[:-1] += rec.alpha(np.arange(mu + 1, n + 1), mu) * z[2:]
+    return _z_to_cscy_block(z[:, None], np.array([mu]))[:, 0]
+
+
+def _z_to_cscy_block(z, ms):
+    """:func:`z_to_cscy` for several orders ``ms >= 1`` at once.
+
+    Column ``k`` of ``z`` holds the slice of order ``ms[k]`` (degrees
+    ``ms[k]-1`` upward), zero-padded to the common row count.  Row ``i`` of
+    the result is csc-harmonic degree ``ms[k] + i``; rows past an order's
+    own ``n - ms[k] + 1`` carry its dropped tail and are not part of it.
+    """
+    rows = z.shape[0] - 1
+    degrees = ms + np.arange(rows)[:, None]
+    w = rec.beta(degrees - 1, ms) * z[:-1]
+    w[:-1] += rec.alpha(degrees[:-1] + 1, ms) * z[2:]
     return w
 
 

@@ -3,8 +3,9 @@
 All couplings between the scalar bases on the sphere uncouple by absolute
 order, and every nonzero matrix entry used by the decomposition and by the
 conditioning analysis is one of the seven scalar functions below.  ``m`` is
-always the absolute order (callers pass ``abs(m)``); ``l`` may be a scalar or
-a numpy array of degrees.
+always the absolute order (callers pass ``abs(m)``); ``l`` and ``m`` may be
+scalars or numpy arrays that broadcast together, e.g. a (degree, order)
+grid.
 
 Each formula is evaluated as written, products inside a single square root.
 The arguments stay comfortably inside float64 range for any practical
@@ -31,8 +32,14 @@ def _as_degrees(l, minimum, name):
     return arr
 
 
-def _maybe_scalar(x, like):
-    return float(x) if np.ndim(like) == 0 else x
+def _check_order(m, minimum, name):
+    below = np.any(m < minimum) if isinstance(m, np.ndarray) else m < minimum
+    if below:
+        raise ValueError(f"{name}: order m must be >= {minimum}")
+
+
+def _maybe_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def alpha(l, m):
@@ -41,11 +48,10 @@ def alpha(l, m):
     Defined for ``l >= m >= 0`` with ``l >= 1``; always nonpositive, and zero
     exactly when ``l == m``.
     """
-    if m < 0:
-        raise ValueError("alpha: order m must be >= 0")
-    la = _as_degrees(l, max(1, m), "alpha")
+    _check_order(m, 0, "alpha")
+    la = _as_degrees(l, np.maximum(1, m), "alpha")
     out = -np.sqrt((la - m) * (la - m + 1) / ((2 * la - 1) * (2 * la + 1)))
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def beta(l, m):
@@ -53,11 +59,10 @@ def beta(l, m):
 
     Defined for ``l >= 0``, ``m >= 0``; strictly positive once ``l + m >= 1``.
     """
-    if m < 0:
-        raise ValueError("beta: order m must be >= 0")
+    _check_order(m, 0, "beta")
     la = _as_degrees(l, 0, "beta")
     out = np.sqrt((la + m) * (la + m + 1) / ((2 * la + 1) * (2 * la + 3)))
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def gamma(l, m):
@@ -65,11 +70,10 @@ def gamma(l, m):
 
     Defined for ``l >= m >= 0`` with ``l >= 1``; always nonpositive.
     """
-    if m < 0:
-        raise ValueError("gamma: order m must be >= 0")
-    la = _as_degrees(l, max(1, m), "gamma")
+    _check_order(m, 0, "gamma")
+    la = _as_degrees(l, np.maximum(1, m), "gamma")
     out = -(la + 1) * np.sqrt((la - m) * (la + m) / ((2 * la - 1) * (2 * la + 1)))
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def delta(l, m):
@@ -77,41 +81,37 @@ def delta(l, m):
 
     Defined for ``l >= m >= 0``; zero only at ``l == 0``.
     """
-    if m < 0:
-        raise ValueError("delta: order m must be >= 0")
+    _check_order(m, 0, "delta")
     la = _as_degrees(l, m, "delta")
     out = la * np.sqrt((la - m + 1) * (la + m + 1) / ((2 * la + 1) * (2 * la + 3)))
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def chol_d(l, m):
     """Diagonal entry of the closed-form Cholesky factor of the normal matrix."""
-    if m < 1:
-        raise ValueError("chol_d: order m must be >= 1")
+    _check_order(m, 1, "chol_d")
     la = _as_degrees(l, 1, "chol_d")
     out = (la + m - 1) * np.sqrt(
         (la + m + 1) * (la + 2 * m) * (la + 2 * m + 1)
         / ((la + m) * (2 * la + 2 * m - 1) * (2 * la + 2 * m + 1))
     )
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def chol_e(l, m):
     """First superdiagonal magnitude of the closed-form Cholesky factor."""
-    if m < 1:
-        raise ValueError("chol_e: order m must be >= 1")
+    _check_order(m, 1, "chol_e")
     la = _as_degrees(l, 1, "chol_e")
     out = np.sqrt(la * (la + 2 * m + 1) / ((la + m) * (la + m + 1)))
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)
 
 
 def chol_f(l, m):
     """Second superdiagonal magnitude of the closed-form Cholesky factor."""
-    if m < 1:
-        raise ValueError("chol_f: order m must be >= 1")
+    _check_order(m, 1, "chol_f")
     la = _as_degrees(l, 1, "chol_f")
     out = (la + m + 2) * np.sqrt(
         la * (la + 1) * (la + m)
         / ((la + m + 1) * (2 * la + 2 * m + 1) * (2 * la + 2 * m + 3))
     )
-    return _maybe_scalar(out, l)
+    return _maybe_scalar(out)

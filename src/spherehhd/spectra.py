@@ -14,6 +14,7 @@ contiguous memory.  Spectra are treated as immutable values once filled;
 nothing in the library mutates a spectrum it did not create.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,17 +101,26 @@ class _CoeffTable:
                 f"(l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}"
             )
 
-    def __getitem__(self, lm):
-        l, m = lm
+    def flat_index(self, l, m):
+        """Position of coefficient ``(l, m)`` in :meth:`flat`."""
         self._check_index(l, m)
-        pos, _ = self._offsets[m]
-        return float(self._data[pos + l - self.degree_start(m)])
+        return self._offsets[m][0] + l - self.degree_start(m)
+
+    def __getitem__(self, lm):
+        return float(self._data[self.flat_index(*lm)])
 
     def __setitem__(self, lm, value):
-        l, m = lm
-        self._check_index(l, m)
-        pos, _ = self._offsets[m]
-        self._data[pos + l - self.degree_start(m)] = value
+        self._data[self.flat_index(*lm)] = value
+
+    def require_finite(self, name):
+        """Raise ``ValueError`` naming ``name`` and the ``(l, m)`` of the first non-finite value."""
+        if np.isfinite(self._data).all():
+            return
+        pos = int(np.flatnonzero(~np.isfinite(self._data))[0])
+        for m, (start, count) in self._offsets.items():
+            if start <= pos < start + count:
+                l = self.degree_start(m) + pos - start
+                raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
 
     def flat(self):
         """Flattened coefficient vector in canonical (order-major) order."""
@@ -238,10 +248,10 @@ class HHDResult:
     out_of_range_by_order: dict = field(default_factory=dict)
 
     def total_residual(self):
-        return float(np.sqrt(sum(v * v for v in self.residual_by_order.values())))
+        return math.hypot(*self.residual_by_order.values())
 
     def total_out_of_range(self):
-        return float(np.sqrt(sum(v * v for v in self.out_of_range_by_order.values())))
+        return math.hypot(*self.out_of_range_by_order.values())
 
 
 _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
@@ -270,7 +280,7 @@ def read_spectrum(path):
 
     Returns a :class:`ScalarSpectrum` or :class:`ZSpectrum` depending on the
     header.  Raises ``ValueError`` on a malformed header, an index outside
-    the basis triangle, or a non-finite value.
+    the basis triangle, a non-finite value, or a repeated ``l,m`` row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -290,6 +300,7 @@ def read_spectrum(path):
         except ValueError:
             raise ValueError(f"{path}: malformed degree in header {header!r}") from None
         spec = _CLASS_BY_BASIS[basis](n)
+        seen = np.zeros(spec.size, dtype=bool)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -303,5 +314,9 @@ def read_spectrum(path):
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
             if not np.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite value")
-            spec[l, m] = value  # raises ValueError outside the index set
+            pos = spec.flat_index(l, m)  # raises ValueError outside the index set
+            if seen[pos]:
+                raise ValueError(f"{path}:{lineno}: duplicate row for (l={l}, m={m})")
+            seen[pos] = True
+            spec.flat()[pos] = value
     return spec

@@ -102,7 +102,7 @@ def test_roundtrip_csv_schema_and_determinism(capsys):
     code, out1, _ = run_cli(capsys, "roundtrip", "--n", "16", "--seed", "3", "--iters", "2")
     assert code == 0
     lines = out1.strip().splitlines()
-    assert lines[0] == "n,iter,rel_error,precompute_seconds,execute_seconds"
+    assert lines[0] == "n,iter,rel_error,decompose_seconds"
     assert len(lines) == 4  # header + 2 iterations + mean
     assert lines[-1].split(",")[1] == "mean"
     errs1 = [line.split(",")[2] for line in lines[1:]]
@@ -116,7 +116,7 @@ def test_bench_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,iter,precompute_seconds,execute_seconds"
+    assert lines[0] == "n,iter,decompose_seconds"
     assert len(lines) == 1 + 2 * 3
 
 

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spherehhd.operators import build_order_system, z_to_cscy
+from spherehhd.conditioning import CholeskyR, build_R
+from spherehhd.operators import build_A, build_B, z_to_cscy
 from spherehhd.solver import (
-    FactorCache,
+    _lsq_sweep,
+    _order_problems,
     decompose,
     decompose_order_zero,
-    decompose_timed,
     differentiate,
-    factor_order,
-    factor_order_zero,
     solve_order,
 )
 from spherehhd.spectra import (
@@ -23,72 +22,83 @@ from spherehhd.spectra import (
 from conftest import dense_block_system, random_potentials
 
 
-def rotations_as_dense(fact, nrows):
-    """Accumulate the stored rotation sequence into a dense orthogonal Q^T."""
-    q = np.eye(nrows)
-    for i, c, s in zip(fact.rot_rows, fact.rot_c, fact.rot_s):
-        g = np.eye(nrows)
-        g[i - 1, i - 1] = c
-        g[i - 1, i] = s
-        g[i, i - 1] = -s
-        g[i, i] = c
-        q = g @ q
-    return q
+def sweep_halves(n, m, rhs=None):
+    """Run the sweep on the A + B and A - B halves of order ``m``.
+
+    Returns, per half, the dense matrix, the solution, the residual and the
+    dense triangular factor.
+    """
+    sizes, sub, diag, sup = _order_problems(n, np.array([m]))
+    p = int(sizes[0])
+    if rhs is None:
+        rhs = np.zeros((p + 1, 2, 1))
+    x, res, (d, e, f) = _lsq_sweep(sizes, sub, diag, sup, rhs.copy())
+    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+    halves = []
+    for k, dense in enumerate((a + b, a - b)):
+        # CholeskyR stores the off-diagonals negated
+        r = CholeskyR(p, m, d[:, k], -e[: p - 1, k], -f[: max(p - 2, 0), k]).to_dense()
+        halves.append((dense, x[:, k], res[k], r))
+    return halves
 
 
-def test_rotations_are_orthogonal():
-    fact = factor_order(12, 3)
-    assert np.max(np.abs(fact.rot_c**2 + fact.rot_s**2 - 1.0)) < 1e-15
+def test_rotations_are_orthogonal(rng):
+    # Q'rhs = [R x; residual], so orthogonal rotations preserve the rhs norm
+    n, m = 12, 3
+    rhs = rng.standard_normal((n - m + 1, 2, 3))
+    for k, (_, x, res, r) in enumerate(sweep_halves(n, m, rhs)):
+        for col in range(rhs.shape[2]):
+            kept = np.hypot(np.linalg.norm(r @ x[:, col]), res[col])
+            assert kept == pytest.approx(np.linalg.norm(rhs[:, k, col]), rel=1e-14)
 
 
 def test_rotations_reproduce_r_factor():
-    n, m = 10, 2
-    fact = factor_order(n, m)
-    system = build_order_system(n, m)
-    dense = system.shuffled.toarray()
-    qt = rotations_as_dense(fact, fact.nrows)
-    triangularized = qt @ dense
-    r = fact.r_dense()
-    scale = np.max(np.abs(r))
-    assert np.max(np.abs(triangularized[: fact.ncols] - r)) / scale < 1e-13
-    assert np.max(np.abs(triangularized[fact.ncols :])) / scale < 1e-13
+    # R'R equals M'M for both halves: the rotations triangularize M
+    for dense, _, _, r in sweep_halves(10, 2):
+        normal = dense.T @ dense
+        assert np.max(np.abs(r.T @ r - normal)) / np.max(np.abs(normal)) < 1e-13
+        assert np.allclose(np.triu(r), r)
+
+
+def test_sweep_r_matches_closed_form_cholesky_factor():
+    # A + B has the paper's factor build_R(n - m, m); A - B the same with the
+    # first superdiagonal sign-flipped
+    worst = 0.0
+    for n in (4, 8, 16, 32, 64):
+        for m in range(1, n):
+            closed = build_R(n - m, m)
+            flipped = CholeskyR(closed.n, m, closed.d, -closed.e, closed.f)
+            (_, _, _, r_plus), (_, _, _, r_minus) = sweep_halves(n, m)
+            for r, ref in ((r_plus, closed.to_dense()), (r_minus, flipped.to_dense())):
+                dev = np.max(np.abs(r - ref)) / np.max(np.abs(ref))
+                worst = max(worst, dev)
+                assert dev <= 1e-13, f"(n={n}, m={m}): {dev:.3e}"
 
 
 def test_r_diagonal_nonnegative_and_small_system():
-    fact = factor_order(8, 7)  # 4 x 2 system
-    assert fact.nrows == 4 and fact.ncols == 2
-    r = fact.r_dense()
-    assert r[0, 0] > 0 and r[1, 1] > 0
-    assert r[1, 0] == 0.0
-    # dense QR oracle: R'R must equal M'M
-    dense = build_order_system(8, 7).shuffled.toarray()
-    assert_allclose(r.T @ r, dense.T @ dense, atol=1e-14)
+    halves = sweep_halves(8, 7)  # two 2 x 1 halves of the 4 x 2 system
+    for dense, _, _, r in halves:
+        assert dense.shape == (2, 1) and r.shape == (1, 1)
+        assert r[0, 0] > 0
+        # dense QR oracle: R'R must equal M'M
+        assert_allclose(r.T @ r, dense.T @ dense, atol=1e-14)
 
 
 def test_r_diagonal_nonzero_high_degree():
-    fact = factor_order(32, 1)
-    diag = np.array([fact.r_entry(i, i) for i in range(fact.ncols)])
-    assert np.all(diag > 0.0)
+    for _, _, _, r in sweep_halves(32, 1):
+        assert np.all(np.diag(r) > 0.0)
 
 
-def test_rotation_count_linear_in_size():
-    for n in (64, 128, 256):
-        fact = factor_order(n, 1)
-        assert fact.rotation_count <= 5 * (n - 1)
-        assert fact.rotation_count == 4 * (n - 1)  # two rotations per column
-
-
-def test_factorization_deterministic():
-    a = factor_order(20, 4)
-    b = factor_order(20, 4)
-    assert np.array_equal(a.rband, b.rband)
-    assert np.array_equal(a.rot_c, b.rot_c)
-    assert np.array_equal(a.rot_s, b.rot_s)
+def test_factorization_deterministic(rng):
+    rhs = rng.standard_normal((2 * (20 + 1 - 4), 2))
+    x_a, res_a = solve_order(20, 4, rhs)
+    x_b, res_b = solve_order(20, 4, rhs)
+    assert np.array_equal(x_a, x_b)
+    assert res_a == res_b
 
 
 def test_solve_zero_rhs():
-    fact = factor_order(9, 2)
-    x, res = solve_order(fact, np.zeros((fact.nrows, 2)))
+    x, res = solve_order(9, 2, np.zeros((2 * (9 + 1 - 2), 2)))
     assert not np.any(x)
     assert res == 0.0
 
@@ -98,8 +108,7 @@ def test_solve_consistent_system(rng):
     dense = dense_block_system(n, m)
     x_true = rng.standard_normal((dense.shape[1], 2))
     rhs = dense @ x_true
-    fact = factor_order(n, m)
-    x, res = solve_order(fact, rhs)
+    x, res = solve_order(n, m, rhs)
     assert np.max(np.abs(x - x_true)) / np.max(np.abs(x_true)) < 1e-13
     assert res <= 1e-13 * np.linalg.norm(rhs)
 
@@ -109,8 +118,7 @@ def test_solve_matches_dense_least_squares(m, rng):
     n = 12
     dense = dense_block_system(n, m)
     rhs = rng.standard_normal((dense.shape[0], 2))
-    fact = factor_order(n, m)
-    x, res = solve_order(fact, rhs)
+    x, res = solve_order(n, m, rhs)
     x_ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
     assert np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref)) < 1e-11
     res_ref = np.linalg.norm(dense @ x_ref - rhs)
@@ -118,12 +126,13 @@ def test_solve_matches_dense_least_squares(m, rng):
 
 
 def test_solve_single_column_and_shape_errors(rng):
-    fact = factor_order(10, 2)
-    b = rng.standard_normal(fact.nrows)
-    x, _ = solve_order(fact, b)
-    assert x.shape == (fact.ncols,)
+    n, m = 10, 2
+    rows = 2 * (n + 1 - m)
+    b = rng.standard_normal(rows)
+    x, _ = solve_order(n, m, b)
+    assert x.shape == (2 * (n - m),)
     with pytest.raises(ValueError):
-        solve_order(fact, rng.standard_normal(fact.nrows + 1))
+        solve_order(n, m, rng.standard_normal(rows + 1))
 
 
 def test_residual_local_optimality(rng):
@@ -131,8 +140,7 @@ def test_residual_local_optimality(rng):
     n, m = 12, 2
     dense = dense_block_system(n, m)
     rhs = rng.standard_normal(dense.shape[0])
-    fact = factor_order(n, m)
-    x, res = solve_order(fact, rhs)
+    x, res = solve_order(n, m, rhs)
     base = np.linalg.norm(dense @ x - rhs)
     for k in range(len(x)):
         for eps in (1e-6, -1e-6):
@@ -143,9 +151,9 @@ def test_residual_local_optimality(rng):
 
 def test_factor_domain_errors():
     with pytest.raises(ValueError):
-        factor_order(8, 0)
+        solve_order(8, 0, np.zeros(18))
     with pytest.raises(ValueError):
-        factor_order(8, 8)
+        solve_order(8, 8, np.zeros(2))
 
 
 def test_differentiate_zero_potentials():
@@ -245,28 +253,6 @@ def test_decompose_order_zero_consistency():
     assert_allclose(vt, t.order_slice(0)[1:], atol=1e-13)
 
 
-def test_factor_cache_warm_reuse():
-    n = 24
-    cache = FactorCache(n)
-    s, t = random_potentials(n, seed=2)
-    field = differentiate(s, t)
-    decompose(field, cache=cache)
-    count = cache.factorizations_performed
-    assert count == n  # orders 0..n-1
-    result = decompose(field, cache=cache)
-    assert cache.factorizations_performed == count  # no new factorizations
-    assert relative_l2_error(result.spheroidal, s) < 1e-12
-
-
-def test_factor_cache_bit_exact():
-    cache = FactorCache(16)
-    fact = cache.factorization(3)
-    rebuilt = factor_order(16, 3)
-    assert np.array_equal(fact.rband, rebuilt.rband)
-    assert np.array_equal(fact.rot_c, rebuilt.rot_c)
-    assert np.array_equal(fact.rot_s, rebuilt.rot_s)
-
-
 def test_out_of_range_reporting():
     n = 6
     field = TangentField.zeros(n)
@@ -301,45 +287,54 @@ def test_decompose_rejects_tiny_degree():
         decompose(TangentField.zeros(1))
 
 
-def test_decompose_threads_match_sequential():
-    n = 20
-    s, t = random_potentials(n, seed=17)
+def test_order_zero_chain_shapes(rng):
+    # A0 (10 x 8 at n = 9) splits into two 5 x 4 parity chains; a consistent
+    # rhs comes back exactly, in natural degree order
+    n = 9
+    a0 = build_A(n, 0).toarray()
+    assert a0.shape == (10, 8)
+    vs_true, vt_true = rng.standard_normal((2, n - 1))
+    vs, vt, res = decompose_order_zero(a0 @ vs_true, a0 @ vt_true, n)
+    assert vs.shape == vt.shape == (n - 1,)
+    assert_allclose(vs, vs_true, atol=1e-13)
+    assert_allclose(vt, vt_true, atol=1e-13)
+    assert res <= 1e-13
+
+
+def test_decompose_rejects_non_finite_input():
+    n = 6
+    s, t = random_potentials(n, seed=5)
     field = differentiate(s, t)
-    seq = decompose(field, threads=1)
-    par = decompose(field, threads=2)
-    assert np.array_equal(seq.spheroidal.flat(), par.spheroidal.flat())
-    assert np.array_equal(seq.toroidal.flat(), par.toroidal.flat())
-    assert seq.residual_by_order == par.residual_by_order
+    field.phi[3, -2] = np.nan
+    with pytest.raises(ValueError, match=r"phi.*\(l=3, m=-2\)"):
+        decompose(field)
+    t[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"t.*\(l=2, m=1\)"):
+        differentiate(s, t)
 
 
-def test_decompose_threads_env(monkeypatch):
-    monkeypatch.setenv("HHD_THREADS", "2")
-    n = 10
-    s, t = random_potentials(n, seed=9)
-    result = decompose(differentiate(s, t))
-    assert relative_l2_error(result.spheroidal, s) < 1e-12
-
-
-def test_decompose_timed_reports_phases():
-    n = 32
-    s, t = random_potentials(n, seed=6)
-    result, pre, exe = decompose_timed(differentiate(s, t))
-    assert pre > 0.0 and exe > 0.0
-    assert relative_l2_error(result.spheroidal, s) < 1e-12
-
-
-def test_factor_order_zero_shapes():
-    fact = factor_order_zero(9)
-    assert fact.nrows == 10 and fact.ncols == 8
-    assert fact.m == 0 and fact.perm_rows is None
+def test_decompose_power_of_two_scale_is_exact_and_norms_finite():
+    # rotations depend on the matrix only, so scaling the field by 2**990
+    # scales the potentials exactly; the reported norms must not overflow
+    n = 16
+    field = TangentField(ZSpectrum(n), ZSpectrum(n))
+    rng = np.random.default_rng(11)
+    field.theta.flat()[:] = rng.standard_normal(field.theta.size)
+    field.phi.flat()[:] = rng.standard_normal(field.phi.size)
+    big = TangentField(ZSpectrum(n, field.theta.flat() * 2.0**990),
+                       ZSpectrum(n, field.phi.flat() * 2.0**990))
+    small, large = decompose(field), decompose(big)
+    assert np.array_equal(large.spheroidal.flat(), small.spheroidal.flat() * 2.0**990)
+    assert np.array_equal(large.toroidal.flat(), small.toroidal.flat() * 2.0**990)
+    for total in (large.total_residual(), large.total_out_of_range()):
+        assert np.isfinite(total) and total > 0.0
+    assert large.total_residual() == pytest.approx(small.total_residual() * 2.0**990, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_roundtrip_error_within_statistical_bound(n):
     # relative error stays below K sqrt(kappa) eps with K = 100, where kappa
     # is the worst per-order condition number (attained at m = 1)
-    from spherehhd.conditioning import build_R
-
     sv = np.linalg.svd(build_R(n - 1, 1).to_dense(), compute_uv=False)
     kappa_max = sv[0] / sv[-1]
     bound = 100.0 * np.sqrt(kappa_max) * np.finfo(np.float64).eps

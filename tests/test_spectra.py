@@ -157,6 +157,13 @@ def test_read_rejects_malformed_files(tmp_path, content):
         read_spectrum(path)
 
 
+def test_read_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n")
+    with pytest.raises(ValueError, match=r"dup\.csv:4: duplicate row for \(l=1, m=1\)"):
+        read_spectrum(path)
+
+
 def test_tangent_field_requires_matching_degree():
     with pytest.raises(ValueError):
         TangentField(ZSpectrum(3), ZSpectrum(4))
@@ -180,3 +187,5 @@ def test_hhd_result_totals():
     result.out_of_range_by_order = {3: 1.0}
     assert result.total_residual() == pytest.approx(5.0)
     assert result.total_out_of_range() == pytest.approx(1.0)
+    result.residual_by_order = {0: 3e300, 1: 4e300}  # squares would overflow
+    assert result.total_residual() == pytest.approx(5e300)
