@@ -5,13 +5,14 @@ Subcommands
 decompose     read tangential-component coefficient files, write potentials
 differentiate generate seeded random potentials and their tangential field
 roundtrip     differentiate-then-decompose experiment with timings (CSV)
-bench         decompose timings over a list of degrees (CSV)
+bench         differentiate and decompose timings over a list of degrees (CSV)
 cond          condition numbers and bounds over (n, m) grids (CSV)
 verify        run the numerical verification suites
 
-All CSV goes to stdout with a fixed header; ``decompose_seconds`` is the
-``perf_counter`` wall time of one ``decompose`` call, after one discarded
-warm-up call, and a mean row closes each run.  Exit codes: 0 success,
+All CSV goes to stdout with a fixed header.  ``decompose_seconds`` and
+``differentiate_seconds`` are the ``perf_counter`` wall times of one
+``decompose`` and one ``differentiate`` call, after one discarded warm-up
+round trip, and a mean row closes each run.  Exit codes: 0 success,
 1 validation failure, 2 numerical-suite failure.
 """
 
@@ -121,47 +122,51 @@ def cmd_differentiate(cfg):
 
 
 def _timed_roundtrip_rows(n, seed, iters):
-    """(iter, rel_error, decompose_seconds) for ``iters`` seeded round trips."""
+    """(iter, rel_error, decompose_seconds, differentiate_seconds) per seeded round trip."""
     rows = []
     s, t = _random_potentials(n, seed)
     decompose(differentiate(s, t))  # warm-up, discarded
     for it in range(1, iters + 1):
         s, t = _random_potentials(n, seed + it)
-        field = differentiate(s, t)
         t0 = time.perf_counter()
+        field = differentiate(s, t)
+        t1 = time.perf_counter()
         result = decompose(field)
-        seconds = time.perf_counter() - t0
+        t2 = time.perf_counter()
         err = max(
             relative_l2_error(result.spheroidal, s),
             relative_l2_error(result.toroidal, t),
         )
-        rows.append((it, err, seconds))
+        rows.append((it, err, t2 - t1, t1 - t0))
     return rows
+
+
+def _mean_seconds(rows):
+    return ",".join(f"{sum(r[col] for r in rows) / len(rows):.6f}" for col in (2, 3))
 
 
 def cmd_roundtrip(cfg):
     if cfg.n is None:
         raise ValueError("roundtrip needs --n")
     rows = _timed_roundtrip_rows(cfg.n, cfg.seed, cfg.iters)
-    print("n,iter,rel_error,decompose_seconds")
-    for it, err, seconds in rows:
-        print(f"{cfg.n},{it},{err:.16e},{seconds:.6f}")
+    print("n,iter,rel_error,decompose_seconds,differentiate_seconds")
+    for it, err, dec, diff in rows:
+        print(f"{cfg.n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
     mean_err = sum(r[1] for r in rows) / len(rows)
-    mean_seconds = sum(r[2] for r in rows) / len(rows)
-    print(f"{cfg.n},mean,{mean_err:.16e},{mean_seconds:.6f}")
+    print(f"{cfg.n},mean,{mean_err:.16e},{_mean_seconds(rows)}")
     return 0
 
 
 def cmd_bench(cfg):
     n_list = cfg.n_list or (256, 512, 1024)
-    print("n,iter,decompose_seconds")
+    print("n,iter,decompose_seconds,differentiate_seconds")
     for n in n_list:
         if n < 2:
             raise ValueError("--n-list entries must be >= 2")
         rows = _timed_roundtrip_rows(n, cfg.seed, cfg.iters)
-        for it, _, seconds in rows:
-            print(f"{n},{it},{seconds:.6f}")
-        print(f"{n},mean,{sum(r[2] for r in rows) / len(rows):.6f}")
+        for it, _, dec, diff in rows:
+            print(f"{n},{it},{dec:.6f},{diff:.6f}")
+        print(f"{n},mean,{_mean_seconds(rows)}")
     return 0
 
 

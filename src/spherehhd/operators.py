@@ -11,6 +11,13 @@ Stacking them as ``[[A, B], [B, A]]`` and interleaving rows and columns with
 the perfect shuffle (odd indices collected before even indices) produces a
 pentadiagonal system; the permutations are realized as index maps and are
 never materialized as matrices.
+
+The basis conversions are a two-term stencil (:func:`z_to_cscy`) and its
+inverse, two interleaved parity chains solved by substitution
+(:func:`cscy_to_z`).  Both have block forms that act on a zero-padded
+(degree, order) grid of many orders at once, which :mod:`.solver` uses to
+run ``decompose`` and ``differentiate`` per block of orders; the
+single-order functions are blocks of one order.
 """
 
 from dataclasses import dataclass
@@ -231,71 +238,77 @@ def z_to_cscy(z, m, n):
     L = n - mu + 2
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L}, got {z.shape}")
-    return _z_to_cscy_block(z[:, None], np.array([mu]))[:, 0]
+    return _z_to_cscy_block(z[:, None, None], np.array([mu]))[:, 0, 0]
 
 
 def _z_to_cscy_block(z, ms):
     """:func:`z_to_cscy` for several orders ``ms >= 1`` at once.
 
-    Column ``k`` of ``z`` holds the slice of order ``ms[k]`` (degrees
-    ``ms[k]-1`` upward), zero-padded to the common row count.  Row ``i`` of
-    the result is csc-harmonic degree ``ms[k] + i``; rows past an order's
-    own ``n - ms[k] + 1`` carry its dropped tail and are not part of it.
+    Column ``k`` of ``z`` (shape ``(rows, K, c)``) holds ``c`` slices of
+    order ``ms[k]`` (degrees ``ms[k]-1`` upward), zero-padded to the common
+    row count.  Row ``i`` of the result is csc-harmonic degree ``ms[k] + i``;
+    rows past an order's own ``n - ms[k] + 1`` carry its dropped tail and
+    are not part of it.
     """
     rows = z.shape[0] - 1
     degrees = ms + np.arange(rows)[:, None]
-    w = rec.beta(degrees - 1, ms) * z[:-1]
-    w[:-1] += rec.alpha(degrees[:-1] + 1, ms) * z[2:]
+    w = rec.beta(degrees - 1, ms)[..., None] * z[:-1]
+    w[:-1] += rec.alpha(degrees[:-1] + 1, ms)[..., None] * z[2:]
     return w
 
 
-def _affine_scan(g, r):
-    """Inclusive scan of ``zz[i] = g[i] + r[i] * zz[i-1]`` with ``zz[-1] = 0``."""
-    g = np.array(g, dtype=np.float64)
-    r = np.array(r, dtype=np.float64)
-    shift = 1
-    k = g.shape[-1]
-    while shift < k:
-        new_g = g[..., shift:] + r[..., shift:] * g[..., :-shift]
-        new_r = r[..., shift:] * r[..., :-shift]
-        g[..., shift:] = new_g
-        r[..., shift:] = new_r
-        shift *= 2
-    return g
+def _substitute(g, r, sizes):
+    """Solve ``z[i] = g[i] + r[i] * z[i + 2]`` from the last row to row 0, zero past the last row.
+
+    Column ``k`` of ``g`` (shape ``(rows, K, c)``) and ``r`` (``(rows, K, 1)``)
+    is one chain of ``sizes[k]`` rows; ``sizes`` is nonincreasing, so the
+    chains that reach row ``i`` are a prefix of the columns.  ``g`` must be
+    zero and ``r`` finite past each chain's size; ``z`` is then zero there.
+    The two parities are independent, so each step solves two rows.
+    """
+    rows, nprob = g.shape[:2]
+    # one row of every chain is a contiguous run, so a step is two ufunc calls
+    gg = g.reshape(rows, -1)
+    rr = np.broadcast_to(r, g.shape).reshape(rows, -1)
+    chains = np.searchsorted(-np.asarray(sizes), -np.arange(rows), side="left")
+    active = gg.shape[1] // nprob * chains  # entries of the chains reaching each row
+    z = np.zeros((rows + 2, gg.shape[1]))
+    for top in range(rows, 0, -2):
+        lo = max(top - 2, 0)
+        k = active[lo]
+        zk = z[lo:top, :k]
+        np.multiply(rr[lo:top, :k], z[lo + 2 : top + 2, :k], out=zk)
+        zk += gg[lo:top, :k]
+    return z[:rows].reshape(g.shape)
 
 
-def _cscy_to_z_multi(w_rows, m, n):
-    """Chain substitution applied to a stack of order slices at once."""
-    mu = abs(m)
-    w_rows = np.asarray(w_rows, dtype=np.float64)
-    if mu == 0:
-        if w_rows.shape[-1] != n + 1:
-            raise ValueError(
-                f"cscy_to_z: expected length {n + 1} at m=0, got {w_rows.shape[-1]}"
-            )
-        z = np.zeros(w_rows.shape[:-1] + (n,))
-        for start in (1, 2):
-            ls = np.arange(start, n + 1, 2)  # ascending chain degrees
-            if len(ls) == 0:
-                continue
-            a = rec.alpha(ls, 0)
-            g = -w_rows[..., ls - 1] / a
-            r = np.where(ls - 2 >= 1, -rec.beta(np.maximum(ls - 2, 1), 0) / a, 0.0)
-            z[..., ls - 1] = _affine_scan(g, r)
-        return z
-    L = n - mu + 2
-    if w_rows.shape[-1] != L - 1:
-        raise ValueError(f"cscy_to_z: expected length {L - 1}, got {w_rows.shape[-1]}")
-    z = np.zeros(w_rows.shape[:-1] + (L,))
-    for start in (n, n - 1):
-        ls = np.arange(start, mu - 2, -2)  # descending chain degrees
-        if len(ls) == 0 or ls[0] < mu - 1:
-            continue
-        b = rec.beta(ls, mu)
-        g = np.where(ls + 1 <= n, w_rows[..., np.minimum(ls + 1, n) - mu] / b, 0.0)
-        r = np.where(ls + 2 <= n, -rec.alpha(np.minimum(ls + 2, n), mu) / b, 0.0)
-        z[..., ls - (mu - 1)] = _affine_scan(g, r)
-    return z
+def _cscy_to_z_block(w, ms, n):
+    """:func:`cscy_to_z` for several orders ``ms >= 1`` (ascending) at once.
+
+    ``w`` has shape ``(n - ms[0] + 2, K, c)``: column ``k`` holds ``c``
+    csc-harmonic slices of order ``ms[k]`` (row ``i`` is degree
+    ``ms[k] + i``), zero past its own ``n - ms[k] + 1`` rows.  Returns ``z``
+    of the same shape, row ``i`` at degree ``ms[k] - 1 + i`` and zero past
+    the order's ``n - ms[k] + 2`` rows.
+    """
+    degrees = ms - 1 + np.arange(w.shape[0])[:, None]  # degree of z row i
+    b = rec.beta(degrees, ms)[..., None]
+    # z_l = (w_{l+1} - alpha(l + 2) z_{l+2}) / beta(l); the top z_n stays zero
+    return _substitute(w / b, -rec.alpha(degrees + 2, ms)[..., None] / b, n - ms + 2)
+
+
+def _cscy_to_z_zero(w, n):
+    """Order-zero chains for ``c`` csc-harmonic slices ``w`` of shape ``(n + 1, c)``.
+
+    Substitutes upward from degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``,
+    which is :func:`_substitute` on the reversed rows; row ``n`` of ``w`` is
+    the redundant equation.
+    """
+    ls = np.arange(n, 0, -1)  # reversed row i is degree n - i
+    a = rec.alpha(ls, 0)
+    r = -rec.beta(np.maximum(ls - 2, 0), 0) / a  # beta(0, 0) == 0 below degree 3
+    z = _substitute((-w[ls - 1] / a[:, None])[:, None], r[:, None, None], [n])
+    return z[::-1, 0]
 
 
 def cscy_to_z(w, m, n):
@@ -312,4 +325,11 @@ def cscy_to_z(w, m, n):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("cscy_to_z: expected a single order slice")
-    return _cscy_to_z_multi(w, m, n)
+    mu = abs(m)
+    if mu == 0:
+        if w.shape != (n + 1,):
+            raise ValueError(f"cscy_to_z: expected length {n + 1} at m=0, got {w.shape[0]}")
+        return _cscy_to_z_zero(w[:, None], n)[:, 0]
+    if w.shape != (n - mu + 1,):
+        raise ValueError(f"cscy_to_z: expected length {n - mu + 1}, got {w.shape[0]}")
+    return _cscy_to_z_block(np.append(w, 0.0)[:, None, None], np.array([mu]), n)[:, 0, 0]

@@ -15,8 +15,12 @@ zero superdiagonal.
 The sweep runs over many problems at once in (column, problem) arrays.
 Problems are sorted by size, so the ones still active at column ``j`` are a
 contiguous prefix; :func:`decompose` feeds it blocks of ``BLOCK_ORDERS``
-orders with both halves of each order side by side.  Every order costs
-O(n), the whole decomposition O(n^2).
+orders with both halves of each order side by side.  :func:`differentiate`
+runs per block of orders too: it gathers the potentials into one
+(degree, order) grid, applies ``[[A, B], [B, A]]`` as a few whole-grid
+expressions and converts to the tangential basis with one chain
+substitution over degree.  Every order costs O(n) in both directions, the
+whole of either O(n^2).
 
 The normal equations are never formed: squaring the system would square its
 condition number, and one least-squares pass in float64 already meets the
@@ -28,7 +32,7 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_multi, _z_to_cscy_block, build_A, z_to_cscy
+from .operators import _cscy_to_z_block, _cscy_to_z_zero, _z_to_cscy_block, build_A, z_to_cscy
 from .spectra import HHDResult, ScalarSpectrum, TangentField
 
 __all__ = [
@@ -38,8 +42,8 @@ __all__ = [
     "decompose_order_zero",
 ]
 
-# Orders per sweep in decompose.  Wider blocks need fewer numpy calls per
-# column but hold O(n * BLOCK_ORDERS) working memory.  Measured at n = 1024
+# Orders per block in decompose and differentiate.  Wider blocks need fewer
+# numpy calls per column but hold O(n * BLOCK_ORDERS) working memory.  Measured at n = 1024
 # on a 2-vCPU Xeon, decompose took 1.5 / 1.0 / 0.68 s for 16 / 32 / 64 and
 # added 4.6 / 9 / 17.5 MiB of peak RSS; 32 is the widest that stays near the
 # peak memory of a decomposition done one order at a time.
@@ -185,14 +189,42 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     return v[:, 0], v[:, 1], float(np.hypot.reduce(res.ravel()))
 
 
+def _pairs(spec, ms, rows):
+    """Where the slices of orders ``+m, -m`` for the consecutive ``ms`` lie in ``spec``.
+
+    In the canonical layout they fill one contiguous span of the flat
+    storage, order by order, ``+m`` before ``-m``.  Returns that span and a
+    ``(len(ms), 2, rows)`` mask of the slice entries, so that the span maps
+    onto a zero-padded ``(rows, len(ms), 2)`` grid whose row ``i`` is the
+    ``i``-th degree of each slice.
+    """
+    starts, counts = spec.order_offsets(ms)
+    inside = np.arange(rows) < counts[:, None, None]
+    span = slice(starts[0], starts[-1] + 2 * counts[-1])
+    return span, np.broadcast_to(inside, (len(ms), 2, rows))
+
+
+def _gather(spec, ms, grid):
+    """Copy the slices of orders ``+ms, -ms`` into the zero grid ``grid`` (see :func:`_pairs`)."""
+    span, inside = _pairs(spec, ms, grid.shape[0])
+    grid.transpose(1, 2, 0)[inside] = spec.flat()[span]
+
+
+def _scatter(spec, ms, grid):
+    """Write the grid ``grid`` (see :func:`_pairs`) into the slices of orders ``+ms, -ms``."""
+    span, inside = _pairs(spec, ms, grid.shape[0])
+    spec.flat()[span] = grid.transpose(1, 2, 0)[inside]
+
+
 def differentiate(s, t):
     """Tangential field of the potentials: ``grad(s) + e_r x grad(t)``.
 
     Both potentials must share a degree ``n_pot = n - 1``; their ``(0, 0)``
     coefficients are ignored since constants have no gradient.  The result
     is expressed in the tangential basis at truncation degree ``n``, which
-    is exactly the range :func:`decompose` inverts.  Raises ``ValueError``
-    on a non-finite coefficient.
+    is exactly the range :func:`decompose` inverts.  Orders ``m >= 1`` run
+    in blocks of ``BLOCK_ORDERS`` orders.  Raises ``ValueError`` on a
+    non-finite coefficient.
     """
     if s.n_pot != t.n_pot:
         raise ValueError("differentiate: potentials must share a degree")
@@ -203,38 +235,29 @@ def differentiate(s, t):
     n = s.n_pot + 1
     out = TangentField.zeros(n)
     a0 = build_A(n, 0)
-    w0 = np.vstack([a0.matvec(s.order_slice(0)[1:]), a0.matvec(t.order_slice(0)[1:])])
-    z0 = _cscy_to_z_multi(w0, 0, n)
-    out.theta.set_order_slice(0, z0[0])
-    out.phi.set_order_slice(0, z0[1])
-    for mu in range(1, n):
-        a = build_A(n, mu)
-        p = a.cols
-        sp, sm = s.order_slice(mu), s.order_slice(-mu)
-        tp, tm = t.order_slice(mu), t.order_slice(-mu)
-        w = np.empty((4, p + 1))
-        w[0] = a.matvec(sp)
-        w[0, :p] -= mu * tm
-        w[1] = a.matvec(sm)
-        w[1, :p] += mu * tp
-        w[2] = a.matvec(tp)
-        w[2, :p] += mu * sm
-        w[3] = a.matvec(tm)
-        w[3, :p] -= mu * sp
-        z = _cscy_to_z_multi(w, mu, n)
-        out.theta.set_order_slice(mu, z[0])
-        out.theta.set_order_slice(-mu, z[1])
-        out.phi.set_order_slice(mu, z[2])
-        out.phi.set_order_slice(-mu, z[3])
-    return out
-
-
-def _gather(spec, orders, rows):
-    """Order slices of ``spec`` as the columns of a zero-padded ``(rows, len(orders))`` block."""
-    out = np.zeros((rows, len(orders)))
-    for k, m in enumerate(orders.tolist()):
-        sl = spec.order_slice(m)
-        out[: len(sl), k] = sl
+    w0 = np.column_stack([a0.matvec(s.order_slice(0)[1:]), a0.matvec(t.order_slice(0)[1:])])
+    z0 = _cscy_to_z_zero(w0, n)
+    out.theta.set_order_slice(0, z0[:, 0])
+    out.phi.set_order_slice(0, z0[:, 1])
+    # columns of a block: (s_m, s_-m, t_m, t_-m) in, (theta_m, theta_-m,
+    # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
+    # column 3 - c through B = m
+    cross = np.array([-1.0, 1.0, 1.0, -1.0])
+    for start in range(1, n, BLOCK_ORDERS):
+        ms = np.arange(start, min(start + BLOCK_ORDERS, n))
+        rows = n - ms[0] + 2
+        x = np.zeros((rows, len(ms), 4))
+        _gather(s, ms, x[:, :, :2])
+        _gather(t, ms, x[:, :, 2:])
+        degrees = ms + np.arange(rows)[:, None]  # potential and csc degree of row i
+        # row i of A x is gamma(l + 1) x[i + 1] + delta(l - 1) x[i - 1], l = degree of row i
+        w = np.zeros_like(x)
+        w[:-1] = rec.gamma(degrees[1:], ms)[..., None] * x[1:]
+        w[1:] += rec.delta(degrees[:-1], ms)[..., None] * x[:-1]
+        w += (ms[:, None] * cross) * x[:, :, ::-1]
+        z = _cscy_to_z_block(w, ms, n)
+        _scatter(out.theta, ms, z[:, :, :2])
+        _scatter(out.phi, ms, z[:, :, 2:])
     return out
 
 
@@ -245,14 +268,12 @@ def _block_rhs(theta, phi, ms, n):
     systems of ``(s_m, -t_-m)`` and of ``(s_-m, t_m)``.
     """
     rows = n - ms[0] + 2
-    z = [_gather(comp, sign * ms, rows) for comp in (theta, phi) for sign in (1, -1)]
-    wth_p, wth_m, wph_p, wph_m = (_z_to_cscy_block(zc, ms) for zc in z)
-    tops = np.hypot.reduce([zc[n - ms + 1, np.arange(len(ms))] for zc in z], axis=0)
-    return (
-        np.stack([wth_p, wth_m], axis=2),
-        np.stack([-wph_m, wph_p], axis=2),
-        rec.beta(n, ms) * tops,
-    )
+    z = np.zeros((rows, len(ms), 4))  # theta_m, theta_-m, phi_m, phi_-m
+    _gather(theta, ms, z[:, :, :2])
+    _gather(phi, ms, z[:, :, 2:])
+    w = _z_to_cscy_block(z, ms)
+    tops = np.hypot.reduce(z[n - ms + 1, np.arange(len(ms))], axis=1)
+    return w[:, :, :2], w[:, :, 3:1:-1] * [-1.0, 1.0], rec.beta(n, ms) * tops
 
 
 def decompose(field):
@@ -284,14 +305,10 @@ def decompose(field):
         ms = np.arange(start, min(start + BLOCK_ORDERS, n))
         b1, b2, tails = _block_rhs(theta, phi, ms, n)
         x1, x2, residual = _solve_orders(n, ms, b1, b2)
-        for i, m in enumerate(ms.tolist()):
-            p = n - m
-            result.spheroidal.set_order_slice(m, x1[:p, i, 0])
-            result.toroidal.set_order_slice(-m, -x2[:p, i, 0])
-            result.spheroidal.set_order_slice(-m, x1[:p, i, 1])
-            result.toroidal.set_order_slice(m, x2[:p, i, 1])
-            result.residual_by_order[m] = float(residual[i])
-            result.out_of_range_by_order[m] = float(tails[i])
+        _scatter(result.spheroidal, ms, x1)
+        _scatter(result.toroidal, ms, x2[:, :, ::-1] * [1.0, -1.0])
+        result.residual_by_order.update(zip(ms.tolist(), residual.tolist()))
+        result.out_of_range_by_order.update(zip(ms.tolist(), tails.tolist()))
 
     for mu in (n, n + 1):
         result.out_of_range_by_order[mu] = math.hypot(

@@ -33,6 +33,20 @@ __all__ = [
 ]
 
 
+def _l2_norm(*arrays):
+    """2-norm over all entries of ``arrays``, free of overflow and underflow.
+
+    The entries are scaled by the power of two that brings the largest
+    magnitude into ``[0.5, 1)`` before squaring, which is exact, so the
+    result scales by exactly ``2**k`` when every input does.
+    """
+    top = max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    e = math.frexp(top)[1]
+    return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
+
+
 def signed_orders(max_order):
     """Canonical order sequence 0, +1, -1, +2, -2, ..."""
     yield 0
@@ -50,16 +64,13 @@ class _CoeffTable:
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
         self.n = int(n)
-        offsets = {}
-        pos = 0
-        for m in signed_orders(self.max_order()):
-            lo = self.degree_start(m)
-            if lo > self.n:
-                continue
-            offsets[m] = (pos, self.n - lo + 1)
-            pos += self.n - lo + 1
-        self._offsets = offsets
-        self._size = pos
+        orders = np.fromiter(signed_orders(self.max_order()), dtype=np.int64)
+        starts, counts = self.order_offsets(orders)
+        present = counts > 0
+        self._offsets = dict(
+            zip(orders[present].tolist(), zip(starts[present].tolist(), counts[present].tolist()))
+        )
+        pos = self._size = int(starts[-1] + counts[-1])
         if data is None:
             self._data = np.zeros(pos)
         else:
@@ -74,6 +85,23 @@ class _CoeffTable:
 
     def max_order(self):
         raise NotImplementedError
+
+    def order_offsets(self, orders):
+        """Flat start and length of the slices of the signed ``orders`` (an int array).
+
+        Closed form of the canonical layout: order 0, then the pair ``+nu, -nu``
+        for ``nu = 1, 2, ...``, each slice one entry shorter than the one
+        before.  Orders outside the table come out with a nonpositive length.
+        """
+        orders = np.asarray(orders)
+        mu = np.abs(orders)
+        counts = self.n - self.degree_start(orders) + 1
+        count0 = max(self.n - self.degree_start(0) + 1, 0)
+        count1 = self.n - self.degree_start(1) + 1
+        # the pair of order nu >= 1 holds 2 * (count1 + 1 - nu) entries
+        pairs_before = (mu - 1) * (2 * count1 + 2 - mu)
+        starts = np.where(mu == 0, 0, count0 + pairs_before + (orders < 0) * counts)
+        return starts, counts
 
     @property
     def size(self):
@@ -127,7 +155,7 @@ class _CoeffTable:
         return self._data
 
     def norm(self):
-        return float(np.linalg.norm(self._data))
+        return _l2_norm(self._data)
 
     def copy(self):
         return type(self)(self.n, self._data.copy())
@@ -201,11 +229,11 @@ def relative_l2_error(a, b):
     """
     if type(a) is not type(b) or a.n != b.n:
         raise ValueError("relative_l2_error: spectra must share basis and degree")
-    denom = np.linalg.norm(b.flat())
-    diff = float(np.linalg.norm(a.flat() - b.flat()))
+    denom = _l2_norm(b.flat())
+    diff = _l2_norm(a.flat() - b.flat())
     if denom == 0.0:
         return diff
-    return diff / float(denom)
+    return diff / denom
 
 
 @dataclass
@@ -224,7 +252,7 @@ class TangentField:
         return self.theta.n
 
     def norm(self):
-        return float(np.hypot(self.theta.norm(), self.phi.norm()))
+        return _l2_norm(self.theta.flat(), self.phi.flat())
 
     @classmethod
     def zeros(cls, n):

@@ -102,9 +102,10 @@ def test_roundtrip_csv_schema_and_determinism(capsys):
     code, out1, _ = run_cli(capsys, "roundtrip", "--n", "16", "--seed", "3", "--iters", "2")
     assert code == 0
     lines = out1.strip().splitlines()
-    assert lines[0] == "n,iter,rel_error,decompose_seconds"
+    assert lines[0] == "n,iter,rel_error,decompose_seconds,differentiate_seconds"
     assert len(lines) == 4  # header + 2 iterations + mean
     assert lines[-1].split(",")[1] == "mean"
+    assert all(len(line.split(",")) == 5 for line in lines)
     errs1 = [line.split(",")[2] for line in lines[1:]]
     assert all(float(e) <= 1e-12 for e in errs1)
     code, out2, _ = run_cli(capsys, "roundtrip", "--n", "16", "--seed", "3", "--iters", "2")
@@ -116,8 +117,9 @@ def test_bench_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,iter,decompose_seconds"
+    assert lines[0] == "n,iter,decompose_seconds,differentiate_seconds"
     assert len(lines) == 1 + 2 * 3
+    assert all(len(line.split(",")) == 4 and float(line.split(",")[3]) >= 0 for line in lines[1:])
 
 
 def test_cond_csv_rows(capsys):

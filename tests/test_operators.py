@@ -13,7 +13,8 @@ from spherehhd.operators import (
 )
 from spherehhd.pointwise import eval_Y, eval_Z
 from spherehhd.recurrences import alpha, beta, delta
-from spherehhd.solver import differentiate
+from spherehhd.solver import BLOCK_ORDERS, differentiate
+from spherehhd.spectra import TangentField
 
 from conftest import random_potentials
 
@@ -265,3 +266,39 @@ def test_vectorized_chain_matches_reference(n, m, rng):
     fast = cscy_to_z(w, m, n)
     slow = _chain_solve_reference(w, m, n)
     assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+
+def _differentiate_reference(s, t):
+    """Per-order differentiate: one ``build_A`` matvec and one naive chain per slice."""
+    n = s.n_pot + 1
+    out = TangentField.zeros(n)
+    a0 = build_A(n, 0)
+    for comp, pot in ((out.theta, s), (out.phi, t)):
+        comp.set_order_slice(0, _chain_solve_reference(a0.matvec(pot.order_slice(0)[1:]), 0, n))
+    for m in range(1, n):
+        a = build_A(n, m)
+        sp, sm, tp, tm = (pot.order_slice(k) for pot in (s, t) for k in (m, -m))
+        # B adds m times the partner potential on the first n - m rows
+        for comp, order, x, partner in (
+            (out.theta, m, sp, -tm),
+            (out.theta, -m, sm, tp),
+            (out.phi, m, tp, sm),
+            (out.phi, -m, tm, -sp),
+        ):
+            w = a.matvec(x)
+            w[: a.cols] += m * partner
+            comp.set_order_slice(order, _chain_solve_reference(w, m, n))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, BLOCK_ORDERS, BLOCK_ORDERS + 1, BLOCK_ORDERS + 2, 2 * BLOCK_ORDERS + 1, 100]
+)
+def test_blocked_differentiate_matches_per_order_reference(n):
+    # orders 1..n-1 split into blocks of BLOCK_ORDERS: one order; one short
+    # block; exactly one full block; a full block and a block of one order;
+    # two full blocks; three full blocks and a short one
+    s, t = random_potentials(n, seed=n)
+    fast, slow = differentiate(s, t), _differentiate_reference(s, t)
+    for a, b in ((fast.theta, slow.theta), (fast.phi, slow.phi)):
+        assert np.max(np.abs(a.flat() - b.flat())) <= 1e-13 * np.max(np.abs(b.flat()))

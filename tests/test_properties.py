@@ -1,6 +1,9 @@
 """Property tests of the decomposition over random small truncation degrees."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from conftest import random_potentials
 degrees = st.integers(min_value=2, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 coefficients = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+exponents = st.integers(min_value=-500, max_value=500)
 
 
 def random_field(n, seed):
@@ -43,3 +47,42 @@ def test_differentiate_then_decompose_roundtrips(n, seed):
     result = decompose(differentiate(s, t))
     assert relative_l2_error(result.spheroidal, s) <= 1e-12
     assert relative_l2_error(result.toroidal, t) <= 1e-12
+
+
+def scaled(spec, k):
+    return type(spec)(spec.n, np.ldexp(spec.flat(), k))
+
+
+def assert_scaled_exactly(big, small, k):
+    assert np.array_equal(big.flat(), np.ldexp(small.flat(), k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=degrees, seed=seeds, k=exponents)
+def test_differentiate_and_decompose_are_exact_under_power_of_two_scaling(n, seed, k):
+    s, t = random_potentials(n, seed)
+    field = differentiate(s, t)
+    big_field = differentiate(scaled(s, k), scaled(t, k))
+    assert_scaled_exactly(big_field.theta, field.theta, k)
+    assert_scaled_exactly(big_field.phi, field.phi, k)
+    noisy = random_field(n, seed)  # nonzero residuals and out-of-range content
+    result = decompose(noisy)
+    big = decompose(TangentField(scaled(noisy.theta, k), scaled(noisy.phi, k)))
+    assert_scaled_exactly(big.spheroidal, result.spheroidal, k)
+    assert_scaled_exactly(big.toroidal, result.toroidal, k)
+    assert big.total_residual() == math.ldexp(result.total_residual(), k)
+    assert big.total_out_of_range() == math.ldexp(result.total_out_of_range(), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=degrees, seed=seeds)
+def test_content_in_orders_n_and_n_plus_1_is_reported_out_of_range(n, seed):
+    rng = np.random.default_rng(seed)
+    field = TangentField.zeros(n)
+    for comp in (field.theta, field.phi):
+        for m in (n, -n, n + 1, -(n + 1)):
+            sl = comp.order_slice(m)
+            sl[:] = rng.standard_normal(len(sl))
+    result = decompose(field)
+    assert not result.spheroidal.flat().any() and not result.toroidal.flat().any()
+    assert result.total_out_of_range() == pytest.approx(field.norm(), rel=1e-14)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,24 @@ def test_hhd_result_totals():
     assert result.total_out_of_range() == pytest.approx(1.0)
     result.residual_by_order = {0: 3e300, 1: 4e300}  # squares would overflow
     assert result.total_residual() == pytest.approx(5e300)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_norms_are_exact_under_extreme_power_of_two_scaling(k, rng):
+    # squares of 2**600 overflow and squares of 2**-600 underflow to zero
+    a = ZSpectrum(6, rng.standard_normal(ZSpectrum(6).size))
+    b = ZSpectrum(6, rng.standard_normal(ZSpectrum(6).size))
+    big_a, big_b = (ZSpectrum(6, np.ldexp(x.flat(), k)) for x in (a, b))
+    assert big_a.norm() == math.ldexp(a.norm(), k)
+    assert TangentField(big_a, big_b).norm() == math.ldexp(TangentField(a, b).norm(), k)
+    assert relative_l2_error(big_a, big_b) == relative_l2_error(a, b)
+    assert relative_l2_error(big_a, ZSpectrum(6)) == math.ldexp(a.norm(), k)
+
+
+def test_order_offsets_match_order_slices():
+    for cls, n in ((ScalarSpectrum, 5), (ZSpectrum, 5), (ZSpectrum, 0)):
+        spec = cls(n, np.arange(float(cls(n).size)))  # entries name their position
+        orders = np.array(spec.orders())
+        starts, counts = spec.order_offsets(orders)
+        for m, start, count in zip(orders, starts, counts):
+            assert np.array_equal(spec.order_slice(m), np.arange(start, start + count))
