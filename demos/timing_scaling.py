@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Timing of the decomposition and its inverse: quadratic overall, linear per order.
 
-Every order is solved by one Givens sweep over its two tridiagonal halves,
-in time linear in its size, and there are n - 1 orders, so the whole
+Every order is one tridiagonal least-squares problem whose plane rotations
+the paper gives in closed form; applying them and back-substituting takes
+time linear in its size, and there are n - 1 orders, so the whole
 decomposition costs O(n^2).  ``differentiate`` applies each order's
 tridiagonal blocks and one chain substitution, also O(n) per order.  Each
 ``differentiate`` and ``decompose`` call is timed end to end.

@@ -1,30 +1,26 @@
-"""Per-order least squares by one batched Givens sweep, and the decomposition.
+"""Per-order least squares with the paper's closed-form QR, and the decomposition.
 
-For an order ``m >= 1`` the block system ``[[A, B], [B, A]]`` splits
-exactly: with ``P = (1/sqrt 2) [[I, I], [I, -I]]``,
-``P [[A, B], [B, A]] P = diag(A + B, A - B)``.  Each half is a
-``(p+1) x p`` tridiagonal least-squares problem (``p = n - m``) with
-subdiagonal ``delta``, diagonal ``+-m`` and superdiagonal ``gamma``.  One
-plane rotation per column reduces it to an upper-triangular ``R`` with two
-superdiagonals, the paper's closed-form Cholesky factor (its first
-superdiagonal flips sign for ``A - B``), and a three-term back-substitution
-finishes the solve.  At ``m == 0`` the colatitude block splits by degree
-parity into two lower-bidiagonal chains, which the same sweep solves with a
-zero superdiagonal.
+For an order ``m >= 1``, ``P [[A, B], [B, A]] P = diag(A + B, A - B)`` with
+``P = (1/sqrt 2) [[I, I], [I, -I]]``, and ``A - B = -D (A + B) D`` with
+``D = diag((-1)^i)``.  So each order is one ``(p+1) x p`` tridiagonal
+least-squares problem ``A + B`` (``p = n - m``; subdiagonal ``delta``,
+diagonal ``m``, superdiagonal ``gamma``) with four right-hand sides.  The
+paper gives its QR factorization in closed form: one plane rotation per
+column, and ``R = Q'(A + B)`` is its Cholesky factor, with two
+superdiagonals.  The sweep builds ``R`` from those rotations and the matrix
+entries as whole-grid expressions, applies the rotations to the right-hand
+sides and back-substitutes.  At ``m == 0`` the colatitude block splits by
+degree parity into two lower-bidiagonal chains, with closed-form rotations
+of their own, on the same sweep.
 
-The sweep runs over many problems at once in (column, problem) arrays.
-Problems are sorted by size, so the ones still active at column ``j`` are a
-contiguous prefix; :func:`decompose` feeds it blocks of ``BLOCK_ORDERS``
-orders with both halves of each order side by side.  :func:`differentiate`
-runs per block of orders too: it gathers the potentials into one
-(degree, order) grid, applies ``[[A, B], [B, A]]`` as a few whole-grid
-expressions and converts to the tangential basis with one chain
-substitution over degree.  Every order costs O(n) in both directions, the
-whole of either O(n^2).
-
-The normal equations are never formed: squaring the system would square its
-condition number, and one least-squares pass in float64 already meets the
-error target.
+The sweep solves many problems at once in (column, problem) arrays, sorted
+by size so that those still active at column ``j`` are a prefix;
+:func:`decompose` feeds it blocks of ``BLOCK_ORDERS`` orders.
+:func:`differentiate` runs per block of orders too: it gathers the
+potentials into one (degree, order) grid, applies ``[[A, B], [B, A]]`` as a
+few whole-grid expressions and converts to the tangential basis with one
+chain substitution over degree.  Each order costs O(n) either way, the whole
+O(n^2).  The normal equations are never formed.
 """
 
 import math
@@ -43,99 +39,94 @@ __all__ = [
 ]
 
 # Orders per block in decompose and differentiate.  Wider blocks need fewer
-# numpy calls per column but hold O(n * BLOCK_ORDERS) working memory.  Measured at n = 1024
-# on a 2-vCPU Xeon, decompose took 1.5 / 1.0 / 0.68 s for 16 / 32 / 64 and
-# added 4.6 / 9 / 17.5 MiB of peak RSS; 32 is the widest that stays near the
-# peak memory of a decomposition done one order at a time.
+# numpy calls per column but hold O(n * BLOCK_ORDERS) working memory.  At
+# n = 1024 on a 2-vCPU Xeon (medians of 5 calls, 5 processes each), decompose
+# took 0.73-0.91 / 0.43-0.67 / 0.41-0.51 s for 16 / 32 / 64 and raised peak
+# RSS by 14.4 / 18.7 / 27.0 MiB (16 MiB of it the result): 64 gains little.
 BLOCK_ORDERS = 32
 
-_SQRT_HALF = math.sqrt(0.5)
 
-
-def _lsq_sweep(sizes, sub, diag, sup, rhs):
+def _lsq_sweep(sizes, rotations, columns, rhs):
     """Least squares for K tridiagonal problems of shape ``(p_k + 1) x p_k``.
 
     Column ``j`` of problem ``k`` holds ``sup[j, k]`` in row ``j - 1``,
-    ``diag[j, k]`` in row ``j`` and the nonzero ``sub[j, k]`` in row
-    ``j + 1``; ``rhs[i, k]`` is row ``i`` of its right-hand sides, an array
-    of shape ``(sizes[0] + 1, K, r)`` that the sweep overwrites.  ``sizes``
-    holds the ``p_k`` in nonincreasing order and the coefficient arrays have
-    ``sizes[0]`` rows.  Entries past a problem's own size must be finite and
-    do not affect it.
+    ``diag[j, k]`` in row ``j`` and ``sub[j, k]`` in row ``j + 1``, with
+    ``columns = (sub, diag, sup)`` of ``sizes[0] + 2`` rows.  Its known plane
+    rotation ``(c[j, k], s[j, k])`` from ``rotations = (c, s)`` acts on rows
+    ``j, j + 1`` and zeroes ``sub[j, k]``.  ``rhs``, shape
+    ``(sizes[0] + 1, K, r)``, holds the right-hand sides and is overwritten.
+    ``sizes`` (the ``p_k``) must not increase; entries past a problem's own
+    size must be finite and do not affect it.
 
     Returns the solutions ``x`` of shape ``(sizes[0], K, r)``, zero past each
     problem's size; the signed residuals ``(K, r)``, i.e. what the rotations
     leave in row ``p_k`` of the right-hand side; and the triangular factor
-    as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, whose entries
-    outside each problem's ``p_k x p_k`` triangle are meaningless.
+    ``R = Q'M`` as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, whose
+    entries outside each problem's ``p_k x p_k`` triangle are meaningless.
     """
-    pmax, nprob = sub.shape
+    c, s = rotations
+    sub, diag, sup = columns
+    pmax, nprob = c.shape
     # active[j]: how many problems have a column j (a prefix, by sorting)
     active = np.searchsorted(-np.asarray(sizes), -np.arange(pmax), side="left")
-    d, e, f = np.zeros((3, pmax, nprob))
-    # working row j after the rotations of columns < j: entries a (column j)
-    # and b (column j + 1), right-hand side y; row j of rhs then takes Q'rhs
-    a = np.array(diag[0])
-    b = np.array(sup[min(1, pmax - 1)])
-    y = rhs[0].copy()
-    for j in range(pmax):
-        k = active[j]
-        aj, bj, yj = a[:k], b[:k], y[:k]
-        low = sub[j, :k]
-        r = np.hypot(aj, low)
-        c = aj / r
-        s = low / r
-        # past the last column any finite value will do: the next row's
-        # entries then only reach R outside the triangle
-        diag_next, sup_next = diag[min(j + 1, pmax - 1), :k], sup[min(j + 2, pmax - 1), :k]
-        d[j, :k] = r
-        e[j, :k] = c * bj + s * diag_next
-        f[j, :k] = s * sup_next
-        a[:k] = c * diag_next - s * bj
-        b[:k] = c * sup_next
-        c, s = c[:, None], s[:, None]
-        rhs_next = rhs[j + 1, :k]
-        rhs[j, :k] = c * yj + s * rhs_next
-        y[:k] = c * rhs_next - s * yj
+    # row j of M after the rotations of columns < j holds a (column j) and
+    # b (column j + 1); rotation j turns rows j, j + 1 into row j of R
+    b = np.array(sup[1 : pmax + 1])
+    b[1:] *= c[:-1]
+    a = np.array(diag[:pmax])
+    a[1:] = c[:-1] * a[1:] - s[:-1] * b[:-1]
+    d = c * a + s * sub[:pmax]
+    e = c * b + s * diag[1 : pmax + 1]
+    f = s * sup[2:]
+    rot = np.stack([c, s, -s, c], axis=-1).reshape(pmax, nprob, 2, 2)
+    by_problem = rhs.transpose(1, 0, 2)  # [k, i] -> row i of problem k
+    for j, k in enumerate(active.tolist()):
+        pair = by_problem[:k, j : j + 2]
+        pair[...] = rot[j, :k] @ pair
     x = np.zeros((pmax + 2,) + rhs.shape[1:])
     for j in range(pmax - 1, -1, -1):
         k = active[j]
         x[j, :k] = (
             rhs[j, :k] - e[j, :k, None] * x[j + 1, :k] - f[j, :k, None] * x[j + 2, :k]
         ) / d[j, :k, None]
-    return x[:pmax], y, (d, e, f)
+    return x[:pmax], rhs[sizes, np.arange(nprob)], (d, e, f)
 
 
 def _order_problems(n, ms):
-    """Sizes and tridiagonals of the ``A + B`` and ``A - B`` halves of orders ``ms``.
+    """Sizes, rotations and tridiagonals of the ``A + B`` problems of orders ``ms``.
 
-    ``ms`` ascends from 1; problem ``2i`` is ``A + B`` and ``2i + 1`` is
-    ``A - B`` of order ``ms[i]``, so sizes come out nonincreasing.
+    ``ms`` ascends from 1, so sizes come out nonincreasing.  The rotation of
+    column ``j`` is the paper's closed form, with ``l = j + 1``:
+    ``s = sqrt(l (l + m) / ((l + m + 1)(l + 2m + 1)))`` and
+    ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``.
     """
-    sizes = np.repeat(n - ms, 2)
-    degrees = ms + np.arange(sizes[0])[:, None]  # potential degree of each column
-    sub = np.repeat(rec.delta(degrees, ms), 2, axis=1)
-    sup = np.repeat(rec.gamma(degrees, ms), 2, axis=1)
-    diag = np.broadcast_to(np.column_stack([ms, -ms]).ravel().astype(np.float64), sub.shape)
-    return sizes, sub, diag, sup
+    sizes = n - ms
+    j = np.arange(sizes[0] + 2)[:, None]
+    degrees = ms + j  # potential degree of each column
+    l = j[:-2] + 1
+    denom = (l + ms + 1) * (l + 2 * ms + 1)
+    rotations = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
+    sub = rec.delta(degrees, ms)
+    diag = np.broadcast_to(ms.astype(np.float64), sub.shape)
+    return sizes, rotations, (sub, diag, rec.gamma(degrees, ms))
 
 
 def _solve_orders(n, ms, b1, b2):
     """Least squares for the block systems of orders ``ms`` (ascending, >= 1).
 
     ``b1``/``b2`` are the top and bottom halves of the right-hand sides,
-    shape ``(n - ms[0] + 1, len(ms), r)``; rows past an order's own
-    ``n - m + 1`` are ignored.  Returns the two halves of the solution,
-    shape ``(n - ms[0], len(ms), r)`` and zero past each order's ``n - m``
-    rows, and each order's residual norm over all ``r`` columns.
+    shape ``(rows, len(ms), r)``; rows past an order's own ``n - m + 1`` are
+    ignored.  The ``A + B`` problem takes ``b1 + b2`` for ``x1 + x2`` and
+    ``D (b2 - b1)`` for ``D (x1 - x2)`` (see the module docstring).  Returns
+    the two halves of the solution, shape ``(n - ms[0], len(ms), r)`` and
+    zero past each order's ``n - m`` rows, and each order's residual norm.
     """
-    sizes, sub, diag, sup = _order_problems(n, ms)
-    rhs = np.empty((b1.shape[0], 2 * len(ms), b1.shape[2]))
-    np.add(b1, b2, out=rhs[:, 0::2])
-    np.subtract(b1, b2, out=rhs[:, 1::2])
-    x, res, _ = _lsq_sweep(sizes, sub, diag, sup, rhs)
-    u, v = x[:, 0::2], x[:, 1::2]
-    residual = _SQRT_HALF * np.hypot.reduce(res.reshape(len(ms), -1), axis=1)
+    r = b1.shape[2]
+    sign = (1.0 - 2.0 * (np.arange(b1.shape[0]) % 2))[:, None, None]  # D
+    rhs = np.concatenate([b1 + b2, sign * (b2 - b1)], axis=2)
+    x, res, _ = _lsq_sweep(*_order_problems(n, ms), rhs)
+    u, v = x[..., :r], sign[: x.shape[0]] * x[..., r:]
+    residual = math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
     return 0.5 * (u + v), 0.5 * (u - v), residual
 
 
@@ -159,6 +150,28 @@ def solve_order(n, m, rhs):
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
 
+def _order_zero_problems(n):
+    """Sizes, rotations and bidiagonals of order zero's two parity chains.
+
+    ``A0`` maps potential degree ``l`` to rows ``l - 1`` (``gamma``) and
+    ``l + 1`` (``delta``), so it splits into two lower-bidiagonal chains:
+    odd degrees against even rows (problem 0) and even degrees against odd
+    rows (problem 1).  Column ``j`` of chain ``k`` has potential degree
+    ``l = 2j + k + 1`` and the closed-form rotation
+    ``s = sqrt(l (l + 1) / ((l + 2)(l + 3)))``,
+    ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.
+    """
+    pmax = n // 2
+    j = np.arange(pmax + 2)[:, None]
+    degrees = 2 * j + np.arange(2) + 1
+    l = degrees[:pmax]
+    denom = (l + 2) * (l + 3)
+    c = np.where(j[:pmax] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
+    rotations = c, np.sqrt(l * (l + 1) / denom)
+    columns = rec.delta(degrees, 0), rec.gamma(degrees, 0), np.zeros(degrees.shape)
+    return np.array([pmax, (n - 1) // 2]), rotations, columns
+
+
 def decompose_order_zero(theta_slice, phi_slice, n):
     """Separable ``m == 0`` solve: gradient and curl decouple completely.
 
@@ -171,20 +184,11 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     phi_slice = np.asarray(phi_slice, dtype=np.float64)
     if theta_slice.shape != (n + 1,) or phi_slice.shape != (n + 1,):
         raise ValueError("decompose_order_zero: slices must have length n + 1")
-    # A0 maps potential degree l to rows l - 1 (gamma) and l + 1 (delta), so
-    # it splits into two lower-bidiagonal chains: odd degrees against even
-    # rows (problem 0) and even degrees against odd rows (problem 1)
     pmax = n // 2
-    degrees = np.arange(1, 2 * pmax + 1).reshape(pmax, 2)  # [j, chain] -> 2j + chain + 1
     w = np.zeros((2 * pmax + 2, 2))
     w[: n + 1] = np.column_stack([theta_slice, phi_slice])
-    x, res, _ = _lsq_sweep(
-        np.array([n // 2, (n - 1) // 2]),
-        rec.delta(degrees, 0),
-        rec.gamma(degrees, 0),
-        np.zeros((pmax, 2)),
-        w.reshape(pmax + 1, 2, 2),  # [j, chain] -> row degree 2j + chain
-    )
+    # [j, chain] -> row degree 2j + chain
+    x, res, _ = _lsq_sweep(*_order_zero_problems(n), w.reshape(pmax + 1, 2, 2))
     v = x.reshape(2 * pmax, 2)[: n - 1]
     return v[:, 0], v[:, 1], float(np.hypot.reduce(res.ravel()))
 

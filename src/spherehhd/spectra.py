@@ -47,14 +47,6 @@ def _l2_norm(*arrays):
     return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
 
 
-def signed_orders(max_order):
-    """Canonical order sequence 0, +1, -1, +2, -2, ..."""
-    yield 0
-    for mu in range(1, max_order + 1):
-        yield mu
-        yield -mu
-
-
 class _CoeffTable:
     """Shared machinery for the two triangular coefficient tables."""
 
@@ -64,13 +56,8 @@ class _CoeffTable:
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
         self.n = int(n)
-        orders = np.fromiter(signed_orders(self.max_order()), dtype=np.int64)
-        starts, counts = self.order_offsets(orders)
-        present = counts > 0
-        self._offsets = dict(
-            zip(orders[present].tolist(), zip(starts[present].tolist(), counts[present].tolist()))
-        )
-        pos = self._size = int(starts[-1] + counts[-1])
+        # the table ends where the pair of the first order past it would start
+        pos = self._size = self.order_offsets(self.max_order() + 1)[0]
         if data is None:
             self._data = np.zeros(pos)
         else:
@@ -78,6 +65,13 @@ class _CoeffTable:
             if data.shape != (pos,):
                 raise ValueError(f"expected flat data of length {pos}, got {data.shape}")
             self._data = data
+        mu = np.arange(1, self.max_order() + 1)
+        orders = np.append(0, np.column_stack([mu, -mu]).ravel())  # 0, +1, -1, +2, -2, ...
+        starts, counts = self.order_offsets(orders)
+        present = counts > 0
+        self._offsets = dict(
+            zip(orders[present].tolist(), zip(starts[present].tolist(), counts[present].tolist()))
+        )
 
     # subclasses fix the index set
     def degree_start(self, m):
@@ -87,21 +81,19 @@ class _CoeffTable:
         raise NotImplementedError
 
     def order_offsets(self, orders):
-        """Flat start and length of the slices of the signed ``orders`` (an int array).
+        """Flat start and length of the slices of the signed ``orders`` (an int or int array).
 
         Closed form of the canonical layout: order 0, then the pair ``+nu, -nu``
         for ``nu = 1, 2, ...``, each slice one entry shorter than the one
         before.  Orders outside the table come out with a nonpositive length.
         """
-        orders = np.asarray(orders)
-        mu = np.abs(orders)
+        mu = abs(orders)
         counts = self.n - self.degree_start(orders) + 1
         count0 = max(self.n - self.degree_start(0) + 1, 0)
         count1 = self.n - self.degree_start(1) + 1
         # the pair of order nu >= 1 holds 2 * (count1 + 1 - nu) entries
         pairs_before = (mu - 1) * (2 * count1 + 2 - mu)
-        starts = np.where(mu == 0, 0, count0 + pairs_before + (orders < 0) * counts)
-        return starts, counts
+        return (mu != 0) * (count0 + pairs_before + (orders < 0) * counts), counts
 
     @property
     def size(self):
@@ -123,15 +115,12 @@ class _CoeffTable:
             raise ValueError(f"order {m}: expected {len(sl)} values, got {len(values)}")
         sl[:] = values
 
-    def _check_index(self, l, m):
+    def flat_index(self, l, m):
+        """Position of coefficient ``(l, m)`` in :meth:`flat`."""
         if m not in self._offsets or not (self.degree_start(m) <= l <= self.n):
             raise ValueError(
                 f"(l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}"
             )
-
-    def flat_index(self, l, m):
-        """Position of coefficient ``(l, m)`` in :meth:`flat`."""
-        self._check_index(l, m)
         return self._offsets[m][0] + l - self.degree_start(m)
 
     def __getitem__(self, lm):
@@ -307,8 +296,9 @@ def read_spectrum(path):
     """Read a spectrum written by :func:`write_spectrum`.
 
     Returns a :class:`ScalarSpectrum` or :class:`ZSpectrum` depending on the
-    header.  Raises ``ValueError`` on a malformed header, an index outside
-    the basis triangle, a non-finite value, or a repeated ``l,m`` row.
+    header.  Raises ``ValueError`` on a malformed header, a degree whose
+    table cannot be allocated, an index outside the basis triangle, a
+    non-finite value, or a repeated ``l,m`` row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -327,8 +317,11 @@ def read_spectrum(path):
             n = int(parts[2][len("n=") :])
         except ValueError:
             raise ValueError(f"{path}: malformed degree in header {header!r}") from None
-        spec = _CLASS_BY_BASIS[basis](n)
-        seen = np.zeros(spec.size, dtype=bool)
+        try:
+            spec = _CLASS_BY_BASIS[basis](n)
+            seen = np.zeros(spec.size, dtype=bool)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"{path}: degree n={n}: {exc}") from None
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):

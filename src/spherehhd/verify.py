@@ -100,17 +100,20 @@ def _suite_structure(level, tol_scale=1.0):
     return True, f"structure verified on {len(sizes)} truncation degrees"
 
 
-def _suite_cholesky(level, tol_scale=1.0):
-    sizes = (4, 8, 16) if level == "quick" else (4, 8, 16, 32, 64)
-    tol = 1e-13 * tol_scale
-    worst = 0.0
+def cholesky_deviations(sizes):
+    """``(n, m, deviation)`` of the closed-form ``R'R`` from ``C + D``, relative to its largest entry."""
     for n in sizes:
         for m in range(1, n):
             c, d = cond.build_CD(n, m)
             cd = c.toarray() + d.toarray()
             r = cond.build_R(n - m, m).to_dense()
-            dev = np.max(np.abs(r.T @ r - cd)) / np.max(np.abs(cd))
-            worst = max(worst, float(dev))
+            yield n, m, float(np.max(np.abs(r.T @ r - cd)) / np.max(np.abs(cd)))
+
+
+def _suite_cholesky(level, tol_scale=1.0):
+    sizes = (4, 8, 16) if level == "quick" else (4, 8, 16, 32, 64)
+    tol = 1e-13 * tol_scale
+    worst = max(dev for _, _, dev in cholesky_deviations(sizes))
     return worst <= tol, f"max relative Cholesky deviation {worst:.2e} (tol {tol:.1e})"
 
 

@@ -24,6 +24,7 @@ from spherehhd.pointwise import (
 from spherehhd.recurrences import alpha, beta, chol_d, chol_e, chol_f, delta, gamma
 from spherehhd.solver import decompose, differentiate, solve_order
 from spherehhd.spectra import TangentField, ZSpectrum, new_scalar_spectrum, relative_l2_error
+from spherehhd.verify import cholesky_deviations
 
 from conftest import dense_block_system, random_potentials
 
@@ -86,14 +87,9 @@ def test_criterion_02_quadratic_complexity():
 def test_criterion_03_cholesky_identity():
     tol = 1e-13
     worst = 0.0
-    for n in (4, 8, 16, 32, 64):
-        for m in range(1, n):
-            c, d = build_CD(n, m)
-            cd = c.toarray() + d.toarray()
-            r = build_R(n - m, m).to_dense()
-            dev = float(np.max(np.abs(r.T @ r - cd)) / np.max(np.abs(cd)))
-            worst = max(worst, dev)
-            assert dev <= tol, f"(n={n}, m={m}): {dev:.3e}"
+    for n, m, dev in cholesky_deviations((4, 8, 16, 32, 64)):
+        worst = max(worst, dev)
+        assert dev <= tol, f"(n={n}, m={m}): {dev:.3e}"
     _report(3, "Cholesky identity", f"max relative deviation {worst:.2e} <= {tol:.0e}")
 
 

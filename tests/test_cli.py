@@ -87,6 +87,20 @@ def test_decompose_wrong_basis_fails(tmp_path, capsys):
     assert code == 1
 
 
+def test_decompose_unallocatable_header_degree_fails(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("# basis=Z n=100000000\n")
+    code, _, err = run_cli(
+        capsys,
+        "decompose",
+        "--input-theta", str(path),
+        "--input-phi", str(path),
+        "--out-prefix", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert "degree n=100000000" in err
+
+
 def test_missing_file_fails(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherehhd import TangentField, ZSpectrum, decompose, differentiate, relative_l2_error
+from spherehhd import TangentField, ZSpectrum, build_A, decompose, differentiate, relative_l2_error
+from spherehhd.solver import decompose_order_zero, solve_order
 
-from conftest import random_potentials
+from conftest import dense_block_system, random_potentials
 
 degrees = st.integers(min_value=2, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -86,3 +87,25 @@ def test_content_in_orders_n_and_n_plus_1_is_reported_out_of_range(n, seed):
     result = decompose(field)
     assert not result.spheroidal.flat().any() and not result.toroidal.flat().any()
     assert result.total_out_of_range() == pytest.approx(field.norm(), rel=1e-14)
+
+
+def assert_least_squares_optimal(dense, x, rhs, reported):
+    """The residual is orthogonal to range(M), and ``reported`` is its norm."""
+    r = dense @ x - rhs
+    assert np.linalg.norm(dense.T @ r) <= 1e-12 * np.linalg.norm(dense) * np.linalg.norm(rhs)
+    assert reported == pytest.approx(np.linalg.norm(r), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=2, max_value=24), seed=seeds)
+def test_residual_is_orthogonal_to_the_range(n, seed):
+    rng = np.random.default_rng(seed)
+    for m in range(1, n):
+        dense = dense_block_system(n, m)
+        rhs = rng.standard_normal((dense.shape[0], 2))
+        x, residual = solve_order(n, m, rhs)
+        assert_least_squares_optimal(dense, x, rhs, residual)
+    a0 = build_A(n, 0).toarray()  # order zero: two columns, theta and phi
+    w = rng.standard_normal((n + 1, 2))
+    vs, vt, residual = decompose_order_zero(w[:, 0], w[:, 1], n)
+    assert_least_squares_optimal(a0, np.column_stack([vs, vt]), w, residual)

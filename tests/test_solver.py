@@ -7,6 +7,7 @@ from spherehhd.operators import build_A, build_B, z_to_cscy
 from spherehhd.solver import (
     _lsq_sweep,
     _order_problems,
+    _order_zero_problems,
     decompose,
     decompose_order_zero,
     differentiate,
@@ -25,21 +26,26 @@ from conftest import dense_block_system, random_potentials
 def sweep_halves(n, m, rhs=None):
     """Run the sweep on the A + B and A - B halves of order ``m``.
 
-    Returns, per half, the dense matrix, the solution, the residual and the
-    dense triangular factor.
+    The kernel solves only A + B; A - B = -D (A + B) D with D = diag((-1)^i)
+    turns the A - B half into A + B with right-hand side -D b, solution D y
+    and factor D R D.  Returns, per half, the dense matrix, the solution, the
+    residual and the dense triangular factor.
     """
-    sizes, sub, diag, sup = _order_problems(n, np.array([m]))
+    sizes, rotations, columns = _order_problems(n, np.array([m]))
     p = int(sizes[0])
     if rhs is None:
         rhs = np.zeros((p + 1, 2, 1))
-    x, res, (d, e, f) = _lsq_sweep(sizes, sub, diag, sup, rhs.copy())
+    r = rhs.shape[2]
+    dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
+    both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, None]
+    x, res, (d, e, f) = _lsq_sweep(sizes, rotations, columns, both)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
-    halves = []
-    for k, dense in enumerate((a + b, a - b)):
-        # CholeskyR stores the off-diagonals negated
-        r = CholeskyR(p, m, d[:, k], -e[: p - 1, k], -f[: max(p - 2, 0), k]).to_dense()
-        halves.append((dense, x[:, k], res[k], r))
-    return halves
+    # CholeskyR stores the off-diagonals negated
+    r_plus = CholeskyR(p, m, d[:, 0], -e[: p - 1, 0], -f[: max(p - 2, 0), 0]).to_dense()
+    return [
+        (a + b, x[:, 0, :r], res[0, :r], r_plus),
+        (a - b, dp[:, None] * x[:, 0, r:], res[0, r:], dp[:, None] * r_plus * dp),
+    ]
 
 
 def test_rotations_are_orthogonal(rng):
@@ -73,6 +79,48 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
                 dev = np.max(np.abs(r - ref)) / np.max(np.abs(ref))
                 worst = max(worst, dev)
                 assert dev <= 1e-13, f"(n={n}, m={m}): {dev:.3e}"
+
+
+def working_entries(rotations, columns, k):
+    """Entry ``a_j`` that rotation ``j`` of problem ``k`` meets on the diagonal.
+
+    Applies the rotations to the matrix one column at a time: row ``j``
+    carries ``a`` in column ``j`` and ``b`` in column ``j + 1``.
+    """
+    c, s = (x[:, k].tolist() for x in rotations)
+    sub, diag, sup = (x[:, k].tolist() for x in columns)
+    a, b = diag[0], sup[1]
+    out = []
+    for j in range(len(c)):
+        out.append(a)
+        a, b = c[j] * diag[j + 1] - s[j] * b, c[j] * sup[j + 2]
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(4096, 1), (4096, 2), (4096, 3), (4096, 64), (4096, 1000), (4096, 4095), (4096, 0), (4097, 0)]
+)
+def test_closed_form_rotations_beyond_dense_oracles(n, m):
+    # the rotations are orthogonal, zero the subdiagonal they act on, and
+    # (m >= 1) give the paper's Cholesky factor, at sizes past DENSE_ORACLE_LIMIT
+    if m == 0:
+        sizes, rotations, columns = _order_zero_problems(n)
+    else:
+        sizes, rotations, columns = _order_problems(n, np.array([m]))
+    rhs = np.zeros((int(sizes[0]) + 1, len(sizes), 1))
+    _, _, (d, e, f) = _lsq_sweep(sizes, rotations, columns, rhs)
+    c, s = rotations
+    for k, p in enumerate(sizes.tolist()):
+        ck, sk, dk, sub = c[:p, k], s[:p, k], d[:p, k], columns[0][:p, k]
+        assert np.max(np.abs(ck * ck + sk * sk - 1.0)) <= 4 * np.finfo(np.float64).eps
+        a = working_entries(rotations, columns, k)[:p]
+        assert np.all(np.abs(ck * sub - sk * a) <= 1e-15 * dk)
+    if m >= 1:
+        # deviation relative to R's largest entry, as in the test above: e_j
+        # sums two terms of size ~m to a value below one
+        closed = build_R(int(sizes[0]), m)
+        for got, want in ((d[:, 0], closed.d), (-e[:, 0], closed.e), (-f[:, 0], closed.f)):
+            assert np.max(np.abs(got[: len(want)] - want), initial=0.0) <= 1e-13 * closed.d[-1]
 
 
 def test_r_diagonal_nonnegative_and_small_system():

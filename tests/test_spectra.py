@@ -166,6 +166,15 @@ def test_read_rejects_duplicate_rows(tmp_path):
         read_spectrum(path)
 
 
+def test_read_rejects_unallocatable_header_degree(tmp_path):
+    # (10**8 + 1)**2 coefficients are ~71 PiB: the table must be refused up
+    # front, as a ValueError naming the file and the degree
+    path = tmp_path / "huge.csv"
+    path.write_text("# basis=Y n=100000000\n")
+    with pytest.raises(ValueError, match=r"huge\.csv: degree n=100000000"):
+        read_spectrum(path)
+
+
 def test_tangent_field_requires_matching_degree():
     with pytest.raises(ValueError):
         TangentField(ZSpectrum(3), ZSpectrum(4))
