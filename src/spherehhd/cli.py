@@ -63,6 +63,11 @@ class RunConfig:
             raise ValueError("--level must be quick or full")
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
+        # checked before a command prints its CSV header or any row
+        if self.command == "bench" and any(n < 2 for n in self.n_list):
+            raise ValueError("--n-list entries must be >= 2")
+        if self.command == "cond" and any(n > cond.DENSE_ORACLE_LIMIT for n in self.n_list):
+            raise ValueError(f"dense columns are limited to n <= {cond.DENSE_ORACLE_LIMIT}")
 
 
 def _parse_int_list(text):
@@ -161,8 +166,6 @@ def cmd_bench(cfg):
     n_list = cfg.n_list or (256, 512, 1024)
     print("n,iter,decompose_seconds,differentiate_seconds")
     for n in n_list:
-        if n < 2:
-            raise ValueError("--n-list entries must be >= 2")
         rows = _timed_roundtrip_rows(n, cfg.seed, cfg.iters)
         for it, _, dec, diff in rows:
             print(f"{n},{it},{dec:.6f},{diff:.6f}")
@@ -175,8 +178,6 @@ def cmd_cond(cfg):
     m_list = cfg.m_list or (1, 2, 3, 5, 8)
     print("n,m,kappa_R_dense,kappa_M_dense,theorem_bound,qi_sigma_max,qi_sigma_min,conjecture")
     for n in n_list:
-        if n > cond.DENSE_ORACLE_LIMIT:
-            raise ValueError(f"dense columns are limited to n <= {cond.DENSE_ORACLE_LIMIT}")
         for m in m_list:
             if not 1 <= m <= n - 1:
                 continue

@@ -15,7 +15,11 @@ nothing in the library mutates a spectrum it did not create.
 """
 
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse, islice
+from operator import methodcaller
 
 import numpy as np
 
@@ -274,31 +278,61 @@ class HHDResult:
 _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
 
 
+# rows per ``%`` formatting call of the writer: bounds its working memory
+_WRITE_CHUNK_ROWS = 4096
+_ROW_DTYPE = np.dtype([("l", np.int64), ("m", np.int64), ("value", np.float64)])
+
+
 def write_spectrum(spectrum, path):
     """Write a spectrum in the text coefficient format.
 
     Line 1 is ``# basis=<Y|Z> n=<int>``; each following line is ``l,m,value``
     with the value in 17-significant-digit scientific notation, rows in
     order-major order.  Missing rows denote zero, but the writer emits the
-    full table.
+    full table.  The ``l`` and ``m`` columns come from the closed-form
+    layout, and rows are formatted a fixed-size chunk at a time.
     """
-    lines = [f"# basis={spectrum.basis} n={spectrum.n}\n"]
-    for m in spectrum.orders():
-        lo = spectrum.degree_start(m)
-        sl = spectrum.order_slice(m)
-        for i, v in enumerate(sl):
-            lines.append(f"{lo + i},{m},{v:.16e}\n")
+    orders = np.array(spectrum.orders())
+    starts, counts = spectrum.order_offsets(orders)
+    m = np.repeat(orders, counts)
+    l = np.arange(spectrum.size) - np.repeat(starts - spectrum.degree_start(orders), counts)
+    values = spectrum.flat()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+        fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n")
+        for lo in range(0, spectrum.size, _WRITE_CHUNK_ROWS):
+            hi = min(lo + _WRITE_CHUNK_ROWS, spectrum.size)
+            cells = zip(l[lo:hi].tolist(), m[lo:hi].tolist(), values[lo:hi].tolist())
+            fh.write("%d,%d,%.16e\n" * (hi - lo) % tuple(chain.from_iterable(cells)))
+
+
+def _data_row_line(path, row):
+    """Line number and text of data row ``row`` (0-based) of the file at ``path``.
+
+    Data rows are the lines after the header that are neither blank nor
+    comments, the rows :func:`read_spectrum` parses.  Only its error paths
+    call this, so rereading the file costs nothing on success.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        rows = ((i, line.strip()) for i, line in enumerate(fh, start=2))
+        data = ((i, line) for i, line in rows if line and not line.startswith("#"))
+        return next(islice(data, row, None))
 
 
 def read_spectrum(path):
     """Read a spectrum written by :func:`write_spectrum`.
 
     Returns a :class:`ScalarSpectrum` or :class:`ZSpectrum` depending on the
-    header.  Raises ``ValueError`` on a malformed header, a degree whose
-    table cannot be allocated, an index outside the basis triangle, a
-    non-finite value, or a repeated ``l,m`` row.
+    header.  Rows may come in any order; blank lines and lines that start
+    with ``#`` (after leading whitespace) are skipped.  Raises
+    ``ValueError`` on a malformed header, a degree whose table cannot be
+    allocated, a malformed row, an index outside the basis triangle, a
+    non-finite value, or a repeated ``l,m`` row.  A row error names
+    ``path:lineno``: of the first malformed row if there is one, else of
+    the first row that fails a check.
+
+    The rows are parsed by one ``np.loadtxt`` streaming from the open file,
+    checked as whole arrays and scattered into the table in one assignment.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -319,25 +353,55 @@ def read_spectrum(path):
             raise ValueError(f"{path}: malformed degree in header {header!r}") from None
         try:
             spec = _CLASS_BY_BASIS[basis](n)
-            seen = np.zeros(spec.size, dtype=bool)
         except (MemoryError, ValueError) as exc:
             raise ValueError(f"{path}: degree n={n}: {exc}") from None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'l,m,value'")
-            try:
-                l, m, value = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-            if not np.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            pos = spec.flat_index(l, m)  # raises ValueError outside the index set
-            if seen[pos]:
-                raise ValueError(f"{path}:{lineno}: duplicate row for (l={l}, m={m})")
-            seen[pos] = True
-            spec.flat()[pos] = value
+        # Comment and blank lines are dropped before the parser sees them, so
+        # a '#' inside a row stays an error and loadtxt counts data rows only.
+        # lstrip returns an unindented line itself; loadtxt skips the empty
+        # string a blank line leaves.
+        lines = filterfalse(methodcaller("startswith", "#"), map(str.lstrip, fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # numpy releases that parse '1.0' in an integer field through
+                # a float warn instead of failing: keep that an error
+                warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
+        except ValueError as exc:
+            message = str(exc)
+            # the last match: a conversion error quotes the field text first
+            named = re.findall(r"at row (\d+)", message)
+            if not named:
+                raise ValueError(f"{path}: {exc}") from None
+            # loadtxt counts data rows from 0 in conversion errors and from 1
+            # in column-count errors
+            converting = message.startswith("could not convert")
+            lineno, line = _data_row_line(path, int(named[-1]) - (not converting))
+            problem = f"malformed row {line!r}" if converting else "expected 'l,m,value'"
+            raise ValueError(f"{path}:{lineno}: {problem}") from None
+
+    l, m, values = rows["l"], rows["m"], rows["value"]
+    top = spec.max_order()
+    start = spec.degree_start(m)
+    outside = (m < -top) | (m > top) | (l < start) | (l > spec.n)
+    pos = spec.order_offsets(m)[0] + l - start
+    # a stable sort keeps the rows of one position in file order: every row
+    # after the first of its position repeats an earlier one
+    by_pos = np.argsort(pos, kind="stable")
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
+    nonfinite = ~np.isfinite(values)
+    bad = nonfinite | outside | repeated
+    if bad.any():
+        # the first offending row, judged as a row-by-row reader would
+        row = int(np.argmax(bad))
+        lm = f"(l={l[row]}, m={m[row]})"
+        if nonfinite[row]:
+            problem = "non-finite value"
+        elif outside[row]:
+            problem = f"{lm} outside the basis-{spec.basis} index set for n={spec.n}"
+        else:
+            problem = f"duplicate row for {lm}"
+        raise ValueError(f"{path}:{_data_row_line(path, row)[0]}: {problem}")
+    spec.flat()[pos] = values
     return spec

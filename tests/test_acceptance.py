@@ -63,18 +63,26 @@ def test_criterion_02_quadratic_complexity():
     slope = np.polyfit(np.log(sizes), np.log(decompose_times), 1)[0]
     assert 1.7 <= slope <= 2.3, f"decompose-time slope {slope:.2f}"
 
-    # a one-order solve at fixed m scales linearly in n - m; the three
-    # repeats sweep all sizes in turn, so a change in machine speed during
-    # the measurement reaches every size rather than only the last ones
+    # a one-order solve at fixed m scales linearly in n - m.  A sample times
+    # enough back-to-back calls to last about 20 ms, so that millisecond
+    # changes in machine speed average out inside it; the passes sweep all
+    # sizes in turn, so a slower stretch reaches every size rather than only
+    # the last ones, and each size keeps its fastest sample
     m = 1
     rng = np.random.default_rng(0)
     rhs_by_size = [rng.standard_normal((2 * (n + 1 - m), 2)) for n in sizes]
+    calls = []
+    for n, rhs in zip(sizes, rhs_by_size):
+        t0 = time.perf_counter()
+        solve_order(n, m, rhs)
+        calls.append(math.ceil(0.02 / (time.perf_counter() - t0)))
     per_order = [math.inf] * len(sizes)
-    for _ in range(3):
+    for _ in range(9):
         for k, (n, rhs) in enumerate(zip(sizes, rhs_by_size)):
             t0 = time.perf_counter()
-            solve_order(n, m, rhs)
-            per_order[k] = min(per_order[k], time.perf_counter() - t0)
+            for _ in range(calls[k]):
+                solve_order(n, m, rhs)
+            per_order[k] = min(per_order[k], (time.perf_counter() - t0) / calls[k])
     lin_slope = np.polyfit(np.log([n - m for n in sizes]), np.log(per_order), 1)[0]
     assert 0.8 <= lin_slope <= 1.2, f"per-order slope {lin_slope:.2f}"
     _report(

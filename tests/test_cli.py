@@ -160,6 +160,22 @@ def test_cond_scale_guard(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("bench", "--n-list", "4,1", "--iters", "1"), "must be >= 2"),
+        (("cond", "--n-list", "8,100000"), "limited to n <= 512"),
+    ],
+    ids=["bench", "cond"],
+)
+def test_bad_n_list_fails_before_any_output(capsys, argv, reason):
+    # a list with one bad entry after good ones must not leave a partial CSV
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert reason in err
+
+
 def test_bad_int_list(capsys):
     code, _, err = run_cli(capsys, "cond", "--n-list", "10,x")
     assert code == 1

@@ -1,7 +1,13 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spherehhd.spectra import (
     HHDResult,
@@ -164,6 +170,133 @@ def test_read_rejects_duplicate_rows(tmp_path):
     path.write_text("# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match=r"dup\.csv:4: duplicate row for \(l=1, m=1\)"):
         read_spectrum(path)
+
+
+# comment, blank and whitespace-only lines come before the bad row, so the
+# reported number must count every line of the file, not only data rows
+_SKIPPED_LINES = "# basis=Y n=2\n0,0,1.0\n# a comment\n\n   \n  # indented comment\n1,0,2.0\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "1,x,1.0",  # malformed index
+        "1,1,1.0x",  # malformed value
+        "1,1,1.0 # trailing text",  # a comment is a whole line, never a row's tail
+        "1,1",  # short row
+        "1,1,1.0,2.0",  # long row
+        "1,1,nan",  # non-finite value
+        "1,1,-inf",
+        "1,2,1.0",  # |m| > l: outside the index set
+        "3,0,1.0",  # l > n
+    ],
+)
+def test_read_reports_file_line_of_bad_row(tmp_path, bad_row):
+    path = tmp_path / "bad.csv"
+    path.write_text(_SKIPPED_LINES + bad_row + "\n2,2,3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:8: "):
+        read_spectrum(path)
+
+
+def test_read_skips_comment_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text(_SKIPPED_LINES + "\t\n2,-2,3.0\n   # the end\n")
+    spec = read_spectrum(path)
+    assert (spec[0, 0], spec[1, 0], spec[2, -2]) == (1.0, 2.0, 3.0)
+    assert np.count_nonzero(spec.flat()) == 3
+
+
+def test_read_rows_in_any_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("# basis=Z n=1\n1,-2,4.0\n0,1,1.0\n1,0,2.0\n 1 , -1 , 3.0 \n")
+    spec = read_spectrum(path)
+    assert (spec[1, -2], spec[0, 1], spec[1, 0], spec[1, -1]) == (4.0, 1.0, 2.0, 3.0)
+    assert np.count_nonzero(spec.flat()) == 4
+
+
+@pytest.mark.parametrize("rows", ["", "# only a comment\n\n"])
+def test_read_header_only_file_is_zero_without_warning(tmp_path, rows):
+    path = tmp_path / "empty.csv"
+    path.write_text("# basis=Z n=3\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = read_spectrum(path)
+    assert type(spec) is ZSpectrum and spec.n == 3
+    assert not np.any(spec.flat())
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "99999999999999999999,0,1.0",  # overflows int64
+        "-99999999999999999999,0,1.0",
+        "1,-9223372036854775808,1.0",  # int64 minimum: abs() of it stays negative
+        "1.0,0,1.0",  # an index is an integer, not a float spelling of one
+        "1,0.0,1.0",
+        "1e0,0,1.0",
+    ],
+)
+def test_read_rejects_non_integer_and_overflowing_indices(tmp_path, row):
+    path = tmp_path / "index.csv"
+    path.write_text("# basis=Y n=2\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_spectrum(path)
+
+
+def test_read_rejects_digit_group_underscores(tmp_path):
+    # Python's int() and float() accept "1_0"; the file format never used
+    # them (the writer emits none) and the reader's parser rejects them
+    path = tmp_path / "underscore.csv"
+    path.write_text("# basis=Y n=20\n1_0,0,1.0\n")
+    with pytest.raises(ValueError, match=r"underscore\.csv:2: "):
+        read_spectrum(path)
+
+
+def test_write_exact_text(tmp_path):
+    y = ScalarSpectrum(1)
+    y[0, 0], y[1, 0], y[1, 1], y[1, -1] = 0.5, -0.0, 1e-308, -1.7976931348623157e308
+    z = ZSpectrum(1, np.array([1 / 3, 2.0**-1074, -2.5, 1e300, 0.0, 7.0, -1e-5]))
+    expected = {
+        "y.csv": (
+            "# basis=Y n=1\n"
+            "0,0,5.0000000000000000e-01\n"
+            "1,0,-0.0000000000000000e+00\n"
+            "1,1,9.9999999999999991e-309\n"
+            "1,-1,-1.7976931348623157e+308\n"
+        ),
+        "z.csv": (
+            "# basis=Z n=1\n"
+            "1,0,3.3333333333333331e-01\n"
+            "0,1,4.9406564584124654e-324\n"
+            "1,1,-2.5000000000000000e+00\n"
+            "0,-1,1.0000000000000001e+300\n"
+            "1,-1,0.0000000000000000e+00\n"
+            "1,2,7.0000000000000000e+00\n"
+            "1,-2,-1.0000000000000001e-05\n"
+        ),
+    }
+    for name, spec in (("y.csv", y), ("z.csv", z)):
+        write_spectrum(spec, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected[name].encode()
+
+
+@st.composite
+def spectra(draw):
+    cls = draw(st.sampled_from([ScalarSpectrum, ZSpectrum]))
+    n = draw(st.integers(min_value=0, max_value=40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals, +-0.0 and +-max included
+    return cls(n, draw(hnp.arrays(np.float64, cls(n).size, elements=finite)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=spectra())
+def test_write_read_roundtrip_is_bit_exact(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.csv"
+        write_spectrum(spec, path)
+        back = read_spectrum(path)
+    assert type(back) is type(spec) and back.n == spec.n
+    assert np.array_equal(back.flat().view(np.int64), spec.flat().view(np.int64))
 
 
 def test_read_rejects_unallocatable_header_degree(tmp_path):
