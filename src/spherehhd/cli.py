@@ -5,7 +5,8 @@ Subcommands
 decompose     read tangential-component coefficient files, write potentials
 differentiate generate seeded random potentials and their tangential field
 roundtrip     differentiate-then-decompose experiment with timings (CSV)
-bench         differentiate and decompose timings over a list of degrees (CSV)
+bench         differentiate and decompose timings over a list of degrees (CSV;
+              ``--json PATH`` also writes medians, errors and peak RSS)
 cond          condition numbers and bounds over (n, m) grids (CSV)
 verify        run the numerical verification suites
 
@@ -17,9 +18,16 @@ round trip, and a mean row closes each run.  Exit codes: 0 success,
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import conditioning as cond
 from .solver import decompose, differentiate
@@ -51,6 +59,7 @@ class RunConfig:
     n_list: tuple = ()
     level: str = "quick"
     tol: float = 1.0
+    json: str = None
 
     def __post_init__(self):
         if self.command not in ("decompose", "differentiate", "roundtrip", "cond", "bench", "verify"):
@@ -162,14 +171,52 @@ def cmd_roundtrip(cfg):
     return 0
 
 
+# one round trip in a fresh interpreter, which prints its peak RSS in MiB
+# (ru_maxrss is in KiB on Linux)
+_PEAK_RSS_CHILD = (
+    "import resource, sys; from spherehhd.cli import _timed_roundtrip_rows; "
+    "_timed_roundtrip_rows(int(sys.argv[1]), int(sys.argv[2]), 1); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+)
+
+
+def _peak_rss_mib(n, seed):
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, str(n), str(seed)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return float(out)
+
+
+def _machine():
+    cpu = platform.processor()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return {"nproc": os.cpu_count(), "cpu_model": cpu, "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def cmd_bench(cfg):
     n_list = cfg.n_list or (256, 512, 1024)
     print("n,iter,decompose_seconds,differentiate_seconds")
+    runs = []
     for n in n_list:
         rows = _timed_roundtrip_rows(n, cfg.seed, cfg.iters)
         for it, _, dec, diff in rows:
             print(f"{n},{it},{dec:.6f},{diff:.6f}")
         print(f"{n},mean,{_mean_seconds(rows)}")
+        if cfg.json:
+            runs.append({"n": n, "decompose_s": statistics.median(r[2] for r in rows),
+                         "differentiate_s": statistics.median(r[3] for r in rows),
+                         "roundtrip_rel_err": max(r[1] for r in rows),
+                         "peak_rss_mib": _peak_rss_mib(n, cfg.seed)})
+    if cfg.json:
+        with open(cfg.json, "w", encoding="utf-8") as fh:
+            report = {"machine": _machine(), "iters": cfg.iters, "seed": cfg.seed, "runs": runs}
+            json.dump(report, fh, indent=1)
     return 0
 
 
@@ -234,25 +281,17 @@ def _build_parser():
         p.add_argument("--n-list", default=None, help="comma-separated truncation degrees")
         p.add_argument("--level", default="quick", choices=("quick", "full"), help="verification depth")
         p.add_argument("--tol", type=float, default=1.0, help="tolerance scale for verify")
+        p.add_argument("--json", default=None, help="bench: also write the results to this file")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            n=args.n,
-            seed=args.seed,
-            iters=args.iters,
-            input_theta=args.input_theta,
-            input_phi=args.input_phi,
-            out_prefix=args.out_prefix,
-            m_list=_parse_int_list(args.m_list) if args.m_list else (),
-            n_list=_parse_int_list(args.n_list) if args.n_list else (),
-            level=args.level,
-            tol=args.tol,
-        )
+        options = vars(args)
+        for key in ("m_list", "n_list"):
+            options[key] = _parse_int_list(options[key]) if options[key] else ()
+        cfg = RunConfig(**options)
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"spherehhd {args.command}: error: {exc}", file=sys.stderr)

@@ -13,14 +13,15 @@ sides and back-substitutes.  At ``m == 0`` the colatitude block splits by
 degree parity into two lower-bidiagonal chains, with closed-form rotations
 of their own, on the same sweep.
 
-The sweep solves many problems at once in (column, problem) arrays, sorted
-by size so that those still active at column ``j`` are a prefix;
-:func:`decompose` feeds it blocks of ``BLOCK_ORDERS`` orders.
-:func:`differentiate` runs per block of orders too: it gathers the
-potentials into one (degree, order) grid, applies ``[[A, B], [B, A]]`` as a
-few whole-grid expressions and converts to the tangential basis with one
-chain substitution over degree.  Each order costs O(n) either way, the whole
-O(n^2).  The normal equations are never formed.
+The sweep solves many problems at once in (degree, right-hand side,
+problem) arrays; applying the rotations and back-substituting are linear
+recurrences over degree, run by :func:`.operators._recurrence`.  A problem
+shorter than the array has zero rotations and unit pivots past its size.
+:func:`decompose` feeds the sweep blocks of ``BLOCK_ORDERS`` orders, and
+:func:`differentiate` runs per block too: a few whole-grid expressions
+apply ``[[A, B], [B, A]]``, and the same kernel converts the result to the
+tangential basis.  Each order costs O(n) either way, the whole O(n^2).  The
+normal equations are never formed.
 """
 
 import math
@@ -28,7 +29,8 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_block, _cscy_to_z_zero, _z_to_cscy_block, build_A, z_to_cscy
+from .operators import _chunked, _cscy_to_z_block, _cscy_to_z_zero, _recurrence, _z_to_cscy_block
+from .operators import build_A, z_to_cscy
 from .spectra import HHDResult, ScalarSpectrum, TangentField
 
 __all__ = [
@@ -39,10 +41,10 @@ __all__ = [
 ]
 
 # Orders per block in decompose and differentiate.  Wider blocks need fewer
-# numpy calls per column but hold O(n * BLOCK_ORDERS) working memory.  At
-# n = 1024 on a 2-vCPU Xeon (medians of 5 calls, 5 processes each), decompose
-# took 0.73-0.91 / 0.43-0.67 / 0.41-0.51 s for 16 / 32 / 64 and raised peak
-# RSS by 14.4 / 18.7 / 27.0 MiB (16 MiB of it the result): 64 gains little.
+# numpy calls per degree but hold O(n * BLOCK_ORDERS) working memory.  At
+# n = 1024 on a 2-vCPU Xeon (medians of 5 calls, 3 processes each), decompose
+# took 0.199-0.206 / 0.182-0.187 / 0.198-0.205 s for 16 / 32 / 64 and raised
+# peak RSS by 20.2 / 22.5 / 27.8 MiB (16 MiB of it the result): 64 is slower.
 BLOCK_ORDERS = 32
 
 
@@ -51,61 +53,65 @@ def _lsq_sweep(sizes, rotations, columns, rhs):
 
     Column ``j`` of problem ``k`` holds ``sup[j, k]`` in row ``j - 1``,
     ``diag[j, k]`` in row ``j`` and ``sub[j, k]`` in row ``j + 1``, with
-    ``columns = (sub, diag, sup)`` of ``sizes[0] + 2`` rows.  Its known plane
-    rotation ``(c[j, k], s[j, k])`` from ``rotations = (c, s)`` acts on rows
-    ``j, j + 1`` and zeroes ``sub[j, k]``.  ``rhs``, shape
-    ``(sizes[0] + 1, K, r)``, holds the right-hand sides and is overwritten.
-    ``sizes`` (the ``p_k``) must not increase; entries past a problem's own
-    size must be finite and do not affect it.
+    ``columns = (sub, diag, sup)`` of ``R + 2`` rows, ``R =
+    _chunked(max(sizes) + 1)``; entries past a problem's size must be
+    finite.  Its known plane rotation ``(c[j, k], s[j, k])`` from
+    ``rotations = (c, s)`` acts on rows ``j, j + 1``, zeroes ``sub[j, k]``
+    and is zero past the problem's size.  ``rhs`` of shape
+    ``(max(sizes) + 1, r, K)`` holds the right-hand sides.
 
-    Returns the solutions ``x`` of shape ``(sizes[0], K, r)``, zero past each
-    problem's size; the signed residuals ``(K, r)``, i.e. what the rotations
-    leave in row ``p_k`` of the right-hand side; and the triangular factor
-    ``R = Q'M`` as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, whose
-    entries outside each problem's ``p_k x p_k`` triangle are meaningless.
+    Returns the solutions ``x`` of shape ``(max(sizes), r, K)``, zero past
+    each problem's size; the signed residuals ``(K, r)``, i.e. what the
+    rotations leave in row ``p_k`` of the right-hand side; and ``R = Q'M``
+    as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, meaningless
+    outside each problem's ``p_k x p_k`` triangle.
     """
     c, s = rotations
     sub, diag, sup = columns
-    pmax, nprob = c.shape
-    # active[j]: how many problems have a column j (a prefix, by sorting)
-    active = np.searchsorted(-np.asarray(sizes), -np.arange(pmax), side="left")
+    nrows, nprob = c.shape
+    rows = rhs.shape[0]
     # row j of M after the rotations of columns < j holds a (column j) and
     # b (column j + 1); rotation j turns rows j, j + 1 into row j of R
-    b = np.array(sup[1 : pmax + 1])
+    b = np.array(sup[1 : nrows + 1])
     b[1:] *= c[:-1]
-    a = np.array(diag[:pmax])
+    a = np.array(diag[:nrows])
     a[1:] = c[:-1] * a[1:] - s[:-1] * b[:-1]
-    d = c * a + s * sub[:pmax]
-    e = c * b + s * diag[1 : pmax + 1]
+    d = c * a + s * sub[:nrows]
+    d += np.arange(nrows)[:, None] >= sizes  # unit pivots where the rotations are zero
+    e = c * b + s * diag[1 : nrows + 1]
     f = s * sup[2:]
-    rot = np.stack([c, s, -s, c], axis=-1).reshape(pmax, nprob, 2, 2)
-    by_problem = rhs.transpose(1, 0, 2)  # [k, i] -> row i of problem k
-    for j, k in enumerate(active.tolist()):
-        pair = by_problem[:k, j : j + 2]
-        pair[...] = rot[j, :k] @ pair
-    x = np.zeros((pmax + 2,) + rhs.shape[1:])
-    for j in range(pmax - 1, -1, -1):
-        k = active[j]
-        x[j, :k] = (
-            rhs[j, :k] - e[j, :k, None] * x[j + 1, :k] - f[j, :k, None] * x[j + 2, :k]
-        ) / d[j, :k, None]
-    return x[:pmax], rhs[sizes, np.arange(nprob)], (d, e, f)
+    # what the rotations leave in row j: t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1]
+    t = np.zeros((nrows,) + rhs.shape[1:])
+    t[0] = rhs[0]
+    np.multiply(c[: rows - 1, None], rhs[1:], out=t[1:rows])
+    lag = np.zeros_like(s)
+    np.negative(s[:-1], out=lag[1:])
+    _recurrence(t, lag)
+    residual = t[sizes, :, np.arange(nprob)]
+    # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
+    # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
+    t *= c[:, None]
+    t[: rows - 1] += s[: rows - 1, None] * rhs[1:]
+    _recurrence(t[::-1], -e[::-1], -f[::-1], d[::-1])
+    return t[: rows - 1], residual, (d, e, f)
 
 
 def _order_problems(n, ms):
     """Sizes, rotations and tridiagonals of the ``A + B`` problems of orders ``ms``.
 
-    ``ms`` ascends from 1, so sizes come out nonincreasing.  The rotation of
-    column ``j`` is the paper's closed form, with ``l = j + 1``:
+    ``ms`` ascends from 1.  The rotation of column ``j`` is the paper's
+    closed form, with ``l = j + 1``:
     ``s = sqrt(l (l + m) / ((l + m + 1)(l + 2m + 1)))`` and
     ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``.
     """
     sizes = n - ms
-    j = np.arange(sizes[0] + 2)[:, None]
+    j = np.arange(_chunked(sizes[0] + 1) + 2)[:, None]
     degrees = ms + j  # potential degree of each column
     l = j[:-2] + 1
+    live = j[:-2] < sizes
     denom = (l + ms + 1) * (l + 2 * ms + 1)
-    rotations = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
+    c, s = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
+    rotations = live * c, live * s
     sub = rec.delta(degrees, ms)
     diag = np.broadcast_to(ms.astype(np.float64), sub.shape)
     return sizes, rotations, (sub, diag, rec.gamma(degrees, ms))
@@ -115,17 +121,21 @@ def _solve_orders(n, ms, b1, b2):
     """Least squares for the block systems of orders ``ms`` (ascending, >= 1).
 
     ``b1``/``b2`` are the top and bottom halves of the right-hand sides,
-    shape ``(rows, len(ms), r)``; rows past an order's own ``n - m + 1`` are
-    ignored.  The ``A + B`` problem takes ``b1 + b2`` for ``x1 + x2`` and
-    ``D (b2 - b1)`` for ``D (x1 - x2)`` (see the module docstring).  Returns
-    the two halves of the solution, shape ``(n - ms[0], len(ms), r)`` and
-    zero past each order's ``n - m`` rows, and each order's residual norm.
+    shape ``(n - ms[0] + 1, r, len(ms))``; rows past an order's own
+    ``n - m + 1`` are ignored.  The ``A + B`` problem takes ``b1 + b2`` for
+    ``x1 + x2`` and ``D (b2 - b1)`` for ``D (x1 - x2)`` (see the module
+    docstring).  Returns the two halves of the solution, shape
+    ``(n - ms[0], r, len(ms))`` and zero past each order's ``n - m`` rows,
+    and each order's residual norm.
     """
-    r = b1.shape[2]
-    sign = (1.0 - 2.0 * (np.arange(b1.shape[0]) % 2))[:, None, None]  # D
-    rhs = np.concatenate([b1 + b2, sign * (b2 - b1)], axis=2)
+    rows, r = b1.shape[:2]
+    sign = (1.0 - 2.0 * (np.arange(rows) % 2))[:, None, None]  # D
+    rhs = np.empty((rows, 2 * r, len(ms)))
+    np.add(b1, b2, out=rhs[:, :r])
+    np.subtract(b2, b1, out=rhs[:, r:])
+    rhs[:, r:] *= sign
     x, res, _ = _lsq_sweep(*_order_problems(n, ms), rhs)
-    u, v = x[..., :r], sign[: x.shape[0]] * x[..., r:]
+    u, v = x[:, :r], sign[:-1] * x[:, r:]
     residual = math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
     return 0.5 * (u + v), 0.5 * (u - v), residual
 
@@ -144,9 +154,9 @@ def solve_order(n, m, rhs):
     q = n + 1 - m
     if rhs.ndim not in (1, 2) or rhs.shape[0] != 2 * q:
         raise ValueError(f"solve_order: rhs must have {2 * q} rows, got shape {rhs.shape}")
-    halves = rhs.reshape(2, q, 1, -1)
+    halves = rhs.reshape(2, q, -1, 1)
     x1, x2, residual = _solve_orders(n, np.array([m]), halves[0], halves[1])
-    x = np.concatenate([x1[:, 0], x2[:, 0]])
+    x = np.concatenate([x1[..., 0], x2[..., 0]])
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
 
@@ -161,15 +171,16 @@ def _order_zero_problems(n):
     ``s = sqrt(l (l + 1) / ((l + 2)(l + 3)))``,
     ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.
     """
-    pmax = n // 2
-    j = np.arange(pmax + 2)[:, None]
+    sizes = np.array([n // 2, (n - 1) // 2])
+    j = np.arange(_chunked(n // 2 + 1) + 2)[:, None]
     degrees = 2 * j + np.arange(2) + 1
-    l = degrees[:pmax]
+    l = degrees[:-2]
+    live = j[:-2] < sizes
     denom = (l + 2) * (l + 3)
-    c = np.where(j[:pmax] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
-    rotations = c, np.sqrt(l * (l + 1) / denom)
+    c = live * np.where(j[:-2] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
+    rotations = c, live * np.sqrt(l * (l + 1) / denom)
     columns = rec.delta(degrees, 0), rec.gamma(degrees, 0), np.zeros(degrees.shape)
-    return np.array([pmax, (n - 1) // 2]), rotations, columns
+    return sizes, rotations, columns
 
 
 def decompose_order_zero(theta_slice, phi_slice, n):
@@ -187,9 +198,10 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     pmax = n // 2
     w = np.zeros((2 * pmax + 2, 2))
     w[: n + 1] = np.column_stack([theta_slice, phi_slice])
-    # [j, chain] -> row degree 2j + chain
-    x, res, _ = _lsq_sweep(*_order_zero_problems(n), w.reshape(pmax + 1, 2, 2))
-    v = x.reshape(2 * pmax, 2)[: n - 1]
+    # [j, chain, column] -> row degree 2j + chain
+    chains = w.reshape(pmax + 1, 2, 2).transpose(0, 2, 1)
+    x, res, _ = _lsq_sweep(*_order_zero_problems(n), chains)
+    v = x.transpose(0, 2, 1).reshape(2 * pmax, 2)[: n - 1]
     return v[:, 0], v[:, 1], float(np.hypot.reduce(res.ravel()))
 
 
@@ -199,7 +211,7 @@ def _pairs(spec, ms, rows):
     In the canonical layout they fill one contiguous span of the flat
     storage, order by order, ``+m`` before ``-m``.  Returns that span and a
     ``(len(ms), 2, rows)`` mask of the slice entries, so that the span maps
-    onto a zero-padded ``(rows, len(ms), 2)`` grid whose row ``i`` is the
+    onto a zero-padded ``(rows, 2, len(ms))`` grid whose row ``i`` is the
     ``i``-th degree of each slice.
     """
     starts, counts = spec.order_offsets(ms)
@@ -208,16 +220,20 @@ def _pairs(spec, ms, rows):
     return span, np.broadcast_to(inside, (len(ms), 2, rows))
 
 
-def _gather(spec, ms, grid):
-    """Copy the slices of orders ``+ms, -ms`` into the zero grid ``grid`` (see :func:`_pairs`)."""
-    span, inside = _pairs(spec, ms, grid.shape[0])
-    grid.transpose(1, 2, 0)[inside] = spec.flat()[span]
+def _gather(ms, specs, grids):
+    """Copy the slices of orders ``+ms, -ms`` of each spectrum (one layout) into its zero grid."""
+    span, inside = _pairs(specs[0], ms, grids[0].shape[0])
+    for spec, grid in zip(specs, grids):
+        by_order = np.zeros(inside.shape)  # a masked copy into a strided grid is slower
+        by_order[inside] = spec.flat()[span]
+        grid[...] = by_order.transpose(2, 1, 0)
 
 
-def _scatter(spec, ms, grid):
-    """Write the grid ``grid`` (see :func:`_pairs`) into the slices of orders ``+ms, -ms``."""
-    span, inside = _pairs(spec, ms, grid.shape[0])
-    spec.flat()[span] = grid.transpose(1, 2, 0)[inside]
+def _scatter(ms, specs, grids):
+    """Write each grid (see :func:`_pairs`) into the slices of orders ``+ms, -ms`` of its spectrum."""
+    span, inside = _pairs(specs[0], ms, grids[0].shape[0])
+    for spec, grid in zip(specs, grids):
+        spec.flat()[span] = grid.transpose(2, 1, 0)[inside]
 
 
 def differentiate(s, t):
@@ -249,19 +265,17 @@ def differentiate(s, t):
     cross = np.array([-1.0, 1.0, 1.0, -1.0])
     for start in range(1, n, BLOCK_ORDERS):
         ms = np.arange(start, min(start + BLOCK_ORDERS, n))
-        rows = n - ms[0] + 2
-        x = np.zeros((rows, len(ms), 4))
-        _gather(s, ms, x[:, :, :2])
-        _gather(t, ms, x[:, :, 2:])
+        rows = _chunked(n - ms[0] + 2)
+        x = np.zeros((rows, 4, len(ms)))
+        _gather(ms, (s, t), (x[:, :2], x[:, 2:]))
         degrees = ms + np.arange(rows)[:, None]  # potential and csc degree of row i
         # row i of A x is gamma(l + 1) x[i + 1] + delta(l - 1) x[i - 1], l = degree of row i
         w = np.zeros_like(x)
-        w[:-1] = rec.gamma(degrees[1:], ms)[..., None] * x[1:]
-        w[1:] += rec.delta(degrees[:-1], ms)[..., None] * x[:-1]
-        w += (ms[:, None] * cross) * x[:, :, ::-1]
-        z = _cscy_to_z_block(w, ms, n)
-        _scatter(out.theta, ms, z[:, :, :2])
-        _scatter(out.phi, ms, z[:, :, 2:])
+        w[:-1] = rec.gamma(degrees[1:], ms)[:, None] * x[1:]
+        w[1:] += rec.delta(degrees[:-1], ms)[:, None] * x[:-1]
+        w += (cross[:, None] * ms) * x[:, ::-1]
+        z = _cscy_to_z_block(w, ms)
+        _scatter(ms, (out.theta, out.phi), (z[:, :2], z[:, 2:]))
     return out
 
 
@@ -272,12 +286,11 @@ def _block_rhs(theta, phi, ms, n):
     systems of ``(s_m, -t_-m)`` and of ``(s_-m, t_m)``.
     """
     rows = n - ms[0] + 2
-    z = np.zeros((rows, len(ms), 4))  # theta_m, theta_-m, phi_m, phi_-m
-    _gather(theta, ms, z[:, :, :2])
-    _gather(phi, ms, z[:, :, 2:])
+    z = np.zeros((rows, 4, len(ms)))  # theta_m, theta_-m, phi_m, phi_-m
+    _gather(ms, (theta, phi), (z[:, :2], z[:, 2:]))
     w = _z_to_cscy_block(z, ms)
-    tops = np.hypot.reduce(z[n - ms + 1, np.arange(len(ms))], axis=1)
-    return w[:, :, :2], w[:, :, 3:1:-1] * [-1.0, 1.0], rec.beta(n, ms) * tops
+    tops = np.hypot.reduce(z[n - ms + 1, :, np.arange(len(ms))], axis=1)
+    return w[:, :2], w[:, 3:1:-1] * [[-1.0], [1.0]], rec.beta(n, ms) * tops
 
 
 def decompose(field):
@@ -309,8 +322,7 @@ def decompose(field):
         ms = np.arange(start, min(start + BLOCK_ORDERS, n))
         b1, b2, tails = _block_rhs(theta, phi, ms, n)
         x1, x2, residual = _solve_orders(n, ms, b1, b2)
-        _scatter(result.spheroidal, ms, x1)
-        _scatter(result.toroidal, ms, x2[:, :, ::-1] * [1.0, -1.0])
+        _scatter(ms, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1] * [[1.0], [-1.0]]))
         result.residual_by_order.update(zip(ms.tolist(), residual.tolist()))
         result.out_of_range_by_order.update(zip(ms.tolist(), tails.tolist()))
 

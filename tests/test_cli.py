@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from spherehhd import read_spectrum, relative_l2_error
@@ -134,6 +136,23 @@ def test_bench_csv_schema(capsys):
     assert lines[0] == "n,iter,decompose_seconds,differentiate_seconds"
     assert len(lines) == 1 + 2 * 3
     assert all(len(line.split(",")) == 4 and float(line.split(",")[3]) >= 0 for line in lines[1:])
+
+
+def test_bench_json_schema(tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    code, out, _ = run_cli(capsys, "bench", "--n-list", "8,12", "--iters", "2", "--json", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "n,iter,decompose_seconds,differentiate_seconds"
+    report = json.loads(path.read_text())
+    assert set(report) == {"machine", "iters", "seed", "runs"}
+    assert set(report["machine"]) == {"nproc", "cpu_model", "python", "numpy"}
+    assert report["machine"]["nproc"] >= 1 and report["iters"] == 2
+    assert [run["n"] for run in report["runs"]] == [8, 12]
+    for run in report["runs"]:
+        assert set(run) == {"n", "decompose_s", "differentiate_s", "roundtrip_rel_err", "peak_rss_mib"}
+        assert run["decompose_s"] > 0 and run["differentiate_s"] > 0
+        assert run["roundtrip_rel_err"] <= 1e-12
+        assert run["peak_rss_mib"] > 1.0  # a fresh interpreter with numpy loaded
 
 
 def test_cond_csv_rows(capsys):

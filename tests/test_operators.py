@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd.operators import (
+    CHUNK_STEPS,
     BandedMatrix,
+    _chunked,
+    _recurrence,
     build_A,
     build_B,
     build_order_system,
@@ -302,3 +307,89 @@ def test_blocked_differentiate_matches_per_order_reference(n):
     fast, slow = differentiate(s, t), _differentiate_reference(s, t)
     for a, b in ((fast.theta, slow.theta), (fast.phi, slow.phi)):
         assert np.max(np.abs(a.flat() - b.flat())) <= 1e-13 * np.max(np.abs(b.flat()))
+
+
+def _sequential(g, a, b, d):
+    """``y[i] = (g[i] + a[i] y[i-1] + b[i] y[i-2]) / d[i]``, one row at a time."""
+    y = np.zeros_like(g)
+    for i in range(len(g)):
+        acc = g[i].copy()
+        if a is not None and i >= 1:
+            acc += a[i] * y[i - 1]
+        if b is not None and i >= 2:
+            acc += b[i] * y[i - 2]
+        y[i] = acc if d is None else acc / d[i]
+    return y
+
+
+def _run_kernel(g, coefs, downward):
+    """The kernel on ``g`` and ``coefs``, through reversed views when ``downward``."""
+    if not downward:
+        out = g.copy()
+        _recurrence(out, *coefs)
+        return out
+    # stored top row first, presented bottom row first: the same sequence
+    stored = g[::-1].copy()
+    _recurrence(stored[::-1], *(None if x is None else x[::-1].copy()[::-1] for x in coefs))
+    return stored[::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(1, 3 * CHUNK_STEPS + 1),
+    nprob=st.integers(1, 4),
+    r=st.integers(1, 3),
+    form=st.sampled_from(["first", "second", "parity"]),
+    downward=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=CHUNK_STEPS - 1, nprob=1, r=1, form="second", downward=False, seed=0)
+@example(p=2 * CHUNK_STEPS, nprob=3, r=2, form="first", downward=True, seed=1)
+@example(p=2 * CHUNK_STEPS + 1, nprob=2, r=4, form="parity", downward=True, seed=2)
+def test_recurrence_matches_sequential_loop(p, nprob, r, form, downward, seed):
+    # problems of mixed sizes up to p rows, zero right-hand side past each
+    # size; first order (the rotations), second order (the back-substitution)
+    # and second order without a (the parity chains of the conversions)
+    rng = np.random.default_rng(seed)
+    rows = _chunked(p)
+    sizes = np.append(p, rng.integers(1, p + 1, nprob - 1))
+    g = rng.standard_normal((rows, r, nprob)) * (np.arange(rows)[:, None, None] < sizes)
+
+    def coef(lo, hi):
+        return rng.uniform(lo, hi, (rows, nprob))
+
+    coefs = {
+        "first": (coef(-1.0, 1.0), None, None),
+        "second": (coef(-0.5, 0.5), coef(-0.5, 0.5), coef(1.0, 2.0)),
+        "parity": (None, coef(-1.0, 1.0), coef(1.0, 2.0)),
+    }[form]
+    want = _sequential(g, *coefs)
+    got = _run_kernel(g, coefs, downward)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("form", ["first", "second", "parity"])
+def test_recurrence_chunk_responses_underflow(form):
+    # coefficients of 1e-200 make a chunk's responses to its inflow underflow
+    # to zero; the carry must stay finite and exact
+    rows, nprob = _chunked(3 * CHUNK_STEPS + 1), 3
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((rows, 2, nprob))
+    tiny = np.full((rows, nprob), -1e-200)
+    coefs = {"first": (tiny, None, None), "second": (tiny, tiny, tiny * -1e190),
+             "parity": (None, tiny, None)}[form]
+    for downward in (False, True):
+        got = _run_kernel(g, coefs, downward)
+        assert np.all(np.isfinite(got))
+        want = _sequential(g, *coefs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6 * CHUNK_STEPS + 3), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_chain_solve_matches_sequential_reference(n, m, seed):
+    # both parities of n, order zero's upward chains and the downward ones of m >= 1
+    m = min(m, n - 1)
+    w = np.random.default_rng(seed).standard_normal(n + 1 if m == 0 else n - m + 1)
+    want = _chain_solve_reference(w, m, n)
+    assert np.max(np.abs(cscy_to_z(w, m, n) - want)) <= 1e-13 * np.max(np.abs(want))

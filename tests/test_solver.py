@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd.conditioning import CholeskyR, build_R
-from spherehhd.operators import build_A, build_B, z_to_cscy
+from spherehhd.operators import CHUNK_STEPS, build_A, build_B, z_to_cscy
 from spherehhd.solver import (
     _lsq_sweep,
     _order_problems,
@@ -37,14 +39,14 @@ def sweep_halves(n, m, rhs=None):
         rhs = np.zeros((p + 1, 2, 1))
     r = rhs.shape[2]
     dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
-    both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, None]
+    both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
     x, res, (d, e, f) = _lsq_sweep(sizes, rotations, columns, both)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
     # CholeskyR stores the off-diagonals negated
-    r_plus = CholeskyR(p, m, d[:, 0], -e[: p - 1, 0], -f[: max(p - 2, 0), 0]).to_dense()
+    r_plus = CholeskyR(p, m, d[:p, 0], -e[: p - 1, 0], -f[: max(p - 2, 0), 0]).to_dense()
     return [
-        (a + b, x[:, 0, :r], res[0, :r], r_plus),
-        (a - b, dp[:, None] * x[:, 0, r:], res[0, r:], dp[:, None] * r_plus * dp),
+        (a + b, x[:, :r, 0], res[0, :r], r_plus),
+        (a - b, dp[:, None] * x[:, r:, 0], res[0, r:], dp[:, None] * r_plus * dp),
     ]
 
 
@@ -107,7 +109,7 @@ def test_closed_form_rotations_beyond_dense_oracles(n, m):
         sizes, rotations, columns = _order_zero_problems(n)
     else:
         sizes, rotations, columns = _order_problems(n, np.array([m]))
-    rhs = np.zeros((int(sizes[0]) + 1, len(sizes), 1))
+    rhs = np.zeros((int(sizes[0]) + 1, 1, len(sizes)))
     _, _, (d, e, f) = _lsq_sweep(sizes, rotations, columns, rhs)
     c, s = rotations
     for k, p in enumerate(sizes.tolist()):
@@ -393,3 +395,54 @@ def test_roundtrip_error_within_statistical_bound(n):
         relative_l2_error(result.toroidal, t),
     )
     assert err <= bound
+
+
+def _assert_sweep_matches_lstsq(dense, sizes, rhs, got):
+    """Problem ``k`` of a sweep against ``np.linalg.lstsq`` on its dense matrix ``dense[k]``.
+
+    A problem may have no column (order zero's second chain at n = 2).
+    """
+    x, res, _ = got
+    for k, p in enumerate(sizes.tolist()):
+        b = rhs[: p + 1, :, k]
+        ref, *_ = np.linalg.lstsq(dense[k], b, rcond=None)
+        assert np.max(np.abs(x[:p, :, k] - ref), initial=0.0) <= 1e-11 * np.max(np.abs(ref), initial=0.0)
+        assert not np.any(x[p:, :, k])
+        want = np.linalg.norm(dense[k] @ ref - b, axis=0)
+        assert_allclose(np.abs(res[k]), want, rtol=1e-10, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 3 * CHUNK_STEPS + 1),
+    m0=st.integers(1, 4),
+    nprob=st.integers(1, 6),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=CHUNK_STEPS - 1, m0=1, nprob=1, r=1, seed=0)
+@example(p=2 * CHUNK_STEPS, m0=2, nprob=5, r=2, seed=1)
+@example(p=2 * CHUNK_STEPS + 1, m0=3, nprob=6, r=4, seed=2)
+def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
+    # a block of consecutive orders: sizes p, p - 1, ... in one call; the
+    # rows past each problem's own p_k + 1 are ignored
+    n = p + m0
+    ms = np.arange(m0, m0 + min(nprob, p))
+    rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
+    dense = [build_A(n, m).toarray() + build_B(n, m).toarray() for m in ms.tolist()]
+    sizes = n - ms
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*_order_problems(n, ms), rhs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6 * CHUNK_STEPS + 3), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=2 * CHUNK_STEPS, r=1, seed=0)
+@example(n=2 * CHUNK_STEPS + 1, r=2, seed=1)
+def test_order_zero_chains_match_dense_least_squares(n, r, seed):
+    # chain k: potential degrees of parity k + 1 against rows of parity k of A0
+    a0 = build_A(n, 0).toarray()
+    sizes, rotations, columns = _order_zero_problems(n)
+    dense = [a0[k::2, k::2] for k in range(2)]
+    assert [d.shape for d in dense] == [(p + 1, p) for p in sizes.tolist()]
+    rhs = np.random.default_rng(seed).standard_normal((sizes[0] + 1, r, 2))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(sizes, rotations, columns, rhs))
