@@ -19,13 +19,13 @@ round trip, and a mean row closes each run.  Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from . import conditioning as cond
 from .solver import decompose, differentiate
 from .spectra import (
     TangentField,
-    ZSpectrum,
     random_spectrum,
     read_spectrum,
     relative_l2_error,
@@ -41,51 +40,28 @@ from .spectra import (
 )
 from .verify import run_verification
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Validated options of one CLI invocation."""
+def _checked(parse, ok=lambda value: True, rule=None):
+    """An argparse ``type``: ``parse`` the text, then reject a value that fails ``ok``."""
 
-    command: str
-    n: int = None
-    seed: int = 0
-    iters: int = 10
-    input_theta: str = None
-    input_phi: str = None
-    out_prefix: str = None
-    m_list: tuple = ()
-    n_list: tuple = ()
-    level: str = "quick"
-    tol: float = 1.0
-    json: str = None
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
 
-    def __post_init__(self):
-        if self.command not in ("decompose", "differentiate", "roundtrip", "cond", "bench", "verify"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.iters < 1:
-            raise ValueError("--iters must be >= 1")
-        if self.n is not None and self.n < 2:
-            raise ValueError("--n must be >= 2")
-        if self.level not in ("quick", "full"):
-            raise ValueError("--level must be quick or full")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
-        # checked before a command prints its CSV header or any row
-        if self.command == "bench" and any(n < 2 for n in self.n_list):
-            raise ValueError("--n-list entries must be >= 2")
-        if self.command == "cond" and any(n > cond.DENSE_ORACLE_LIMIT for n in self.n_list):
-            raise ValueError(f"dense columns are limited to n <= {cond.DENSE_ORACLE_LIMIT}")
+    return convert
 
 
-def _parse_int_list(text):
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
+def _int_list(text):
+    values = tuple(int(part) for part in text.split(",") if part.strip() != "")
     if not values:
-        raise ValueError("empty integer list")
+        raise ValueError("expected a comma-separated integer list")
     return values
 
 
@@ -97,19 +73,15 @@ def _random_potentials(n, seed):
     return s, t
 
 
-def cmd_decompose(cfg):
-    if not (cfg.input_theta and cfg.input_phi and cfg.out_prefix):
-        raise ValueError("decompose needs --input-theta, --input-phi and --out-prefix")
-    theta = read_spectrum(cfg.input_theta)
-    phi = read_spectrum(cfg.input_phi)
-    if not isinstance(theta, ZSpectrum) or not isinstance(phi, ZSpectrum):
-        raise ValueError("decompose expects basis-Z coefficient files")
+def cmd_decompose(args):
+    theta = read_spectrum(args.input_theta)
+    phi = read_spectrum(args.input_phi)
     if theta.n != phi.n:
         raise ValueError(f"component degrees differ: {theta.n} vs {phi.n}")
     result = decompose(TangentField(theta, phi))
-    write_spectrum(result.spheroidal, f"{cfg.out_prefix}_spheroidal.csv")
-    write_spectrum(result.toroidal, f"{cfg.out_prefix}_toroidal.csv")
-    with open(f"{cfg.out_prefix}_residuals.csv", "w", encoding="utf-8", newline="\n") as fh:
+    write_spectrum(result.spheroidal, f"{args.out_prefix}_spheroidal.csv")
+    write_spectrum(result.toroidal, f"{args.out_prefix}_toroidal.csv")
+    with open(f"{args.out_prefix}_residuals.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("m,residual,out_of_range_norm\n")
         for m in sorted(set(result.residual_by_order) | set(result.out_of_range_by_order)):
             res = result.residual_by_order.get(m, 0.0)
@@ -122,16 +94,14 @@ def cmd_decompose(cfg):
     return 0
 
 
-def cmd_differentiate(cfg):
-    if cfg.n is None or not cfg.out_prefix:
-        raise ValueError("differentiate needs --n and --out-prefix")
-    s, t = _random_potentials(cfg.n, cfg.seed)
+def cmd_differentiate(args):
+    s, t = _random_potentials(args.n, args.seed)
     field = differentiate(s, t)
-    write_spectrum(s, f"{cfg.out_prefix}_s.csv")
-    write_spectrum(t, f"{cfg.out_prefix}_t.csv")
-    write_spectrum(field.theta, f"{cfg.out_prefix}_theta.csv")
-    write_spectrum(field.phi, f"{cfg.out_prefix}_phi.csv")
-    print(f"differentiated random potentials n={cfg.n} seed={cfg.seed}")
+    write_spectrum(s, f"{args.out_prefix}_s.csv")
+    write_spectrum(t, f"{args.out_prefix}_t.csv")
+    write_spectrum(field.theta, f"{args.out_prefix}_theta.csv")
+    write_spectrum(field.phi, f"{args.out_prefix}_phi.csv")
+    print(f"differentiated random potentials n={args.n} seed={args.seed}")
     return 0
 
 
@@ -159,15 +129,13 @@ def _mean_seconds(rows):
     return ",".join(f"{sum(r[col] for r in rows) / len(rows):.6f}" for col in (2, 3))
 
 
-def cmd_roundtrip(cfg):
-    if cfg.n is None:
-        raise ValueError("roundtrip needs --n")
-    rows = _timed_roundtrip_rows(cfg.n, cfg.seed, cfg.iters)
+def cmd_roundtrip(args):
+    rows = _timed_roundtrip_rows(args.n, args.seed, args.iters)
     print("n,iter,rel_error,decompose_seconds,differentiate_seconds")
     for it, err, dec, diff in rows:
-        print(f"{cfg.n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
+        print(f"{args.n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
     mean_err = sum(r[1] for r in rows) / len(rows)
-    print(f"{cfg.n},mean,{mean_err:.16e},{_mean_seconds(rows)}")
+    print(f"{args.n},mean,{mean_err:.16e},{_mean_seconds(rows)}")
     return 0
 
 
@@ -199,33 +167,30 @@ def _machine():
             "numpy": np.__version__}
 
 
-def cmd_bench(cfg):
-    n_list = cfg.n_list or (256, 512, 1024)
+def cmd_bench(args):
     print("n,iter,decompose_seconds,differentiate_seconds")
     runs = []
-    for n in n_list:
-        rows = _timed_roundtrip_rows(n, cfg.seed, cfg.iters)
+    for n in args.n_list:
+        rows = _timed_roundtrip_rows(n, args.seed, args.iters)
         for it, _, dec, diff in rows:
             print(f"{n},{it},{dec:.6f},{diff:.6f}")
         print(f"{n},mean,{_mean_seconds(rows)}")
-        if cfg.json:
+        if args.json:
             runs.append({"n": n, "decompose_s": statistics.median(r[2] for r in rows),
                          "differentiate_s": statistics.median(r[3] for r in rows),
                          "roundtrip_rel_err": max(r[1] for r in rows),
-                         "peak_rss_mib": _peak_rss_mib(n, cfg.seed)})
-    if cfg.json:
-        with open(cfg.json, "w", encoding="utf-8") as fh:
-            report = {"machine": _machine(), "iters": cfg.iters, "seed": cfg.seed, "runs": runs}
+                         "peak_rss_mib": _peak_rss_mib(n, args.seed)})
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            report = {"machine": _machine(), "iters": args.iters, "seed": args.seed, "runs": runs}
             json.dump(report, fh, indent=1)
     return 0
 
 
-def cmd_cond(cfg):
-    n_list = cfg.n_list or (8, 16, 32, 64)
-    m_list = cfg.m_list or (1, 2, 3, 5, 8)
+def cmd_cond(args):
     print("n,m,kappa_R_dense,kappa_M_dense,theorem_bound,qi_sigma_max,qi_sigma_min,conjecture")
-    for n in n_list:
-        for m in m_list:
+    for n in args.n_list:
+        for m in args.m_list:
             if not 1 <= m <= n - 1:
                 continue
             rep = cond.kappa_numeric(n, m)
@@ -238,9 +203,9 @@ def cmd_cond(cfg):
     return 0
 
 
-def cmd_verify(cfg):
+def cmd_verify(args):
     t0 = time.monotonic()
-    results = run_verification(cfg.level, tol_scale=cfg.tol)
+    results = run_verification(args.level, tol_scale=args.tol)
     failed = 0
     for name, ok, detail in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -249,52 +214,63 @@ def cmd_verify(cfg):
     return 0 if failed == 0 else 2
 
 
-_COMMANDS = {
-    "decompose": cmd_decompose,
-    "differentiate": cmd_differentiate,
-    "roundtrip": cmd_roundtrip,
-    "bench": cmd_bench,
-    "cond": cmd_cond,
-    "verify": cmd_verify,
-}
-
-
 class _Parser(argparse.ArgumentParser):
-    # usage problems are validation failures: exit 1, not argparse's 2
+    # a usage error takes the path of any other validation error in main: exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _build_parser():
+    """One subparser per subcommand, holding its handler and only the flags it reads."""
+    n = dict(type=_checked(int, lambda v: v >= 2, "must be >= 2"), required=True,
+             help="truncation degree")
+    seed = dict(type=int, default=0, help="random seed")
+    iters = dict(type=_checked(int, lambda v: v >= 1, "must be >= 1"), default=10,
+                 help="timed iterations after warm-up")
+    out_prefix = dict(required=True, help="prefix for output files")
+    limit = cond.DENSE_ORACLE_LIMIT
+    commands = {
+        "decompose": (cmd_decompose, {
+            "--input-theta": dict(required=True, help="basis-Z coefficient file, theta component"),
+            "--input-phi": dict(required=True, help="basis-Z coefficient file, phi component"),
+            "--out-prefix": out_prefix}),
+        "differentiate": (cmd_differentiate, {"--n": n, "--seed": seed, "--out-prefix": out_prefix}),
+        "roundtrip": (cmd_roundtrip, {"--n": n, "--seed": seed, "--iters": iters}),
+        "bench": (cmd_bench, {
+            "--n-list": dict(type=_checked(_int_list, lambda ns: min(ns) >= 2, "entries must be >= 2"),
+                             default=(256, 512, 1024), help="comma-separated truncation degrees"),
+            "--seed": seed, "--iters": iters,
+            "--json": dict(help="also write the results to this file")}),
+        "cond": (cmd_cond, {
+            "--n-list": dict(type=_checked(_int_list, lambda ns: max(ns) <= limit,
+                                           f"dense columns are limited to n <= {limit}"),
+                             default=(8, 16, 32, 64), help="comma-separated truncation degrees"),
+            "--m-list": dict(type=_checked(_int_list), default=(1, 2, 3, 5, 8),
+                             help="comma-separated orders")}),
+        "verify": (cmd_verify, {
+            "--level": dict(default="quick", choices=("quick", "full"), help="verification depth"),
+            "--tol": dict(type=_checked(float, lambda v: 0 < v < math.inf, "must be finite and > 0"),
+                          default=1.0, help="tolerance scale")}),
+    }
     parser = _Parser(prog="spherehhd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None, help="truncation degree")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--iters", type=int, default=10, help="timed iterations after warm-up")
-        p.add_argument("--input-theta", default=None, help="basis-Z coefficient file, theta component")
-        p.add_argument("--input-phi", default=None, help="basis-Z coefficient file, phi component")
-        p.add_argument("--out-prefix", default=None, help="prefix for output files")
-        p.add_argument("--m-list", default=None, help="comma-separated orders")
-        p.add_argument("--n-list", default=None, help="comma-separated truncation degrees")
-        p.add_argument("--level", default="quick", choices=("quick", "full"), help="verification depth")
-        p.add_argument("--tol", type=float, default=1.0, help="tolerance scale for verify")
-        p.add_argument("--json", default=None, help="bench: also write the results to this file")
+    for name, (handler, flags) in commands.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    prog = "spherehhd"
     try:
-        options = vars(args)
-        for key in ("m_list", "n_list"):
-            options[key] = _parse_int_list(options[key]) if options[key] else ()
-        cfg = RunConfig(**options)
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        prog = f"spherehhd {args.command}"
+        return args.handler(args)
     except (ValueError, OSError) as exc:
-        print(f"spherehhd {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 1
 
 

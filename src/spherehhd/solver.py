@@ -244,8 +244,10 @@ def differentiate(s, t):
     is expressed in the tangential basis at truncation degree ``n``, which
     is exactly the range :func:`decompose` inverts.  Orders ``m >= 1`` run
     in blocks of ``BLOCK_ORDERS`` orders.  Raises ``ValueError`` on a
-    non-finite coefficient.
+    non-finite coefficient or on potentials that are not basis-Y spectra.
     """
+    if not (isinstance(s, ScalarSpectrum) and isinstance(t, ScalarSpectrum)):
+        raise ValueError("differentiate: potentials must be basis-Y spectra (ScalarSpectrum)")
     if s.n_pot != t.n_pot:
         raise ValueError("differentiate: potentials must share a degree")
     if s.n_pot < 1:

@@ -69,13 +69,6 @@ class _CoeffTable:
             if data.shape != (pos,):
                 raise ValueError(f"expected flat data of length {pos}, got {data.shape}")
             self._data = data
-        mu = np.arange(1, self.max_order() + 1)
-        orders = np.append(0, np.column_stack([mu, -mu]).ravel())  # 0, +1, -1, +2, -2, ...
-        starts, counts = self.order_offsets(orders)
-        present = counts > 0
-        self._offsets = dict(
-            zip(orders[present].tolist(), zip(starts[present].tolist(), counts[present].tolist()))
-        )
 
     # subclasses fix the index set
     def degree_start(self, m):
@@ -103,14 +96,21 @@ class _CoeffTable:
     def size(self):
         return self._size
 
+    def _holds(self, l, m):
+        """Whether ``(l, m)`` is in the index set; order ``m`` is iff ``(n, m)`` is."""
+        return abs(m) <= self.max_order() and self.degree_start(m) <= l <= self.n
+
     def orders(self):
-        return list(self._offsets)
+        """The signed orders with coefficients, in canonical order: 0, +1, -1, +2, -2, ..."""
+        mu = np.arange(1, self.max_order() + 1)
+        orders = np.append(0, np.column_stack([mu, -mu]).ravel())
+        return orders[self.order_offsets(orders)[1] > 0].tolist()
 
     def order_slice(self, m):
         """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
-        if m not in self._offsets:
+        if not self._holds(self.n, m):
             raise ValueError(f"order {m} outside basis {self.basis} with n={self.n}")
-        pos, count = self._offsets[m]
+        pos, count = self.order_offsets(m)
         return self._data[pos : pos + count]
 
     def set_order_slice(self, m, values):
@@ -121,11 +121,11 @@ class _CoeffTable:
 
     def flat_index(self, l, m):
         """Position of coefficient ``(l, m)`` in :meth:`flat`."""
-        if m not in self._offsets or not (self.degree_start(m) <= l <= self.n):
+        if not self._holds(l, m):
             raise ValueError(
                 f"(l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}"
             )
-        return self._offsets[m][0] + l - self.degree_start(m)
+        return self.order_offsets(m)[0] + l - self.degree_start(m)
 
     def __getitem__(self, lm):
         return float(self._data[self.flat_index(*lm)])
@@ -138,10 +138,12 @@ class _CoeffTable:
         if np.isfinite(self._data).all():
             return
         pos = int(np.flatnonzero(~np.isfinite(self._data))[0])
-        for m, (start, count) in self._offsets.items():
-            if start <= pos < start + count:
-                l = self.degree_start(m) + pos - start
-                raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
+        orders = np.array(self.orders())
+        starts = self.order_offsets(orders)[0]
+        k = int(np.searchsorted(starts, pos, side="right")) - 1
+        m = int(orders[k])
+        l = self.degree_start(m) + pos - int(starts[k])
+        raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
 
     def flat(self):
         """Flattened coefficient vector in canonical (order-major) order."""
@@ -237,6 +239,8 @@ class TangentField:
     phi: ZSpectrum
 
     def __post_init__(self):
+        if not (isinstance(self.theta, ZSpectrum) and isinstance(self.phi, ZSpectrum)):
+            raise ValueError("TangentField: components must be basis-Z spectra (ZSpectrum)")
         if self.theta.n != self.phi.n:
             raise ValueError("theta and phi components must share one truncation degree")
 

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from spherehhd import read_spectrum, relative_l2_error
-from spherehhd.cli import main
+from spherehhd.cli import _build_parser, main
 from spherehhd.verify import run_verification
 
 
@@ -240,3 +241,63 @@ def test_invalid_iters(capsys):
 def test_tol_scale_loosens_verify(capsys):
     code, _, _ = run_cli(capsys, "verify", "--level", "quick", "--tol", "100.0")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_tol_must_be_finite(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--tol", value)
+    assert code == 1
+    assert out == ""
+    assert "--tol" in err
+
+
+# each subcommand's required flags, and a well-formed value for every flag
+_REQUIRED = {
+    "decompose": ("--input-theta", "a", "--input-phi", "b", "--out-prefix", "c"),
+    "differentiate": ("--n", "8", "--out-prefix", "c"),
+    "roundtrip": ("--n", "8"),
+    "bench": (),
+    "cond": (),
+    "verify": (),
+}
+_VALUES = {"--n": "5", "--seed": "1", "--iters": "1", "--input-theta": "a", "--input-phi": "b",
+           "--out-prefix": "c", "--m-list": "1,2", "--n-list": "8", "--level": "quick",
+           "--tol": "1.0", "--json": "x"}
+_READS = {
+    "decompose": {"--input-theta", "--input-phi", "--out-prefix"},
+    "differentiate": {"--n", "--seed", "--out-prefix"},
+    "roundtrip": {"--n", "--seed", "--iters"},
+    "bench": {"--n-list", "--seed", "--iters", "--json"},
+    "cond": {"--n-list", "--m-list"},
+    "verify": {"--level", "--tol"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_READS)
+    for command, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == _READS[command]
+    assert sum(map(len, _READS.values())) == 17
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, reads in _READS.items() for flag in _VALUES if flag not in reads],
+)
+def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, *_REQUIRED[command], flag, _VALUES[flag])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("bogus",), ("decompose", "--frob"), ("verify", "--level", "x")],
+    ids=["none", "unknown-command", "unknown-flag", "bad-choice"],
+)
+def test_usage_errors_return_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "error" in err

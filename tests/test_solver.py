@@ -228,6 +228,13 @@ def test_differentiate_degree_mismatch():
         differentiate(new_scalar_spectrum(3), new_scalar_spectrum(4))
 
 
+@pytest.mark.parametrize("s,t", [(ZSpectrum(3), ZSpectrum(3)),
+                                 (new_scalar_spectrum(3), ZSpectrum(3))])
+def test_differentiate_rejects_non_scalar_potentials(s, t):
+    with pytest.raises(ValueError, match="basis-Y"):
+        differentiate(s, t)
+
+
 def test_decompose_zero_field():
     result = decompose(TangentField.zeros(6))
     assert result.spheroidal.norm() == 0.0

@@ -316,6 +316,13 @@ def test_tangent_field_requires_matching_degree():
     assert field.norm() == 0.0
 
 
+@pytest.mark.parametrize("theta,phi", [(ScalarSpectrum(4), ScalarSpectrum(4)),
+                                       (ZSpectrum(4), ScalarSpectrum(4))])
+def test_tangent_field_rejects_non_z_components(theta, phi):
+    with pytest.raises(ValueError, match="basis-Z"):
+        TangentField(theta, phi)
+
+
 def test_order_slices_are_contiguous_views():
     spec = new_scalar_spectrum(4)
     sl = spec.order_slice(-2)
@@ -354,3 +361,15 @@ def test_order_offsets_match_order_slices():
         starts, counts = spec.order_offsets(orders)
         for m, start, count in zip(orders, starts, counts):
             assert np.array_equal(spec.order_slice(m), np.arange(start, start + count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cls=st.sampled_from([ScalarSpectrum, ZSpectrum]), n=st.integers(0, 12), data=st.data(),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_require_finite_names_the_non_finite_entry(cls, n, data, bad):
+    spec = cls(n)
+    l, m = data.draw(st.sampled_from([(l, m) for m in spec.orders()
+                                      for l in range(spec.degree_start(m), n + 1)]))
+    spec[l, m] = bad
+    with pytest.raises(ValueError, match=rf"^field: non-finite coefficient .* at \(l={l}, m={m}\)$"):
+        spec.require_finite("field")
