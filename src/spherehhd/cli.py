@@ -18,6 +18,7 @@ round trip, and a mean row closes each run.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .verify import run_verification
 __all__ = ["main"]
 
 
-def _checked(parse, ok=lambda value: True, rule=None):
+def _checked(parse, ok, rule):
     """An argparse ``type``: ``parse`` the text, then reject a value that fails ``ok``."""
 
     def convert(text):
@@ -168,38 +169,37 @@ def _machine():
 
 
 def cmd_bench(args):
-    print("n,iter,decompose_seconds,differentiate_seconds")
-    runs = []
-    for n in args.n_list:
-        rows = _timed_roundtrip_rows(n, args.seed, args.iters)
-        for it, _, dec, diff in rows:
-            print(f"{n},{it},{dec:.6f},{diff:.6f}")
-        print(f"{n},mean,{_mean_seconds(rows)}")
-        if args.json:
+    # the report file opens first, so a bad path fails before any output
+    with (open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()) as fh:
+        print("n,iter,decompose_seconds,differentiate_seconds")
+        runs = []
+        for n in args.n_list:
+            rows = _timed_roundtrip_rows(n, args.seed, args.iters)
+            for it, _, dec, diff in rows:
+                print(f"{n},{it},{dec:.6f},{diff:.6f}")
+            print(f"{n},mean,{_mean_seconds(rows)}")
             runs.append({"n": n, "decompose_s": statistics.median(r[2] for r in rows),
                          "differentiate_s": statistics.median(r[3] for r in rows),
                          "roundtrip_rel_err": max(r[1] for r in rows),
-                         "peak_rss_mib": _peak_rss_mib(n, args.seed)})
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            report = {"machine": _machine(), "iters": args.iters, "seed": args.seed, "runs": runs}
-            json.dump(report, fh, indent=1)
+                         "peak_rss_mib": _peak_rss_mib(n, args.seed) if fh else None})
+        if fh:
+            json.dump({"machine": _machine(), "iters": args.iters, "seed": args.seed, "runs": runs},
+                      fh, indent=1)
     return 0
 
 
 def cmd_cond(args):
+    # pairs with m >= n are skipped, so one list of orders serves every degree
+    pairs = [(n, m) for n in args.n_list for m in args.m_list if m <= n - 1]
+    if not pairs:
+        raise ValueError("no pair with 1 <= m <= n - 1 in the grid")
     print("n,m,kappa_R_dense,kappa_M_dense,theorem_bound,qi_sigma_max,qi_sigma_min,conjecture")
-    for n in args.n_list:
-        for m in args.m_list:
-            if not 1 <= m <= n - 1:
-                continue
-            rep = cond.kappa_numeric(n, m)
-            qi_min = "" if rep.sigma_min_bound is None else f"{rep.sigma_min_bound:.16e}"
-            conj = f"{cond.inverse_norm_conjecture(n):.16e}" if m == 1 and n > 1 else ""
-            print(
-                f"{n},{m},{rep.kappa_R:.16e},{rep.kappa_M:.16e},{rep.bound:.16e},"
-                f"{rep.sigma_max_bound:.16e},{qi_min},{conj}"
-            )
+    for n, m in pairs:
+        rep = cond.kappa_numeric(n, m)
+        qi_min = "" if rep.sigma_min_bound is None else f"{rep.sigma_min_bound:.16e}"
+        conj = f"{cond.inverse_norm_conjecture(n):.16e}" if m == 1 else ""
+        print(f"{n},{m},{rep.kappa_R:.16e},{rep.kappa_M:.16e},{rep.bound:.16e},"
+              f"{rep.sigma_max_bound:.16e},{qi_min},{conj}")
     return 0
 
 
@@ -243,11 +243,11 @@ def _build_parser():
             "--seed": seed, "--iters": iters,
             "--json": dict(help="also write the results to this file")}),
         "cond": (cmd_cond, {
-            "--n-list": dict(type=_checked(_int_list, lambda ns: max(ns) <= limit,
-                                           f"dense columns are limited to n <= {limit}"),
+            "--n-list": dict(type=_checked(_int_list, lambda ns: 2 <= min(ns) and max(ns) <= limit,
+                                           f"entries must be >= 2 and are limited to n <= {limit}"),
                              default=(8, 16, 32, 64), help="comma-separated truncation degrees"),
-            "--m-list": dict(type=_checked(_int_list), default=(1, 2, 3, 5, 8),
-                             help="comma-separated orders")}),
+            "--m-list": dict(type=_checked(_int_list, lambda ms: min(ms) >= 1, "entries must be >= 1"),
+                             default=(1, 2, 3, 5, 8), help="comma-separated orders")}),
         "verify": (cmd_verify, {
             "--level": dict(default="quick", choices=("quick", "full"), help="verification depth"),
             "--tol": dict(type=_checked(float, lambda v: 0 < v < math.inf, "must be finite and > 0"),

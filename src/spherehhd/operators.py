@@ -20,7 +20,8 @@ uses to run ``decompose`` and ``differentiate`` per block of orders; the
 single-order functions are blocks of one order.  Every sequential sweep
 over degree -- the substitution here, the rotations and the
 back-substitution of the solver -- runs on one partitioned recurrence
-kernel, :func:`_recurrence`.
+kernel, :func:`_recurrence`, which takes grids of any length and cuts
+them into chunks itself.
 """
 
 from dataclasses import dataclass
@@ -215,12 +216,6 @@ def build_order_system(n, m):
     return OrderSystem(n, m, A, B, shuffled, perm_rows, perm_cols)
 
 
-def _conversion_sign(m):
-    # the tangential basis at m == 0 uses the order-one Legendre functions,
-    # which enter the csc-harmonic recurrence with the opposite sign
-    return 1.0 if m != 0 else -1.0
-
-
 def z_to_cscy(z, m, n):
     """Convert one order slice from the tangential basis to csc-harmonic form.
 
@@ -237,7 +232,9 @@ def z_to_cscy(z, m, n):
         w = np.zeros(n + 1)
         w[:n] += rec.alpha(np.arange(1, n + 1), 0) * z
         w[2:] += rec.beta(np.arange(1, n), 0) * z[:-1]
-        return _conversion_sign(0) * w
+        # the tangential basis at m == 0 uses the order-one Legendre functions,
+        # which enter the csc-harmonic recurrence with the opposite sign
+        return -w
     L = n - mu + 2
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L}, got {z.shape}")
@@ -271,36 +268,41 @@ def _z_to_cscy_block(z, ms):
 CHUNK_STEPS = 4
 
 
-def _chunked(rows):
-    """``rows`` rounded up to whole chunks of single rows and of row pairs."""
-    return -(-rows // (2 * CHUNK_STEPS)) * 2 * CHUNK_STEPS
-
-
 def _recurrence(g, a=None, b=None, d=None):
     """Solve ``y[i] = (g[i] + a[i] y[i-1] + b[i] y[i-2]) / d[i]`` in place, ``y[-1] = y[-2] = 0``.
 
-    ``g`` has shape ``(rows, r, K)``, ``rows`` from :func:`_chunked`: ``r``
-    right-hand sides of ``K`` problems, whose coefficients ``a``, ``b``,
-    ``d`` have shape ``(rows, K)``; ``None`` stands for zero ``a`` or ``b``
-    and unit ``d``.  A recurrence that runs downward takes reversed views.
-    Without ``a`` the two parities never meet, and each pair of rows is one
-    step of a first-order recurrence.
+    ``g`` has shape ``(rows, r, K)``, any ``rows``: ``r`` right-hand sides
+    of ``K`` problems, whose coefficients ``a``, ``b``, ``d`` have shape
+    ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``.
+    A recurrence that runs downward takes reversed views.  Without ``a``
+    the two parities never meet, and each pair of rows is one step of a
+    first-order recurrence.
 
     Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
     every chunk of ``CHUNK_STEPS`` steps runs at once from zero inflow, with
     the responses of its last values to a unit inflow carried as extra
     right-hand sides; one step per chunk then carries the true last values
     across the chunks, and the chunks run again from their true inflow with
-    the arithmetic of a sequential loop.
+    the arithmetic of a sequential loop.  Filler rows of zero ``g``, ``a``,
+    ``b`` and unit ``d`` lead a short first chunk and keep y zero.
     """
     rows, r, nprob = g.shape
     pair = 1 if a is not None else 2
     a, b = (a, b) if pair == 1 else (b, None)
-    q, nchunk = 1 if b is None else 2, rows // (pair * CHUNK_STEPS)
+    span = pair * CHUNK_STEPS  # rows per chunk
+    head = rows % span  # rows of a short first chunk, which filler rows lead
+    q, nchunk = 1 if b is None else 2, -(-rows // span)
 
-    def by_step(x):  # [i, column, chunk, problem]: step i of every chunk, contiguous
-        x = x.reshape(nchunk, CHUNK_STEPS, pair, -1, nprob).transpose(1, 3, 0, 2, 4)
-        return np.ascontiguousarray(x.reshape(CHUNK_STEPS, -1, nchunk, pair * nprob))
+    def by_step(x, fill):  # [i, column, chunk, problem]: step i of every chunk, contiguous
+        cols = x.shape[1]
+        out = np.empty((CHUNK_STEPS, cols, nchunk, pair, nprob))
+        chunks = out.transpose(2, 0, 3, 1, 4)  # [chunk, i, half, column, problem]
+        chunks[head > 0 :] = x[head:].reshape(rows // span, CHUNK_STEPS, pair, cols, nprob)
+        if head:
+            first = np.full((span, cols, nprob), fill)
+            first[span - head :] = x[:head]
+            chunks[0] = first.reshape(CHUNK_STEPS, pair, cols, nprob)
+        return out.reshape(CHUNK_STEPS, cols, nchunk, pair * nprob)
 
     def advance(out, i, y1, y2):  # out = ((out + a y1) + b y2) / d
         for coef, lag in ((a, y1), (b, y2)):
@@ -310,8 +312,9 @@ def _recurrence(g, a=None, b=None, d=None):
         if d is not None:
             out /= d[i]
 
-    a, b, d = (x if x is None else by_step(x)[:, 0] for x in (a, b, d))
-    y = by_step(g)
+    a, b, d = (x if x is None else by_step(x[:, None], fill)[:, 0]
+               for x, fill in ((a, 0.0), (b, 0.0), (d, 1.0)))
+    y = by_step(g, 0.0)
     # phase 1: every chunk from zero inflow; columns r + j of the state
     # hold the response to a unit y[-1 - j]
     state = np.zeros((3, r + q) + y.shape[2:])
@@ -336,18 +339,20 @@ def _recurrence(g, a=None, b=None, d=None):
     for i, out in enumerate(y):
         advance(out, i, y1, y2)
         y1, y2 = out, y1
-    y = y.reshape(CHUNK_STEPS, r, nchunk, pair, nprob)
-    g.reshape(nchunk, CHUNK_STEPS, pair, r, nprob)[...] = y.transpose(2, 0, 3, 1, 4)
+    y = y.reshape(CHUNK_STEPS, r, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)
+    g[head:].reshape(rows // span, CHUNK_STEPS, pair, r, nprob)[...] = y[head > 0 :]
+    if head:
+        g[:head] = y[0].reshape(span, r, nprob)[span - head :]
 
 
 def _cscy_to_z_block(w, ms):
     """:func:`cscy_to_z` for several orders ``ms >= 1`` at once, in place.
 
-    ``w`` has shape ``(rows, c, K)``, ``rows`` from :func:`_chunked`:
-    column ``k`` holds ``c`` csc-harmonic slices of order ``ms[k]`` (row
-    ``i`` is degree ``ms[k] + i``), zero past its own ``n - ms[k] + 1`` rows.
-    Overwrites and returns it as ``z``, row ``i`` at degree ``ms[k] - 1 + i``
-    and zero past the order's ``n - ms[k] + 2`` rows.
+    ``w`` has shape ``(rows, c, K)``, ``rows >= n - ms[0] + 2``: column ``k``
+    holds ``c`` csc-harmonic slices of order ``ms[k]`` (row ``i`` is degree
+    ``ms[k] + i``), zero past its own ``n - ms[k] + 1`` rows.  Overwrites
+    and returns it as ``z``, row ``i`` at degree ``ms[k] - 1 + i`` and zero
+    past the order's ``n - ms[k] + 2`` rows.
     """
     degrees = ms - 1 + np.arange(w.shape[0])[:, None]  # degree of z row i
     b = rec.beta(degrees, ms)
@@ -364,12 +369,11 @@ def _cscy_to_z_zero(w, n):
     Substitutes upward from degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``;
     row ``n`` of ``w`` is the redundant equation.
     """
-    ls = np.arange(1, _chunked(n) + 1)[:, None]  # degree of row i
+    ls = np.arange(1, n + 1)[:, None]  # degree of row i
     a = rec.alpha(ls, 0)
-    z = np.zeros((len(ls), w.shape[1], 1))
-    z[:n, :, 0] = -w[:n] / a[:n]
+    z = (-w[:n] / a)[:, :, None]
     _recurrence(z, b=-rec.beta(np.maximum(ls - 2, 0), 0) / a)  # beta(0, 0) == 0 below degree 3
-    return z[:n, :, 0]
+    return z[:, :, 0]
 
 
 def cscy_to_z(w, m, n):
@@ -393,6 +397,6 @@ def cscy_to_z(w, m, n):
         return _cscy_to_z_zero(w[:, None], n)[:, 0]
     if w.shape != (n - mu + 1,):
         raise ValueError(f"cscy_to_z: expected length {n - mu + 1}, got {w.shape[0]}")
-    z = np.zeros((_chunked(n - mu + 2), 1, 1))
+    z = np.zeros((n - mu + 2, 1, 1))
     z[: n - mu + 1, 0, 0] = w
-    return _cscy_to_z_block(z, np.array([mu]))[: n - mu + 2, 0, 0]
+    return _cscy_to_z_block(z, np.array([mu]))[:, 0, 0]

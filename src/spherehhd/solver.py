@@ -15,13 +15,15 @@ of their own, on the same sweep.
 
 The sweep solves many problems at once in (degree, right-hand side,
 problem) arrays; applying the rotations and back-substituting are linear
-recurrences over degree, run by :func:`.operators._recurrence`.  A problem
-shorter than the array has zero rotations and unit pivots past its size.
-:func:`decompose` feeds the sweep blocks of ``BLOCK_ORDERS`` orders, and
-:func:`differentiate` runs per block too: a few whole-grid expressions
+recurrences over degree, run by :func:`.operators._recurrence`.  The
+problem builders return the bare closed forms; the sweep itself gives a
+problem shorter than the array zero rotations and unit pivots past its
+size.  :func:`decompose` feeds the sweep blocks of ``BLOCK_ORDERS`` orders,
+and :func:`differentiate` runs per block too: a few whole-grid expressions
 apply ``[[A, B], [B, A]]``, and the same kernel converts the result to the
-tangential basis.  Each order costs O(n) either way, the whole O(n^2).  The
-normal equations are never formed.
+tangential basis.  Order zero of :func:`differentiate` is one scale,
+``z_l = -sqrt(l (l + 1)) s_l``.  Each order costs O(n) either way, the
+whole O(n^2).  The normal equations are never formed.
 """
 
 import math
@@ -29,8 +31,7 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _chunked, _cscy_to_z_block, _cscy_to_z_zero, _recurrence, _z_to_cscy_block
-from .operators import build_A, z_to_cscy
+from .operators import _cscy_to_z_block, _recurrence, _z_to_cscy_block, z_to_cscy
 from .spectra import HHDResult, ScalarSpectrum, TangentField
 
 __all__ = [
@@ -51,49 +52,45 @@ BLOCK_ORDERS = 32
 def _lsq_sweep(sizes, rotations, columns, rhs):
     """Least squares for K tridiagonal problems of shape ``(p_k + 1) x p_k``.
 
-    Column ``j`` of problem ``k`` holds ``sup[j, k]`` in row ``j - 1``,
-    ``diag[j, k]`` in row ``j`` and ``sub[j, k]`` in row ``j + 1``, with
-    ``columns = (sub, diag, sup)`` of ``R + 2`` rows, ``R =
-    _chunked(max(sizes) + 1)``; entries past a problem's size must be
-    finite.  Its known plane rotation ``(c[j, k], s[j, k])`` from
-    ``rotations = (c, s)`` acts on rows ``j, j + 1``, zeroes ``sub[j, k]``
-    and is zero past the problem's size.  ``rhs`` of shape
-    ``(max(sizes) + 1, r, K)`` holds the right-hand sides.
+    ``rhs`` of shape ``(P + 1, r, K)``, ``P = max(sizes)``, holds the
+    right-hand sides.  Column ``j`` of problem ``k`` holds ``sup[j, k]`` in
+    row ``j - 1``, ``diag[j, k]`` in row ``j`` and ``sub[j, k]`` in row
+    ``j + 1``, with ``columns = (sub, diag, sup)`` of ``P + 3`` rows.  Its
+    known plane rotation ``(c[j, k], s[j, k])`` from ``rotations = (c, s)``,
+    of ``P + 1`` rows, acts on rows ``j, j + 1`` and zeroes ``sub[j, k]``.
+    Past a problem's size, entries must be finite and are ignored: the
+    sweep zeroes the rotations there and puts unit pivots in ``R``.
 
-    Returns the solutions ``x`` of shape ``(max(sizes), r, K)``, zero past
-    each problem's size; the signed residuals ``(K, r)``, i.e. what the
+    Returns the solutions ``x`` of shape ``(P, r, K)``, zero past each
+    problem's size; the signed residuals ``(K, r)``, i.e. what the
     rotations leave in row ``p_k`` of the right-hand side; and ``R = Q'M``
     as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, meaningless
     outside each problem's ``p_k x p_k`` triangle.
     """
-    c, s = rotations
     sub, diag, sup = columns
-    nrows, nprob = c.shape
-    rows = rhs.shape[0]
+    rows, _, nprob = rhs.shape
+    live = np.arange(rows)[:, None] < sizes
+    c, s = (live * x for x in rotations)
     # row j of M after the rotations of columns < j holds a (column j) and
     # b (column j + 1); rotation j turns rows j, j + 1 into row j of R
-    b = np.array(sup[1 : nrows + 1])
+    b = np.array(sup[1 : rows + 1])
     b[1:] *= c[:-1]
-    a = np.array(diag[:nrows])
+    a = np.array(diag[:rows])
     a[1:] = c[:-1] * a[1:] - s[:-1] * b[:-1]
-    d = c * a + s * sub[:nrows]
-    d += np.arange(nrows)[:, None] >= sizes  # unit pivots where the rotations are zero
-    e = c * b + s * diag[1 : nrows + 1]
-    f = s * sup[2:]
+    d = c * a + s * sub[:rows] + ~live  # unit pivots where the rotations are zero
+    e = c * b + s * diag[1 : rows + 1]
+    f = s * sup[2 : rows + 2]
     # what the rotations leave in row j: t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1]
-    t = np.zeros((nrows,) + rhs.shape[1:])
-    t[0] = rhs[0]
-    np.multiply(c[: rows - 1, None], rhs[1:], out=t[1:rows])
-    lag = np.zeros_like(s)
-    np.negative(s[:-1], out=lag[1:])
-    _recurrence(t, lag)
+    t = rhs.copy()
+    t[1:] *= c[:-1, None]
+    _recurrence(t, np.concatenate((np.zeros_like(s[:1]), -s[:-1])))
     residual = t[sizes, :, np.arange(nprob)]
     # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
     # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
     t *= c[:, None]
-    t[: rows - 1] += s[: rows - 1, None] * rhs[1:]
+    t[:-1] += s[:-1, None] * rhs[1:]
     _recurrence(t[::-1], -e[::-1], -f[::-1], d[::-1])
-    return t[: rows - 1], residual, (d, e, f)
+    return t[:-1], residual, (d, e, f)
 
 
 def _order_problems(n, ms):
@@ -105,13 +102,11 @@ def _order_problems(n, ms):
     ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``.
     """
     sizes = n - ms
-    j = np.arange(_chunked(sizes[0] + 1) + 2)[:, None]
+    j = np.arange(sizes[0] + 3)[:, None]
     degrees = ms + j  # potential degree of each column
     l = j[:-2] + 1
-    live = j[:-2] < sizes
     denom = (l + ms + 1) * (l + 2 * ms + 1)
-    c, s = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
-    rotations = live * c, live * s
+    rotations = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
     sub = rec.delta(degrees, ms)
     diag = np.broadcast_to(ms.astype(np.float64), sub.shape)
     return sizes, rotations, (sub, diag, rec.gamma(degrees, ms))
@@ -172,13 +167,12 @@ def _order_zero_problems(n):
     ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.
     """
     sizes = np.array([n // 2, (n - 1) // 2])
-    j = np.arange(_chunked(n // 2 + 1) + 2)[:, None]
+    j = np.arange(n // 2 + 3)[:, None]
     degrees = 2 * j + np.arange(2) + 1
     l = degrees[:-2]
-    live = j[:-2] < sizes
     denom = (l + 2) * (l + 3)
-    c = live * np.where(j[:-2] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
-    rotations = c, live * np.sqrt(l * (l + 1) / denom)
+    c = np.where(j[:-2] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
+    rotations = c, np.sqrt(l * (l + 1) / denom)
     columns = rec.delta(degrees, 0), rec.gamma(degrees, 0), np.zeros(degrees.shape)
     return sizes, rotations, columns
 
@@ -256,18 +250,18 @@ def differentiate(s, t):
     t.require_finite("differentiate: t")
     n = s.n_pot + 1
     out = TangentField.zeros(n)
-    a0 = build_A(n, 0)
-    w0 = np.column_stack([a0.matvec(s.order_slice(0)[1:]), a0.matvec(t.order_slice(0)[1:])])
-    z0 = _cscy_to_z_zero(w0, n)
-    out.theta.set_order_slice(0, z0[:, 0])
-    out.phi.set_order_slice(0, z0[:, 1])
+    # order zero is one scale: its tangential basis is P~_l^1, and the
+    # colatitude derivative of P~_l^0 is -sqrt(l (l + 1)) P~_l^1; z_n stays zero
+    scale = -np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))
+    for comp, pot in ((out.theta, s), (out.phi, t)):
+        comp.order_slice(0)[:-1] = scale * pot.order_slice(0)[1:]
     # columns of a block: (s_m, s_-m, t_m, t_-m) in, (theta_m, theta_-m,
     # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
     # column 3 - c through B = m
     cross = np.array([-1.0, 1.0, 1.0, -1.0])
     for start in range(1, n, BLOCK_ORDERS):
         ms = np.arange(start, min(start + BLOCK_ORDERS, n))
-        rows = _chunked(n - ms[0] + 2)
+        rows = n - ms[0] + 2
         x = np.zeros((rows, 4, len(ms)))
         _gather(ms, (s, t), (x[:, :2], x[:, 2:]))
         degrees = ms + np.arange(rows)[:, None]  # potential and csc degree of row i

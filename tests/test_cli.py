@@ -156,6 +156,14 @@ def test_bench_json_schema(tmp_path, capsys):
         assert run["peak_rss_mib"] > 1.0  # a fresh interpreter with numpy loaded
 
 
+def test_bench_bad_json_path_fails_before_any_output(tmp_path, capsys):
+    path = tmp_path / "missing" / "bench.json"
+    code, out, err = run_cli(capsys, "bench", "--n-list", "8", "--iters", "1", "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert "No such file" in err
+
+
 def test_cond_csv_rows(capsys):
     code, out, _ = run_cli(capsys, "cond", "--n-list", "10,12", "--m-list", "1,2,5")
     assert code == 0
@@ -194,6 +202,30 @@ def test_bad_n_list_fails_before_any_output(capsys, argv, reason):
     assert code == 1
     assert out == ""
     assert reason in err
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("--n-list", "1,0", "--m-list", "-3"), "must be >= 2"),
+        (("--n-list", "8", "--m-list", "2,-3"), "must be >= 1"),
+        (("--n-list", "4", "--m-list", "5"), "no pair"),
+    ],
+    ids=["degrees", "orders", "empty-grid"],
+)
+def test_cond_grid_without_pairs_fails(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "cond", *argv)
+    assert code == 1
+    assert out == ""
+    assert reason in err
+
+
+def test_cond_skips_orders_past_a_degree(capsys):
+    # the default grid pairs n = 8 with m = 8: such pairs drop out of a mixed grid
+    code, out, _ = run_cli(capsys, "cond", "--n-list", "4,8", "--m-list", "3,5")
+    assert code == 0
+    assert [tuple(line.split(",")[:2]) for line in out.splitlines()[1:]] == [
+        ("4", "3"), ("8", "3"), ("8", "5")]
 
 
 def test_bad_int_list(capsys):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from spherehhd.operators import (
     CHUNK_STEPS,
     BandedMatrix,
-    _chunked,
     _recurrence,
     build_A,
     build_B,
@@ -347,16 +346,16 @@ def _run_kernel(g, coefs, downward):
 @example(p=2 * CHUNK_STEPS, nprob=3, r=2, form="first", downward=True, seed=1)
 @example(p=2 * CHUNK_STEPS + 1, nprob=2, r=4, form="parity", downward=True, seed=2)
 def test_recurrence_matches_sequential_loop(p, nprob, r, form, downward, seed):
-    # problems of mixed sizes up to p rows, zero right-hand side past each
-    # size; first order (the rotations), second order (the back-substitution)
-    # and second order without a (the parity chains of the conversions)
+    # grids of p rows, any p, upward and through reversed views; problems of
+    # mixed sizes, zero right-hand side past each size; first order (the
+    # rotations), second order (the back-substitution) and second order
+    # without a (the parity chains of the conversions)
     rng = np.random.default_rng(seed)
-    rows = _chunked(p)
     sizes = np.append(p, rng.integers(1, p + 1, nprob - 1))
-    g = rng.standard_normal((rows, r, nprob)) * (np.arange(rows)[:, None, None] < sizes)
+    g = rng.standard_normal((p, r, nprob)) * (np.arange(p)[:, None, None] < sizes)
 
     def coef(lo, hi):
-        return rng.uniform(lo, hi, (rows, nprob))
+        return rng.uniform(lo, hi, (p, nprob))
 
     coefs = {
         "first": (coef(-1.0, 1.0), None, None),
@@ -372,7 +371,7 @@ def test_recurrence_matches_sequential_loop(p, nprob, r, form, downward, seed):
 def test_recurrence_chunk_responses_underflow(form):
     # coefficients of 1e-200 make a chunk's responses to its inflow underflow
     # to zero; the carry must stay finite and exact
-    rows, nprob = _chunked(3 * CHUNK_STEPS + 1), 3
+    rows, nprob = 3 * CHUNK_STEPS + 1, 3
     rng = np.random.default_rng(7)
     g = rng.standard_normal((rows, 2, nprob))
     tiny = np.full((rows, nprob), -1e-200)

@@ -223,6 +223,19 @@ def test_differentiate_single_mode_order_zero():
     assert field.theta[1, 0] == pytest.approx(-np.sqrt(2.0), rel=1e-14)
 
 
+def test_differentiate_order_zero_is_one_scale():
+    # the tangential basis at m = 0 is P~_l^1, and the colatitude derivative
+    # of P~_l^0 is -sqrt(l (l + 1)) P~_l^1: no degree-n content
+    n = 256
+    s, t = random_potentials(n, seed=8)
+    field = differentiate(s, t)
+    l = np.arange(1.0, n)
+    for comp, pot in ((field.theta, s), (field.phi, t)):
+        z0, want = comp.order_slice(0), -np.sqrt(l * (l + 1.0)) * pot.order_slice(0)[1:]
+        assert np.max(np.abs(z0[:-1] - want)) <= 4e-16 * np.max(np.abs(want))
+        assert z0[-1] == 0.0
+
+
 def test_differentiate_degree_mismatch():
     with pytest.raises(ValueError):
         differentiate(new_scalar_spectrum(3), new_scalar_spectrum(4))
@@ -439,6 +452,25 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     dense = [build_A(n, m).toarray() + build_B(n, m).toarray() for m in ms.tolist()]
     sizes = n - ms
     _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*_order_problems(n, ms), rhs))
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["orders", "order-zero"])
+def test_lsq_sweep_ignores_rotations_past_each_size(zero):
+    # the sweep itself zeroes the rotations past a problem's size: any finite
+    # values there leave the solutions, residuals and factors unchanged
+    n = 3 * CHUNK_STEPS + 2
+    sizes, rotations, columns = _order_zero_problems(n) if zero else _order_problems(n, np.arange(1, 7))
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal((sizes[0] + 1, 2, len(sizes)))
+    past = np.arange(len(rotations[0]))[:, None] >= sizes
+    noisy = tuple(np.where(past, rng.uniform(-3.0, 3.0, x.shape), x) for x in rotations)
+    x, res, factor = _lsq_sweep(sizes, rotations, columns, rhs)
+    x_noisy, res_noisy, factor_noisy = _lsq_sweep(sizes, noisy, columns, rhs)
+    assert np.array_equal(x_noisy, x)
+    assert not any(np.any(x[p:, :, k]) for k, p in enumerate(sizes.tolist()))
+    assert np.array_equal(res_noisy, res)
+    for got, want in zip(factor_noisy, factor):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
