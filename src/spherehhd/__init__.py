@@ -21,6 +21,7 @@ from .spectra import (
     new_scalar_spectrum,
     new_z_spectrum,
     random_spectrum,
+    random_potentials,
     relative_l2_error,
     read_spectrum,
     write_spectrum,

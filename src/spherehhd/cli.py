@@ -8,7 +8,8 @@ roundtrip     differentiate-then-decompose experiment with timings (CSV)
 bench         differentiate and decompose timings over a list of degrees (CSV;
               ``--json PATH`` also writes medians, errors and peak RSS)
 cond          condition numbers and bounds over (n, m) grids (CSV)
-verify        run the numerical verification suites
+verify        run the verification suites, one line per suite naming its worst
+              item; tolerances are fixed, ``--level`` picks the sizes
 
 All CSV goes to stdout with a fixed header.  ``decompose_seconds`` and
 ``differentiate_seconds`` are the ``perf_counter`` wall times of one
@@ -20,7 +21,6 @@ round trip, and a mean row closes each run.  Exit codes: 0 success,
 import argparse
 import contextlib
 import json
-import math
 import os
 import platform
 import statistics
@@ -34,7 +34,7 @@ from . import conditioning as cond
 from .solver import decompose, differentiate
 from .spectra import (
     TangentField,
-    random_spectrum,
+    random_potentials,
     read_spectrum,
     relative_l2_error,
     write_spectrum,
@@ -66,14 +66,6 @@ def _int_list(text):
     return values
 
 
-def _random_potentials(n, seed):
-    s = random_spectrum(n - 1, seed)
-    t = random_spectrum(n - 1, seed + 1_000_000)
-    s[0, 0] = 0.0
-    t[0, 0] = 0.0
-    return s, t
-
-
 def cmd_decompose(args):
     theta = read_spectrum(args.input_theta)
     phi = read_spectrum(args.input_phi)
@@ -96,7 +88,7 @@ def cmd_decompose(args):
 
 
 def cmd_differentiate(args):
-    s, t = _random_potentials(args.n, args.seed)
+    s, t = random_potentials(args.n, args.seed)
     field = differentiate(s, t)
     write_spectrum(s, f"{args.out_prefix}_s.csv")
     write_spectrum(t, f"{args.out_prefix}_t.csv")
@@ -109,10 +101,10 @@ def cmd_differentiate(args):
 def _timed_roundtrip_rows(n, seed, iters):
     """(iter, rel_error, decompose_seconds, differentiate_seconds) per seeded round trip."""
     rows = []
-    s, t = _random_potentials(n, seed)
+    s, t = random_potentials(n, seed)
     decompose(differentiate(s, t))  # warm-up, discarded
     for it in range(1, iters + 1):
-        s, t = _random_potentials(n, seed + it)
+        s, t = random_potentials(n, seed + it)
         t0 = time.perf_counter()
         field = differentiate(s, t)
         t1 = time.perf_counter()
@@ -205,7 +197,7 @@ def cmd_cond(args):
 
 def cmd_verify(args):
     t0 = time.monotonic()
-    results = run_verification(args.level, tol_scale=args.tol)
+    results = run_verification(args.level)
     failed = 0
     for name, ok, detail in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -249,9 +241,7 @@ def _build_parser():
             "--m-list": dict(type=_checked(_int_list, lambda ms: min(ms) >= 1, "entries must be >= 1"),
                              default=(1, 2, 3, 5, 8), help="comma-separated orders")}),
         "verify": (cmd_verify, {
-            "--level": dict(default="quick", choices=("quick", "full"), help="verification depth"),
-            "--tol": dict(type=_checked(float, lambda v: 0 < v < math.inf, "must be finite and > 0"),
-                          default=1.0, help="tolerance scale")}),
+            "--level": dict(default="quick", choices=("quick", "full"), help="verification depth")}),
     }
     parser = _Parser(prog="spherehhd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

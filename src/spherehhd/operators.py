@@ -76,33 +76,11 @@ class BandedMatrix:
     def set_diagonal(self, offset, values):
         self.diagonal(offset)[:] = values
 
-    def entry(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        if i - j > self.lower_bw or j - i > self.upper_bw:
-            return 0.0
-        return float(self.data[self.upper_bw + i - j, j])
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cols,):
-            raise ValueError(f"matvec: expected length {self.cols}, got {x.shape}")
-        y = np.zeros(self.rows)
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            lo = max(0, -off)
-            hi = min(self.cols, self.rows - off)
-            if hi <= lo:
-                continue
-            y[lo + off : hi + off] += self.data[self.upper_bw + off, lo:hi] * x[lo:hi]
-        return y
-
     def toarray(self):
         out = np.zeros((self.rows, self.cols))
         for off in range(-self.upper_bw, self.lower_bw + 1):
-            lo = max(0, -off)
-            hi = min(self.cols, self.rows - off)
-            for j in range(lo, hi):
-                out[j + off, j] = self.data[self.upper_bw + off, j]
+            j = np.arange(max(0, -off), min(self.cols, self.rows - off))
+            out[j + off, j] = self.data[self.upper_bw + off, j]
         return out
 
     def bandwidths_used(self):

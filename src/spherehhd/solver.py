@@ -49,6 +49,14 @@ __all__ = [
 BLOCK_ORDERS = 32
 
 
+def _require_finite(name, values):
+    """Raise ``ValueError`` naming ``name`` and the first row of ``values`` with a non-finite entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
+        raise ValueError(f"{name}: non-finite value in row {row}")
+
+
 def _lsq_sweep(sizes, rotations, columns, rhs):
     """Least squares for K tridiagonal problems of shape ``(p_k + 1) x p_k``.
 
@@ -141,7 +149,8 @@ def solve_order(n, m, rhs):
     ``rhs`` stacks the two block rows (length ``2(n+1-m)``) and may carry
     one column or several.  Returns ``(x, residual)``: ``x`` stacks the two
     block columns in natural degree order, and ``residual`` is the 2-norm
-    of the residual over all columns.
+    of the residual over all columns.  Raises ``ValueError`` naming the
+    first ``rhs`` row that holds a non-finite value.
     """
     if not 1 <= m <= n - 1:
         raise ValueError(f"solve_order: need 1 <= m <= n-1, got m={m}, n={n}")
@@ -149,6 +158,7 @@ def solve_order(n, m, rhs):
     q = n + 1 - m
     if rhs.ndim not in (1, 2) or rhs.shape[0] != 2 * q:
         raise ValueError(f"solve_order: rhs must have {2 * q} rows, got shape {rhs.shape}")
+    _require_finite("solve_order: rhs", rhs)
     halves = rhs.reshape(2, q, -1, 1)
     x1, x2, residual = _solve_orders(n, np.array([m]), halves[0], halves[1])
     x = np.concatenate([x1[..., 0], x2[..., 0]])
@@ -183,12 +193,15 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     ``theta_slice``/``phi_slice`` are the order-zero csc-harmonic
     coefficients (degrees ``0..n``); returns the order-zero spheroidal and
     toroidal coefficients (degrees ``1..n-1``) and the combined residual
-    norm.
+    norm.  Raises ``ValueError`` naming the slice and the row (degree) of a
+    non-finite value.
     """
     theta_slice = np.asarray(theta_slice, dtype=np.float64)
     phi_slice = np.asarray(phi_slice, dtype=np.float64)
     if theta_slice.shape != (n + 1,) or phi_slice.shape != (n + 1,):
         raise ValueError("decompose_order_zero: slices must have length n + 1")
+    _require_finite("decompose_order_zero: theta_slice", theta_slice)
+    _require_finite("decompose_order_zero: phi_slice", phi_slice)
     pmax = n // 2
     w = np.zeros((2 * pmax + 2, 2))
     w[: n + 1] = np.column_stack([theta_slice, phi_slice])

@@ -31,6 +31,7 @@ __all__ = [
     "new_scalar_spectrum",
     "new_z_spectrum",
     "random_spectrum",
+    "random_potentials",
     "relative_l2_error",
     "read_spectrum",
     "write_spectrum",
@@ -155,9 +156,6 @@ class _CoeffTable:
     def copy(self):
         return type(self)(self.n, self._data.copy())
 
-    def allclose(self, other, **kw):
-        return self.n == other.n and np.allclose(self._data, other._data, **kw)
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, {self._size} coefficients)"
 
@@ -215,6 +213,13 @@ def random_spectrum(n_pot, seed):
     spec = ScalarSpectrum(n_pot)
     spec._data[:] = rng.standard_normal(spec.size)
     return spec
+
+
+def random_potentials(n, seed):
+    """``random_spectrum(n - 1, seed)`` and ``(n - 1, seed + 1_000_000)``, constant modes zeroed."""
+    s, t = random_spectrum(n - 1, seed), random_spectrum(n - 1, seed + 1_000_000)
+    s[0, 0] = t[0, 0] = 0.0
+    return s, t
 
 
 def relative_l2_error(a, b):

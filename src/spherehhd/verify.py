@@ -1,13 +1,14 @@
-"""Self-contained numerical verification suites.
+"""Self-contained numerical verification: one check per claim of the paper.
 
-Each suite checks one family of claims against an independent route
-(pointwise evaluation, dense linear algebra, or closed-form bounds) and
-returns a pass/fail flag with a short detail string.  The ``quick`` level
-runs in a couple of seconds; ``full`` covers the larger grids.
-
-Coefficient functions are always reached through the module, so swapping
-one out (to check that the verification actually bites) makes the
-corresponding suites fail.
+Each check compares the library with an independent route (pointwise
+evaluation, dense linear algebra or closed-form bounds) over the sizes,
+seeds or nodes it is given, and yields ``(where, deviation)`` per item.
+The caller holds the tolerance: an item passes when ``deviation <= tol``.
+A check of inequalities ``lhs <= rhs`` yields the largest excess
+``lhs - rhs``, so its tolerance is zero.  :data:`SUITES` runs the checks
+at a ``quick`` and a ``full`` level; the acceptance criteria call them at
+their own sizes.  Coefficient functions are reached through their module,
+so swapping one out makes the checks that depend on it fail.
 """
 
 import numpy as np
@@ -17,244 +18,216 @@ from . import conditioning as cond
 from .operators import build_A, build_B, build_order_system, cscy_to_z, z_to_cscy
 from .pointwise import GridSpec, analyze_z, eval_Y, eval_Z, eval_gradY, synthesize_from_potentials
 from .solver import decompose, differentiate, solve_order
-from .spectra import random_spectrum, relative_l2_error
+from .spectra import random_potentials, relative_l2_error
 
 __all__ = ["run_verification", "SUITES"]
 
-_NODES = [(th, ph) for th in np.linspace(0.15, np.pi - 0.15, 5) for ph in (0.3, 2.1, 4.4)]
+
+def _dense_system(n, m):
+    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+    return np.block([[a, b], [b, a]])
 
 
-def _suite_pointwise(level, tol_scale=1.0):
-    lmax = 8 if level == "quick" else 20
-    tol = 1e-13 * tol_scale
-    worst = 0.0
-    for th, ph in _NODES:
+def _worst(values):
+    """Largest magnitude in ``values``, NaN if any is NaN (Python's ``max`` may skip a NaN)."""
+    return float(np.max(np.abs(values)))
+
+
+def identity_deviations(lmax, nodes):
+    """Conversion (sign flipped at ``m == 0``) and derivative identities at ``(theta, phi)`` nodes."""
+    for th, ph in nodes:
         csc = 1.0 / np.sin(th)
         for m in range(-lmax, lmax + 1):
             mu = abs(m)
             for l in range(max(abs(mu - 1), 1), lmax + 1):
-                # conversion identity (sign flips at m == 0, see operators)
-                if l >= abs(mu - 1):
-                    rhs = rec.beta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
-                    if l - 1 >= mu:
-                        rhs += rec.alpha(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                    sign = 1.0 if mu else -1.0
-                    worst = max(worst, abs(eval_Z(l, m, th, ph) - sign * rhs))
-                if l < mu:
-                    continue
-                # colatitude derivative identity
-                dth, dph = eval_gradY(l, m, th, ph)
-                rhs = rec.delta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
+                rhs = rec.beta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
                 if l - 1 >= mu:
-                    rhs += rec.gamma(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                worst = max(worst, abs(dth - rhs))
-                # longitude derivative identity
-                worst = max(worst, abs(dph - (-m) * eval_Y(l, -m, th, ph) * csc))
-    return worst <= tol, f"max identity deviation {worst:.2e} (tol {tol:.1e})"
+                    rhs += rec.alpha(l, mu) * eval_Y(l - 1, m, th, ph) * csc
+                devs = [eval_Z(l, m, th, ph) - (1.0 if mu else -1.0) * rhs]
+                if l >= mu:
+                    dth, dph = eval_gradY(l, m, th, ph)
+                    rhs = rec.delta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
+                    if l - 1 >= mu:
+                        rhs += rec.gamma(l, mu) * eval_Y(l - 1, m, th, ph) * csc
+                    devs += [dth - rhs, dph - (-m) * eval_Y(l, -m, th, ph) * csc]
+                yield f"(l={l}, m={m}) at ({th:.3f}, {ph:.3f})", _worst(devs)
 
 
-def _suite_conversion(level, tol_scale=1.0):
-    sizes = (8, 16) if level == "quick" else (8, 16, 32, 64)
-    tol = 1e-12 * tol_scale
-    worst = 0.0
+def conversion_deviations(sizes):
+    """``z -> cscy -> z -> cscy`` per order of the field of ``random_potentials(n, n)``."""
     for n in sizes:
-        s = random_spectrum(n - 1, 101 + n)
-        t = random_spectrum(n - 1, 202 + n)
-        s[0, 0] = 0.0
-        t[0, 0] = 0.0
-        field = differentiate(s, t)
-        for comp in (field.theta, field.phi):
-            for m in range(-(n - 1), n):
-                z = comp.order_slice(m)
-                scale = max(1.0, float(np.max(np.abs(z))))
+        field = differentiate(*random_potentials(n, n))
+        for m in range(-(n - 1), n):
+            devs = []
+            for z in (field.theta.order_slice(m), field.phi.order_slice(m)):
                 w = z_to_cscy(z, m, n)
                 z2 = cscy_to_z(w, m, n)
-                worst = max(worst, float(np.max(np.abs(z2 - z))) / scale)
-                w2 = z_to_cscy(z2, m, n)
-                worst = max(worst, float(np.max(np.abs(w2 - w))) / scale)
-    return worst <= tol, f"max conversion roundtrip error {worst:.2e} (tol {tol:.1e})"
+                scale = max(1.0, _worst(z))
+                devs += [_worst(z2 - z) / scale, _worst(z_to_cscy(z2, m, n) - w) / scale]
+            yield f"(n={n}, m={m})", _worst(devs)
 
 
-def _suite_structure(level, tol_scale=1.0):
-    if level == "quick":
-        sizes = (2, 3, 5, 8, 13, 21, 33)
-    else:
-        sizes = tuple(range(2, 65)) + (96, 128, 192, 256)
+def structure_deviations(sizes):
+    """Excess over ``(n+1-m) x (n-m)`` shapes, ``A`` zero off its first sub- and superdiagonals,
+    ``B`` zero off a diagonal of ``m``, and a pentadiagonal interleaved system (bands only)."""
     for n in sizes:
         for m in range(1, n):
             system = build_order_system(n, m)
             a, b = system.A, system.B
-            if np.any(a.toarray().diagonal() != 0.0):
-                return False, f"A diagonal not zero at (n={n}, m={m})"
-            bd = b.toarray()
-            if np.any(bd[-1] != 0.0) or np.any(bd[: b.cols] != m * np.eye(b.cols)):
-                return False, f"B structure violated at (n={n}, m={m})"
-            lower, upper = system.shuffled.bandwidths_used()
-            if lower > 2 or upper > 2:
-                return False, f"interleaved bandwidths ({lower},{upper}) at (n={n}, m={m})"
-            # entrywise scatter identity on a sample of entries
-            md = np.block([[a.toarray(), bd], [bd, a.toarray()]])
-            sd = system.shuffled.toarray()
-            if not np.array_equal(sd[np.ix_(system.perm_rows, system.perm_cols)], md):
-                return False, f"permutation identity violated at (n={n}, m={m})"
-    return True, f"structure verified on {len(sizes)} truncation degrees"
+            shape = (n + 1 - m, n - m)
+            yield f"(n={n}, m={m})", float(np.max([
+                a.shape != shape or b.shape != shape, _worst(a.diagonal(0)),
+                _worst(b.diagonal(0) - m), *b.bandwidths_used(),
+                *np.subtract(a.bandwidths_used(), 1), *np.subtract(system.shuffled.bandwidths_used(), 2),
+            ]))
+
+
+def permutation_deviations(sizes):
+    """Dense check that the interleaved system is ``[[A, B], [B, A]]`` under its index maps."""
+    for n in sizes:
+        for m in range(1, n):
+            system = build_order_system(n, m)
+            sd = system.shuffled.toarray()[np.ix_(system.perm_rows, system.perm_cols)]
+            yield f"(n={n}, m={m})", _worst(sd - _dense_system(n, m))
 
 
 def cholesky_deviations(sizes):
-    """``(n, m, deviation)`` of the closed-form ``R'R`` from ``C + D``, relative to its largest entry."""
+    """Deviation of the closed-form ``R'R`` from ``C + D``, relative to its largest entry."""
     for n in sizes:
         for m in range(1, n):
             c, d = cond.build_CD(n, m)
             cd = c.toarray() + d.toarray()
             r = cond.build_R(n - m, m).to_dense()
-            yield n, m, float(np.max(np.abs(r.T @ r - cd)) / np.max(np.abs(cd)))
+            yield f"(n={n}, m={m})", _worst(r.T @ r - cd) / _worst(cd)
 
 
-def _suite_cholesky(level, tol_scale=1.0):
-    sizes = (4, 8, 16) if level == "quick" else (4, 8, 16, 32, 64)
-    tol = 1e-13 * tol_scale
-    worst = max(dev for _, _, dev in cholesky_deviations(sizes))
-    return worst <= tol, f"max relative Cholesky deviation {worst:.2e} (tol {tol:.1e})"
-
-
-def _suite_condition_equalities(level, tol_scale=1.0):
-    sizes = (8, 16) if level == "quick" else (8, 16, 32, 64)
-    tol = 1e-10 * tol_scale
-    worst = 0.0
+def condition_deviations(sizes):
+    """Relative gap between the dense condition numbers of ``[[A, B], [B, A]]`` and of ``R``."""
     for n in sizes:
         for m in range(1, n):
             rep = cond.kappa_numeric(n, m)
-            worst = max(worst, abs(rep.kappa_M - rep.kappa_R) / rep.kappa_R)
-    # eigenvalue multiset of the normal matrix vs its diagonal-block combination
-    n = 12
-    for m in (1, 2, 3):
-        a = build_A(n, m).toarray()
-        b = build_B(n, m).toarray()
-        big = np.block([[a, b], [b, a]])
-        ev_m = np.sort(np.linalg.eigvalsh(big.T @ big))
+            yield f"(n={n}, m={m})", abs(rep.kappa_M - rep.kappa_R) / rep.kappa_R
+
+
+def eigenvalue_deviations(n, orders):
+    """Eigenvalues of ``M'M`` against those of ``C + D`` taken twice, over the largest."""
+    for m in orders:
+        dense = _dense_system(n, m)
+        ev_m = np.linalg.eigvalsh(dense.T @ dense)
         c, d = cond.build_CD(n, m)
-        ev_cd = np.sort(np.linalg.eigvalsh(c.toarray() + d.toarray()))
-        dev = np.max(np.abs(ev_m - np.sort(np.concatenate([ev_cd, ev_cd]))))
-        worst = max(worst, float(dev / max(1.0, ev_m[-1])))
-    return worst <= tol, f"max condition-equality deviation {worst:.2e} (tol {tol:.1e})"
+        ev_cd = np.linalg.eigvalsh(c.toarray() + d.toarray())
+        yield f"(n={n}, m={m})", _worst(ev_m - np.sort(np.concatenate([ev_cd, ev_cd]))) / ev_m[-1]
 
 
-def _suite_bounds(level, tol_scale=1.0):
-    lmax, mmax = (1000, 30) if level == "quick" else (10000, 100)
+def entry_bound_excess(lmax, mmax):
+    """Excess over ``d <= (l + 2m)/2``, ``e <= 1``, ``f <= (l + 1)/2``, ``d`` increasing and,
+    for ``m >= 2``, ``d - e - f >= m - 3/2``, per order ``m <= mmax`` over ``l <= lmax``."""
     ell = np.arange(1, lmax + 1, dtype=np.float64)
     for m in range(1, mmax + 1):
-        d = rec.chol_d(ell, m)
-        e = rec.chol_e(ell, m)
-        f = rec.chol_f(ell, m)
-        if np.any(d > (ell + 2 * m) / 2) or np.any(e > 1.0) or np.any(f > (ell + 1) / 2):
-            return False, f"entry upper bounds violated at m={m}"
-        if m >= 2 and np.any(d - e - f < m - 1.5):
-            return False, f"row-sum lower bound violated at m={m}"
-        if np.any(np.diff(d) <= 0.0):
-            return False, f"diagonal not increasing at m={m}"
-    sizes = (8, 16) if level == "quick" else (8, 16, 32, 64)
+        d, e, f = rec.chol_d(ell, m), rec.chol_e(ell, m), rec.chol_f(ell, m)
+        excess = [d - (ell + 2 * m) / 2, e - 1.0, f - (ell + 1) / 2,
+                  np.nextafter(d[:-1], np.inf) - d[1:]]  # d[l] < d[l + 1]
+        if m >= 2:
+            excess.append(m - 1.5 - (d - e - f))
+        yield f"m={m}", float(np.max(np.concatenate(excess)))
+
+
+def condition_bound_excess(sizes):
+    """Excess over ``kappa_R <= kappa_bound`` and the ``qi_singular_bounds`` brackets of ``R``;
+    for ``m >= 2`` also over ``sigma_max <= n + m + 3/2`` and ``sigma_min >= m - 3/2``."""
     for n in sizes:
         for m in range(1, n):
             rep = cond.kappa_numeric(n, m)
-            if rep.kappa_R > rep.bound:
-                return False, f"condition bound violated at (n={n}, m={m})"
-            r = cond.build_R(n - m, m).to_dense()
-            sv = np.linalg.svd(r, compute_uv=False)
-            if sv[0] > rep.sigma_max_bound:
-                return False, f"singular-value upper bracket violated at (n={n}, m={m})"
-            if m >= 2 and sv[-1] < rep.sigma_min_bound:
-                return False, f"singular-value lower bracket violated at (n={n}, m={m})"
-    return True, f"bounds verified for l <= {lmax}, m <= {mmax} and {len(sizes)} degrees"
+            sv = np.linalg.svd(cond.build_R(n - m, m).to_dense(), compute_uv=False)
+            excess = [rep.kappa_R - rep.bound, sv[0] - rep.sigma_max_bound]
+            if m >= 2:
+                excess += [rep.sigma_min_bound - sv[-1], sv[0] - (n + m + 1.5), m - 1.5 - sv[-1]]
+            yield f"(n={n}, m={m})", float(np.max(excess))
 
 
-def _suite_solver_oracle(level, tol_scale=1.0):
-    tol = 1e-11 * tol_scale
-    worst = 0.0
-    n = 12
-    rng = np.random.default_rng(5)
+def lstsq_deviations(n, seed):
+    """``solve_order`` against dense least squares, for two random right-hand sides per order."""
+    rng = np.random.default_rng(seed)
     for m in range(1, n):
-        a = build_A(n, m).toarray()
-        b = build_B(n, m).toarray()
-        big = np.block([[a, b], [b, a]])
-        rhs = rng.standard_normal((big.shape[0], 2))
-        x, _ = solve_order(n, m, rhs)
-        x_ref, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        worst = max(worst, float(np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))))
-    # consistent system: exact recovery
-    n, m = 16, 3
-    a = build_A(n, m).toarray()
-    b = build_B(n, m).toarray()
-    big = np.block([[a, b], [b, a]])
-    x_true = rng.standard_normal((big.shape[1], 2))
-    x, residual = solve_order(n, m, big @ x_true)
-    worst = max(worst, float(np.max(np.abs(x - x_true)) / np.max(np.abs(x_true))))
-    ok = worst <= tol and residual <= 1e-12 * np.linalg.norm(big @ x_true)
-    return ok, f"max deviation from dense least-squares {worst:.2e} (tol {tol:.1e})"
+        dense = _dense_system(n, m)
+        rhs = rng.standard_normal((dense.shape[0], 2))
+        x_ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
+        yield f"(n={n}, m={m})", _worst(solve_order(n, m, rhs)[0] - x_ref) / _worst(x_ref)
 
 
-def _suite_roundtrip(level, tol_scale=1.0):
-    tol = 1e-12 * tol_scale
-    sizes = (16, 64) if level == "quick" else (16, 64, 256)
-    seeds = (1, 2) if level == "quick" else (1, 2, 3)
-    worst = 0.0
+def consistent_deviations(n, m, seed):
+    """``solve_order`` on a consistent system ``b``: its error, and its residual over ``||b||``."""
+    dense = _dense_system(n, m)
+    x_true = np.random.default_rng(seed).standard_normal((dense.shape[1], 2))
+    x, residual = solve_order(n, m, dense @ x_true)
+    yield f"x at (n={n}, m={m})", _worst(x - x_true) / _worst(x_true)
+    yield f"residual at (n={n}, m={m})", residual / float(np.linalg.norm(dense @ x_true))
+
+
+def quadrature_deviations(sizes, seed):
+    """Quadrature vs ``differentiate``, on the field of ``random_potentials(n, seed + n)``."""
+    for n in sizes:
+        s, t = random_potentials(n, seed + n)
+        grid = GridSpec.for_degree(n)
+        via_quadrature = analyze_z(*synthesize_from_potentials(s, t, grid), grid, n)
+        spectral = differentiate(s, t)
+        yield f"n={n}", _worst(np.concatenate([via_quadrature.theta.flat() - spectral.theta.flat(),
+                                               via_quadrature.phi.flat() - spectral.phi.flat()]))
+
+
+def roundtrip_deviations(sizes, seeds):
+    """Relative error of ``decompose(differentiate(s, t))`` on ``random_potentials(n, seed)``."""
     for n in sizes:
         for seed in seeds:
-            s = random_spectrum(n - 1, seed)
-            t = random_spectrum(n - 1, seed + 1000)
-            s[0, 0] = 0.0
-            t[0, 0] = 0.0
+            s, t = random_potentials(n, seed)
             result = decompose(differentiate(s, t))
-            worst = max(
-                worst,
-                relative_l2_error(result.spheroidal, s),
-                relative_l2_error(result.toroidal, t),
-            )
-    return worst <= tol, f"max roundtrip relative error {worst:.2e} (tol {tol:.1e})"
+            yield f"(n={n}, seed={seed})", _worst([relative_l2_error(result.spheroidal, s),
+                                                    relative_l2_error(result.toroidal, t)])
 
 
-def _suite_quadrature(level, tol_scale=1.0):
-    tol = 1e-10 * tol_scale
-    sizes = (6, 10) if level == "quick" else (6, 10, 16)
-    worst = 0.0
-    for n in sizes:
-        s = random_spectrum(n - 1, 11 + n)
-        t = random_spectrum(n - 1, 22 + n)
-        s[0, 0] = 0.0
-        t[0, 0] = 0.0
-        grid = GridSpec.for_degree(n)
-        vth, vph = synthesize_from_potentials(s, t, grid)
-        via_quadrature = analyze_z(vth, vph, grid, n)
-        spectral = differentiate(s, t)
-        worst = max(
-            worst,
-            float(np.max(np.abs(via_quadrature.theta.flat() - spectral.theta.flat()))),
-            float(np.max(np.abs(via_quadrature.phi.flat() - spectral.phi.flat()))),
-        )
-    return worst <= tol, f"max quadrature-vs-spectral deviation {worst:.2e} (tol {tol:.1e})"
+_NODES = [(th, ph) for th in np.linspace(0.15, np.pi - 0.15, 5) for ph in (0.3, 2.1, 4.4)]
+_DEGREES = ((2, 3, 5, 8, 13, 21, 33),), (tuple(range(2, 65)) + (96, 128, 192, 256),)
+_CONDITION = ((8, 16),), ((8, 16, 32, 64),)
 
-
+# (suite, check, tolerance, quick arguments, full arguments); a suite of
+# several checks has one row per check and passes when all of them do
 SUITES = [
-    ("pointwise-identities", _suite_pointwise),
-    ("conversion-roundtrip", _suite_conversion),
-    ("block-structure", _suite_structure),
-    ("cholesky-identity", _suite_cholesky),
-    ("condition-equalities", _suite_condition_equalities),
-    ("proved-bounds", _suite_bounds),
-    ("solver-vs-dense", _suite_solver_oracle),
-    ("quadrature-oracle", _suite_quadrature),
-    ("roundtrip-error", _suite_roundtrip),
+    ("pointwise-identities", identity_deviations, 1e-13, (8, _NODES), (20, _NODES)),
+    ("conversion-roundtrip", conversion_deviations, 1e-12, *_CONDITION),
+    ("block-structure", structure_deviations, 0.0, *_DEGREES),
+    ("block-structure", permutation_deviations, 0.0, *_DEGREES),
+    ("cholesky-identity", cholesky_deviations, 1e-13, ((4, 8, 16),), ((4, 8, 16, 32, 64),)),
+    ("condition-equalities", condition_deviations, 1e-10, *_CONDITION),
+    ("condition-equalities", eigenvalue_deviations, 1e-10, (12, (1, 2, 3)), (12, (1, 2, 3))),
+    ("proved-bounds", entry_bound_excess, 0.0, (1000, 30), (10000, 100)),
+    ("proved-bounds", condition_bound_excess, 0.0, *_CONDITION),
+    ("solver-vs-dense", lstsq_deviations, 1e-11, (12, 5), (12, 5)),
+    ("solver-vs-dense", consistent_deviations, 1e-12, (16, 3, 5), (16, 3, 5)),
+    ("quadrature-oracle", quadrature_deviations, 1e-10, ((6, 10), 11), ((6, 10, 16), 11)),
+    ("roundtrip-error", roundtrip_deviations, 1e-12, ((16, 64), (1, 2)), ((16, 64, 256), (1, 2, 3))),
 ]
 
 
-def run_verification(level="quick", tol_scale=1.0):
-    """Run all suites; returns a list of (name, passed, detail)."""
+def _run_check(check, tol, args):
+    """``(passed, detail)``: at least one item, every item within ``tol``; the detail names the worst."""
+    try:
+        items = list(check(*args))
+    except Exception as exc:  # a crash is a failure, not an abort
+        return False, f"{check.__name__} raised {type(exc).__name__}: {exc}"
+    if not items:
+        return False, f"{check.__name__} checked nothing"
+    # a failing item (NaN included) outranks every passing one
+    where, dev = max(items, key=lambda item: (not item[1] <= tol, item[1]))
+    return dev <= tol, f"{check.__name__} worst {where}: {dev:.2e} (tol {tol:.1e})"
+
+
+def run_verification(level="quick"):
+    """Run every suite at ``level`` ("quick" or "full"); returns a list of (name, passed, detail)."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    results = []
-    for name, fn in SUITES:
-        try:
-            ok, detail = fn(level, tol_scale)
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, bool(ok), detail))
-    return results
+    results = {}
+    for name, check, tol, quick, full in SUITES:
+        ok, detail = _run_check(check, tol, quick if level == "quick" else full)
+        prev_ok, prev = results.get(name, (True, None))
+        results[name] = prev_ok and ok, detail if prev is None else f"{prev}; {detail}"
+    return [(name, ok, detail) for name, (ok, detail) in results.items()]

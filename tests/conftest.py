@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from spherehhd import build_A, build_B, random_spectrum
-
-
-def random_potentials(n, seed):
-    """Seeded standard-normal potentials with the constant mode zeroed."""
-    s = random_spectrum(n - 1, seed)
-    t = random_spectrum(n - 1, seed + 1_000_000)
-    s[0, 0] = 0.0
-    t[0, 0] = 0.0
-    return s, t
+from spherehhd import build_A, build_B
 
 
 def dense_block_system(n, m):

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines.  The complexity criterion times decompositions up to degree
-4096 and dominates the runtime of the suite.
+Criteria 01 and 03-08 run the checks of :mod:`spherehhd.verify` (the ones
+``spherehhd verify`` runs) at the criteria's own sizes, seeds and nodes,
+and assert every item they yield.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion PASS
+lines.  The complexity criterion times decompositions up to degree 4096
+and dominates the runtime of the suite.
 """
 
 import math
@@ -11,42 +14,42 @@ import time
 import numpy as np
 import pytest
 
-from spherehhd.conditioning import build_CD, build_R, kappa_bound, kappa_numeric
-from spherehhd.operators import build_order_system
-from spherehhd.pointwise import (
-    GridSpec,
-    analyze_z,
-    eval_Y,
-    eval_Z,
-    eval_gradY,
-    synthesize_from_potentials,
-)
-from spherehhd.recurrences import alpha, beta, chol_d, chol_e, chol_f, delta, gamma
+from spherehhd import verify
+from spherehhd.recurrences import chol_d, chol_e, chol_f
 from spherehhd.solver import decompose, differentiate, solve_order
-from spherehhd.spectra import TangentField, ZSpectrum, new_scalar_spectrum, relative_l2_error
-from spherehhd.verify import cholesky_deviations
-
-from conftest import dense_block_system, random_potentials
+from spherehhd.spectra import TangentField, ZSpectrum, new_scalar_spectrum, random_potentials
 
 
 def _report(num, name, detail):
     print(f"ACCEPTANCE {num:02d} ({name}): PASS - {detail}")
 
 
+def _within(tol, items):
+    """Assert each ``(where, deviation)`` of a verify check is at most ``tol``; returns the worst.
+
+    A check that yields nothing fails: it would pass without checking.
+    """
+    worst = None
+    for where, dev in items:
+        assert dev <= tol, f"{where}: {dev:.3e} > {tol:.0e}"
+        worst = dev if worst is None else max(worst, dev)
+    assert worst is not None, "the check yielded no item"
+    return worst
+
+
+@pytest.mark.parametrize("items", [[], [("a", 0.0), ("b", math.nan)]], ids=["empty", "nan"])
+def test_a_check_without_a_verdict_fails(monkeypatch, items):
+    # a check that yields nothing, or NaN, fails a criterion and its suite alike
+    with pytest.raises(AssertionError):
+        _within(1.0, iter(items))
+    monkeypatch.setattr(verify, "SUITES", [("stub", lambda: iter(items), 1.0, (), ())])
+    assert [ok for _, ok, _ in verify.run_verification("quick")] == [False]
+
+
 def test_criterion_01_roundtrip_accuracy():
     tol = 1e-12
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (16, 64, 256, 1024):
-        for seed in range(1, 6):
-            s, t = random_potentials(n, seed)
-            result = decompose(differentiate(s, t))
-            err = max(
-                relative_l2_error(result.spheroidal, s),
-                relative_l2_error(result.toroidal, t),
-            )
-            worst = max(worst, err)
-            assert err <= tol, f"n={n} seed={seed}: {err:.3e}"
+    worst = _within(tol, verify.roundtrip_deviations((16, 64, 256, 1024), range(1, 6)))
     elapsed = time.perf_counter() - t0
     _report(1, "roundtrip accuracy", f"max rel error {worst:.2e} <= {tol:.0e}, {elapsed:.1f}s")
 
@@ -94,131 +97,42 @@ def test_criterion_02_quadratic_complexity():
 
 def test_criterion_03_cholesky_identity():
     tol = 1e-13
-    worst = 0.0
-    for n, m, dev in cholesky_deviations((4, 8, 16, 32, 64)):
-        worst = max(worst, dev)
-        assert dev <= tol, f"(n={n}, m={m}): {dev:.3e}"
+    worst = _within(tol, verify.cholesky_deviations((4, 8, 16, 32, 64)))
     _report(3, "Cholesky identity", f"max relative deviation {worst:.2e} <= {tol:.0e}")
 
 
 def test_criterion_04_condition_equalities():
     tol = 1e-10
-    worst = 0.0
-    for n in (8, 16, 32, 64):
-        for m in range(1, n):
-            rep = kappa_numeric(n, m)
-            dev = abs(rep.kappa_M - rep.kappa_R) / rep.kappa_R
-            worst = max(worst, dev)
-            assert dev <= tol, f"(n={n}, m={m}): {dev:.3e}"
-    for m in (1, 2, 3):
-        n = 12
-        dense = dense_block_system(n, m)
-        ev_m = np.sort(np.linalg.eigvalsh(dense.T @ dense))
-        c, d = build_CD(n, m)
-        ev_cd = np.sort(np.linalg.eigvalsh(c.toarray() + d.toarray()))
-        dev = float(np.max(np.abs(ev_m - np.sort(np.concatenate([ev_cd, ev_cd])))) / ev_m[-1])
-        worst = max(worst, dev)
-        assert dev <= tol, f"eigenvalue multisets at m={m}: {dev:.3e}"
+    worst = max(_within(tol, verify.condition_deviations((8, 16, 32, 64))),
+                _within(tol, verify.eigenvalue_deviations(12, (1, 2, 3))))
     _report(4, "condition equalities", f"max relative deviation {worst:.2e} <= {tol:.0e}")
 
 
 def test_criterion_05_condition_bounds():
-    checked = 0
-    for n in (8, 16, 32, 64):
-        for m in range(1, n):
-            rep = kappa_numeric(n, m)
-            assert rep.kappa_R <= kappa_bound(n, m), f"(n={n}, m={m})"
-            sv = np.linalg.svd(build_R(n - m, m).to_dense(), compute_uv=False)
-            if m >= 2:
-                assert sv[0] <= n + m + 1.5, f"sigma_max at (n={n}, m={m})"
-                assert sv[-1] >= m - 1.5, f"sigma_min at (n={n}, m={m})"
-            checked += 1
-    _report(5, "condition-number bounds", f"both branches verified on {checked} (n, m) pairs")
+    # kappa_R <= kappa_bound and the singular-value brackets, at every (n, m)
+    worst = _within(0.0, verify.condition_bound_excess((8, 16, 32, 64)))
+    _report(5, "condition-number bounds", f"both branches hold, worst excess {worst:.2e}")
 
 
 def test_criterion_06_entry_bounds_and_row_sums():
-    ls = np.arange(1, 10**4 + 1, dtype=np.float64)
-    for m in range(1, 101):
-        d = chol_d(ls, m)
-        e = chol_e(ls, m)
-        f = chol_f(ls, m)
-        assert np.all(d <= (ls + 2 * m) / 2), f"d bound at m={m}"
-        assert np.all(e <= 1.0), f"e bound at m={m}"
-        assert np.all(f <= (ls + 1) / 2), f"f bound at m={m}"
-        if m >= 2:
-            assert np.all(d - e - f >= m - 1.5), f"row-sum bound at m={m}"
+    worst = _within(0.0, verify.entry_bound_excess(10**4, 100))
     assert chol_d(1, 2) == pytest.approx(math.sqrt(32 / 7), rel=1e-15)
     assert chol_e(1, 2) == pytest.approx(math.sqrt(1 / 2), rel=1e-15)
     assert chol_f(1, 2) == pytest.approx(math.sqrt(25 / 42), rel=1e-15)
-    _report(6, "entry bounds", "verified for l <= 10^4, m <= 100; explicit values to 1e-15")
+    _report(6, "entry bounds", f"l <= 10^4, m <= 100, worst excess {worst:.2e}; "
+                               "explicit values to 1e-15")
 
 
 def test_criterion_07_structural_claims():
-    for n in range(2, 257):
-        for m in range(1, n):
-            system = build_order_system(n, m)
-            a, b = system.A, system.B
-            assert a.shape == (n + 1 - m, n - m)
-            assert not np.any(a.diagonal(0)), f"A diagonal at (n={n}, m={m})"
-            assert a.lower_bw == 1 and a.upper_bw == 1
-            assert b.lower_bw == 0 and b.upper_bw == 0
-            assert np.all(b.diagonal(0) == m)
-            lower, upper = system.shuffled.bandwidths_used()
-            assert lower <= 2 and upper <= 2, f"bandwidths at (n={n}, m={m})"
+    _within(0.0, verify.structure_deviations(range(2, 257)))
     _report(7, "structural claims", "A, B and interleaved bandwidths verified for all n <= 256")
 
 
 def test_criterion_08_oracle_equivalence():
-    # quadrature route equals the spectral forward map
-    worst_quad = 0.0
-    for n in (2, 3, 4, 6, 8, 12, 16):
-        s, t = random_potentials(n, seed=50 + n)
-        grid = GridSpec.for_degree(n)
-        vth, vph = synthesize_from_potentials(s, t, grid)
-        via_quadrature = analyze_z(vth, vph, grid, n)
-        spectral = differentiate(s, t)
-        dev = max(
-            float(np.max(np.abs(via_quadrature.theta.flat() - spectral.theta.flat()))),
-            float(np.max(np.abs(via_quadrature.phi.flat() - spectral.phi.flat()))),
-        )
-        worst_quad = max(worst_quad, dev)
-        assert dev <= 1e-10, f"quadrature oracle at n={n}: {dev:.3e}"
-
-    # the least-squares sweep equals the dense oracle
-    worst_ls = 0.0
-    rng = np.random.default_rng(3)
-    n = 12
-    for m in range(1, n):
-        dense = dense_block_system(n, m)
-        rhs = rng.standard_normal((dense.shape[0], 2))
-        x, _ = solve_order(n, m, rhs)
-        x_ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
-        dev = float(np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref)))
-        worst_ls = max(worst_ls, dev)
-        assert dev <= 1e-11, f"dense-LS oracle at m={m}: {dev:.3e}"
-
-    # the three pointwise recurrence identities
-    worst_id = 0.0
-    for th in np.linspace(0.15, np.pi - 0.15, 5):
-        csc = 1.0 / math.sin(th)
-        ph = 0.8
-        for m in range(-20, 21):
-            mu = abs(m)
-            for l in range(max(abs(mu - 1), 1), 21):
-                rhs_val = beta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
-                if l - 1 >= mu:
-                    rhs_val += alpha(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                sign = 1.0 if mu else -1.0
-                worst_id = max(worst_id, abs(eval_Z(l, m, th, ph) - sign * rhs_val))
-                if l < mu:
-                    continue
-                dth, dph = eval_gradY(l, m, th, ph)
-                rhs_val = delta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
-                if l - 1 >= mu:
-                    rhs_val += gamma(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                worst_id = max(worst_id, abs(dth - rhs_val))
-                worst_id = max(worst_id, abs(dph - (-m) * eval_Y(l, -m, th, ph) * csc))
-    assert worst_id <= 1e-13
+    worst_quad = _within(1e-10, verify.quadrature_deviations((2, 3, 4, 6, 8, 12, 16), 50))
+    worst_ls = _within(1e-11, verify.lstsq_deviations(12, 3))
+    nodes = [(th, 0.8) for th in np.linspace(0.15, np.pi - 0.15, 5)]
+    worst_id = _within(1e-13, verify.identity_deviations(20, nodes))
     _report(
         8,
         "oracle equivalence",

@@ -270,20 +270,8 @@ def test_invalid_iters(capsys):
     assert code == 1
 
 
-def test_tol_scale_loosens_verify(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--level", "quick", "--tol", "100.0")
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_verify_tol_must_be_finite(capsys, value):
-    code, out, err = run_cli(capsys, "verify", "--tol", value)
-    assert code == 1
-    assert out == ""
-    assert "--tol" in err
-
-
-# each subcommand's required flags, and a well-formed value for every flag
+# each subcommand's required flags, and a well-formed value for every flag;
+# no subcommand reads --tol (verify's tolerances are fixed), so all reject it
 _REQUIRED = {
     "decompose": ("--input-theta", "a", "--input-phi", "b", "--out-prefix", "c"),
     "differentiate": ("--n", "8", "--out-prefix", "c"),
@@ -301,7 +289,7 @@ _READS = {
     "roundtrip": {"--n", "--seed", "--iters"},
     "bench": {"--n-list", "--seed", "--iters", "--json"},
     "cond": {"--n-list", "--m-list"},
-    "verify": {"--level", "--tol"},
+    "verify": {"--level"},
 }
 
 
@@ -311,7 +299,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     for command, parser in sub.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == _READS[command]
-    assert sum(map(len, _READS.values())) == 17
+    assert sum(map(len, _READS.values())) == 16
 
 
 @pytest.mark.parametrize(

@@ -46,16 +46,6 @@ def test_R_dense_layout():
     assert np.all(np.triu(dense) == dense)
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
-def test_cholesky_identity(n):
-    for m in range(1, n):
-        c, d = build_CD(n, m)
-        cd = c.toarray() + d.toarray()
-        r = build_R(n - m, m).to_dense()
-        dev = np.max(np.abs(r.T @ r - cd)) / np.max(np.abs(cd))
-        assert dev <= 1e-13
-
-
 def test_CD_structure():
     c, d = build_CD(6, 2)
     cd = c.toarray()
@@ -101,17 +91,6 @@ def test_kappa_numeric_against_m1_bound():
 def test_kappa_numeric_scale_guard():
     with pytest.raises(ValueError):
         kappa_numeric(1024, 2)
-
-
-def test_eigenvalues_match_block_combination():
-    n = 12
-    for m in (1, 2, 3):
-        dense = dense_block_system(n, m)
-        ev_m = np.sort(np.linalg.eigvalsh(dense.T @ dense))
-        c, d = build_CD(n, m)
-        ev_cd = np.sort(np.linalg.eigvalsh(c.toarray() + d.toarray()))
-        stacked = np.sort(np.concatenate([ev_cd, ev_cd]))
-        assert np.max(np.abs(ev_m - stacked)) / ev_m[-1] <= 1e-10
 
 
 def test_condition_number_squares_under_normal_equations():

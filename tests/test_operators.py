@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spherehhd.conditioning import _banded_from_dense
 from spherehhd.operators import (
     CHUNK_STEPS,
     BandedMatrix,
@@ -18,9 +19,7 @@ from spherehhd.operators import (
 from spherehhd.pointwise import eval_Y, eval_Z
 from spherehhd.recurrences import alpha, beta, delta
 from spherehhd.solver import BLOCK_ORDERS, differentiate
-from spherehhd.spectra import TangentField
-
-from conftest import random_potentials
+from spherehhd.spectra import TangentField, random_potentials
 
 
 def test_banded_matrix_basics():
@@ -28,11 +27,18 @@ def test_banded_matrix_basics():
     mat.set_diagonal(0, [1.0, 2.0, 3.0])
     mat.set_diagonal(1, [4.0, 5.0, 6.0])
     dense = mat.toarray()
-    x = np.array([1.0, 1.0, 1.0])
-    assert_allclose(mat.matvec(x), dense @ x)
-    assert mat.entry(3, 0) == 0.0  # outside the band
-    with pytest.raises(IndexError):
-        mat.entry(4, 0)
+    assert dense[3, 0] == 0.0  # outside the band
+    assert np.array_equal(np.diagonal(dense), [1.0, 2.0, 3.0])
+    assert np.array_equal(np.diagonal(dense, -1), [4.0, 5.0, 6.0])
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (7, 7), (4, 9)], ids=["tall", "square", "wide"])
+@pytest.mark.parametrize("lower_bw,upper_bw", [(0, 0), (1, 2), (3, 0), (0, 5)])
+def test_toarray_inverts_banded_from_dense(shape, lower_bw, upper_bw, rng):
+    rows, cols = shape
+    offsets = np.subtract.outer(np.arange(rows), np.arange(cols))
+    x = rng.standard_normal(shape) * ((offsets <= lower_bw) & (-offsets <= upper_bw))
+    assert np.array_equal(_banded_from_dense(x, lower_bw, upper_bw).toarray(), x)
 
 
 def test_build_A_values_n3_m1():
@@ -273,12 +279,12 @@ def test_vectorized_chain_matches_reference(n, m, rng):
 
 
 def _differentiate_reference(s, t):
-    """Per-order differentiate: one ``build_A`` matvec and one naive chain per slice."""
+    """Per-order differentiate: one dense ``build_A`` product and one naive chain per slice."""
     n = s.n_pot + 1
     out = TangentField.zeros(n)
     a0 = build_A(n, 0)
     for comp, pot in ((out.theta, s), (out.phi, t)):
-        comp.set_order_slice(0, _chain_solve_reference(a0.matvec(pot.order_slice(0)[1:]), 0, n))
+        comp.set_order_slice(0, _chain_solve_reference(a0.toarray() @ pot.order_slice(0)[1:], 0, n))
     for m in range(1, n):
         a = build_A(n, m)
         sp, sm, tp, tm = (pot.order_slice(k) for pot in (s, t) for k in (m, -m))
@@ -289,7 +295,7 @@ def _differentiate_reference(s, t):
             (out.phi, m, tp, sm),
             (out.phi, -m, tm, -sp),
         ):
-            w = a.matvec(x)
+            w = a.toarray() @ x
             w[: a.cols] += m * partner
             comp.set_order_slice(order, _chain_solve_reference(w, m, n))
     return out

@@ -15,9 +15,7 @@ from spherehhd.pointwise import (
     synthesize,
     synthesize_from_potentials,
 )
-from spherehhd.spectra import TangentField, ZSpectrum
-
-from conftest import random_potentials
+from spherehhd.spectra import TangentField, ZSpectrum, random_potentials
 
 INTERIOR = [0.3, 1.1, 1.9, 2.7]
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from spherehhd import TangentField, ZSpectrum, build_A, decompose, differentiate, relative_l2_error
 from spherehhd.solver import decompose_order_zero, solve_order
+from spherehhd.spectra import random_potentials
 
-from conftest import dense_block_system, random_potentials
+from conftest import dense_block_system
 
 degrees = st.integers(min_value=2, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

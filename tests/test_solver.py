@@ -19,10 +19,11 @@ from spherehhd.spectra import (
     TangentField,
     ZSpectrum,
     new_scalar_spectrum,
+    random_potentials,
     relative_l2_error,
 )
 
-from conftest import dense_block_system, random_potentials
+from conftest import dense_block_system
 
 
 def sweep_halves(n, m, rhs=None):
@@ -381,6 +382,20 @@ def test_decompose_rejects_non_finite_input():
     t[2, 1] = np.inf
     with pytest.raises(ValueError, match=r"t.*\(l=2, m=1\)"):
         differentiate(s, t)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_order_solvers_reject_non_finite_input(value, rng):
+    rhs = rng.standard_normal((16, 2))
+    rhs[5, 1] = value
+    with pytest.raises(ValueError, match="rhs.* row 5"):
+        solve_order(10, 3, rhs)
+    with pytest.raises(ValueError, match="rhs.* row 5"):
+        solve_order(10, 3, rhs[:, 1])
+    theta, phi = rng.standard_normal((2, 11))
+    phi[4] = value
+    with pytest.raises(ValueError, match="phi_slice.* row 4"):
+        decompose_order_zero(theta, phi, 10)
 
 
 def test_decompose_power_of_two_scale_is_exact_and_norms_finite():
