@@ -171,26 +171,21 @@ def build_order_system(n, m):
     perm_rows = shuffle_permutation(2 * q)
     perm_cols = shuffle_permutation(2 * p)
     shuffled = BandedMatrix(2 * q, 2 * p, lower_bw=2, upper_bw=2)
-
-    def place(values, old_i, old_j):
-        ni = perm_rows[old_i]
-        nj = perm_cols[old_j]
-        off = ni - nj
-        if np.any(off > 2) or np.any(off < -2):
-            raise AssertionError("interleaved entry outside the pentadiagonal band")
-        shuffled.data[2 + off, nj] = values
-
+    # (values, old rows, old columns) of the four block copies: A top-left and
+    # bottom-right, B top-right and bottom-left
+    pieces = []
     for off in (-1, 1):
-        vals = A.diagonal(off)
-        lo = max(0, -off)
-        hi = min(p, q - off)
-        j = np.arange(lo, hi)
-        place(vals[lo:hi], j + off, j)  # top-left copy
-        place(vals[lo:hi], q + j + off, p + j)  # bottom-right copy
+        j = np.arange(max(0, -off), min(p, q - off))
+        vals = A.diagonal(off)[j]
+        pieces += [(vals, j + off, j), (vals, q + j + off, p + j)]
     j = np.arange(p)
-    bdiag = B.diagonal(0)
-    place(bdiag, j, p + j)  # top-right copy
-    place(bdiag, q + j, j)  # bottom-left copy
+    pieces += [(B.diagonal(0), j, p + j), (B.diagonal(0), q + j, j)]
+    values, old_i, old_j = (np.concatenate(x) for x in zip(*pieces))
+    nj = perm_cols[old_j]
+    off = perm_rows[old_i] - nj
+    if np.any(np.abs(off) > 2):
+        raise AssertionError("interleaved entry outside the pentadiagonal band")
+    shuffled.data[2 + off, nj] = values
     return OrderSystem(n, m, A, B, shuffled, perm_rows, perm_cols)
 
 

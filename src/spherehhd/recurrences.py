@@ -1,10 +1,15 @@
 """Closed-form coefficients for the degree recurrences and the Cholesky factor.
 
 All couplings between the scalar bases on the sphere uncouple by absolute
-order, and every nonzero matrix entry used by the decomposition and by the
-conditioning analysis is one of the seven scalar functions below.  ``m`` is
-always the absolute order (callers pass ``abs(m)``); ``l`` and ``m`` may be
-scalars or numpy arrays that broadcast together, e.g. a (degree, order)
+order.  The four couplings below give every nonzero entry of the
+conversions and of the colatitude block ``A``; the diagonal of the
+longitude block ``B`` is the order ``m`` itself.  The other three are the
+entries of the closed-form Cholesky factor of an order ``m >= 1``'s
+normal matrix, which the solver back-substitutes with and the
+conditioning analysis bounds.  The solver's plane rotations and order
+zero's factor are closed forms of their own, in :mod:`.solver`.  ``m`` is
+always the absolute order (callers pass ``abs(m)``); ``l`` and ``m`` may
+be scalars or numpy arrays that broadcast together, e.g. a (degree, order)
 grid.
 
 Each formula is evaluated as written, products inside a single square root.

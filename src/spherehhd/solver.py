@@ -6,24 +6,27 @@ For an order ``m >= 1``, ``P [[A, B], [B, A]] P = diag(A + B, A - B)`` with
 least-squares problem ``A + B`` (``p = n - m``; subdiagonal ``delta``,
 diagonal ``m``, superdiagonal ``gamma``) with four right-hand sides.  The
 paper gives its QR factorization in closed form: one plane rotation per
-column, and ``R = Q'(A + B)`` is its Cholesky factor, with two
-superdiagonals.  The sweep builds ``R`` from those rotations and the matrix
-entries as whole-grid expressions, applies the rotations to the right-hand
-sides and back-substitutes.  At ``m == 0`` the colatitude block splits by
-degree parity into two lower-bidiagonal chains, with closed-form rotations
-of their own, on the same sweep.
+column, and ``R = Q'(A + B)`` is the closed-form Cholesky factor of the
+normal matrix (:func:`.recurrences.chol_d` and its siblings), with two
+superdiagonals.  The sweep takes both as inputs: it applies the rotations
+to the right-hand sides and back-substitutes with the closed-form ``R``
+itself, so the paper's proved bounds describe the very factor it uses.
+At ``m == 0`` the colatitude block splits by degree parity into two
+lower-bidiagonal chains, with closed-form rotations and factors of their
+own, on the same sweep.
 
 The sweep solves many problems at once in (degree, right-hand side,
 problem) arrays; applying the rotations and back-substituting are linear
 recurrences over degree, run by :func:`.operators._recurrence`.  The
 problem builders return the bare closed forms; the sweep itself gives a
-problem shorter than the array zero rotations and unit pivots past its
-size.  :func:`decompose` feeds the sweep blocks of ``BLOCK_ORDERS`` orders,
-and :func:`differentiate` runs per block too: a few whole-grid expressions
-apply ``[[A, B], [B, A]]``, and the same kernel converts the result to the
-tangential basis.  Order zero of :func:`differentiate` is one scale,
-``z_l = -sqrt(l (l + 1)) s_l``.  Each order costs O(n) either way, the
-whole O(n^2).  The normal equations are never formed.
+problem shorter than the array zero rotations and off-diagonals and unit
+pivots past its size.  :func:`decompose` feeds the sweep blocks of
+``BLOCK_ORDERS`` orders, and :func:`differentiate` runs per block too: a
+few whole-grid expressions apply ``[[A, B], [B, A]]``, and the same kernel
+converts the result to the tangential basis.  Order zero of
+:func:`differentiate` is one scale, ``z_l = -sqrt(l (l + 1)) s_l``.  Each
+order costs O(n) either way, the whole O(n^2).  The normal equations are
+never formed.
 """
 
 import math
@@ -57,37 +60,26 @@ def _require_finite(name, values):
         raise ValueError(f"{name}: non-finite value in row {row}")
 
 
-def _lsq_sweep(sizes, rotations, columns, rhs):
+def _lsq_sweep(sizes, rotations, factor, rhs):
     """Least squares for K tridiagonal problems of shape ``(p_k + 1) x p_k``.
 
     ``rhs`` of shape ``(P + 1, r, K)``, ``P = max(sizes)``, holds the
-    right-hand sides.  Column ``j`` of problem ``k`` holds ``sup[j, k]`` in
-    row ``j - 1``, ``diag[j, k]`` in row ``j`` and ``sub[j, k]`` in row
-    ``j + 1``, with ``columns = (sub, diag, sup)`` of ``P + 3`` rows.  Its
-    known plane rotation ``(c[j, k], s[j, k])`` from ``rotations = (c, s)``,
-    of ``P + 1`` rows, acts on rows ``j, j + 1`` and zeroes ``sub[j, k]``.
-    Past a problem's size, entries must be finite and are ignored: the
-    sweep zeroes the rotations there and puts unit pivots in ``R``.
+    right-hand sides.  The known plane rotation ``(c[j, k], s[j, k])`` of
+    column ``j`` of problem ``k``, from ``rotations = (c, s)``, acts on rows
+    ``j, j + 1``; ``factor = (d, e, f)`` holds the triangular factor ``R``
+    that the rotations leave, as its diagonals ``R[j, j]``, ``R[j, j + 1]``
+    and ``R[j, j + 2]``.  All four have ``P + 1`` rows.  Past a problem's
+    size, entries must be finite and are ignored: the sweep zeroes the
+    rotations and ``e``, ``f`` there and puts unit pivots in ``d``.
 
     Returns the solutions ``x`` of shape ``(P, r, K)``, zero past each
-    problem's size; the signed residuals ``(K, r)``, i.e. what the
-    rotations leave in row ``p_k`` of the right-hand side; and ``R = Q'M``
-    as its diagonals ``(R[j, j], R[j, j+1], R[j, j+2])``, meaningless
-    outside each problem's ``p_k x p_k`` triangle.
+    problem's size, and the signed residuals ``(K, r)``, i.e. what the
+    rotations leave in row ``p_k`` of the right-hand side.
     """
-    sub, diag, sup = columns
     rows, _, nprob = rhs.shape
     live = np.arange(rows)[:, None] < sizes
-    c, s = (live * x for x in rotations)
-    # row j of M after the rotations of columns < j holds a (column j) and
-    # b (column j + 1); rotation j turns rows j, j + 1 into row j of R
-    b = np.array(sup[1 : rows + 1])
-    b[1:] *= c[:-1]
-    a = np.array(diag[:rows])
-    a[1:] = c[:-1] * a[1:] - s[:-1] * b[:-1]
-    d = c * a + s * sub[:rows] + ~live  # unit pivots where the rotations are zero
-    e = c * b + s * diag[1 : rows + 1]
-    f = s * sup[2 : rows + 2]
+    c, s, e, f = (live * x for x in (*rotations, *factor[1:]))
+    d = np.where(live, factor[0], 1.0)
     # what the rotations leave in row j: t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1]
     t = rhs.copy()
     t[1:] *= c[:-1, None]
@@ -98,26 +90,24 @@ def _lsq_sweep(sizes, rotations, columns, rhs):
     t *= c[:, None]
     t[:-1] += s[:-1, None] * rhs[1:]
     _recurrence(t[::-1], -e[::-1], -f[::-1], d[::-1])
-    return t[:-1], residual, (d, e, f)
+    return t[:-1], residual
 
 
 def _order_problems(n, ms):
-    """Sizes, rotations and tridiagonals of the ``A + B`` problems of orders ``ms``.
+    """Sizes, rotations and triangular factors of the ``A + B`` problems of orders ``ms``.
 
     ``ms`` ascends from 1.  The rotation of column ``j`` is the paper's
     closed form, with ``l = j + 1``:
     ``s = sqrt(l (l + m) / ((l + m + 1)(l + 2m + 1)))`` and
-    ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``.
+    ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``; the
+    factor it leaves is the closed-form Cholesky factor, row ``j`` of which
+    is ``(chol_d(l, m), -chol_e(l, m), -chol_f(l, m))``.
     """
     sizes = n - ms
-    j = np.arange(sizes[0] + 3)[:, None]
-    degrees = ms + j  # potential degree of each column
-    l = j[:-2] + 1
+    l = np.arange(1, sizes[0] + 2)[:, None]
     denom = (l + ms + 1) * (l + 2 * ms + 1)
     rotations = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
-    sub = rec.delta(degrees, ms)
-    diag = np.broadcast_to(ms.astype(np.float64), sub.shape)
-    return sizes, rotations, (sub, diag, rec.gamma(degrees, ms))
+    return sizes, rotations, (rec.chol_d(l, ms), -rec.chol_e(l, ms), -rec.chol_f(l, ms))
 
 
 def _solve_orders(n, ms, b1, b2):
@@ -137,7 +127,7 @@ def _solve_orders(n, ms, b1, b2):
     np.add(b1, b2, out=rhs[:, :r])
     np.subtract(b2, b1, out=rhs[:, r:])
     rhs[:, r:] *= sign
-    x, res, _ = _lsq_sweep(*_order_problems(n, ms), rhs)
+    x, res = _lsq_sweep(*_order_problems(n, ms), rhs)
     u, v = x[:, :r], sign[:-1] * x[:, r:]
     residual = math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
     return 0.5 * (u + v), 0.5 * (u - v), residual
@@ -166,7 +156,7 @@ def solve_order(n, m, rhs):
 
 
 def _order_zero_problems(n):
-    """Sizes, rotations and bidiagonals of order zero's two parity chains.
+    """Sizes, rotations and triangular factors of order zero's two parity chains.
 
     ``A0`` maps potential degree ``l`` to rows ``l - 1`` (``gamma``) and
     ``l + 1`` (``delta``), so it splits into two lower-bidiagonal chains:
@@ -174,17 +164,21 @@ def _order_zero_problems(n):
     rows (problem 1).  Column ``j`` of chain ``k`` has potential degree
     ``l = 2j + k + 1`` and the closed-form rotation
     ``s = sqrt(l (l + 1) / ((l + 2)(l + 3)))``,
-    ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.
+    ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.  The factor it
+    leaves is upper bidiagonal, the Cholesky factor of the chain's normal
+    matrix: ``R[j, j] = sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 1)(2l + 3)))``,
+    ``R[j, j + 1] = -sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 3)(2l + 5)))``.
     """
     sizes = np.array([n // 2, (n - 1) // 2])
-    j = np.arange(n // 2 + 3)[:, None]
-    degrees = 2 * j + np.arange(2) + 1
-    l = degrees[:-2]
+    j = np.arange(n // 2 + 1)[:, None]
+    l = 2.0 * j + np.arange(2) + 1
     denom = (l + 2) * (l + 3)
-    c = np.where(j[:-2] % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
+    c = np.where(j % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
     rotations = c, np.sqrt(l * (l + 1) / denom)
-    columns = rec.delta(degrees, 0), rec.gamma(degrees, 0), np.zeros(degrees.shape)
-    return sizes, rotations, columns
+    top = l * (l + 1) * denom
+    d = np.sqrt(top / ((2 * l + 1) * (2 * l + 3)))
+    e = -np.sqrt(top / ((2 * l + 3) * (2 * l + 5)))
+    return sizes, rotations, (d, e, np.zeros(l.shape))
 
 
 def decompose_order_zero(theta_slice, phi_slice, n):
@@ -207,7 +201,7 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     w[: n + 1] = np.column_stack([theta_slice, phi_slice])
     # [j, chain, column] -> row degree 2j + chain
     chains = w.reshape(pmax + 1, 2, 2).transpose(0, 2, 1)
-    x, res, _ = _lsq_sweep(*_order_zero_problems(n), chains)
+    x, res = _lsq_sweep(*_order_zero_problems(n), chains)
     v = x.transpose(0, 2, 1).reshape(2 * pmax, 2)[: n - 1]
     return v[:, 0], v[:, 1], float(np.hypot.reduce(res.ravel()))
 

@@ -116,9 +116,9 @@ def test_criterion_05_condition_bounds():
 
 def test_criterion_06_entry_bounds_and_row_sums():
     worst = _within(0.0, verify.entry_bound_excess(10**4, 100))
-    assert chol_d(1, 2) == pytest.approx(math.sqrt(32 / 7), rel=1e-15)
-    assert chol_e(1, 2) == pytest.approx(math.sqrt(1 / 2), rel=1e-15)
-    assert chol_f(1, 2) == pytest.approx(math.sqrt(25 / 42), rel=1e-15)
+    assert chol_d(1, 2) == pytest.approx(math.sqrt(32 / 7), rel=1e-15, abs=0)
+    assert chol_e(1, 2) == pytest.approx(math.sqrt(1 / 2), rel=1e-15, abs=0)
+    assert chol_f(1, 2) == pytest.approx(math.sqrt(25 / 42), rel=1e-15, abs=0)
     _report(6, "entry bounds", f"l <= 10^4, m <= 100, worst excess {worst:.2e}; "
                                "explicit values to 1e-15")
 

@@ -255,6 +255,18 @@ def test_verify_detects_flipped_coefficient(monkeypatch, capsys):
     assert code == 0
 
 
+def test_verify_detects_perturbed_cholesky_factor(monkeypatch):
+    # the solver back-substitutes with the closed-form factor itself, so a
+    # factor off by 1e-9 must fail the solver and round-trip suites
+    import spherehhd.recurrences as rec
+
+    true_chol_e = rec.chol_e
+    monkeypatch.setattr(rec, "chol_e", lambda l, m: true_chol_e(l, m) * (1 + 1e-9))
+    results = {name: ok for name, ok, _ in run_verification("quick")}
+    assert results["solver-vs-dense"] is False
+    assert results["roundtrip-error"] is False
+
+
 def test_verify_exit_code_two_on_failure(monkeypatch, capsys):
     import spherehhd.recurrences as rec
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spherehhd import operators
 from spherehhd.conditioning import _banded_from_dense
 from spherehhd.operators import (
     CHUNK_STEPS,
@@ -96,6 +97,14 @@ def test_order_system_pentadiagonal():
     assert system.shuffled.shape == (6, 4)
     lower, upper = system.shuffled.bandwidths_used()
     assert lower <= 2 and upper <= 2
+
+
+def test_order_system_refuses_entries_outside_the_band(monkeypatch):
+    # without the shuffle, B's top-right copy lies p columns right of the
+    # diagonal: the builder must raise rather than drop or misplace it
+    monkeypatch.setattr(operators, "shuffle_permutation", np.arange)
+    with pytest.raises(AssertionError, match="pentadiagonal band"):
+        build_order_system(9, 2)
 
 
 def test_order_system_matches_blocks_small():

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spherehhd import recurrences as rec
 from spherehhd.conditioning import CholeskyR, build_R
 from spherehhd.operators import CHUNK_STEPS, build_A, build_B, z_to_cscy
 from spherehhd.solver import (
@@ -34,14 +37,14 @@ def sweep_halves(n, m, rhs=None):
     and factor D R D.  Returns, per half, the dense matrix, the solution, the
     residual and the dense triangular factor.
     """
-    sizes, rotations, columns = _order_problems(n, np.array([m]))
+    sizes, rotations, (d, e, f) = _order_problems(n, np.array([m]))
     p = int(sizes[0])
     if rhs is None:
         rhs = np.zeros((p + 1, 2, 1))
     r = rhs.shape[2]
     dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
     both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
-    x, res, (d, e, f) = _lsq_sweep(sizes, rotations, columns, both)
+    x, res = _lsq_sweep(sizes, rotations, (d, e, f), both)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
     # CholeskyR stores the off-diagonals negated
     r_plus = CholeskyR(p, m, d[:p, 0], -e[: p - 1, 0], -f[: max(p - 2, 0), 0]).to_dense()
@@ -62,68 +65,122 @@ def test_rotations_are_orthogonal(rng):
 
 
 def test_rotations_reproduce_r_factor():
-    # R'R equals M'M for both halves: the rotations triangularize M
+    # R'R equals M'M for both halves: the sweep back-substitutes with M's Cholesky factor
     for dense, _, _, r in sweep_halves(10, 2):
         normal = dense.T @ dense
         assert np.max(np.abs(r.T @ r - normal)) / np.max(np.abs(normal)) < 1e-13
         assert np.allclose(np.triu(r), r)
 
 
+def rotate(c, s, columns):
+    """``Q'M`` for a ``(p + 1) x p`` tridiagonal ``M``, in Python floats, one rotation at a time.
+
+    ``columns = (sub, diag, sup)`` hold column ``j``'s entries in rows
+    ``j + 1``, ``j`` and ``j - 1``; rotation ``j`` turns rows ``j, j + 1``
+    into ``c row_j + s row_(j+1)`` and ``c row_(j+1) - s row_j``.  Returns
+    the diagonals ``R[j, j]``, ``R[j, j + 1]`` (inside the ``p x p``
+    triangle), ``R[j, j + 2]`` of the top ``p`` rows, and what is left in
+    column ``j`` below row ``j``.
+    """
+    sub, diag, sup = (np.asarray(x, dtype=np.float64).tolist() + [0.0, 0.0] for x in columns)
+    p = len(c)
+    a, b = diag[0], sup[1]  # row j of M after the rotations of columns < j
+    d, e, f, left = [], [], [], []
+    for j in range(p):
+        d.append(c[j] * a + s[j] * sub[j])
+        e.append(c[j] * b + s[j] * diag[j + 1])
+        f.append(s[j] * sup[j + 2])
+        left.append(c[j] * sub[j] - s[j] * a)
+        a, b = c[j] * diag[j + 1] - s[j] * b, c[j] * sup[j + 2]
+    return np.array(d), np.array(e[: p - 1]), np.array(f[: max(p - 2, 0)]), np.array(left)
+
+
+def assert_rotations_give_factor(rotations, factor, columns, p, k=0):
+    """Problem ``k``: orthogonal rotations to 4 eps, ``Q'M = [R; 0]`` with ``R`` from ``factor``.
+
+    The entries left below ``R`` are at most ``1e-15 R[j, j]``, and ``R``'s
+    diagonals deviate from ``factor`` by at most ``1e-13`` of its largest
+    entry, which lies on the diagonal.
+    """
+    c, s = (x[:p, k] for x in rotations)
+    assert np.max(np.abs(c * c + s * s - 1.0), initial=0.0) <= 4 * np.finfo(np.float64).eps
+    d, e, f = factor[0][:p, k], factor[1][: p - 1, k], factor[2][: max(p - 2, 0), k]
+    *diagonals, left = rotate(c.tolist(), s.tolist(), columns)
+    assert np.all(np.abs(left) <= 1e-15 * d)
+    scale = np.max(np.abs(d), initial=0.0)
+    for have, want in zip(diagonals, (d, e, f)):
+        assert np.max(np.abs(have - want), initial=0.0) <= 1e-13 * scale
+
+
 def test_sweep_r_matches_closed_form_cholesky_factor():
-    # A + B has the paper's factor build_R(n - m, m); A - B the same with the
-    # first superdiagonal sign-flipped
-    worst = 0.0
+    # the closed-form rotations turn each half's M into [R; 0], with R the
+    # factor the sweep back-substitutes with: build_R(n - m, m) for A + B, and
+    # D R D, reached by the rotations (-1)^(j + 1) c_j, for A - B
     for n in (4, 8, 16, 32, 64):
         for m in range(1, n):
-            closed = build_R(n - m, m)
-            flipped = CholeskyR(closed.n, m, closed.d, -closed.e, closed.f)
-            (_, _, _, r_plus), (_, _, _, r_minus) = sweep_halves(n, m)
-            for r, ref in ((r_plus, closed.to_dense()), (r_minus, flipped.to_dense())):
-                dev = np.max(np.abs(r - ref)) / np.max(np.abs(ref))
-                worst = max(worst, dev)
-                assert dev <= 1e-13, f"(n={n}, m={m}): {dev:.3e}"
-
-
-def working_entries(rotations, columns, k):
-    """Entry ``a_j`` that rotation ``j`` of problem ``k`` meets on the diagonal.
-
-    Applies the rotations to the matrix one column at a time: row ``j``
-    carries ``a`` in column ``j`` and ``b`` in column ``j + 1``.
-    """
-    c, s = (x[:, k].tolist() for x in rotations)
-    sub, diag, sup = (x[:, k].tolist() for x in columns)
-    a, b = diag[0], sup[1]
-    out = []
-    for j in range(len(c)):
-        out.append(a)
-        a, b = c[j] * diag[j + 1] - s[j] * b, c[j] * sup[j + 2]
-    return np.array(out)
+            sizes, (c, s), factor = _order_problems(n, np.array([m]))
+            p = int(sizes[0])
+            closed = build_R(p, m)
+            d, e, f = (x[:, 0] for x in factor)
+            assert np.array_equal(d[:p], closed.d) and np.array_equal(-e[: p - 1], closed.e)
+            assert np.array_equal(-f[: max(p - 2, 0)], closed.f)
+            a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+            flip = (-1.0) ** np.arange(1, p + 2)[:, None]
+            for dense, cj, ej in ((a + b, c, e), (a - b, flip * c, -e)):
+                columns = np.diagonal(dense, -1), np.diagonal(dense), np.r_[0.0, np.diagonal(dense, 1)]
+                assert_rotations_give_factor((cj, s), (d[:, None], ej[:, None], f[:, None]), columns, p)
+    # order zero: chain k holds the columns of parity k + 1 and rows of parity k of A0
+    for n in range(2, 65):
+        a0 = build_A(n, 0).toarray()
+        sizes, rotations, factor = _order_zero_problems(n)
+        for k, p in enumerate(sizes.tolist()):
+            chain = a0[k::2, k::2]
+            columns = np.diagonal(chain, -1), np.diagonal(chain), np.zeros(p)
+            assert_rotations_give_factor(rotations, factor, columns, p, k)
 
 
 @pytest.mark.parametrize(
     "n,m", [(4096, 1), (4096, 2), (4096, 3), (4096, 64), (4096, 1000), (4096, 4095), (4096, 0), (4097, 0)]
 )
 def test_closed_form_rotations_beyond_dense_oracles(n, m):
-    # the rotations are orthogonal, zero the subdiagonal they act on, and
-    # (m >= 1) give the paper's Cholesky factor, at sizes past DENSE_ORACLE_LIMIT
+    # the same check at sizes past DENSE_ORACLE_LIMIT, with M from the
+    # recurrences: A + B for m >= 1, and order zero's two parity chains
     if m == 0:
-        sizes, rotations, columns = _order_zero_problems(n)
+        sizes, rotations, factor = _order_zero_problems(n)
     else:
-        sizes, rotations, columns = _order_problems(n, np.array([m]))
-    rhs = np.zeros((int(sizes[0]) + 1, 1, len(sizes)))
-    _, _, (d, e, f) = _lsq_sweep(sizes, rotations, columns, rhs)
-    c, s = rotations
+        sizes, rotations, factor = _order_problems(n, np.array([m]))
     for k, p in enumerate(sizes.tolist()):
-        ck, sk, dk, sub = c[:p, k], s[:p, k], d[:p, k], columns[0][:p, k]
-        assert np.max(np.abs(ck * ck + sk * sk - 1.0)) <= 4 * np.finfo(np.float64).eps
-        a = working_entries(rotations, columns, k)[:p]
-        assert np.all(np.abs(ck * sub - sk * a) <= 1e-15 * dk)
-    if m >= 1:
-        # deviation relative to R's largest entry, as in the test above: e_j
-        # sums two terms of size ~m to a value below one
-        closed = build_R(int(sizes[0]), m)
-        for got, want in ((d[:, 0], closed.d), (-e[:, 0], closed.e), (-f[:, 0], closed.f)):
-            assert np.max(np.abs(got[: len(want)] - want), initial=0.0) <= 1e-13 * closed.d[-1]
+        if m:  # column j: gamma in row j - 1, m in row j, delta in row j + 1
+            degrees = m + np.arange(p)
+            columns = rec.delta(degrees, m), np.full(p, float(m)), rec.gamma(degrees, m)
+        else:  # column j: gamma in row j, delta in row j + 1
+            degrees = 2 * np.arange(p) + k + 1
+            columns = rec.delta(degrees, 0), rec.gamma(degrees, 0), np.zeros(p)
+        assert_rotations_give_factor(rotations, factor, columns, p, k)
+
+
+def test_order_zero_factor_is_exact_cholesky_factor():
+    # in exact arithmetic R'R equals each chain's normal matrix M'M: the
+    # squares of R's entries and of delta(l, 0), gamma(l, 0) are rational,
+    # and R[j, j] > 0 > R[j, j + 1] while delta > 0 > gamma; the float
+    # entries square to the rationals within 4 eps
+    eps = np.finfo(np.float64).eps
+    sizes, _, (d, e, f) = _order_zero_problems(17)
+    assert not np.any(f)
+    for k, p in enumerate(sizes.tolist()):
+        ls = [2 * j + k + 1 for j in range(p)]
+        delta2 = [Fraction(l * l * (l + 1) ** 2, (2 * l + 1) * (2 * l + 3)) for l in ls]
+        gamma2 = [Fraction((l + 1) ** 2 * l * l, (2 * l - 1) * (2 * l + 1)) for l in ls]
+        top = [l * (l + 1) * (l + 2) * (l + 3) for l in ls]
+        d2 = [Fraction(t, (2 * l + 1) * (2 * l + 3)) for t, l in zip(top, ls)]
+        e2 = [Fraction(t, (2 * l + 3) * (2 * l + 5)) for t, l in zip(top, ls)]
+        for j in range(p):
+            # column j of M: gamma(l_j) in row j, delta(l_j) in row j + 1
+            assert d2[j] + (e2[j - 1] if j else 0) == gamma2[j] + delta2[j]
+            assert d[j, k] > 0.0 and abs(Fraction(d[j, k]) ** 2 - d2[j]) <= 4 * eps * d2[j]
+            if j + 1 < p:
+                assert d2[j] * e2[j] == delta2[j] * gamma2[j + 1]
+                assert e[j, k] < 0.0 and abs(Fraction(e[j, k]) ** 2 - e2[j]) <= 4 * eps * e2[j]
 
 
 def test_r_diagonal_nonnegative_and_small_system():
@@ -437,7 +494,7 @@ def _assert_sweep_matches_lstsq(dense, sizes, rhs, got):
 
     A problem may have no column (order zero's second chain at n = 2).
     """
-    x, res, _ = got
+    x, res = got
     for k, p in enumerate(sizes.tolist()):
         b = rhs[: p + 1, :, k]
         ref, *_ = np.linalg.lstsq(dense[k], b, rcond=None)
@@ -471,21 +528,24 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
 
 @pytest.mark.parametrize("zero", [False, True], ids=["orders", "order-zero"])
 def test_lsq_sweep_ignores_rotations_past_each_size(zero):
-    # the sweep itself zeroes the rotations past a problem's size: any finite
-    # values there leave the solutions, residuals and factors unchanged
+    # the sweep itself zeroes the rotations and off-diagonals and puts unit
+    # pivots past a problem's size: any finite values there in the rotations
+    # or the factor leave the solutions and residuals unchanged, even values
+    # that would overflow the recurrence kernel's chunk responses
     n = 3 * CHUNK_STEPS + 2
-    sizes, rotations, columns = _order_zero_problems(n) if zero else _order_problems(n, np.arange(1, 7))
+    sizes, rotations, factor = _order_zero_problems(n) if zero else _order_problems(n, np.arange(1, 7))
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((sizes[0] + 1, 2, len(sizes)))
     past = np.arange(len(rotations[0]))[:, None] >= sizes
-    noisy = tuple(np.where(past, rng.uniform(-3.0, 3.0, x.shape), x) for x in rotations)
-    x, res, factor = _lsq_sweep(sizes, rotations, columns, rhs)
-    x_noisy, res_noisy, factor_noisy = _lsq_sweep(sizes, noisy, columns, rhs)
+
+    def noisy(grids):
+        return tuple(np.where(past, rng.uniform(-1e300, 1e300, x.shape), x) for x in grids)
+
+    x, res = _lsq_sweep(sizes, rotations, factor, rhs)
+    x_noisy, res_noisy = _lsq_sweep(sizes, noisy(rotations), noisy(factor), rhs)
     assert np.array_equal(x_noisy, x)
     assert not any(np.any(x[p:, :, k]) for k, p in enumerate(sizes.tolist()))
     assert np.array_equal(res_noisy, res)
-    for got, want in zip(factor_noisy, factor):
-        assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -495,8 +555,8 @@ def test_lsq_sweep_ignores_rotations_past_each_size(zero):
 def test_order_zero_chains_match_dense_least_squares(n, r, seed):
     # chain k: potential degrees of parity k + 1 against rows of parity k of A0
     a0 = build_A(n, 0).toarray()
-    sizes, rotations, columns = _order_zero_problems(n)
+    sizes, rotations, factor = _order_zero_problems(n)
     dense = [a0[k::2, k::2] for k in range(2)]
     assert [d.shape for d in dense] == [(p + 1, p) for p in sizes.tolist()]
     rhs = np.random.default_rng(seed).standard_normal((sizes[0] + 1, r, 2))
-    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(sizes, rotations, columns, rhs))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(sizes, rotations, factor, rhs))
