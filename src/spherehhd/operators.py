@@ -223,10 +223,10 @@ def _z_to_cscy_block(z, ms):
     rows past an order's own ``n - ms[k] + 1`` carry its dropped tail and
     are not part of it.
     """
-    rows = z.shape[0] - 1
-    degrees = ms + np.arange(rows)[:, None]
-    w = rec.beta(degrees - 1, ms)[:, None] * z[:-1]
-    w[:-1] += rec.alpha(degrees[:-1] + 1, ms)[:, None] * z[2:]
+    # row i, csc degree l = m + i, is beta(l - 1) z[i] + alpha(l + 1) z[i + 2]
+    alpha, beta = rec._conversion(ms + np.arange(1.0, z.shape[0])[:, None], ms)
+    w = beta[:, None] * z[:-1]
+    w[:-1] += alpha[:-1, None] * z[2:]
     return w
 
 
@@ -278,29 +278,31 @@ def _recurrence(g, a=None, b=None, d=None):
         return out.reshape(CHUNK_STEPS, cols, nchunk, pair * nprob)
 
     def advance(out, i, y1, y2):  # out = ((out + a y1) + b y2) / d
+        t = tmp[: len(out)]
         for coef, lag in ((a, y1), (b, y2)):
             if coef is not None:
-                np.multiply(coef[i], lag, out=tmp[: len(out)])
-                out += tmp[: len(out)]
+                np.multiply(coef[i], lag, out=t)
+                out += t
         if d is not None:
             out /= d[i]
 
     a, b, d = (x if x is None else by_step(x[:, None], fill)[:, 0]
                for x, fill in ((a, 0.0), (b, 0.0), (d, 1.0)))
     y = by_step(g, 0.0)
-    # phase 1: every chunk from zero inflow; columns r + j of the state
+    # phase 1: every chunk from zero inflow; columns r + j of each step
     # hold the response to a unit y[-1 - j]
-    state = np.zeros((3, r + q) + y.shape[2:])
-    tmp = np.empty_like(state[0])
+    steps = np.zeros((CHUNK_STEPS, r + q) + y.shape[2:])
+    steps[:, :r] = y
+    unit = np.zeros((2, r + q, 1, 1))  # broadcasts over chunks and problems
     for k in range(q):
-        state[k, r + k] = 1.0
-    y1, y2, new = state
-    for i in range(CHUNK_STEPS):
-        new[:r], new[r:] = y[i], 0.0
+        unit[k, r + k] = 1.0
+    tmp = np.empty_like(steps[0])
+    y1, y2 = unit
+    for i, new in enumerate(steps):
         advance(new, i, y1, y2)
-        y1, y2, new = new, y1, y2
+        y1, y2 = new, y1
     # phase 2: carry the last q values of each chunk across the chunks
-    ends = np.stack([y1, y2][:q]).transpose(2, 0, 1, 3)  # [chunk, k, column, problem]
+    ends = steps[: -q - 1 : -1].transpose(2, 0, 1, 3)  # [chunk, k, column, problem]
     true = ends[:, :, :r].copy()
     for prev, cur, h in zip(true, true[1:], ends[1:, :, r:, None]):
         for j in range(q):
@@ -327,12 +329,10 @@ def _cscy_to_z_block(w, ms):
     and returns it as ``z``, row ``i`` at degree ``ms[k] - 1 + i`` and zero
     past the order's ``n - ms[k] + 2`` rows.
     """
-    degrees = ms - 1 + np.arange(w.shape[0])[:, None]  # degree of z row i
-    b = rec.beta(degrees, ms)
-    w /= b[:, None]
-    # z_l = w_{l+1} / beta(l) - alpha(l + 2) / beta(l) z_{l+2}, from the top
-    # down; z_n stays zero
-    _recurrence(w[::-1], b=(-rec.alpha(degrees + 2, ms) / b)[::-1])
+    # z row i, degree l = m - 1 + i: z_l = w_{l+1} / beta(l) - alpha(l + 2) / beta(l) z_{l+2}, downward
+    alpha, beta = rec._conversion(ms + np.arange(1.0, w.shape[0] + 1)[:, None], ms)
+    w /= beta[:, None]
+    _recurrence(w[::-1], b=(-alpha / beta)[::-1])
     return w
 
 
@@ -342,10 +342,10 @@ def _cscy_to_z_zero(w, n):
     Substitutes upward from degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``;
     row ``n`` of ``w`` is the redundant equation.
     """
-    ls = np.arange(1, n + 1)[:, None]  # degree of row i
-    a = rec.alpha(ls, 0)
+    # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
+    a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
     z = (-w[:n] / a)[:, :, None]
-    _recurrence(z, b=-rec.beta(np.maximum(ls - 2, 0), 0) / a)  # beta(0, 0) == 0 below degree 3
+    _recurrence(z, b=-b / a)
     return z[:, :, 0]
 
 

@@ -97,31 +97,55 @@ def _azimuthal_deriv(m, phi):
     return fac * (-m * np.sin(m * phi) if m >= 0 else -m * np.cos(-m * phi))
 
 
+def _dtheta_legendre(l, m, legendre):
+    """d/dtheta of ``P~_l^m``, ``l >= 1``, by the order-shift relation; ``legendre(l, k) = P~_l^k``."""
+    if m == 0:
+        return -np.sqrt(l * (l + 1.0)) * legendre(l, 1)
+    lo = 0.5 * np.sqrt((l + m) * (l - m + 1.0)) * legendre(l, m - 1)
+    if l == m:
+        return lo
+    return lo - 0.5 * np.sqrt((l - m) * (l + m + 1.0)) * legendre(l, m + 1)
+
+
+class _Basis:
+    """The basis functions at nodes ``(theta, phi)`` up to degree ``lmax``, reading rows of one
+    Legendre table per order, built on first use.  The recurrence runs forward from
+    ``l == m``, so a row does not depend on the table's length: it is :func:`legendre_norm`'s."""
+
+    def __init__(self, lmax, theta, phi):
+        self.lmax, self.theta, self.phi, self.tables = lmax, np.asarray(theta, float), phi, {}
+
+    def legendre(self, l, m):
+        if not 0 <= m <= l:
+            raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
+        if m not in self.tables:
+            self.tables[m] = legendre_table(m, self.lmax, np.cos(self.theta))
+        return self.tables[m][l - m]
+
+    def Y(self, l, m):
+        return self.legendre(l, abs(m)) * _azimuthal(m, self.phi)
+
+    def Z(self, l, m):
+        return self.legendre(l, abs(abs(m) - 1)) * _azimuthal(m, self.phi)
+
+    def gradY(self, l, m):
+        if np.any(np.sin(self.theta) == 0.0):
+            raise ValueError("eval_gradY: theta at a pole")
+        if l == 0:
+            z = np.zeros(np.broadcast(self.theta, np.asarray(self.phi)).shape)
+            return z, z.copy()
+        th_comp = _dtheta_legendre(l, abs(m), self.legendre) * _azimuthal(m, self.phi)
+        return th_comp, self.legendre(l, abs(m)) * _azimuthal_deriv(m, self.phi) / np.sin(self.theta)
+
+
 def eval_Y(l, m, theta, phi):
     """Real spherical harmonic of degree ``l`` and signed order ``m``."""
-    if abs(m) > l:
-        raise ValueError("eval_Y: need |m| <= l")
-    return legendre_norm(l, abs(m), np.cos(theta)) * _azimuthal(m, phi)
+    return _Basis(l, theta, phi).Y(l, m)
 
 
 def eval_Z(l, m, theta, phi):
     """Tangential-component basis function of degree ``l`` and signed order ``m``."""
-    if l < abs(abs(m) - 1):
-        raise ValueError("eval_Z: need l >= ||m| - 1|")
-    return legendre_norm(l, abs(abs(m) - 1), np.cos(theta)) * _azimuthal(m, phi)
-
-
-def _dtheta_legendre(l, m, x):
-    """d/dtheta of the normalized Legendre function, via the order-shift relation."""
-    if m == 0:
-        if l == 0:
-            return np.zeros(np.shape(x))
-        return -np.sqrt(l * (l + 1.0)) * legendre_norm(l, 1, x)
-    lo = 0.5 * np.sqrt((l + m) * (l - m + 1.0)) * legendre_norm(l, m - 1, x)
-    hi = 0.0
-    if l >= m + 1:
-        hi = 0.5 * np.sqrt((l - m) * (l + m + 1.0)) * legendre_norm(l, m + 1, x)
-    return lo - hi
+    return _Basis(l, theta, phi).Z(l, m)
 
 
 def eval_gradY(l, m, theta, phi):
@@ -131,17 +155,7 @@ def eval_gradY(l, m, theta, phi):
     ``theta_comp e_theta + phi_comp e_phi``; the phi component carries the
     ``csc(theta)`` factor.  ``theta`` must stay away from the poles.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(np.sin(theta) == 0.0):
-        raise ValueError("eval_gradY: theta at a pole")
-    if l == 0:
-        z = np.zeros(np.broadcast(theta, np.asarray(phi)).shape)
-        return z, z.copy()
-    th_comp = _dtheta_legendre(l, abs(m), np.cos(theta)) * _azimuthal(m, phi)
-    ph_comp = (
-        legendre_norm(l, abs(m), np.cos(theta)) * _azimuthal_deriv(m, phi) / np.sin(theta)
-    )
-    return th_comp, ph_comp
+    return _Basis(l, theta, phi).gradY(l, m)
 
 
 @dataclass
@@ -187,19 +201,6 @@ class GridSpec:
             )
 
 
-def _order_tables(n, grid, legendre_order):
-    """Legendre tables per distinct order, cached for one grid."""
-    cache = {}
-
-    def get(mu):
-        key = legendre_order(mu)
-        if key not in cache:
-            cache[key] = legendre_table(key, n, grid.x)
-        return cache[key]
-
-    return get
-
-
 def synthesize(obj, grid):
     """Pointwise samples ``(V_theta, V_phi)`` of a tangential field on ``grid``.
 
@@ -216,10 +217,9 @@ def synthesize(obj, grid):
     grid.check_resolves(n)
     vth = np.zeros((grid.n_theta, grid.n_phi))
     vph = np.zeros((grid.n_theta, grid.n_phi))
-    tables = _order_tables(n, grid, lambda mu: abs(mu - 1))
+    tables = [legendre_table(k, n, grid.x) for k in range(n + 1)]
     for m in field_.theta.orders():
-        mu = abs(m)
-        tab = tables(mu)  # degrees ||m|-1| .. n
+        tab = tables[abs(abs(m) - 1)]  # degrees ||m|-1| .. n
         az = _azimuthal(m, grid.phi)
         for comp, out in ((field_.theta, vth), (field_.phi, vph)):
             coeffs = comp.order_slice(m)
@@ -243,6 +243,7 @@ def synthesize_from_potentials(s, t, grid):
     vth = np.zeros((grid.n_theta, grid.n_phi))
     vph = np.zeros((grid.n_theta, grid.n_phi))
     sin_th = np.sin(grid.theta)
+    tables = [legendre_table(k, s.n_pot, grid.x) for k in range(s.n_pot + 1)]
     for m in s.orders():
         mu = abs(m)
         az = _azimuthal(m, grid.phi)
@@ -252,8 +253,8 @@ def synthesize_from_potentials(s, t, grid):
             ct = t[l, m]
             if cs == 0.0 and ct == 0.0:
                 continue
-            dth = _dtheta_legendre(l, mu, grid.x)
-            pl = legendre_norm(l, mu, grid.x)
+            dth = _dtheta_legendre(l, mu, lambda l, k: tables[k][l - k])
+            pl = tables[mu][l - mu]
             grad_th = dth[:, None] * az[None, :]
             grad_ph = (pl / sin_th)[:, None] * daz[None, :]
             # e_r x grad has components (-grad_ph, grad_th)
@@ -277,10 +278,9 @@ def analyze_z(vtheta, vphi, grid, n):
     out = TangentField.zeros(n)
     scale = 2.0 * np.pi / grid.n_phi
     wx = grid.weights
-    tables = _order_tables(n, grid, lambda mu: abs(mu - 1))
+    tables = [legendre_table(k, n, grid.x) for k in range(n + 1)]
     for m in out.theta.orders():
-        mu = abs(m)
-        tab = tables(mu)  # degrees ||m|-1| .. n on grid.x
+        tab = tables[abs(abs(m) - 1)]  # degrees ||m|-1| .. n on grid.x
         az = _azimuthal(m, grid.phi)
         for samples, comp in ((vtheta, out.theta), (vphi, out.phi)):
             ring = samples @ az * scale  # (n_theta,)

@@ -7,13 +7,14 @@ least-squares problem ``A + B`` (``p = n - m``; subdiagonal ``delta``,
 diagonal ``m``, superdiagonal ``gamma``) with four right-hand sides.  The
 paper gives its QR factorization in closed form: one plane rotation per
 column, and ``R = Q'(A + B)`` is the closed-form Cholesky factor of the
-normal matrix (:func:`.recurrences.chol_d` and its siblings), with two
-superdiagonals.  The sweep takes both as inputs: it applies the rotations
-to the right-hand sides and back-substitutes with the closed-form ``R``
-itself, so the paper's proved bounds describe the very factor it uses.
-At ``m == 0`` the colatitude block splits by degree parity into two
-lower-bidiagonal chains, with closed-form rotations and factors of their
-own, on the same sweep.
+normal matrix, with two superdiagonals.  :func:`.recurrences._qr` gives
+both for a whole block of orders in one pass.  The sweep takes them as
+inputs: it applies the rotations to the right-hand sides and
+back-substitutes with the closed-form ``R`` itself, so the paper's proved
+bounds describe the very factor it uses.  At ``m == 0`` the colatitude
+block splits by degree parity into two lower-bidiagonal chains, with
+closed-form rotations and bidiagonal factors of their own (so a
+first-order back-substitution), on the same sweep.
 
 The sweep solves many problems at once in (degree, right-hand side,
 problem) arrays; applying the rotations and back-substituting are linear
@@ -68,9 +69,9 @@ def _lsq_sweep(sizes, rotations, factor, rhs):
     column ``j`` of problem ``k``, from ``rotations = (c, s)``, acts on rows
     ``j, j + 1``; ``factor = (d, e, f)`` holds the triangular factor ``R``
     that the rotations leave, as its diagonals ``R[j, j]``, ``R[j, j + 1]``
-    and ``R[j, j + 2]``.  All four have ``P + 1`` rows.  Past a problem's
-    size, entries must be finite and are ignored: the sweep zeroes the
-    rotations and ``e``, ``f`` there and puts unit pivots in ``d``.
+    and ``R[j, j + 2]`` (``(d, e)`` if bidiagonal), all with ``P + 1`` rows.
+    Past a problem's size, entries must be finite and are ignored: the sweep
+    zeroes the rotations and off-diagonals there and puts unit pivots in ``d``.
 
     Returns the solutions ``x`` of shape ``(P, r, K)``, zero past each
     problem's size, and the signed residuals ``(K, r)``, i.e. what the
@@ -78,7 +79,7 @@ def _lsq_sweep(sizes, rotations, factor, rhs):
     """
     rows, _, nprob = rhs.shape
     live = np.arange(rows)[:, None] < sizes
-    c, s, e, f = (live * x for x in (*rotations, *factor[1:]))
+    c, s, *off = (live * x for x in (*rotations, *factor[1:]))
     d = np.where(live, factor[0], 1.0)
     # what the rotations leave in row j: t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1]
     t = rhs.copy()
@@ -89,25 +90,19 @@ def _lsq_sweep(sizes, rotations, factor, rhs):
     # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
     t *= c[:, None]
     t[:-1] += s[:-1, None] * rhs[1:]
-    _recurrence(t[::-1], -e[::-1], -f[::-1], d[::-1])
+    _recurrence(t[::-1], *(-x[::-1] for x in off), d=d[::-1])
     return t[:-1], residual
 
 
 def _order_problems(n, ms):
     """Sizes, rotations and triangular factors of the ``A + B`` problems of orders ``ms``.
 
-    ``ms`` ascends from 1.  The rotation of column ``j`` is the paper's
-    closed form, with ``l = j + 1``:
-    ``s = sqrt(l (l + m) / ((l + m + 1)(l + 2m + 1)))`` and
-    ``c = sqrt((m + 1)(2l + 2m + 1) / ((l + m + 1)(l + 2m + 1)))``; the
-    factor it leaves is the closed-form Cholesky factor, row ``j`` of which
-    is ``(chol_d(l, m), -chol_e(l, m), -chol_f(l, m))``.
+    ``ms`` ascends from 1.  Column ``j`` of each is :func:`.recurrences._qr`
+    at ``l = j + 1``: the paper's closed-form rotation and the row of the
+    closed-form Cholesky factor it leaves.
     """
     sizes = n - ms
-    l = np.arange(1, sizes[0] + 2)[:, None]
-    denom = (l + ms + 1) * (l + 2 * ms + 1)
-    rotations = np.sqrt((ms + 1) * (2 * l + 2 * ms + 1) / denom), np.sqrt(l * (l + ms) / denom)
-    return sizes, rotations, (rec.chol_d(l, ms), -rec.chol_e(l, ms), -rec.chol_f(l, ms))
+    return (sizes, *rec._qr(np.arange(1.0, sizes[0] + 2)[:, None], ms))
 
 
 def _solve_orders(n, ms, b1, b2):
@@ -166,7 +161,7 @@ def _order_zero_problems(n):
     ``s = sqrt(l (l + 1) / ((l + 2)(l + 3)))``,
     ``c = (-1)^(j + 1) sqrt(2 (2l + 3) / ((l + 2)(l + 3)))``.  The factor it
     leaves is upper bidiagonal, the Cholesky factor of the chain's normal
-    matrix: ``R[j, j] = sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 1)(2l + 3)))``,
+    matrix, returned as ``(d, e)``: ``R[j, j] = sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 1)(2l + 3)))``,
     ``R[j, j + 1] = -sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 3)(2l + 5)))``.
     """
     sizes = np.array([n // 2, (n - 1) // 2])
@@ -178,7 +173,7 @@ def _order_zero_problems(n):
     top = l * (l + 1) * denom
     d = np.sqrt(top / ((2 * l + 1) * (2 * l + 3)))
     e = -np.sqrt(top / ((2 * l + 3) * (2 * l + 5)))
-    return sizes, rotations, (d, e, np.zeros(l.shape))
+    return sizes, rotations, (d, e)
 
 
 def decompose_order_zero(theta_slice, phi_slice, n):
@@ -271,11 +266,11 @@ def differentiate(s, t):
         rows = n - ms[0] + 2
         x = np.zeros((rows, 4, len(ms)))
         _gather(ms, (s, t), (x[:, :2], x[:, 2:]))
-        degrees = ms + np.arange(rows)[:, None]  # potential and csc degree of row i
-        # row i of A x is gamma(l + 1) x[i + 1] + delta(l - 1) x[i - 1], l = degree of row i
+        # row i of A x is gamma(l + 1) x[i + 1] + delta(l - 1) x[i - 1], l = m + i
+        gamma, delta = rec._derivative(ms + np.arange(1.0, rows)[:, None], ms)
         w = np.zeros_like(x)
-        w[:-1] = rec.gamma(degrees[1:], ms)[:, None] * x[1:]
-        w[1:] += rec.delta(degrees[:-1], ms)[:, None] * x[:-1]
+        w[:-1] = gamma[:, None] * x[1:]
+        w[1:] += delta[:, None] * x[:-1]
         w += (cross[:, None] * ms) * x[:, ::-1]
         z = _cscy_to_z_block(w, ms)
         _scatter(ms, (out.theta, out.phi), (z[:, :2], z[:, 2:]))

@@ -16,7 +16,7 @@ import numpy as np
 from . import recurrences as rec
 from . import conditioning as cond
 from .operators import build_A, build_B, build_order_system, cscy_to_z, z_to_cscy
-from .pointwise import GridSpec, analyze_z, eval_Y, eval_Z, eval_gradY, synthesize_from_potentials
+from .pointwise import GridSpec, _Basis, analyze_z, synthesize_from_potentials
 from .solver import decompose, differentiate, solve_order
 from .spectra import random_potentials, relative_l2_error
 
@@ -37,19 +37,20 @@ def identity_deviations(lmax, nodes):
     """Conversion (sign flipped at ``m == 0``) and derivative identities at ``(theta, phi)`` nodes."""
     for th, ph in nodes:
         csc = 1.0 / np.sin(th)
+        basis = _Basis(lmax + 1, th, ph)  # one Legendre table per order at this node
         for m in range(-lmax, lmax + 1):
             mu = abs(m)
             for l in range(max(abs(mu - 1), 1), lmax + 1):
-                rhs = rec.beta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
+                rhs = rec.beta(l, mu) * basis.Y(l + 1, m) * csc
                 if l - 1 >= mu:
-                    rhs += rec.alpha(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                devs = [eval_Z(l, m, th, ph) - (1.0 if mu else -1.0) * rhs]
+                    rhs += rec.alpha(l, mu) * basis.Y(l - 1, m) * csc
+                devs = [basis.Z(l, m) - (1.0 if mu else -1.0) * rhs]
                 if l >= mu:
-                    dth, dph = eval_gradY(l, m, th, ph)
-                    rhs = rec.delta(l, mu) * eval_Y(l + 1, m, th, ph) * csc
+                    dth, dph = basis.gradY(l, m)
+                    rhs = rec.delta(l, mu) * basis.Y(l + 1, m) * csc
                     if l - 1 >= mu:
-                        rhs += rec.gamma(l, mu) * eval_Y(l - 1, m, th, ph) * csc
-                    devs += [dth - rhs, dph - (-m) * eval_Y(l, -m, th, ph) * csc]
+                        rhs += rec.gamma(l, mu) * basis.Y(l - 1, m) * csc
+                    devs += [dth - rhs, dph - (-m) * basis.Y(l, -m) * csc]
                 yield f"(l={l}, m={m}) at ({th:.3f}, {ph:.3f})", _worst(devs)
 
 

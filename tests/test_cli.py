@@ -256,12 +256,18 @@ def test_verify_detects_flipped_coefficient(monkeypatch, capsys):
 
 
 def test_verify_detects_perturbed_cholesky_factor(monkeypatch):
-    # the solver back-substitutes with the closed-form factor itself, so a
-    # factor off by 1e-9 must fail the solver and round-trip suites
+    # the solver back-substitutes with the closed-form factor of rec._qr
+    # itself, so a superdiagonal off by 1e-9 must fail the solver and
+    # round-trip suites
     import spherehhd.recurrences as rec
 
-    true_chol_e = rec.chol_e
-    monkeypatch.setattr(rec, "chol_e", lambda l, m: true_chol_e(l, m) * (1 + 1e-9))
+    true_qr = rec._qr
+
+    def perturbed_qr(l, m):
+        rotations, (d, e, f) = true_qr(l, m)
+        return rotations, (d, e * (1 + 1e-9), f)
+
+    monkeypatch.setattr(rec, "_qr", perturbed_qr)
     results = {name: ok for name, ok, _ in run_verification("quick")}
     assert results["solver-vs-dense"] is False
     assert results["roundtrip-error"] is False

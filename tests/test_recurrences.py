@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spherehhd import recurrences as rec
+from spherehhd.conditioning import build_R
+from spherehhd.operators import _cscy_to_z_block, _z_to_cscy_block
 from spherehhd.recurrences import alpha, beta, gamma, delta, chol_d, chol_e, chol_f
+from spherehhd.solver import _order_problems, decompose, differentiate
+from spherehhd.spectra import random_potentials
 
 
 def test_alpha_values():
@@ -112,3 +119,103 @@ def test_array_and_scalar_agree():
     vals = beta(ls, 2)
     assert vals.shape == (4,)
     assert vals[2] == beta(5, 2)
+
+
+# the closed forms written out once more, in Python integer arithmetic: one
+# correctly rounded division and square root each, as numpy's are
+_REFERENCE = {
+    "alpha": lambda l, m: -math.sqrt((l - m) * (l - m + 1) / ((2 * l - 1) * (2 * l + 1))),
+    "beta": lambda l, m: math.sqrt((l + m) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3))),
+    "gamma": lambda l, m: -(l + 1) * math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1))),
+    "delta": lambda l, m: l * math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3))),
+    "c": lambda l, m: math.sqrt((m + 1) * (2 * l + 2 * m + 1) / ((l + m + 1) * (l + 2 * m + 1))),
+    "s": lambda l, m: math.sqrt(l * (l + m) / ((l + m + 1) * (l + 2 * m + 1))),
+    "d": lambda l, m: (l + m - 1) * math.sqrt(
+        (l + m + 1) * (l + 2 * m) * (l + 2 * m + 1) / ((l + m) * (2 * l + 2 * m - 1) * (2 * l + 2 * m + 1))
+    ),
+    "e": lambda l, m: math.sqrt(l * (l + 2 * m + 1) / ((l + m) * (l + m + 1))),
+    "f": lambda l, m: (l + m + 2) * math.sqrt(
+        l * (l + 1) * (l + m) / ((l + m + 1) * (2 * l + 2 * m + 1) * (2 * l + 2 * m + 3))
+    ),
+}
+
+
+def _reference(name, l, m, shift=0):
+    """``_REFERENCE[name]`` at ``(l + shift, m)`` over the broadcast grid."""
+    grid_l, grid_m = np.broadcast_arrays(l, m)
+    values = [_REFERENCE[name](int(a) + shift, int(b)) for a, b in zip(grid_l.ravel(), grid_m.ravel())]
+    return np.reshape(values, grid_l.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    first=st.integers(1, 63),
+    width=st.integers(1, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
+    # record every grid the solver and the block conversions hand to the
+    # private evaluators -- decompose and differentiate, plus one random
+    # ascending range of orders -- and compare each output bit for bit with
+    # the public checked functions, build_R's factor and the closed forms
+    # evaluated entry by entry in Python
+    calls = []
+
+    def recorder(name):
+        true = getattr(rec, name)
+
+        def wrapper(l, m):
+            out = true(l, m)
+            calls.append((name, l, m, out))
+            return out
+
+        return wrapper
+
+    ms = np.arange(min(first, n - 1), min(first + width, n))
+    rows = n - ms[0] + 2
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_qr", "_conversion", "_derivative"):
+            mp.setattr(rec, name, recorder(name))
+        decompose(differentiate(*random_potentials(n, seed)))
+        _order_problems(n, ms)
+        _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), ms), ms)
+    assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}
+    for name, l, m, out in calls:
+        if name == "_conversion":
+            assert np.array_equal(out[0], alpha(l, m)) and np.array_equal(out[0], _reference("alpha", l, m))
+            # beta(l - 2) at l = 1 (order zero's first row) lies below beta's domain and is 0
+            above = np.maximum(l, 2)
+            want = (beta(above - 2, m), _reference("beta", above, m, -2))
+            assert all(np.array_equal(out[1], np.where(l >= 2, x, 0.0)) for x in want)
+        elif name == "_derivative":
+            assert np.array_equal(out[0], gamma(l, m)) and np.array_equal(out[0], _reference("gamma", l, m))
+            assert np.array_equal(out[1], delta(l - 1, m))
+            assert np.array_equal(out[1], _reference("delta", l, m, -1))
+        else:
+            (c, s), (d, e, f) = out
+            assert np.array_equal(d, chol_d(l, m)) and np.array_equal(e, -chol_e(l, m))
+            assert np.array_equal(f, -chol_f(l, m))
+            for have, key in ((c, "c"), (s, "s"), (d, "d"), (-e, "e"), (-f, "f")):
+                assert np.array_equal(have, _reference(key, l, m))
+            top = len(l) - 1 + m[0]  # the truncation degree: order m[0] has n - m[0] columns
+            for k, mk in enumerate(m.tolist()):
+                p = top - mk
+                r = build_R(p, mk)
+                assert np.array_equal(d[:p, k], r.d) and np.array_equal(-e[: p - 1, k], r.e)
+                assert np.array_equal(-f[: max(p - 2, 0), k], r.f)
+
+
+def test_grid_evaluators_reject_an_out_of_domain_corner():
+    # the O(1) check reads the grid's first entries: degree l = 0, order
+    # m = 0 for the factor, and l = m - 1 for gamma all lie outside
+    ms = np.arange(3, 7)
+    column = np.arange(5.0)[:, None]
+    for evaluator in (rec._qr, rec._conversion, rec._derivative):
+        evaluator(ms + 1 + column, ms)  # the solver's grid
+        with pytest.raises(ValueError):
+            evaluator(column, ms)
+    with pytest.raises(ValueError):
+        rec._qr(column + 1, ms - 3)
+    with pytest.raises(ValueError):
+        rec._derivative(ms - 1 + column, ms)
