@@ -22,22 +22,9 @@ import numpy as np
 from . import recurrences as rec
 from .operators import BandedMatrix, build_A, build_B
 
-__all__ = [
-    "CholeskyR",
-    "ConditionReport",
-    "build_R",
-    "build_CD",
-    "kappa_numeric",
-    "kappa_bound",
-    "qi_singular_bounds",
-    "block_a",
-    "block_b",
-    "block_c",
-    "block_a_inv",
-    "inverse_norm_frobenius_bound",
-    "inverse_norm_conjecture",
-    "condition_trend",
-]
+__all__ = ["CholeskyR", "ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
+           "qi_singular_bounds", "block_a", "block_b", "block_c", "block_a_inv",
+           "inverse_norm_frobenius_bound", "inverse_norm_conjecture", "condition_trend"]
 
 DENSE_ORACLE_LIMIT = 512
 
@@ -69,14 +56,8 @@ def build_R(n, m):
     """Cholesky factor of size ``n`` for order ``m``, from the closed forms."""
     if n < 1 or m < 1:
         raise ValueError(f"build_R: need n >= 1 and m >= 1, got n={n}, m={m}")
-    ell = np.arange(1, n + 1)
-    return CholeskyR(
-        n,
-        m,
-        np.atleast_1d(rec.chol_d(ell, m)),
-        np.atleast_1d(rec.chol_e(ell[: n - 1], m)) if n > 1 else np.zeros(0),
-        np.atleast_1d(rec.chol_f(ell[: n - 2], m)) if n > 2 else np.zeros(0),
-    )
+    d, e, f = rec._chol(np.arange(1, n + 1), m)
+    return CholeskyR(n, m, d, e[: n - 1], f[: max(n - 2, 0)])
 
 
 def _banded_from_dense(dense, lower_bw, upper_bw):
@@ -131,10 +112,7 @@ def qi_singular_bounds(n, m):
     """
     if n < 1 or m < 1:
         raise ValueError("qi_singular_bounds: need n >= 1 and m >= 1")
-    ell = np.arange(1, n + 1)
-    d = np.atleast_1d(rec.chol_d(ell, m))
-    e = np.atleast_1d(rec.chol_e(ell, m))
-    f = np.atleast_1d(rec.chol_f(ell, m))
+    d, e, f = rec._chol(np.arange(1, n + 1), m)
     e_prev = np.concatenate([[0.0], e[:-1]])  # e_{l-1}
     f_prev2 = np.concatenate([[0.0, 0.0], f[:-2]])  # f_{l-2}
     sigma_max = max(np.max(d + e + f), np.max(d + e_prev + f_prev2))
@@ -170,55 +148,32 @@ def kappa_numeric(n, m):
         raise ValueError(f"kappa_numeric: dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"kappa_numeric: need 1 <= m <= n-1, got m={m}, n={n}")
-    r = build_R(n - m, m).to_dense()
-    sv_r = np.linalg.svd(r, compute_uv=False)
-    kappa_r = float(sv_r[0] / sv_r[-1])
-    a = build_A(n, m).toarray()
-    b = build_B(n, m).toarray()
-    big = np.block([[a, b], [b, a]])
-    sv_m = np.linalg.svd(big, compute_uv=False)
-    kappa_m = float(sv_m[0] / sv_m[-1])
-    sigma_max, sigma_min = qi_singular_bounds(n - m, m)
-    return ConditionReport(
-        n,
-        m,
-        kappa_R=kappa_r,
-        kappa_M=kappa_m,
-        bound=kappa_bound(n, m),
-        sigma_max_bound=sigma_max,
-        sigma_min_bound=sigma_min,
-    )
+    sv_r = np.linalg.svd(build_R(n - m, m).to_dense(), compute_uv=False)
+    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+    sv_m = np.linalg.svd(np.block([[a, b], [b, a]]), compute_uv=False)
+    return ConditionReport(n, m, float(sv_r[0] / sv_r[-1]), float(sv_m[0] / sv_m[-1]), kappa_bound(n, m),
+                           *qi_singular_bounds(n - m, m))
 
 
 def block_a(l, m=1):
     """Diagonal 2x2 block of the blocked factor (rows ``2l-1``, ``2l``)."""
     if l < 1:
         raise ValueError("block_a: need l >= 1")
-    return np.array(
-        [
-            [rec.chol_d(2 * l - 1, m), -rec.chol_e(2 * l - 1, m)],
-            [0.0, rec.chol_d(2 * l, m)],
-        ]
-    )
+    (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
+    return np.array([[d1, -e1], [0.0, d2]])
 
 
 def block_b(l, m=1):
     """Superdiagonal 2x2 block of the blocked factor."""
     if l < 1:
         raise ValueError("block_b: need l >= 1")
-    return -np.array(
-        [
-            [rec.chol_f(2 * l - 1, m), 0.0],
-            [rec.chol_e(2 * l, m), rec.chol_f(2 * l, m)],
-        ]
-    )
+    _, (_, e2), (f1, f2) = rec._chol(np.array([2 * l - 1, 2 * l]), m)
+    return -np.array([[f1, 0.0], [e2, f2]])
 
 
 def block_a_inv(l, m=1):
     """Closed-form inverse of the diagonal block."""
-    d1 = rec.chol_d(2 * l - 1, m)
-    d2 = rec.chol_d(2 * l, m)
-    e1 = rec.chol_e(2 * l - 1, m)
+    (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
     return np.array([[1.0 / d1, e1 / (d1 * d2)], [0.0, 1.0 / d2]])
 
 

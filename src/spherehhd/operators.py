@@ -202,12 +202,7 @@ def z_to_cscy(z, m, n):
     if mu == 0:
         if z.shape != (n,):
             raise ValueError(f"z_to_cscy: expected length {n} at m=0, got {z.shape}")
-        w = np.zeros(n + 1)
-        w[:n] += rec.alpha(np.arange(1, n + 1), 0) * z
-        w[2:] += rec.beta(np.arange(1, n), 0) * z[:-1]
-        # the tangential basis at m == 0 uses the order-one Legendre functions,
-        # which enter the csc-harmonic recurrence with the opposite sign
-        return -w
+        return _z_to_cscy_zero(z[:, None], n)[:, 0]
     L = n - mu + 2
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L}, got {z.shape}")
@@ -334,6 +329,22 @@ def _cscy_to_z_block(w, ms):
     w /= beta[:, None]
     _recurrence(w[::-1], b=(-alpha / beta)[::-1])
     return w
+
+
+def _z_to_cscy_zero(z, n):
+    """Order-zero csc-harmonic slices, shape ``(n + 1, c)``, of ``c`` tangential slices ``z``, ``(n, c)``.
+
+    ``w_{l-1} = -(alpha(l) z_l + beta(l - 2) z_{l-2})``, the stencil that
+    :func:`_cscy_to_z_zero` inverts: the tangential basis at ``m == 0`` uses
+    the order-one Legendre functions, which enter the csc-harmonic
+    recurrence with the opposite sign.
+    """
+    # alpha(l, 0) and beta(l - 2, 0) at degree l of row i = l - 1
+    a, b = rec._conversion(np.arange(1.0, n + 2)[:, None], 0)
+    w = np.zeros((n + 1, z.shape[1]))
+    w[:n] = a[:n] * z
+    w[2:] += b[2:] * z[:-1]
+    return -w
 
 
 def _cscy_to_z_zero(w, n):

@@ -111,16 +111,22 @@ def delta(l, m):
     return _maybe_scalar(_derivative(_checked("delta", l, m, m, 0) + 1, m)[1])
 
 
+def _chol(l, m):
+    """``(chol_d, chol_e, chol_f)`` from one :func:`_qr` pass, every entry checked."""
+    d, e, f = _qr(_checked("chol_d/e/f", l, m, 1, 1), m)[1]
+    return _maybe_scalar(d), _maybe_scalar(-e), _maybe_scalar(-f)
+
+
 def chol_d(l, m):
     """Diagonal entry of the closed-form Cholesky factor of the normal matrix."""
-    return _maybe_scalar(_qr(_checked("chol_d", l, m, 1, 1), m)[1][0])
+    return _chol(l, m)[0]
 
 
 def chol_e(l, m):
     """First superdiagonal magnitude of the closed-form Cholesky factor."""
-    return _maybe_scalar(-_qr(_checked("chol_e", l, m, 1, 1), m)[1][1])
+    return _chol(l, m)[1]
 
 
 def chol_f(l, m):
     """Second superdiagonal magnitude of the closed-form Cholesky factor."""
-    return _maybe_scalar(-_qr(_checked("chol_f", l, m, 1, 1), m)[1][2])
+    return _chol(l, m)[2]

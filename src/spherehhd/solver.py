@@ -13,8 +13,8 @@ inputs: it applies the rotations to the right-hand sides and
 back-substitutes with the closed-form ``R`` itself, so the paper's proved
 bounds describe the very factor it uses.  At ``m == 0`` the colatitude
 block splits by degree parity into two lower-bidiagonal chains, with
-closed-form rotations and bidiagonal factors of their own (so a
-first-order back-substitution), on the same sweep.
+closed-form rotations and bidiagonal factors of their own; they ride in
+the first block's sweep as two more problems, next to orders 1, 2, ....
 
 The sweep solves many problems at once in (degree, right-hand side,
 problem) arrays; applying the rotations and back-substituting are linear
@@ -35,15 +35,10 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_block, _recurrence, _z_to_cscy_block, z_to_cscy
+from .operators import _cscy_to_z_block, _recurrence, _z_to_cscy_block, _z_to_cscy_zero
 from .spectra import HHDResult, ScalarSpectrum, TangentField
 
-__all__ = [
-    "solve_order",
-    "differentiate",
-    "decompose",
-    "decompose_order_zero",
-]
+__all__ = ["solve_order", "differentiate", "decompose", "decompose_order_zero"]
 
 # Orders per block in decompose and differentiate.  Wider blocks need fewer
 # numpy calls per degree but hold O(n * BLOCK_ORDERS) working memory.  At
@@ -95,37 +90,52 @@ def _lsq_sweep(sizes, rotations, factor, rhs):
 
 
 def _order_problems(n, ms):
-    """Sizes, rotations and triangular factors of the ``A + B`` problems of orders ``ms``.
+    """Sizes, rotations and triangular factors of the problems of the ascending orders ``ms``.
 
-    ``ms`` ascends from 1.  Column ``j`` of each is :func:`.recurrences._qr`
+    Column ``j`` of order ``m``'s ``A + B`` problem is :func:`.recurrences._qr`
     at ``l = j + 1``: the paper's closed-form rotation and the row of the
-    closed-form Cholesky factor it leaves.
+    closed-form Cholesky factor it leaves.  A leading order 0 stands for
+    problems 0 and 1, its parity chains (:func:`_order_zero_problems`).
     """
-    sizes = n - ms
-    return (sizes, *rec._qr(np.arange(1.0, sizes[0] + 2)[:, None], ms))
+    k = int(ms[0] == 0)
+    sizes, grids = n - ms[k:], rec._qr(np.arange(1.0, n + 2 - max(ms[0], 1))[:, None], ms[k:])
+    if k:
+        chains, rotations, (d, e) = _order_zero_problems(n)
+        sizes = np.concatenate((chains, sizes))
+        grids = [[np.concatenate(pair, axis=1) for pair in zip(*group)]
+                 for group in zip((rotations, (d, e, np.zeros_like(d))), grids)]
+    return (sizes, *grids)
 
 
 def _solve_orders(n, ms, b1, b2):
-    """Least squares for the block systems of orders ``ms`` (ascending, >= 1).
+    """Least squares for the block systems of the ascending orders ``ms``.
 
     ``b1``/``b2`` are the top and bottom halves of the right-hand sides,
-    shape ``(n - ms[0] + 1, r, len(ms))``; rows past an order's own
+    shape ``(n + 1 - max(ms[0], 1), r, len(ms))``; rows past an order's own
     ``n - m + 1`` are ignored.  The ``A + B`` problem takes ``b1 + b2`` for
     ``x1 + x2`` and ``D (b2 - b1)`` for ``D (x1 - x2)`` (see the module
-    docstring).  Returns the two halves of the solution, shape
-    ``(n - ms[0], r, len(ms))`` and zero past each order's ``n - m`` rows,
-    and each order's residual norm.
+    docstring).  At order zero the halves are its two parity chains instead,
+    each a problem of its own in lanes that the mixing leaves out.  Returns
+    the two halves of the solution, one row fewer and zero past each order's
+    ``n - m`` rows, and each order's residual norm.
     """
     rows, r = b1.shape[:2]
+    k = int(ms[0] == 0)  # order zero's chains are problems 0 and 1
     sign = (1.0 - 2.0 * (np.arange(rows) % 2))[:, None, None]  # D
-    rhs = np.empty((rows, 2 * r, len(ms)))
-    np.add(b1, b2, out=rhs[:, :r])
-    np.subtract(b2, b1, out=rhs[:, r:])
+    rhs = np.empty((rows, 2 * r, len(ms) + k))
+    if k:  # the chains' (theta, phi) columns in two lanes, zero in the other two
+        rhs[:, :r, :2], rhs[:, r:, :2] = np.concatenate((b1[..., :1], b2[..., :1]), axis=2), 0.0
+    np.add(b1[..., k:], b2[..., k:], out=rhs[:, :r, 2 * k :])
+    np.subtract(b2[..., k:], b1[..., k:], out=rhs[:, r:, 2 * k :])
     rhs[:, r:] *= sign
     x, res = _lsq_sweep(*_order_problems(n, ms), rhs)
     u, v = x[:, :r], sign[:-1] * x[:, r:]
+    x1, x2 = 0.5 * (u + v), 0.5 * (u - v)
     residual = math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
-    return 0.5 * (u + v), 0.5 * (u - v), residual
+    if k:  # the chains' own solutions and residual, neither mixed nor scaled
+        x1[..., 1], x2[..., 1] = x[:, :r, 0], x[:, :r, 1]
+        residual[1] = np.hypot.reduce(res[:2, :r].ravel())
+    return x1[..., k:], x2[..., k:], residual[k:]
 
 
 def solve_order(n, m, rhs):
@@ -163,9 +173,10 @@ def _order_zero_problems(n):
     leaves is upper bidiagonal, the Cholesky factor of the chain's normal
     matrix, returned as ``(d, e)``: ``R[j, j] = sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 1)(2l + 3)))``,
     ``R[j, j + 1] = -sqrt(l (l + 1)(l + 2)(l + 3) / ((2l + 3)(2l + 5)))``.
+    The grids have ``n`` rows, those of :func:`decompose`'s first block.
     """
     sizes = np.array([n // 2, (n - 1) // 2])
-    j = np.arange(n // 2 + 1)[:, None]
+    j = np.arange(n)[:, None]
     l = 2.0 * j + np.arange(2) + 1
     denom = (l + 2) * (l + 3)
     c = np.where(j % 2, 1.0, -1.0) * np.sqrt(2 * (2 * l + 3) / denom)
@@ -191,14 +202,23 @@ def decompose_order_zero(theta_slice, phi_slice, n):
         raise ValueError("decompose_order_zero: slices must have length n + 1")
     _require_finite("decompose_order_zero: theta_slice", theta_slice)
     _require_finite("decompose_order_zero: phi_slice", phi_slice)
-    pmax = n // 2
-    w = np.zeros((2 * pmax + 2, 2))
-    w[: n + 1] = np.column_stack([theta_slice, phi_slice])
-    # [j, chain, column] -> row degree 2j + chain
-    chains = w.reshape(pmax + 1, 2, 2).transpose(0, 2, 1)
-    x, res = _lsq_sweep(*_order_zero_problems(n), chains)
-    v = x.transpose(0, 2, 1).reshape(2 * pmax, 2)[: n - 1]
-    return v[:, 0], v[:, 1], float(np.hypot.reduce(res.ravel()))
+    b1, b2 = _parity_chains(np.column_stack([theta_slice, phi_slice]), n)
+    x1, x2, residual = _solve_orders(n, np.zeros(1, dtype=int), b1, b2)
+    vs, vt = _unchain(x1, x2, n)
+    return vs, vt, float(residual[0])
+
+
+def _parity_chains(w, n):
+    """Order zero's csc columns ``w`` (degrees ``0..n``) as chains 0 and 1, ``(n, c, 1)`` each, row ``j``
+    of chain ``k`` at degree ``2j + k``: the halves :func:`_solve_orders` takes."""
+    grid = np.zeros((2 * n, w.shape[1]))
+    grid[: n + 1] = w
+    return grid.reshape(n, 2, -1, 1).transpose(1, 0, 2, 3)
+
+
+def _unchain(x1, x2, n):
+    """Order zero's potentials ``(s, t)``, degrees ``1..n-1``, from column 0 of its chains' solutions."""
+    return np.stack((x1[..., 0], x2[..., 0]), axis=1).reshape(-1, x1.shape[1])[: n - 1].T
 
 
 def _pairs(spec, ms, rows):
@@ -281,14 +301,22 @@ def _block_rhs(theta, phi, ms, n):
     """Block right-hand sides of orders ``ms`` and the norms of their dropped tails.
 
     The two halves (see :func:`_solve_orders`) carry two columns: the
-    systems of ``(s_m, -t_-m)`` and of ``(s_-m, t_m)``.
+    systems of ``(s_m, -t_-m)`` and of ``(s_-m, t_m)``; at order zero, a
+    leading 0 in ``ms``, the ``(theta, phi)`` columns of chains 0 and 1.
     """
-    rows = n - ms[0] + 2
-    z = np.zeros((rows, 4, len(ms)))  # theta_m, theta_-m, phi_m, phi_-m
-    _gather(ms, (theta, phi), (z[:, :2], z[:, 2:]))
-    w = _z_to_cscy_block(z, ms)
-    tops = np.hypot.reduce(z[n - ms + 1, :, np.arange(len(ms))], axis=1)
-    return w[:, :2], w[:, 3:1:-1] * [[-1.0], [1.0]], rec.beta(n, ms) * tops
+    k = int(ms[0] == 0)
+    orders = ms[k:]
+    z = np.zeros((n - orders[0] + 2, 4, len(orders)))  # theta_m, theta_-m, phi_m, phi_-m
+    _gather(orders, (theta, phi), (z[:, :2], z[:, 2:]))
+    w = _z_to_cscy_block(z, orders)
+    tops = np.hypot.reduce(z[n - orders + 1, :, np.arange(len(orders))], axis=1)
+    b1, b2 = w[:, :2], w[:, 3:1:-1] * [[-1.0], [1.0]]
+    if k:
+        zero = np.column_stack((theta.order_slice(0), phi.order_slice(0)))
+        chains = _parity_chains(_z_to_cscy_zero(zero, n), n)
+        b1, b2 = (np.concatenate(pair, axis=2) for pair in zip(chains, (b1, b2)))
+        tops = np.append(math.hypot(*zero[-1]), tops)
+    return b1, b2, rec._conversion(n + 2.0, ms)[1] * tops  # beta(n, m) times the top degree
 
 
 def decompose(field):
@@ -308,19 +336,16 @@ def decompose(field):
     theta.require_finite("decompose: theta")
     phi.require_finite("decompose: phi")
     result = HHDResult(ScalarSpectrum(n - 1), ScalarSpectrum(n - 1))
-
-    zt0, zp0 = theta.order_slice(0), phi.order_slice(0)
-    vs0, vt0, res0 = decompose_order_zero(z_to_cscy(zt0, 0, n), z_to_cscy(zp0, 0, n), n)
-    result.spheroidal.order_slice(0)[1:] = vs0
-    result.toroidal.order_slice(0)[1:] = vt0
-    result.residual_by_order[0] = res0
-    result.out_of_range_by_order[0] = rec.beta(n, 0) * math.hypot(zt0[-1], zp0[-1])
-
     for start in range(1, n, BLOCK_ORDERS):
-        ms = np.arange(start, min(start + BLOCK_ORDERS, n))
+        # order zero's two parity chains ride in the first block's sweep
+        ms = np.arange(start - (start == 1), min(start + BLOCK_ORDERS, n))
         b1, b2, tails = _block_rhs(theta, phi, ms, n)
         x1, x2, residual = _solve_orders(n, ms, b1, b2)
-        _scatter(ms, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1] * [[1.0], [-1.0]]))
+        k = int(start == 1)
+        if k:
+            result.spheroidal.order_slice(0)[1:], result.toroidal.order_slice(0)[1:] = _unchain(x1, x2, n)
+        x1, x2 = x1[..., k:], x2[:, ::-1, k:] * [[1.0], [-1.0]]
+        _scatter(ms[k:], (result.spheroidal, result.toroidal), (x1, x2))
         result.residual_by_order.update(zip(ms.tolist(), residual.tolist()))
         result.out_of_range_by_order.update(zip(ms.tolist(), tails.tolist()))
 

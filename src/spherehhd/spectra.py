@@ -59,12 +59,15 @@ class _CoeffTable:
 
     def __init__(self, n, data=None):
         if n < 0:
-            raise ValueError("truncation degree must be nonnegative")
+            raise ValueError(f"degree n={n}: truncation degree must be nonnegative")
         self.n = int(n)
         # the table ends where the pair of the first order past it would start
         pos = self._size = self.order_offsets(self.max_order() + 1)[0]
         if data is None:
-            self._data = np.zeros(pos)
+            try:
+                self._data = np.zeros(pos)
+            except MemoryError:
+                raise ValueError(f"degree n={n}: cannot allocate a table of {pos} coefficients") from None
         else:
             data = np.asarray(data, dtype=np.float64)
             if data.shape != (pos,):
@@ -362,8 +365,8 @@ def read_spectrum(path):
             raise ValueError(f"{path}: malformed degree in header {header!r}") from None
         try:
             spec = _CLASS_BY_BASIS[basis](n)
-        except (MemoryError, ValueError) as exc:
-            raise ValueError(f"{path}: degree n={n}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         # Comment and blank lines are dropped before the parser sees them, so
         # a '#' inside a row stays an error and loadtxt counts data rows only.
         # lstrip returns an unindented line itself; loadtxt skips the empty

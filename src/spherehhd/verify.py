@@ -125,7 +125,7 @@ def entry_bound_excess(lmax, mmax):
     for ``m >= 2``, ``d - e - f >= m - 3/2``, per order ``m <= mmax`` over ``l <= lmax``."""
     ell = np.arange(1, lmax + 1, dtype=np.float64)
     for m in range(1, mmax + 1):
-        d, e, f = rec.chol_d(ell, m), rec.chol_e(ell, m), rec.chol_f(ell, m)
+        d, e, f = rec._chol(ell, m)
         excess = [d - (ell + 2 * m) / 2, e - 1.0, f - (ell + 1) / 2,
                   np.nextafter(d[:-1], np.inf) - d[1:]]  # d[l] < d[l + 1]
         if m >= 2:

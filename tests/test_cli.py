@@ -104,6 +104,20 @@ def test_decompose_unallocatable_header_degree_fails(tmp_path, capsys):
     assert "degree n=100000000" in err
 
 
+@pytest.mark.parametrize("command", [["differentiate", "--n"], ["roundtrip", "--iters", "1", "--n"],
+                                     ["bench", "--iters", "1", "--n-list"]], ids=lambda c: c[0])
+def test_unallocatable_degree_fails(command, tmp_path, capsys):
+    # the potentials of degree 10**8 - 1 hold ~10**16 coefficients (~71 PiB):
+    # the table is refused as a ValueError naming its degree, one line on
+    # stderr and exit 1, not a MemoryError traceback
+    extra = ["--out-prefix", str(tmp_path / "x")] if command[0] == "differentiate" else []
+    code, out, err = run_cli(capsys, *command, "100000000", *extra)
+    assert code == 1
+    assert "degree n=99999999: cannot allocate" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_file_fails(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

@@ -10,6 +10,7 @@ from spherehhd import recurrences as rec
 from spherehhd.conditioning import CholeskyR, build_R
 from spherehhd.operators import CHUNK_STEPS, build_A, build_B, z_to_cscy
 from spherehhd.solver import (
+    BLOCK_ORDERS,
     _lsq_sweep,
     _order_problems,
     _order_zero_problems,
@@ -382,6 +383,54 @@ def test_decompose_order_zero_consistency():
     assert_allclose(vt, t.order_slice(0)[1:], atol=1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), perturbed=st.booleans())
+@example(n=2, seed=0, perturbed=True)
+@example(n=BLOCK_ORDERS + 1, seed=1, perturbed=False)
+@example(n=BLOCK_ORDERS + 2, seed=2, perturbed=True)
+def test_decompose_solves_order_zero_in_the_first_block(n, seed, perturbed):
+    # decompose sweeps order zero's two parity chains as two more problems of
+    # its first block; decompose_order_zero sweeps them on the same n-row
+    # grid, so both give the same bits.  A consistent order zero comes back,
+    # and a perturbed one leaves a residual orthogonal to A0's range
+    s, t = random_potentials(n, seed)
+    field = differentiate(s, t)
+    if perturbed:
+        rng = np.random.default_rng(seed)
+        for comp in (field.theta, field.phi):
+            comp.flat()[:] += rng.standard_normal(comp.size)
+    result = decompose(field)
+    w = np.column_stack([z_to_cscy(comp.order_slice(0), 0, n) for comp in (field.theta, field.phi)])
+    vs, vt, residual = decompose_order_zero(w[:, 0], w[:, 1], n)
+    got = np.column_stack([result.spheroidal.order_slice(0), result.toroidal.order_slice(0)])
+    assert np.array_equal(got[1:], np.column_stack([vs, vt])) and not np.any(got[0])
+    assert result.residual_by_order[0] == residual
+    a0 = build_A(n, 0).toarray()
+    r = a0 @ got[1:] - w
+    assert residual == pytest.approx(np.linalg.norm(r), rel=1e-9, abs=1e-13 * np.linalg.norm(w))
+    assert np.max(np.abs(a0.T @ r)) <= 1e-12 * np.linalg.norm(a0) * np.linalg.norm(w)
+    if not perturbed:
+        truth = np.column_stack([s.order_slice(0), t.order_slice(0)])
+        assert np.max(np.abs(got - truth)) <= 1e-13 * np.max(np.abs(truth))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_order_zero_in_a_small_first_block_matches_dense_least_squares(n):
+    # at n = 2 and 3 the first block holds one or two orders, and the chains
+    # (n // 2 + 1 rows) fill most of its n rows
+    rng = np.random.default_rng(n)
+    field = TangentField(ZSpectrum(n), ZSpectrum(n))
+    for comp in (field.theta, field.phi):
+        comp.flat()[:] = rng.standard_normal(comp.size)
+    result = decompose(field)
+    a0 = build_A(n, 0).toarray()
+    w = np.column_stack([z_to_cscy(comp.order_slice(0), 0, n) for comp in (field.theta, field.phi)])
+    ref, *_ = np.linalg.lstsq(a0, w, rcond=None)
+    got = np.column_stack([result.spheroidal.order_slice(0)[1:], result.toroidal.order_slice(0)[1:]])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert result.residual_by_order[0] == pytest.approx(np.linalg.norm(a0 @ ref - w), rel=1e-10)
+
+
 def test_out_of_range_reporting():
     n = 6
     field = TangentField.zeros(n)
@@ -536,7 +585,7 @@ def test_lsq_sweep_ignores_rotations_past_each_size(zero):
     n = 3 * CHUNK_STEPS + 2
     sizes, rotations, factor = _order_zero_problems(n) if zero else _order_problems(n, np.arange(1, 7))
     rng = np.random.default_rng(6)
-    rhs = rng.standard_normal((sizes[0] + 1, 2, len(sizes)))
+    rhs = rng.standard_normal((len(rotations[0]), 2, len(sizes)))
     past = np.arange(len(rotations[0]))[:, None] >= sizes
 
     def noisy(grids):
@@ -559,5 +608,5 @@ def test_order_zero_chains_match_dense_least_squares(n, r, seed):
     sizes, rotations, factor = _order_zero_problems(n)
     dense = [a0[k::2, k::2] for k in range(2)]
     assert [d.shape for d in dense] == [(p + 1, p) for p in sizes.tolist()]
-    rhs = np.random.default_rng(seed).standard_normal((sizes[0] + 1, r, 2))
+    rhs = np.random.default_rng(seed).standard_normal((n, r, 2))  # the grids' n rows
     _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(sizes, rotations, factor, rhs))
