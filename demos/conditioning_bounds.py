@@ -25,7 +25,7 @@ print()
 print("singular-value brackets at m >= 2 (size-n factor)")
 print(f"{'n':>5} {'m':>4} {'sigma_max':>11} {'<= upper':>11} {'sigma_min':>11} {'>= lower':>11}")
 for n, m in ((32, 2), (32, 5), (64, 3)):
-    sv = np.linalg.svd(build_R(n, m).to_dense(), compute_uv=False)
+    sv = np.linalg.svd(build_R(n, m), compute_uv=False)
     upper, lower = qi_singular_bounds(n, m)
     print(f"{n:5d} {m:4d} {sv[0]:11.4f} {upper:11.4f} {sv[-1]:11.4f} {lower:11.4f}")
 
@@ -33,7 +33,7 @@ print()
 print("m = 1: dense inverse norm vs the conjectured logarithmic estimate")
 print(f"{'n':>5} {'dense':>10} {'estimate':>10}")
 for n in (8, 32, 128):
-    r = build_R(n, 1).to_dense()
+    r = build_R(n, 1)
     dense = np.linalg.svd(np.linalg.inv(r), compute_uv=False)[0]
     print(f"{n:5d} {dense:10.4f} {inverse_norm_conjecture(n):10.4f}")
 

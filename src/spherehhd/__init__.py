@@ -43,7 +43,6 @@ from .solver import (
     decompose_order_zero,
 )
 from .conditioning import (
-    CholeskyR,
     ConditionReport,
     build_R,
     build_CD,

@@ -4,9 +4,8 @@ Subcommands
 -----------
 decompose     read tangential-component coefficient files, write potentials
 differentiate generate seeded random potentials and their tangential field
-roundtrip     differentiate-then-decompose experiment with timings (CSV)
-bench         differentiate and decompose timings over a list of degrees (CSV;
-              ``--json PATH`` also writes medians, errors and peak RSS)
+bench         differentiate-then-decompose errors and timings over a list of
+              degrees (CSV; ``--json PATH`` also writes medians and peak RSS)
 cond          condition numbers and bounds over (n, m) grids (CSV)
 verify        run the verification suites, one line per suite naming its worst
               item; tolerances are fixed, ``--level`` picks the sizes
@@ -118,20 +117,6 @@ def _timed_roundtrip_rows(n, seed, iters):
     return rows
 
 
-def _mean_seconds(rows):
-    return ",".join(f"{sum(r[col] for r in rows) / len(rows):.6f}" for col in (2, 3))
-
-
-def cmd_roundtrip(args):
-    rows = _timed_roundtrip_rows(args.n, args.seed, args.iters)
-    print("n,iter,rel_error,decompose_seconds,differentiate_seconds")
-    for it, err, dec, diff in rows:
-        print(f"{args.n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
-    mean_err = sum(r[1] for r in rows) / len(rows)
-    print(f"{args.n},mean,{mean_err:.16e},{_mean_seconds(rows)}")
-    return 0
-
-
 # one round trip in a fresh interpreter, which prints its peak RSS in MiB
 # (ru_maxrss is in KiB on Linux)
 _PEAK_RSS_CHILD = (
@@ -163,13 +148,13 @@ def _machine():
 def cmd_bench(args):
     # the report file opens first, so a bad path fails before any output
     with (open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()) as fh:
-        print("n,iter,decompose_seconds,differentiate_seconds")
+        print("n,iter,rel_error,decompose_seconds,differentiate_seconds")
         runs = []
         for n in args.n_list:
             rows = _timed_roundtrip_rows(n, args.seed, args.iters)
-            for it, _, dec, diff in rows:
-                print(f"{n},{it},{dec:.6f},{diff:.6f}")
-            print(f"{n},mean,{_mean_seconds(rows)}")
+            means = [sum(r[col] for r in rows) / len(rows) for col in (1, 2, 3)]
+            for it, err, dec, diff in rows + [("mean", *means)]:
+                print(f"{n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
             runs.append({"n": n, "decompose_s": statistics.median(r[2] for r in rows),
                          "differentiate_s": statistics.median(r[3] for r in rows),
                          "roundtrip_rel_err": max(r[1] for r in rows),
@@ -218,8 +203,6 @@ def _build_parser():
     n = dict(type=_checked(int, lambda v: v >= 2, "must be >= 2"), required=True,
              help="truncation degree")
     seed = dict(type=int, default=0, help="random seed")
-    iters = dict(type=_checked(int, lambda v: v >= 1, "must be >= 1"), default=10,
-                 help="timed iterations after warm-up")
     out_prefix = dict(required=True, help="prefix for output files")
     limit = cond.DENSE_ORACLE_LIMIT
     commands = {
@@ -228,12 +211,12 @@ def _build_parser():
             "--input-phi": dict(required=True, help="basis-Z coefficient file, phi component"),
             "--out-prefix": out_prefix}),
         "differentiate": (cmd_differentiate, {"--n": n, "--seed": seed, "--out-prefix": out_prefix}),
-        "roundtrip": (cmd_roundtrip, {"--n": n, "--seed": seed, "--iters": iters}),
         "bench": (cmd_bench, {
             "--n-list": dict(type=_checked(_int_list, lambda ns: min(ns) >= 2, "entries must be >= 2"),
                              default=(256, 512, 1024), help="comma-separated truncation degrees"),
-            "--seed": seed, "--iters": iters,
-            "--json": dict(help="also write the results to this file")}),
+            "--seed": seed, "--json": dict(help="also write the results to this file"),
+            "--iters": dict(type=_checked(int, lambda v: v >= 1, "must be >= 1"), default=10,
+                            help="timed iterations after warm-up")}),
         "cond": (cmd_cond, {
             "--n-list": dict(type=_checked(_int_list, lambda ns: 2 <= min(ns) and max(ns) <= limit,
                                            f"entries must be >= 2 and are limited to n <= {limit}"),

@@ -11,7 +11,10 @@ turns condition-number estimation into scalar inequalities:
   a Frobenius-norm bound that grows only logarithmically.
 
 Dense singular-value and eigenvalue oracles (LAPACK via numpy) live here
-and in the test suite only; the fast solver never touches them.
+and in the test suite only; the fast solver never touches them.  They
+take the plain arrays of :func:`build_R` and :func:`build_CD`; the
+factor's diagonals are :func:`.recurrences.chol_d`, ``chol_e`` and
+``chol_f``.
 """
 
 import math
@@ -20,66 +23,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrences as rec
-from .operators import BandedMatrix, build_A, build_B
+from .operators import build_A, build_B
 
-__all__ = ["CholeskyR", "ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
+__all__ = ["ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
            "qi_singular_bounds", "block_a", "block_b", "block_c", "block_a_inv",
            "inverse_norm_frobenius_bound", "inverse_norm_conjecture", "condition_trend"]
 
 DENSE_ORACLE_LIMIT = 512
 
 
-@dataclass
-class CholeskyR:
-    """Closed-form upper-triangular Cholesky factor of one order's normal matrix.
-
-    ``d``, ``e``, ``f`` hold the main, first and second superdiagonals (the
-    off-diagonals enter with a minus sign); ``n`` is the matrix dimension.
-    """
-
-    n: int
-    m: int
-    d: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-
-    def to_dense(self):
-        out = np.zeros((self.n, self.n))
-        idx = np.arange(self.n)
-        out[idx, idx] = self.d
-        out[idx[:-1], idx[:-1] + 1] = -self.e
-        out[idx[:-2], idx[:-2] + 2] = -self.f
-        return out
-
-
 def build_R(n, m):
-    """Cholesky factor of size ``n`` for order ``m``, from the closed forms."""
+    """Dense Cholesky factor of size ``n`` for order ``m``: ``chol_d`` on the diagonal, ``-chol_e``
+    and ``-chol_f`` on the first and second superdiagonals."""
     if n < 1 or m < 1:
         raise ValueError(f"build_R: need n >= 1 and m >= 1, got n={n}, m={m}")
     d, e, f = rec._chol(np.arange(1, n + 1), m)
-    return CholeskyR(n, m, d, e[: n - 1], f[: max(n - 2, 0)])
-
-
-def _banded_from_dense(dense, lower_bw, upper_bw):
-    rows, cols = dense.shape
-    out = BandedMatrix(rows, cols, lower_bw, upper_bw)
-    for off in range(-upper_bw, lower_bw + 1):
-        lo = max(0, -off)
-        hi = min(cols, rows - off)
-        j = np.arange(lo, hi)
-        out.data[upper_bw + off, lo:hi] = dense[j + off, j]
-    check = out.toarray()
-    if not np.array_equal(check, dense):
-        raise AssertionError("matrix has entries outside the declared band")
-    return out
+    r, i = np.diag(d), np.arange(n)
+    r[i[:-1], i[1:]] = -e[:-1]
+    r[i[:-2], i[2:]] = -f[:-2]
+    return r
 
 
 def build_CD(n, m):
-    """Normal-matrix blocks ``C = A'A + B'B`` and ``D = A'B + B'A``.
+    """Dense normal-matrix blocks ``C = A'A + B'B`` and ``D = A'B + B'A``.
 
     ``C`` comes out pentadiagonal with exact zeros on the first sub- and
     superdiagonals, ``D`` tridiagonal with an exactly zero main diagonal;
-    the constructor verifies both structures.
+    an ``AssertionError`` reports an entry outside either structure.
     """
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_CD: need 1 <= m <= n-1, got m={m}, n={n}")
@@ -87,7 +57,10 @@ def build_CD(n, m):
     b = build_B(n, m).toarray()
     c = a.T @ a + b.T @ b
     d = a.T @ b + b.T @ a
-    return _banded_from_dense(c, 2, 2), _banded_from_dense(d, 1, 1)
+    off = np.abs(np.subtract.outer(np.arange(n - m), np.arange(n - m)))
+    if np.any(c[(off == 1) | (off > 2)]) or np.any(d[off != 1]):
+        raise AssertionError("C or D has entries outside its structure")
+    return c, d
 
 
 def kappa_bound(n, m):
@@ -148,7 +121,7 @@ def kappa_numeric(n, m):
         raise ValueError(f"kappa_numeric: dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"kappa_numeric: need 1 <= m <= n-1, got m={m}, n={n}")
-    sv_r = np.linalg.svd(build_R(n - m, m).to_dense(), compute_uv=False)
+    sv_r = np.linalg.svd(build_R(n - m, m), compute_uv=False)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
     sv_m = np.linalg.svd(np.block([[a, b], [b, a]]), compute_uv=False)
     return ConditionReport(n, m, float(sv_r[0] / sv_r[-1]), float(sv_m[0] / sv_m[-1]), kappa_bound(n, m),
@@ -211,7 +184,6 @@ def condition_trend(n, orders=None):
         orders = range(2, n)
     out = {}
     for m in orders:
-        r = build_R(n - m, m).to_dense()
-        sv = np.linalg.svd(r, compute_uv=False)
+        sv = np.linalg.svd(build_R(n - m, m), compute_uv=False)
         out[m] = float(sv[0] / sv[-1])
     return out

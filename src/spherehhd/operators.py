@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrences as rec
+from .spectra import _require_integers
 
 __all__ = [
     "BandedMatrix",
@@ -73,9 +74,6 @@ class BandedMatrix:
             raise ValueError(f"offset {offset} outside band")
         return self.data[self.upper_bw + offset]
 
-    def set_diagonal(self, offset, values):
-        self.diagonal(offset)[:] = values
-
     def toarray(self):
         out = np.zeros((self.rows, self.cols))
         for off in range(-self.upper_bw, self.lower_bw + 1):
@@ -110,14 +108,14 @@ def build_A(n, m):
             raise ValueError("build_A: need n >= 2 at m = 0")
         A = BandedMatrix(n + 1, n - 1, lower_bw=2, upper_bw=0)
         cols = np.arange(1, n)  # potential degrees
-        A.set_diagonal(0, rec.gamma(cols, 0))
-        A.set_diagonal(2, rec.delta(cols, 0))
+        A.diagonal(0)[:] = rec.gamma(cols, 0)
+        A.diagonal(2)[:] = rec.delta(cols, 0)
         return A
     q, p = n + 1 - m, n - m
     A = BandedMatrix(q, p, lower_bw=1, upper_bw=1)
     if p > 1:
         A.diagonal(-1)[1:] = rec.gamma(np.arange(m + 1, n), m)
-    A.set_diagonal(1, rec.delta(np.arange(m, n), m))
+    A.diagonal(1)[:] = rec.delta(np.arange(m, n), m)
     return A
 
 
@@ -127,7 +125,7 @@ def build_B(n, m):
         raise ValueError(f"build_B: need 1 <= m <= n-1, got m={m}, n={n}")
     q, p = n + 1 - m, n - m
     B = BandedMatrix(q, p, lower_bw=0, upper_bw=0)
-    B.set_diagonal(0, float(m))
+    B.diagonal(0)[:] = float(m)
     return B
 
 
@@ -189,6 +187,14 @@ def build_order_system(n, m):
     return OrderSystem(n, m, A, B, shuffled, perm_rows, perm_cols)
 
 
+def _slice_order(name, m, n):
+    """``|m|``, once ``m`` and ``n`` are integers and ``m`` is an order of basis Z at degree ``n``."""
+    _require_integers(name, m=m, n=n)
+    if abs(m) > n + 1:
+        raise ValueError(f"{name}: order {m} outside basis Z with n={n}")
+    return abs(m)
+
+
 def z_to_cscy(z, m, n):
     """Convert one order slice from the tangential basis to csc-harmonic form.
 
@@ -197,26 +203,28 @@ def z_to_cscy(z, m, n):
     not representable and is dropped here; callers that need it account for
     ``beta(n, |m|) * z[-1]`` separately.
     """
-    mu = abs(m)
+    mu = _slice_order("z_to_cscy", m, n)
     z = np.asarray(z, dtype=np.float64)
-    if mu == 0:
-        if z.shape != (n,):
-            raise ValueError(f"z_to_cscy: expected length {n} at m=0, got {z.shape}")
-        return _z_to_cscy_zero(z[:, None], n)[:, 0]
-    L = n - mu + 2
+    L = n - abs(mu - 1) + 1
     if z.shape != (L,):
-        raise ValueError(f"z_to_cscy: expected length {L}, got {z.shape}")
-    return _z_to_cscy_block(z[:, None, None], np.array([mu]))[:, 0, 0]
+        raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
+    if mu:
+        return _z_to_cscy_block(z[:, None, None], np.array([mu]))[:, 0, 0]
+    grid = np.full((n + 3, 1, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
+    grid[2:-1, 0, 0] = z
+    return -_z_to_cscy_block(grid, np.zeros(1, int))[:-1, 0, 0]
 
 
 def _z_to_cscy_block(z, ms):
-    """:func:`z_to_cscy` for several orders ``ms >= 1`` at once.
+    """:func:`z_to_cscy` for several orders ``ms >= 0`` at once.
 
     Column ``k`` of ``z`` (shape ``(rows, c, K)``) holds ``c`` slices of
     order ``ms[k]`` (degrees ``ms[k]-1`` upward), zero-padded to the common
     row count.  Row ``i`` of the result is csc-harmonic degree ``ms[k] + i``;
     rows past an order's own ``n - ms[k] + 1`` carry its dropped tail and
-    are not part of it.
+    are not part of it.  At ``m == 0``, whose basis functions enter with the
+    opposite sign, the conversion is the negated result, and callers fill the
+    rows at degrees -1, 0 and ``n + 1`` with -0.0, which changes no sum's sign.
     """
     # row i, csc degree l = m + i, is beta(l - 1) z[i] + alpha(l + 1) z[i + 2]
     alpha, beta = rec._conversion(ms + np.arange(1.0, z.shape[0])[:, None], ms)
@@ -331,22 +339,6 @@ def _cscy_to_z_block(w, ms):
     return w
 
 
-def _z_to_cscy_zero(z, n):
-    """Order-zero csc-harmonic slices, shape ``(n + 1, c)``, of ``c`` tangential slices ``z``, ``(n, c)``.
-
-    ``w_{l-1} = -(alpha(l) z_l + beta(l - 2) z_{l-2})``, the stencil that
-    :func:`_cscy_to_z_zero` inverts: the tangential basis at ``m == 0`` uses
-    the order-one Legendre functions, which enter the csc-harmonic
-    recurrence with the opposite sign.
-    """
-    # alpha(l, 0) and beta(l - 2, 0) at degree l of row i = l - 1
-    a, b = rec._conversion(np.arange(1.0, n + 2)[:, None], 0)
-    w = np.zeros((n + 1, z.shape[1]))
-    w[:n] = a[:n] * z
-    w[2:] += b[2:] * z[:-1]
-    return -w
-
-
 def _cscy_to_z_zero(w, n):
     """Order-zero chains for ``c`` csc-harmonic slices ``w`` of shape ``(n + 1, c)``.
 
@@ -371,10 +363,10 @@ def cscy_to_z(w, m, n):
     exact on that range.  At ``m == 0`` both chains substitute upward from
     the bottom and one equation is redundant.
     """
+    mu = _slice_order("cscy_to_z", m, n)
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("cscy_to_z: expected a single order slice")
-    mu = abs(m)
     if mu == 0:
         if w.shape != (n + 1,):
             raise ValueError(f"cscy_to_z: expected length {n + 1} at m=0, got {w.shape[0]}")

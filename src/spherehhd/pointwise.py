@@ -201,18 +201,9 @@ class GridSpec:
             )
 
 
-def synthesize(obj, grid):
-    """Pointwise samples ``(V_theta, V_phi)`` of a tangential field on ``grid``.
-
-    ``obj`` may be a :class:`TangentField` (summed directly in the
-    tangential basis) or a ``(spheroidal, toroidal)`` pair of scalar
-    spectra, which is routed through :func:`synthesize_from_potentials`.
-    Arrays have shape ``(n_theta, n_phi)``.
-    """
-    if isinstance(obj, tuple):
-        s, t = obj
-        return synthesize_from_potentials(s, t, grid)
-    field_ = obj
+def synthesize(field_, grid):
+    """Pointwise samples ``(V_theta, V_phi)``, shape ``(n_theta, n_phi)``, of a :class:`TangentField`
+    on ``grid``, summed directly in the tangential basis."""
     n = field_.n
     grid.check_resolves(n)
     vth = np.zeros((grid.n_theta, grid.n_phi))

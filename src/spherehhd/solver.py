@@ -35,8 +35,8 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_block, _recurrence, _z_to_cscy_block, _z_to_cscy_zero
-from .spectra import HHDResult, ScalarSpectrum, TangentField
+from .operators import _cscy_to_z_block, _recurrence, _z_to_cscy_block
+from .spectra import HHDResult, ScalarSpectrum, TangentField, _require_integers
 
 __all__ = ["solve_order", "differentiate", "decompose", "decompose_order_zero"]
 
@@ -147,6 +147,7 @@ def solve_order(n, m, rhs):
     of the residual over all columns.  Raises ``ValueError`` naming the
     first ``rhs`` row that holds a non-finite value.
     """
+    _require_integers("solve_order", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"solve_order: need 1 <= m <= n-1, got m={m}, n={n}")
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -196,6 +197,9 @@ def decompose_order_zero(theta_slice, phi_slice, n):
     norm.  Raises ``ValueError`` naming the slice and the row (degree) of a
     non-finite value.
     """
+    _require_integers("decompose_order_zero", n=n)
+    if n < 2:
+        raise ValueError(f"decompose_order_zero: need truncation degree n >= 2, got {n}")
     theta_slice = np.asarray(theta_slice, dtype=np.float64)
     phi_slice = np.asarray(phi_slice, dtype=np.float64)
     if theta_slice.shape != (n + 1,) or phi_slice.shape != (n + 1,):
@@ -312,10 +316,11 @@ def _block_rhs(theta, phi, ms, n):
     tops = np.hypot.reduce(z[n - orders + 1, :, np.arange(len(orders))], axis=1)
     b1, b2 = w[:, :2], w[:, 3:1:-1] * [[-1.0], [1.0]]
     if k:
-        zero = np.column_stack((theta.order_slice(0), phi.order_slice(0)))
-        chains = _parity_chains(_z_to_cscy_zero(zero, n), n)
+        zero = np.full((n + 3, 2, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
+        zero[2:-1, :, 0] = np.column_stack((theta.order_slice(0), phi.order_slice(0)))
+        chains = _parity_chains(-_z_to_cscy_block(zero, ms[:1])[:-1, :, 0], n)
         b1, b2 = (np.concatenate(pair, axis=2) for pair in zip(chains, (b1, b2)))
-        tops = np.append(math.hypot(*zero[-1]), tops)
+        tops = np.append(math.hypot(*zero[-2, :, 0]), tops)
     return b1, b2, rec._conversion(n + 2.0, ms)[1] * tops  # beta(n, m) times the top degree
 
 
@@ -329,6 +334,8 @@ def decompose(field):
     in ``out_of_range_by_order`` rather than raised.  Raises ``ValueError``
     on a non-finite coefficient, naming its component and ``(l, m)``.
     """
+    if not isinstance(field, TangentField):
+        raise ValueError("decompose: the field must be a TangentField")
     n = field.n
     if n < 2:
         raise ValueError("decompose: need truncation degree n >= 2")

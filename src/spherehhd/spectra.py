@@ -15,6 +15,7 @@ nothing in the library mutates a spectrum it did not create.
 """
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -52,12 +53,20 @@ def _l2_norm(*arrays):
     return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
 
 
+def _require_integers(name, **values):
+    """Raise ``ValueError`` naming ``name`` and the first of ``values`` that is not an integer (or is a bool)."""
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}: {key} must be an integer, got {value!r}")
+
+
 class _CoeffTable:
     """Shared machinery for the two triangular coefficient tables."""
 
     basis = None  # "Y" or "Z"
 
     def __init__(self, n, data=None):
+        _require_integers(type(self).__name__, n=n)
         if n < 0:
             raise ValueError(f"degree n={n}: truncation degree must be nonnegative")
         self.n = int(n)

@@ -96,9 +96,8 @@ def cholesky_deviations(sizes):
     """Deviation of the closed-form ``R'R`` from ``C + D``, relative to its largest entry."""
     for n in sizes:
         for m in range(1, n):
-            c, d = cond.build_CD(n, m)
-            cd = c.toarray() + d.toarray()
-            r = cond.build_R(n - m, m).to_dense()
+            cd = np.add(*cond.build_CD(n, m))
+            r = cond.build_R(n - m, m)
             yield f"(n={n}, m={m})", _worst(r.T @ r - cd) / _worst(cd)
 
 
@@ -115,8 +114,7 @@ def eigenvalue_deviations(n, orders):
     for m in orders:
         dense = _dense_system(n, m)
         ev_m = np.linalg.eigvalsh(dense.T @ dense)
-        c, d = cond.build_CD(n, m)
-        ev_cd = np.linalg.eigvalsh(c.toarray() + d.toarray())
+        ev_cd = np.linalg.eigvalsh(np.add(*cond.build_CD(n, m)))
         yield f"(n={n}, m={m})", _worst(ev_m - np.sort(np.concatenate([ev_cd, ev_cd]))) / ev_m[-1]
 
 
@@ -139,7 +137,7 @@ def condition_bound_excess(sizes):
     for n in sizes:
         for m in range(1, n):
             rep = cond.kappa_numeric(n, m)
-            sv = np.linalg.svd(cond.build_R(n - m, m).to_dense(), compute_uv=False)
+            sv = np.linalg.svd(cond.build_R(n - m, m), compute_uv=False)
             excess = [rep.kappa_R - rep.bound, sv[0] - rep.sigma_max_bound]
             if m >= 2:
                 excess += [rep.sigma_min_bound - sv[-1], sv[0] - (n + m + 1.5), m - 1.5 - sv[-1]]

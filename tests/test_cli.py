@@ -104,8 +104,8 @@ def test_decompose_unallocatable_header_degree_fails(tmp_path, capsys):
     assert "degree n=100000000" in err
 
 
-@pytest.mark.parametrize("command", [["differentiate", "--n"], ["roundtrip", "--iters", "1", "--n"],
-                                     ["bench", "--iters", "1", "--n-list"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("command", [["differentiate", "--n"], ["bench", "--iters", "1", "--n-list"]],
+                         ids=lambda c: c[0])
 def test_unallocatable_degree_fails(command, tmp_path, capsys):
     # the potentials of degree 10**8 - 1 hold ~10**16 coefficients (~71 PiB):
     # the table is refused as a ValueError naming its degree, one line on
@@ -129,35 +129,27 @@ def test_missing_file_fails(tmp_path, capsys):
     assert code == 1
 
 
-def test_roundtrip_csv_schema_and_determinism(capsys):
-    code, out1, _ = run_cli(capsys, "roundtrip", "--n", "16", "--seed", "3", "--iters", "2")
+def test_bench_csv_schema(capsys):
+    code, out1, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "3")
     assert code == 0
     lines = out1.strip().splitlines()
     assert lines[0] == "n,iter,rel_error,decompose_seconds,differentiate_seconds"
-    assert len(lines) == 4  # header + 2 iterations + mean
-    assert lines[-1].split(",")[1] == "mean"
-    assert all(len(line.split(",")) == 5 for line in lines)
+    assert len(lines) == 1 + 2 * 3  # per degree: 2 iterations + mean
+    assert [line.split(",")[:2] for line in lines[1:4]] == [["8", "1"], ["8", "2"], ["8", "mean"]]
+    assert all(len(line.split(",")) == 5 and float(line.split(",")[4]) >= 0 for line in lines[1:])
     errs1 = [line.split(",")[2] for line in lines[1:]]
     assert all(float(e) <= 1e-12 for e in errs1)
-    code, out2, _ = run_cli(capsys, "roundtrip", "--n", "16", "--seed", "3", "--iters", "2")
+    assert float(errs1[2]) == pytest.approx((float(errs1[0]) + float(errs1[1])) / 2, rel=1e-15)
+    code, out2, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "3")
     errs2 = [line.split(",")[2] for line in out2.strip().splitlines()[1:]]
     assert errs1 == errs2  # error column is deterministic for a fixed seed
-
-
-def test_bench_csv_schema(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,iter,decompose_seconds,differentiate_seconds"
-    assert len(lines) == 1 + 2 * 3
-    assert all(len(line.split(",")) == 4 and float(line.split(",")[3]) >= 0 for line in lines[1:])
 
 
 def test_bench_json_schema(tmp_path, capsys):
     path = tmp_path / "bench.json"
     code, out, _ = run_cli(capsys, "bench", "--n-list", "8,12", "--iters", "2", "--json", str(path))
     assert code == 0
-    assert out.splitlines()[0] == "n,iter,decompose_seconds,differentiate_seconds"
+    assert out.splitlines()[0] == "n,iter,rel_error,decompose_seconds,differentiate_seconds"
     report = json.loads(path.read_text())
     assert set(report) == {"machine", "iters", "seed", "runs"}
     assert set(report["machine"]) == {"nproc", "cpu_model", "python", "numpy"}
@@ -298,8 +290,9 @@ def test_verify_exit_code_two_on_failure(monkeypatch, capsys):
 
 
 def test_invalid_iters(capsys):
-    code, _, err = run_cli(capsys, "roundtrip", "--n", "8", "--iters", "0")
+    code, out, err = run_cli(capsys, "bench", "--n-list", "8", "--iters", "0")
     assert code == 1
+    assert out == "" and "--iters: must be >= 1" in err
 
 
 # each subcommand's required flags, and a well-formed value for every flag;
@@ -307,7 +300,6 @@ def test_invalid_iters(capsys):
 _REQUIRED = {
     "decompose": ("--input-theta", "a", "--input-phi", "b", "--out-prefix", "c"),
     "differentiate": ("--n", "8", "--out-prefix", "c"),
-    "roundtrip": ("--n", "8"),
     "bench": (),
     "cond": (),
     "verify": (),
@@ -318,7 +310,6 @@ _VALUES = {"--n": "5", "--seed": "1", "--iters": "1", "--input-theta": "a", "--i
 _READS = {
     "decompose": {"--input-theta", "--input-phi", "--out-prefix"},
     "differentiate": {"--n", "--seed", "--out-prefix"},
-    "roundtrip": {"--n", "--seed", "--iters"},
     "bench": {"--n-list", "--seed", "--iters", "--json"},
     "cond": {"--n-list", "--m-list"},
     "verify": {"--level"},
@@ -331,7 +322,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     for command, parser in sub.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == _READS[command]
-    assert sum(map(len, _READS.values())) == 16
+    assert sum(map(len, _READS.values())) == 13
 
 
 @pytest.mark.parametrize(

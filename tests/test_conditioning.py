@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spherehhd import conditioning
 from spherehhd.conditioning import (
     block_a,
     block_a_inv,
@@ -25,11 +26,11 @@ from conftest import dense_block_system
 
 def test_build_R_values():
     r = build_R(3, 2)
-    assert r.d[0] == pytest.approx(2.138089935299395, rel=1e-15)
-    assert r.d[0] == pytest.approx(math.sqrt(32 / 7), rel=1e-15)
+    assert r[0, 0] == pytest.approx(2.138089935299395, rel=1e-15)
+    assert r[0, 0] == pytest.approx(math.sqrt(32 / 7), rel=1e-15)
     single = build_R(1, 1)
-    assert single.d[0] == pytest.approx(math.sqrt(6 / 5), rel=1e-15)
-    assert single.e.size == 0 and single.f.size == 0
+    assert single.shape == (1, 1)
+    assert single[0, 0] == pytest.approx(math.sqrt(6 / 5), rel=1e-15)
     with pytest.raises(ValueError):
         build_R(0, 1)
     with pytest.raises(ValueError):
@@ -37,19 +38,17 @@ def test_build_R_values():
 
 
 def test_R_dense_layout():
-    r = build_R(4, 2)
-    dense = r.to_dense()
-    assert dense[0, 0] == r.d[0]
-    assert dense[0, 1] == -r.e[0]
-    assert dense[0, 2] == -r.f[0]
-    assert dense[1, 0] == 0.0
+    dense = build_R(4, 2)
+    ell = np.arange(1, 5)
+    assert np.array_equal(np.diagonal(dense), chol_d(ell, 2))
+    assert np.array_equal(np.diagonal(dense, 1), -chol_e(ell[:3], 2))
+    assert np.array_equal(np.diagonal(dense, 2), -chol_f(ell[:2], 2))
+    assert dense[1, 0] == 0.0 and dense[0, 3] == 0.0
     assert np.all(np.triu(dense) == dense)
 
 
 def test_CD_structure():
-    c, d = build_CD(6, 2)
-    cd = c.toarray()
-    dd = d.toarray()
+    cd, dd = build_CD(6, 2)
     # first sub/superdiagonals of C vanish, main diagonal of D vanishes
     assert not np.any(np.diagonal(cd, 1))
     assert not np.any(np.diagonal(cd, -1))
@@ -60,8 +59,23 @@ def test_CD_structure():
 
 def test_CD_symmetric_bit_exact():
     c, d = build_CD(10, 3)
-    assert np.array_equal(c.toarray(), c.toarray().T)
-    assert np.array_equal(d.toarray(), d.toarray().T)
+    assert np.array_equal(c, c.T)
+    assert np.array_equal(d, d.T)
+
+
+def test_CD_structure_check_fires(monkeypatch):
+    # a main diagonal in A keeps C and D inside their bands, but puts entries
+    # on the first off-diagonals of C and on the diagonal of D
+    true_build_A = conditioning.build_A
+
+    def build_A_with_diagonal(n, m):
+        a = true_build_A(n, m)
+        a.diagonal(0)[:] = 1.0
+        return a
+
+    monkeypatch.setattr(conditioning, "build_A", build_A_with_diagonal)
+    with pytest.raises(AssertionError, match="outside its structure"):
+        build_CD(6, 2)
 
 
 def test_kappa_bound_values():
@@ -114,18 +128,18 @@ def test_qi_bounds_values():
 def test_qi_bounds_bracket_dense_singular_values():
     for n, m in ((32, 3), (24, 2), (40, 7)):
         upper, lower = qi_singular_bounds(n, m)
-        sv = np.linalg.svd(build_R(n, m).to_dense(), compute_uv=False)
+        sv = np.linalg.svd(build_R(n, m), compute_uv=False)
         assert sv[0] <= upper
         assert sv[-1] >= lower
     upper, _ = qi_singular_bounds(32, 1)
-    sv = np.linalg.svd(build_R(32, 1).to_dense(), compute_uv=False)
+    sv = np.linalg.svd(build_R(32, 1), compute_uv=False)
     assert sv[0] <= upper
 
 
 def test_blocked_pieces_match_R():
     # the 2x2 blocks tile the dense factor at m = 1
     nb = 4
-    r = build_R(2 * nb, 1).to_dense()
+    r = build_R(2 * nb, 1)
     for l in range(1, nb + 1):
         rows = slice(2 * l - 2, 2 * l)
         assert_allclose(block_a(l), r[rows, rows], atol=1e-15)
@@ -167,7 +181,7 @@ def test_closed_form_c_matches_display():
 def test_inverse_norm_frobenius_bound():
     # dense ||R^{-1}||_2 at blocked size 2n stays below the proved bound
     for nb in (4, 8, 16):
-        r = build_R(2 * nb, 1).to_dense()
+        r = build_R(2 * nb, 1)
         inv_norm = np.linalg.svd(np.linalg.inv(r), compute_uv=False)[0]
         assert inv_norm <= inverse_norm_frobenius_bound(nb)
     # monotone increasing in the block count
@@ -185,7 +199,7 @@ def test_inverse_norm_conjecture_values():
 def test_inverse_norm_conjecture_is_in_the_ballpark():
     # reported estimate, soft-checked: within a factor of two of the dense value
     n = 64
-    r = build_R(n, 1).to_dense()
+    r = build_R(n, 1)
     inv_norm = np.linalg.svd(np.linalg.inv(r), compute_uv=False)[0]
     est = inverse_norm_conjecture(n)
     assert 0.5 <= inv_norm / est <= 2.0
@@ -205,5 +219,5 @@ def test_kappa_equals_sqrt_of_combined_block_condition():
     for n, m in ((12, 1), (16, 4), (20, 9)):
         rep = kappa_numeric(n, m)
         c, d = build_CD(n, m)
-        ev = np.linalg.eigvalsh(c.toarray() + d.toarray())
+        ev = np.linalg.eigvalsh(c + d)
         assert rep.kappa_M == pytest.approx(math.sqrt(ev[-1] / ev[0]), rel=1e-10)

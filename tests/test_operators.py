@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd import operators
-from spherehhd.conditioning import _banded_from_dense
 from spherehhd.operators import (
     CHUNK_STEPS,
     BandedMatrix,
@@ -25,8 +24,8 @@ from spherehhd.spectra import TangentField, random_potentials
 
 def test_banded_matrix_basics():
     mat = BandedMatrix(4, 3, lower_bw=1, upper_bw=1)
-    mat.set_diagonal(0, [1.0, 2.0, 3.0])
-    mat.set_diagonal(1, [4.0, 5.0, 6.0])
+    mat.diagonal(0)[:] = [1.0, 2.0, 3.0]
+    mat.diagonal(1)[:] = [4.0, 5.0, 6.0]
     dense = mat.toarray()
     assert dense[3, 0] == 0.0  # outside the band
     assert np.array_equal(np.diagonal(dense), [1.0, 2.0, 3.0])
@@ -39,7 +38,11 @@ def test_toarray_inverts_banded_from_dense(shape, lower_bw, upper_bw, rng):
     rows, cols = shape
     offsets = np.subtract.outer(np.arange(rows), np.arange(cols))
     x = rng.standard_normal(shape) * ((offsets <= lower_bw) & (-offsets <= upper_bw))
-    assert np.array_equal(_banded_from_dense(x, lower_bw, upper_bw).toarray(), x)
+    mat = BandedMatrix(rows, cols, lower_bw, upper_bw)
+    for off in range(-upper_bw, lower_bw + 1):  # the band of x, diagonal by diagonal
+        j = np.arange(max(0, -off), min(cols, rows - off))
+        mat.diagonal(off)[j] = x[j + off, j]
+    assert np.array_equal(mat.toarray(), x)
 
 
 def test_build_A_values_n3_m1():
@@ -151,6 +154,11 @@ def test_z_to_cscy_length_check():
         z_to_cscy(np.zeros(5), 1, 8)
     with pytest.raises(ValueError):
         cscy_to_z(np.zeros(5), 1, 8)
+    # an order outside basis Z at n = 8 (|m| <= 9) is named, whatever the length
+    for m in (10, -10):
+        for convert in (z_to_cscy, cscy_to_z):
+            with pytest.raises(ValueError, match=f"order {m} outside basis Z with n=8"):
+                convert(np.ones(0), m, 8)
 
 
 def test_cscy_to_z_zero():

@@ -190,7 +190,3 @@ def test_synthesis_routes_agree():
     via_potentials = synthesize_from_potentials(s, t, grid)
     assert np.max(np.abs(via_field[0] - via_potentials[0])) < 1e-11
     assert np.max(np.abs(via_field[1] - via_potentials[1])) < 1e-11
-    # a potentials pair dispatches to the second route
-    vth, vph = synthesize((s, t), grid)
-    assert np.array_equal(vth, via_potentials[0])
-    assert np.array_equal(vph, via_potentials[1])

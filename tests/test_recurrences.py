@@ -202,8 +202,9 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
             for k, mk in enumerate(m.tolist()):
                 p = top - mk
                 r = build_R(p, mk)
-                assert np.array_equal(d[:p, k], r.d) and np.array_equal(-e[: p - 1, k], r.e)
-                assert np.array_equal(-f[: max(p - 2, 0), k], r.f)
+                assert np.array_equal(d[:p, k], np.diagonal(r))
+                assert np.array_equal(e[: p - 1, k], np.diagonal(r, 1))
+                assert np.array_equal(f[: max(p - 2, 0), k], np.diagonal(r, 2))
 
 
 def test_grid_evaluators_reject_an_out_of_domain_corner():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd import recurrences as rec
-from spherehhd.conditioning import CholeskyR, build_R
-from spherehhd.operators import CHUNK_STEPS, build_A, build_B, z_to_cscy
+from spherehhd.conditioning import build_R
+from spherehhd.operators import CHUNK_STEPS, build_A, build_B, cscy_to_z, z_to_cscy
 from spherehhd.solver import (
     BLOCK_ORDERS,
     _lsq_sweep,
@@ -20,6 +21,7 @@ from spherehhd.solver import (
     solve_order,
 )
 from spherehhd.spectra import (
+    ScalarSpectrum,
     TangentField,
     ZSpectrum,
     new_scalar_spectrum,
@@ -47,8 +49,8 @@ def sweep_halves(n, m, rhs=None):
     both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
     x, res = _lsq_sweep(sizes, rotations, (d, e, f), both)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
-    # CholeskyR stores the off-diagonals negated
-    r_plus = CholeskyR(p, m, d[:p, 0], -e[: p - 1, 0], -f[: max(p - 2, 0), 0]).to_dense()
+    r_plus, j = np.diag(d[:p, 0]), np.arange(p)
+    r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = e[: p - 1, 0], f[: max(p - 2, 0), 0]
     return [
         (a + b, x[:, :r, 0], res[0, :r], r_plus),
         (a - b, dp[:, None] * x[:, r:, 0], res[0, r:], dp[:, None] * r_plus * dp),
@@ -125,8 +127,9 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
             p = int(sizes[0])
             closed = build_R(p, m)
             d, e, f = (x[:, 0] for x in factor)
-            assert np.array_equal(d[:p], closed.d) and np.array_equal(-e[: p - 1], closed.e)
-            assert np.array_equal(-f[: max(p - 2, 0)], closed.f)
+            assert np.array_equal(d[:p], np.diagonal(closed))
+            assert np.array_equal(e[: p - 1], np.diagonal(closed, 1))
+            assert np.array_equal(f[: max(p - 2, 0)], np.diagonal(closed, 2))
             a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
             flip = (-1.0) ** np.arange(1, p + 2)[:, None]
             for dense, cj, ej in ((a + b, c, e), (a - b, flip * c, -e)):
@@ -372,6 +375,12 @@ def test_decompose_order_zero_direct_call():
         decompose_order_zero(np.zeros(n), np.zeros(n + 1), n)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_decompose_order_zero_rejects_tiny_degree(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        decompose_order_zero(np.zeros(n + 1), np.zeros(n + 1), n)
+
+
 def test_decompose_order_zero_consistency():
     n = 12
     s, t = random_potentials(n, seed=21)
@@ -465,6 +474,30 @@ def test_decompose_rejects_tiny_degree():
         decompose(TangentField.zeros(1))
 
 
+@pytest.mark.parametrize("field", [ScalarSpectrum(5), ScalarSpectrum(1), ZSpectrum(5),
+                                   (ZSpectrum(5), ZSpectrum(5))], ids=["Y5", "Y1", "Z5", "pair"])
+def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
+    with pytest.raises(ValueError, match="must be a TangentField"):
+        decompose(field)
+
+
+# (call, a value that is not an integer, the same value as a numpy integer)
+@pytest.mark.parametrize("call,bad,good", [
+    (ZSpectrum, 2.5, np.int64(2)),
+    (ScalarSpectrum, True, np.int64(1)),
+    (ScalarSpectrum, "3", np.int64(3)),
+    (lambda m: solve_order(5, m, np.zeros(10)), 1.5, np.int64(1)),
+    (lambda n: solve_order(n, 1, np.zeros(10)), 5.0, np.int64(5)),
+    (lambda n: decompose_order_zero(np.zeros(4), np.zeros(4), n), 3.0, np.int64(3)),
+    (lambda m: z_to_cscy(np.zeros(3), m, 2), 1.0, np.int64(1)),
+    (lambda n: cscy_to_z(np.zeros(2), 1, n), 2.0, np.int64(2)),
+], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "order-zero-n", "z_to_cscy-m", "cscy_to_z-n"])
+def test_degrees_and_orders_must_be_integers(call, bad, good):
+    with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
+        call(bad)
+    call(good)
+
+
 def test_order_zero_chain_shapes(rng):
     # A0 (10 x 8 at n = 9) splits into two 5 x 4 parity chains; a consistent
     # rhs comes back exactly, in natural degree order
@@ -527,7 +560,7 @@ def test_decompose_power_of_two_scale_is_exact_and_norms_finite():
 def test_roundtrip_error_within_statistical_bound(n):
     # relative error stays below K sqrt(kappa) eps with K = 100, where kappa
     # is the worst per-order condition number (attained at m = 1)
-    sv = np.linalg.svd(build_R(n - 1, 1).to_dense(), compute_uv=False)
+    sv = np.linalg.svd(build_R(n - 1, 1), compute_uv=False)
     kappa_max = sv[0] / sv[-1]
     bound = 100.0 * np.sqrt(kappa_max) * np.finfo(np.float64).eps
     s, t = random_potentials(n, seed=n)
