@@ -130,17 +130,23 @@ def test_missing_file_fails(tmp_path, capsys):
 
 
 def test_bench_csv_schema(capsys):
-    code, out1, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "3")
+    code, out, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "3")
     assert code == 0
-    lines = out1.strip().splitlines()
+    lines = out.strip().splitlines()
     assert lines[0] == "n,iter,rel_error,decompose_seconds,differentiate_seconds"
     assert len(lines) == 1 + 2 * 3  # per degree: 2 iterations + mean
     assert [line.split(",")[:2] for line in lines[1:4]] == [["8", "1"], ["8", "2"], ["8", "mean"]]
     assert all(len(line.split(",")) == 5 and float(line.split(",")[4]) >= 0 for line in lines[1:])
-    errs1 = [line.split(",")[2] for line in lines[1:]]
+
+
+def test_bench_rel_error_column_and_determinism(capsys):
+    code, out1, _ = run_cli(capsys, "bench", "--n-list", "16", "--iters", "2", "--seed", "3")
+    assert code == 0
+    errs1 = [line.split(",")[2] for line in out1.strip().splitlines()[1:]]
+    assert len(errs1) == 3  # 2 iterations + mean
     assert all(float(e) <= 1e-12 for e in errs1)
     assert float(errs1[2]) == pytest.approx((float(errs1[0]) + float(errs1[1])) / 2, rel=1e-15)
-    code, out2, _ = run_cli(capsys, "bench", "--n-list", "8,16", "--iters", "2", "--seed", "3")
+    code, out2, _ = run_cli(capsys, "bench", "--n-list", "16", "--iters", "2", "--seed", "3")
     errs2 = [line.split(",")[2] for line in out2.strip().splitlines()[1:]]
     assert errs1 == errs2  # error column is deterministic for a fixed seed
 
