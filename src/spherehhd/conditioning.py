@@ -24,6 +24,7 @@ import numpy as np
 
 from . import recurrences as rec
 from .operators import build_A, build_B
+from .spectra import _require_integers
 
 __all__ = ["ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
            "qi_singular_bounds", "block_a", "block_b", "block_c", "block_a_inv",
@@ -35,6 +36,7 @@ DENSE_ORACLE_LIMIT = 512
 def build_R(n, m):
     """Dense Cholesky factor of size ``n`` for order ``m``: ``chol_d`` on the diagonal, ``-chol_e``
     and ``-chol_f`` on the first and second superdiagonals."""
+    _require_integers("build_R", n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError(f"build_R: need n >= 1 and m >= 1, got n={n}, m={m}")
     d, e, f = rec._chol(np.arange(1, n + 1), m)
@@ -51,6 +53,7 @@ def build_CD(n, m):
     superdiagonals, ``D`` tridiagonal with an exactly zero main diagonal;
     an ``AssertionError`` reports an entry outside either structure.
     """
+    _require_integers("build_CD", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_CD: need 1 <= m <= n-1, got m={m}, n={n}")
     a = build_A(n, m).toarray()
@@ -69,6 +72,7 @@ def kappa_bound(n, m):
     The ``m == 1`` branch grows like ``n log n``; for ``m >= 2`` the bound is
     the ratio of the singular-value brackets and is uniform in ``n/m``.
     """
+    _require_integers("kappa_bound", n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError("kappa_bound: need n >= 1 and m >= 1")
     if m == 1:
@@ -83,6 +87,7 @@ def qi_singular_bounds(n, m):
     valid for ``m >= 2`` and is ``None`` at ``m == 1``.  Entries whose index
     drops below one contribute zero.
     """
+    _require_integers("qi_singular_bounds", n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError("qi_singular_bounds: need n >= 1 and m >= 1")
     d, e, f = rec._chol(np.arange(1, n + 1), m)

@@ -14,9 +14,9 @@ never materialized as matrices.
 
 The basis conversions are a two-term stencil (:func:`z_to_cscy`) and its
 inverse, two interleaved parity chains solved by substitution
-(:func:`cscy_to_z`).  Both have block forms that act on a zero-padded
-(degree, column, order) grid of many orders at once, which :mod:`.solver`
-uses to run ``decompose`` and ``differentiate`` per block of orders; the
+(:func:`cscy_to_z`).  Both have block forms that act on (degree, column,
+lane) grids whose lanes hold one order or two with zero coupling between
+them, which :mod:`.solver` uses for ``decompose`` and ``differentiate``; the
 single-order functions are blocks of one order.  Every sequential sweep
 over degree -- the substitution here, the rotations and the
 back-substitution of the solver -- runs on one partitioned recurrence
@@ -99,6 +99,7 @@ def build_A(n, m):
     Rows are csc-harmonic degrees ``m..n`` (``0..n`` for ``m == 0``), columns
     are potential degrees ``m..n-1`` (``1..n-1`` for ``m == 0``).
     """
+    _require_integers("build_A", n=n, m=m)
     if m < 0:
         raise ValueError("build_A: order must be >= 0")
     if m >= 1 and m > n - 1:
@@ -121,6 +122,7 @@ def build_A(n, m):
 
 def build_B(n, m):
     """Longitude-derivative block: constant ``m`` diagonal over a zero row."""
+    _require_integers("build_B", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_B: need 1 <= m <= n-1, got m={m}, n={n}")
     q, p = n + 1 - m, n - m
@@ -161,6 +163,7 @@ def build_order_system(n, m):
     multiplication; the builder refuses to place an entry outside the
     pentadiagonal band, so success certifies the bandwidths.
     """
+    _require_integers("build_order_system", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_order_system: need 1 <= m <= n-1, got m={m}, n={n}")
     A = build_A(n, m)
@@ -209,25 +212,32 @@ def z_to_cscy(z, m, n):
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
     if mu:
-        return _z_to_cscy_block(z[:, None, None], np.array([mu]))[:, 0, 0]
+        return _z_to_cscy_block(z[:, None, None], _lane_grid(np.array([mu]), L - 1))[:, 0, 0]
     grid = np.full((n + 3, 1, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
     grid[2:-1, 0, 0] = z
-    return -_z_to_cscy_block(grid, np.zeros(1, int))[:-1, 0, 0]
+    return -_z_to_cscy_block(grid, _lane_grid(np.zeros(1, int), n + 2))[:-1, 0, 0]
 
 
-def _z_to_cscy_block(z, ms):
-    """:func:`z_to_cscy` for several orders ``ms >= 0`` at once.
+def _lane_grid(ms, rows):
+    """The grid (see :func:`_z_to_cscy_block`) of ``rows`` rows of lanes that hold one order ``ms[k]`` each."""
+    return ms + np.arange(1.0, rows + 1)[:, None], ms[None], np.ones((1, 1), dtype=bool)
 
-    Column ``k`` of ``z`` (shape ``(rows, c, K)``) holds ``c`` slices of
-    order ``ms[k]`` (degrees ``ms[k]-1`` upward), zero-padded to the common
-    row count.  Row ``i`` of the result is csc-harmonic degree ``ms[k] + i``;
-    rows past an order's own ``n - ms[k] + 1`` carry its dropped tail and
-    are not part of it.  At ``m == 0``, whose basis functions enter with the
-    opposite sign, the conversion is the negated result, and callers fill the
-    rows at degrees -1, 0 and ``n + 1`` with -0.0, which changes no sum's sign.
+
+def _z_to_cscy_block(z, grid):
+    """:func:`z_to_cscy` for ``c`` slices in each of ``K`` lanes of ``z``, shape ``(rows, c, K)``.
+
+    Row by row, ``grid = (l, m, keep)`` gives the order ``m`` and degree
+    ``l - 2`` a lane row holds (orders ``>= 0`` one behind the other, each
+    from degree ``m - 1``) and zero coupling where ``keep`` is False, on
+    the zero rows between orders.  Result row ``i`` is csc degree ``l - 1``,
+    an order's dropped tail past its ``n - m + 1`` rows.  At ``m == 0``,
+    whose basis functions enter with the opposite sign, it is the negated
+    conversion; callers fill degrees -1, 0 and ``n + 1`` with -0.0.
     """
-    # row i, csc degree l = m + i, is beta(l - 1) z[i] + alpha(l + 1) z[i + 2]
-    alpha, beta = rec._conversion(ms + np.arange(1.0, z.shape[0])[:, None], ms)
+    # row i, csc degree l - 1, is beta(l - 2) z[i] + alpha(l) z[i + 2]
+    l, m, keep = (x[: z.shape[0] - 1] for x in grid)
+    alpha, beta = rec._conversion(l, m)
+    alpha *= keep
     w = beta[:, None] * z[:-1]
     w[:-1] += alpha[:-1, None] * z[2:]
     return w
@@ -323,17 +333,17 @@ def _recurrence(g, a=None, b=None, d=None):
         g[:head] = y[0].reshape(span, r, nprob)[span - head :]
 
 
-def _cscy_to_z_block(w, ms):
-    """:func:`cscy_to_z` for several orders ``ms >= 1`` at once, in place.
+def _cscy_to_z_block(w, grid):
+    """:func:`cscy_to_z` for lanes of orders ``>= 1``, in place: the inverse of :func:`_z_to_cscy_block`.
 
-    ``w`` has shape ``(rows, c, K)``, ``rows >= n - ms[0] + 2``: column ``k``
-    holds ``c`` csc-harmonic slices of order ``ms[k]`` (row ``i`` is degree
-    ``ms[k] + i``), zero past its own ``n - ms[k] + 1`` rows.  Overwrites
-    and returns it as ``z``, row ``i`` at degree ``ms[k] - 1 + i`` and zero
-    past the order's ``n - ms[k] + 2`` rows.
+    Row ``i`` of ``w``, csc degree ``l - 1`` of order ``m`` by ``grid`` and
+    zero past the order's ``n - m + 1`` rows, becomes degree ``l - 2`` of
+    ``z``, zero past its ``n - m + 2`` rows; no order reaches another.
     """
-    # z row i, degree l = m - 1 + i: z_l = w_{l+1} / beta(l) - alpha(l + 2) / beta(l) z_{l+2}, downward
-    alpha, beta = rec._conversion(ms + np.arange(1.0, w.shape[0] + 1)[:, None], ms)
+    # z row i, degree l - 2: z_l-2 = (w_l-1 - alpha(l) z_l) / beta(l - 2), downward
+    l, m, keep = (x[: w.shape[0]] for x in grid)
+    alpha, beta = rec._conversion(l, m)
+    alpha *= keep
     w /= beta[:, None]
     _recurrence(w[::-1], b=(-alpha / beta)[::-1])
     return w
@@ -375,4 +385,4 @@ def cscy_to_z(w, m, n):
         raise ValueError(f"cscy_to_z: expected length {n - mu + 1}, got {w.shape[0]}")
     z = np.zeros((n - mu + 2, 1, 1))
     z[: n - mu + 1, 0, 0] = w
-    return _cscy_to_z_block(z, np.array([mu]))[:, 0, 0]
+    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), n - mu + 2))[:, 0, 0]

@@ -11,8 +11,8 @@ conditioning analysis bounds.  ``m`` is always the absolute order
 that broadcast together, e.g. a (degree, order) grid.
 
 Each formula is written once, with one division and one square root, in
-a private evaluator for whole grids that checks its domain in O(1), at the
-first entries of a grid ascending in degree and order: :func:`_conversion`
+a private evaluator for whole grids that checks its domain in O(1), at a
+grid's first entries, its least in degree and order: :func:`_conversion`
 (``alpha``, ``beta``), :func:`_derivative` (``gamma``, ``delta``) and
 :func:`_qr`, the plane rotations of an order's ``A + B`` problem with the
 factor they leave (order zero's are in :mod:`.solver`).  The solver calls
@@ -39,7 +39,7 @@ def _maybe_scalar(x):
 
 
 def _check_corner(name, l, m, lmin, mmin):
-    """O(1) domain check of a grid ascending in ``l`` and ``m``, at its first entries."""
+    """O(1) domain check of a grid at its first entries, which must be its least ``l`` and ``m``."""
     l, m = np.asarray(l), np.asarray(m)
     if l.size and m.size and (m.flat[0] < mmin or l.flat[0] < lmin(m.flat[0])):
         raise ValueError(f"{name}: grid starts at l = {l.flat[0]}, m = {m.flat[0]}, outside its domain")

@@ -18,8 +18,10 @@ from spherehhd.operators import (
 )
 from spherehhd.pointwise import eval_Y, eval_Z
 from spherehhd.recurrences import alpha, beta, delta
-from spherehhd.solver import BLOCK_ORDERS, differentiate
+from spherehhd.solver import differentiate
 from spherehhd.spectra import TangentField, random_potentials
+
+from conftest import FOLD_DEGREES
 
 
 def test_banded_matrix_basics():
@@ -318,13 +320,11 @@ def _differentiate_reference(s, t):
     return out
 
 
-@pytest.mark.parametrize(
-    "n", [2, 3, BLOCK_ORDERS, BLOCK_ORDERS + 1, BLOCK_ORDERS + 2, 2 * BLOCK_ORDERS + 1, 100]
-)
+@pytest.mark.parametrize("n", sorted(FOLD_DEGREES + [32, 33, 34, 100]))
 def test_blocked_differentiate_matches_per_order_reference(n):
-    # orders 1..n-1 split into blocks of BLOCK_ORDERS: one order; one short
-    # block; exactly one full block; a full block and a block of one order;
-    # two full blocks; three full blocks and a short one
+    # orders 1..n-1 in folded blocks, each lane holding order m and n - m;
+    # n = 32, 33, 34 and 100 add short first blocks of 16 and 17 lanes, with
+    # and without order n / 2, and a short second block
     s, t = random_potentials(n, seed=n)
     fast, slow = differentiate(s, t), _differentiate_reference(s, t)
     for a, b in ((fast.theta, slow.theta), (fast.phi, slow.phi)):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from spherehhd import recurrences as rec
 from spherehhd.conditioning import build_R
-from spherehhd.operators import _cscy_to_z_block, _z_to_cscy_block
+from spherehhd.operators import _cscy_to_z_block, _lane_grid, _z_to_cscy_block
 from spherehhd.recurrences import alpha, beta, gamma, delta, chol_d, chol_e, chol_f
-from spherehhd.solver import _order_problems, decompose, differentiate
+from spherehhd.solver import _lanes, _order_problems, decompose, differentiate
 from spherehhd.spectra import random_potentials
 
 
@@ -166,8 +166,8 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
         true = getattr(rec, name)
 
         def wrapper(l, m):
-            out = true(l, m)
-            calls.append((name, l, m, out))
+            out = true(l, m)  # recorded as returned: the solver scales some outputs in place
+            calls.append((name, l, m, [[np.copy(x) for x in o] if isinstance(o, tuple) else np.copy(o) for o in out]))
             return out
 
         return wrapper
@@ -178,8 +178,8 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
         for name in ("_qr", "_conversion", "_derivative"):
             mp.setattr(rec, name, recorder(name))
         decompose(differentiate(*random_potentials(n, seed)))
-        _order_problems(n, ms)
-        _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), ms), ms)
+        _order_problems(n, _lanes(n, ms, 0))
+        _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), _lane_grid(ms, rows)), _lane_grid(ms, rows))
     assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}
     for name, l, m, out in calls:
         if name == "_conversion":
@@ -198,13 +198,14 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
             assert np.array_equal(f, -chol_f(l, m))
             for have, key in ((c, "c"), (s, "s"), (d, "d"), (-e, "e"), (-f, "f")):
                 assert np.array_equal(have, _reference(key, l, m))
-            top = len(l) - 1 + m[0]  # the truncation degree: order m[0] has n - m[0] columns
-            for k, mk in enumerate(m.tolist()):
-                p = top - mk
-                r = build_R(p, mk)
-                assert np.array_equal(d[:p, k], np.diagonal(r))
-                assert np.array_equal(e[: p - 1, k], np.diagonal(r, 1))
-                assert np.array_equal(f[: max(p - 2, 0), k], np.diagonal(r, 2))
+            # from the first row of each order in a lane, its n - m columns are build_R's
+            for k, lane in enumerate(np.broadcast_to(m, l.shape).T):
+                for mk in np.unique(lane).tolist():
+                    start, p = int(np.argmax(lane == mk)), n - mk
+                    r = build_R(p, mk)
+                    assert np.array_equal(d[start : start + p, k], np.diagonal(r))
+                    assert np.array_equal(e[start : start + p - 1, k], np.diagonal(r, 1))
+                    assert np.array_equal(f[start : start + max(p - 2, 0), k], np.diagonal(r, 2))
 
 
 def test_grid_evaluators_reject_an_out_of_domain_corner():

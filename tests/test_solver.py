@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd import recurrences as rec
-from spherehhd.conditioning import build_R
-from spherehhd.operators import CHUNK_STEPS, build_A, build_B, cscy_to_z, z_to_cscy
+from spherehhd.conditioning import build_CD, build_R, kappa_bound, qi_singular_bounds
+from spherehhd.operators import CHUNK_STEPS, build_A, build_B, build_order_system, cscy_to_z, z_to_cscy
 from spherehhd.solver import (
     BLOCK_ORDERS,
+    _lanes,
     _lsq_sweep,
     _order_problems,
     _order_zero_problems,
@@ -29,7 +30,17 @@ from spherehhd.spectra import (
     relative_l2_error,
 )
 
-from conftest import dense_block_system
+from conftest import FOLD_DEGREES, dense_block_system
+
+
+def block_problems(n, ms):
+    """Segments, rotations and factors of a block of consecutive orders ``ms``, one to a lane."""
+    return _order_problems(n, _lanes(n, ms, 0))
+
+
+def chain_segments(sizes):
+    """The segments of order zero's two chains, each alone in a lane."""
+    return np.zeros(2, int), sizes
 
 
 def sweep_halves(n, m, rhs=None):
@@ -40,14 +51,14 @@ def sweep_halves(n, m, rhs=None):
     and factor D R D.  Returns, per half, the dense matrix, the solution, the
     residual and the dense triangular factor.
     """
-    sizes, rotations, (d, e, f) = _order_problems(n, np.array([m]))
-    p = int(sizes[0])
+    segments, rotations, (d, e, f) = block_problems(n, np.array([m]))
+    p = int(segments[1][0])
     if rhs is None:
         rhs = np.zeros((p + 1, 2, 1))
     r = rhs.shape[2]
     dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
     both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
-    x, res = _lsq_sweep(sizes, rotations, (d, e, f), both)
+    x, res = _lsq_sweep(segments, rotations, (d, e, f), both)
     a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
     r_plus, j = np.diag(d[:p, 0]), np.arange(p)
     r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = e[: p - 1, 0], f[: max(p - 2, 0), 0]
@@ -123,7 +134,7 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
     # D R D, reached by the rotations (-1)^(j + 1) c_j, for A - B
     for n in (4, 8, 16, 32, 64):
         for m in range(1, n):
-            sizes, (c, s), factor = _order_problems(n, np.array([m]))
+            (_, sizes), (c, s), factor = block_problems(n, np.array([m]))
             p = int(sizes[0])
             closed = build_R(p, m)
             d, e, f = (x[:, 0] for x in factor)
@@ -154,7 +165,7 @@ def test_closed_form_rotations_beyond_dense_oracles(n, m):
     if m == 0:
         sizes, rotations, factor = _order_zero_problems(n)
     else:
-        sizes, rotations, factor = _order_problems(n, np.array([m]))
+        (_, sizes), rotations, factor = block_problems(n, np.array([m]))
     for k, p in enumerate(sizes.tolist()):
         if m:  # column j: gamma in row j - 1, m in row j, delta in row j + 1
             degrees = m + np.arange(p)
@@ -440,6 +451,69 @@ def test_order_zero_in_a_small_first_block_matches_dense_least_squares(n):
     assert result.residual_by_order[0] == pytest.approx(np.linalg.norm(a0 @ ref - w), rel=1e-10)
 
 
+def _random_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return TangentField(*(ZSpectrum(n, rng.standard_normal(ZSpectrum(n).size)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("n", FOLD_DEGREES)
+def test_blocked_decompose_matches_per_order_dense_least_squares(n):
+    # every order of a general field, wherever the fold puts it, against
+    # lstsq on its dense block system: the columns (s_m, s_-m) over
+    # (-t_-m, t_m) solve [[A, B], [B, A]] for (theta_m, theta_-m) over
+    # (-phi_-m, phi_m) in csc-harmonic form; order zero solves A0
+    field = _random_field(n, n)
+    result = decompose(field)
+    pots, comps = (result.spheroidal, result.toroidal), (field.theta, field.phi)
+    for m in range(n):
+        csc = {(c, k): z_to_cscy(comp.order_slice(k), k, n) for c, comp in enumerate(comps) for k in {m, -m}}
+        if m == 0:
+            dense, rhs = build_A(n, 0).toarray(), np.column_stack([csc[0, 0], csc[1, 0]])
+            got = np.column_stack([pot.order_slice(0)[1:] for pot in pots])
+        else:
+            dense = dense_block_system(n, m)
+            rhs = np.block([[csc[0, m][:, None], csc[0, -m][:, None]], [-csc[1, -m][:, None], csc[1, m][:, None]]])
+            s_m, s_neg, t_m, t_neg = (pot.order_slice(k) for pot in pots for k in (m, -m))
+            got = np.block([[s_m[:, None], s_neg[:, None]], [-t_neg[:, None], t_m[:, None]]])
+        ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref)), f"order {m}"
+        assert result.residual_by_order[m] == pytest.approx(np.linalg.norm(dense @ ref - rhs), rel=1e-10)
+        # the dropped tail: beta(n, m) times the degree-n coefficients
+        tops = [comp.order_slice(k)[-1] for comp in comps for k in {m, -m}]
+        assert result.out_of_range_by_order[m] == pytest.approx(rec.beta(n, m) * np.linalg.norm(tops), rel=1e-14)
+    for mu in (n, n + 1):
+        outside = np.concatenate([comp.order_slice(k) for comp in comps for k in (mu, -mu)])
+        assert result.out_of_range_by_order[mu] == pytest.approx(np.linalg.norm(outside), rel=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 140), pick=st.integers(0, 141))
+@example(n=64, pick=32)  # order n / 2, alone in its lane
+@example(n=65, pick=33)  # the partner in the last lane of a full block
+@example(n=66, pick=33)  # the one lane of a last block
+@example(n=66, pick=65)  # order n - 1, the partner in the first lane
+@example(n=5, pick=0)  # order zero's chains
+def test_orders_are_isolated_in_the_folded_lanes(n, pick):
+    # a new input for order m (both components, +m and -m) changes no other
+    # order's potentials, residual or out-of-range norm, to the bit
+    m = pick % (n + 2)
+    field = _random_field(n, n)
+    before = decompose(field)
+    rng = np.random.default_rng(n + 1)
+    for comp in (field.theta, field.phi):
+        for k in {m, -m}:
+            comp.order_slice(k)[:] = rng.standard_normal(len(comp.order_slice(k)))
+    after = decompose(field)
+    for k in range(-(n - 1), n):
+        if abs(k) != m:
+            for a, b in ((before.spheroidal, after.spheroidal), (before.toroidal, after.toroidal)):
+                assert a.order_slice(k).tobytes() == b.order_slice(k).tobytes(), f"order {k}"
+    for table in ("residual_by_order", "out_of_range_by_order"):
+        a, b = getattr(before, table), getattr(after, table)
+        assert list(a) == list(b) == list(range(n + 2 if table == "out_of_range_by_order" else n))
+        assert all(a[k] == b[k] for k in a if k != m), table
+
+
 def test_out_of_range_reporting():
     n = 6
     field = TangentField.zeros(n)
@@ -491,7 +565,16 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda n: decompose_order_zero(np.zeros(4), np.zeros(4), n), 3.0, np.int64(3)),
     (lambda m: z_to_cscy(np.zeros(3), m, 2), 1.0, np.int64(1)),
     (lambda n: cscy_to_z(np.zeros(2), 1, n), 2.0, np.int64(2)),
-], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "order-zero-n", "z_to_cscy-m", "cscy_to_z-n"])
+    (lambda n: build_A(n, 0), 5.0, np.int64(5)),
+    (lambda m: build_B(5, m), 1.5, np.int64(1)),
+    (lambda n: build_order_system(n, 1), 5.0, np.int64(5)),
+    (lambda n: build_R(n, 1), 2.5, np.int64(2)),
+    (lambda n: build_CD(n, 1), 5.0, np.int64(5)),
+    (lambda n: kappa_bound(n, 2), 10.5, np.int64(10)),
+    (lambda n: qi_singular_bounds(n, 2), 6.5, np.int64(6)),
+], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "order-zero-n", "z_to_cscy-m", "cscy_to_z-n",
+        "build_A-n", "build_B-m", "build_order_system-n", "build_R-n", "build_CD-n", "kappa_bound-n",
+        "qi_singular_bounds-n"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)
@@ -606,28 +689,43 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
     dense = [build_A(n, m).toarray() + build_B(n, m).toarray() for m in ms.tolist()]
     sizes = n - ms
-    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*_order_problems(n, ms), rhs))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs))
 
 
-@pytest.mark.parametrize("zero", [False, True], ids=["orders", "order-zero"])
-def test_lsq_sweep_ignores_rotations_past_each_size(zero):
+@pytest.mark.parametrize("layout", ["orders", "order-zero", "folded"])
+def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     # the sweep itself zeroes the rotations and off-diagonals and puts unit
-    # pivots past a problem's size: any finite values there in the rotations
-    # or the factor leave the solutions and residuals unchanged, even values
-    # that would overflow the recurrence kernel's chunk responses
+    # pivots off a problem's rows -- past its size and, in a folded lane, in
+    # the gap between its two problems: any finite values there in the
+    # rotations or the factor, and in the right-hand side off a problem's
+    # rows, leave the solutions and residuals unchanged, even values that
+    # would overflow the recurrence kernel's chunk responses
     n = 3 * CHUNK_STEPS + 2
-    sizes, rotations, factor = _order_zero_problems(n) if zero else _order_problems(n, np.arange(1, 7))
+    if layout == "order-zero":
+        sizes, rotations, factor = _order_zero_problems(n)
+        segments = chain_segments(sizes)
+    elif layout == "orders":
+        segments, rotations, factor = block_problems(n, np.arange(1, 7))
+    else:  # lane m holds orders m and n - m
+        low = np.arange(1, 7)
+        segments, rotations, factor = _order_problems(n, _lanes(n, low, len(low)))
+    (rows, nlanes), (starts, sizes) = rotations[0].shape, segments
     rng = np.random.default_rng(6)
-    rhs = rng.standard_normal((len(rotations[0]), 2, len(sizes)))
-    past = np.arange(len(rotations[0]))[:, None] >= sizes
+    rhs = rng.standard_normal((rows, 2, nlanes))
+    live, used = np.zeros((2, rows, nlanes), dtype=bool)
+    for k, (start, p) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        live[start : start + p, k % nlanes] = used[start : start + p + 1, k % nlanes] = True
+    if layout == "folded":
+        assert np.all(starts[nlanes:] > starts[:nlanes] + sizes[:nlanes] + 1)
 
-    def noisy(grids):
-        return tuple(np.where(past, rng.uniform(-1e300, 1e300, x.shape), x) for x in grids)
+    def noisy(grids, keep=live):
+        return tuple(np.where(keep, x, rng.uniform(-1e300, 1e300, x.shape)) for x in grids)
 
-    x, res = _lsq_sweep(sizes, rotations, factor, rhs)
-    x_noisy, res_noisy = _lsq_sweep(sizes, noisy(rotations), noisy(factor), rhs)
+    x, res = _lsq_sweep(segments, rotations, factor, rhs)
+    (rhs_noisy,) = noisy((rhs,), used[:, None])
+    x_noisy, res_noisy = _lsq_sweep(segments, noisy(rotations), noisy(factor), rhs_noisy)
     assert np.array_equal(x_noisy, x)
-    assert not any(np.any(x[p:, :, k]) for k, p in enumerate(sizes.tolist()))
+    assert not np.any(np.where(live[:-1, None], 0.0, x))
     assert np.array_equal(res_noisy, res)
 
 
@@ -642,4 +740,4 @@ def test_order_zero_chains_match_dense_least_squares(n, r, seed):
     dense = [a0[k::2, k::2] for k in range(2)]
     assert [d.shape for d in dense] == [(p + 1, p) for p in sizes.tolist()]
     rhs = np.random.default_rng(seed).standard_normal((n, r, 2))  # the grids' n rows
-    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(sizes, rotations, factor, rhs))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(chain_segments(sizes), rotations, factor, rhs))
