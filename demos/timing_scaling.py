@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Timing of the decomposition and its inverse: quadratic overall, linear per order.
 
-Every order is one tridiagonal least-squares problem whose plane rotations
-the paper gives in closed form; applying them and back-substituting takes
-time linear in its size, and there are n - 1 orders, so the whole
-decomposition costs O(n^2).  ``differentiate`` applies each order
-``m >= 1``'s tridiagonal blocks and one chain substitution, also O(n) per
-order, and scales order zero by ``-sqrt(l (l + 1))``.  Each
-``differentiate`` and ``decompose`` call is timed end to end.
+Every order ``m >= 1`` is one tridiagonal least-squares problem whose plane
+rotations the paper gives in closed form; applying them and
+back-substituting takes time linear in its size.  Order zero's solution is
+in closed form, one division per degree and a rank-one term.  There are n
+orders, each O(n), so the whole decomposition costs O(n^2).
+``differentiate`` applies each order ``m >= 1``'s tridiagonal blocks and
+one chain substitution, also O(n) per order, and scales order zero by
+``-sqrt(l (l + 1))``.  Each ``differentiate`` and ``decompose`` call is
+timed end to end.
 """
 
 import time

@@ -40,7 +40,6 @@ from .solver import (
     solve_order,
     differentiate,
     decompose,
-    decompose_order_zero,
 )
 from .conditioning import (
     ConditionReport,

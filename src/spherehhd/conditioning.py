@@ -122,6 +122,7 @@ def kappa_numeric(n, m):
     the singular-value brackets.  Refuses truncations beyond the dense
     oracle scale.
     """
+    _require_integers("kappa_numeric", n=n, m=m)
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"kappa_numeric: dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
     if not 1 <= m <= n - 1:
@@ -185,6 +186,7 @@ def condition_trend(n, orders=None):
     as the order grows toward ``n``; soft-checked, since the trend is an
     observation rather than a theorem.
     """
+    _require_integers("condition_trend", n=n)
     if orders is None:
         orders = range(2, n)
     out = {}

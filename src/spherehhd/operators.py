@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrences as rec
-from .spectra import _require_integers
+from .spectra import _real_array, _require_integers
 
 __all__ = [
     "BandedMatrix",
@@ -207,7 +207,7 @@ def z_to_cscy(z, m, n):
     ``beta(n, |m|) * z[-1]`` separately.
     """
     mu = _slice_order("z_to_cscy", m, n)
-    z = np.asarray(z, dtype=np.float64)
+    z = _real_array("z_to_cscy", z)
     L = n - abs(mu - 1) + 1
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
@@ -374,7 +374,7 @@ def cscy_to_z(w, m, n):
     the bottom and one equation is redundant.
     """
     mu = _slice_order("cscy_to_z", m, n)
-    w = np.asarray(w, dtype=np.float64)
+    w = _real_array("cscy_to_z", w)
     if w.ndim != 1:
         raise ValueError("cscy_to_z: expected a single order slice")
     if mu == 0:

@@ -15,8 +15,9 @@ a private evaluator for whole grids that checks its domain in O(1), at a
 grid's first entries, its least in degree and order: :func:`_conversion`
 (``alpha``, ``beta``), :func:`_derivative` (``gamma``, ``delta``) and
 :func:`_qr`, the plane rotations of an order's ``A + B`` problem with the
-factor they leave (order zero's are in :mod:`.solver`).  The solver calls
-them; the public functions check every entry and wrap them.
+factor they leave (order zero has neither: :func:`.solver.decompose` solves
+it in closed form).  The solver calls them; the public functions check
+every entry and wrap them.
 """
 
 import numpy as np

@@ -60,6 +60,13 @@ def _require_integers(name, **values):
             raise ValueError(f"{name}: {key} must be an integer, got {value!r}")
 
 
+def _real_array(name, values):
+    """``values`` as a float64 array, once they are not complex (an O(1) dtype check for arrays)."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name}: values must be real, got complex input")
+    return np.asarray(values, dtype=np.float64)
+
+
 class _CoeffTable:
     """Shared machinery for the two triangular coefficient tables."""
 
@@ -78,7 +85,7 @@ class _CoeffTable:
             except MemoryError:
                 raise ValueError(f"degree n={n}: cannot allocate a table of {pos} coefficients") from None
         else:
-            data = np.asarray(data, dtype=np.float64)
+            data = _real_array(type(self).__name__, data)
             if data.shape != (pos,):
                 raise ValueError(f"expected flat data of length {pos}, got {data.shape}")
             self._data = data

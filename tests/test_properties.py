@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherehhd import TangentField, ZSpectrum, build_A, decompose, differentiate, relative_l2_error
-from spherehhd.solver import decompose_order_zero, solve_order
+from spherehhd import TangentField, ZSpectrum, build_A, decompose, differentiate, relative_l2_error, z_to_cscy
+from spherehhd.solver import solve_order
 from spherehhd.spectra import random_potentials
 
 from conftest import dense_block_system
@@ -106,7 +106,14 @@ def test_residual_is_orthogonal_to_the_range(n, seed):
         rhs = rng.standard_normal((dense.shape[0], 2))
         x, residual = solve_order(n, m, rhs)
         assert_least_squares_optimal(dense, x, rhs, residual)
-    a0 = build_A(n, 0).toarray()  # order zero: two columns, theta and phi
-    w = rng.standard_normal((n + 1, 2))
-    vs, vt, residual = decompose_order_zero(w[:, 0], w[:, 1], n)
-    assert_least_squares_optimal(a0, np.column_stack([vs, vt]), w, residual)
+    # order zero, in closed form: random order-zero slices, two columns (theta and phi)
+    field = TangentField.zeros(n)
+    for comp in (field.theta, field.phi):
+        comp.order_slice(0)[:] = rng.standard_normal(n)
+    result = decompose(field)
+    a0 = build_A(n, 0).toarray()
+    w = np.column_stack([z_to_cscy(comp.order_slice(0), 0, n) for comp in (field.theta, field.phi)])
+    x = np.column_stack([result.spheroidal.order_slice(0)[1:], result.toroidal.order_slice(0)[1:]])
+    ref, *_ = np.linalg.lstsq(a0, w, rcond=None)
+    assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert_least_squares_optimal(a0, x, w, result.residual_by_order[0])

@@ -184,10 +184,7 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
     for name, l, m, out in calls:
         if name == "_conversion":
             assert np.array_equal(out[0], alpha(l, m)) and np.array_equal(out[0], _reference("alpha", l, m))
-            # beta(l - 2) at l = 1 (order zero's first row) lies below beta's domain and is 0
-            above = np.maximum(l, 2)
-            want = (beta(above - 2, m), _reference("beta", above, m, -2))
-            assert all(np.array_equal(out[1], np.where(l >= 2, x, 0.0)) for x in want)
+            assert np.array_equal(out[1], beta(l - 2, m)) and np.array_equal(out[1], _reference("beta", l, m, -2))
         elif name == "_derivative":
             assert np.array_equal(out[0], gamma(l, m)) and np.array_equal(out[0], _reference("gamma", l, m))
             assert np.array_equal(out[1], delta(l - 1, m))
