@@ -309,6 +309,8 @@ _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
 # rows per ``%`` formatting call of the writer: bounds its working memory
 _WRITE_CHUNK_ROWS = 4096
 _ROW_DTYPE = np.dtype([("l", np.int64), ("m", np.int64), ("value", np.float64)])
+_SCAN_CHARS = 1 << 16  # characters per read of the reader's plain-body scan
+_NOT_PLAIN = "# \t\v\f\r\x1c\x1d\x1e\x1f"  # '#' and ASCII whitespace but '\n'
 
 
 def write_spectrum(spectrum, path):
@@ -351,16 +353,19 @@ def read_spectrum(path):
     """Read a spectrum written by :func:`write_spectrum`.
 
     Returns a :class:`ScalarSpectrum` or :class:`ZSpectrum` depending on the
-    header.  Rows may come in any order; blank lines and lines that start
-    with ``#`` (after leading whitespace) are skipped.  Raises
+    header, whose degree is a signed run of ASCII digits as in a row.  Rows
+    may come in any order; blank and whitespace-only lines and lines that
+    start with ``#`` (after leading whitespace) are skipped.  Raises
     ``ValueError`` on a malformed header, a degree whose table cannot be
     allocated, a malformed row, an index outside the basis triangle, a
     non-finite value, or a repeated ``l,m`` row.  A row error names
     ``path:lineno``: of the first malformed row if there is one, else of
     the first row that fails a check.
 
-    The rows are parsed by one ``np.loadtxt`` streaming from the open file,
-    checked as whole arrays and scattered into the table in one assignment.
+    One ``np.loadtxt`` parses the rows: from the open file if a chunked scan
+    finds the body plain (ASCII, no ``#``, no whitespace but line ends), as
+    writer-made files are, else through a comment and blank-line filter.
+    Whole-array checks and one scatter into the table follow.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -375,20 +380,27 @@ def read_spectrum(path):
         basis = parts[1][len("basis=") :]
         if basis not in _CLASS_BY_BASIS:
             raise ValueError(f"{path}: unknown basis {basis!r}")
+        degree = parts[2][len("n=") :]
+        # int() would also take '1_0' and non-ASCII digits, which rows reject
+        if not re.fullmatch(r"[+-]?[0-9]+", degree):
+            raise ValueError(f"{path}: malformed degree in header {header!r}")
         try:
-            n = int(parts[2][len("n=") :])
-        except ValueError:
-            raise ValueError(f"{path}: malformed degree in header {header!r}") from None
-        try:
-            spec = _CLASS_BY_BASIS[basis](n)
+            spec = _CLASS_BY_BASIS[basis](int(degree))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         # Comment and blank lines are dropped before the parser sees them, so
         # a '#' inside a row stays an error and loadtxt counts data rows only.
         # lstrip returns an unindented line itself; loadtxt skips the empty
-        # string a blank line leaves.
+        # string a blank line leaves.  A plain body needs no filter: loadtxt
+        # skips its blank lines itself, counting rows as the filter would.
+        # A pipe cannot be scanned and read again, so it keeps the filter.
         lines = filterfalse(methodcaller("startswith", "#"), map(str.lstrip, fh))
         try:
+            if fh.seekable():
+                body, chunks = fh.tell(), iter(lambda: fh.read(_SCAN_CHARS), "")
+                if all(c.isascii() and not any(x in c for x in _NOT_PLAIN) for c in chunks):
+                    lines = fh
+                fh.seek(body)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 # numpy releases that parse '1.0' in an integer field through

@@ -1,5 +1,8 @@
+import io
 import math
+import os
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -151,6 +154,8 @@ def test_read_missing_rows_are_zero(tmp_path):
         "basis=Y n=2\n",  # missing comment marker
         "# basis=Q n=2\n",  # unknown basis
         "# basis=Y n=x\n",  # bad degree
+        "# basis=Y n=1_0\n",  # int() reads 10, a row's parser rejects it
+        "# basis=Y n=\u0661\u0662\n",  # Arabic-Indic digits: int() reads 12
         "# basis=Y n=2\n1,1\n",  # short row
         "# basis=Y n=2\n1,2,1.0\n",  # |m| > l for the scalar basis
         "# basis=Z n=2\n0,2,1.0\n",  # l < ||m|-1| for the tangential basis
@@ -160,21 +165,51 @@ def test_read_missing_rows_are_zero(tmp_path):
 )
 def test_read_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.csv"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ValueError):
         read_spectrum(path)
 
 
+def _read_both_forms(path, plain, decorated):
+    """What ``read_spectrum`` makes of ``path`` holding ``plain``, then ``decorated``.
+
+    ``plain`` holds a header, rows and blank lines only, so one ``np.loadtxt``
+    reads the open file; ``decorated`` is the same file, line for line, with
+    a comment and an indented row, so its lines go through the filter.  Both
+    must give a bit-identical spectrum or the same ``path:lineno: message``,
+    which is returned (a message as the string).
+    """
+    outcomes = []
+    for text in (plain, decorated):
+        path.write_text(text)
+        try:
+            outcomes.append(read_spectrum(path))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    first, second = outcomes
+    if isinstance(first, str) or isinstance(second, str):
+        assert first == second
+    else:
+        assert type(first) is type(second) and first.n == second.n
+        assert np.array_equal(first.flat().view(np.int64), second.flat().view(np.int64))
+    return first
+
+
 def test_read_rejects_duplicate_rows(tmp_path):
     path = tmp_path / "dup.csv"
-    path.write_text("# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n")
-    with pytest.raises(ValueError, match=r"dup\.csv:4: duplicate row for \(l=1, m=1\)"):
-        read_spectrum(path)
+    message = _read_both_forms(
+        path,
+        "# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n\n",
+        "# basis=Y n=2\n1,1,1.0\n  2,0,3.0\n1,1,2.0\n# the end\n",
+    )
+    assert message == f"{path}:4: duplicate row for (l=1, m=1)"
 
 
-# comment, blank and whitespace-only lines come before the bad row, so the
-# reported number must count every line of the file, not only data rows
-_SKIPPED_LINES = "# basis=Y n=2\n0,0,1.0\n# a comment\n\n   \n  # indented comment\n1,0,2.0\n"
+# comment, blank and whitespace-only lines and an indented row come before
+# the bad row, so the reported number must count every line of the file, not
+# only data rows; _BLANK_LINES holds the same rows with blank lines only
+_SKIPPED_LINES = "# basis=Y n=2\n0,0,1.0\n# a comment\n\n   \n  # indented comment\n  1,0,2.0\n"
+_BLANK_LINES = "# basis=Y n=2\n0,0,1.0\n\n\n\n\n1,0,2.0\n"
 
 
 @pytest.mark.parametrize(
@@ -193,9 +228,9 @@ _SKIPPED_LINES = "# basis=Y n=2\n0,0,1.0\n# a comment\n\n   \n  # indented comme
 )
 def test_read_reports_file_line_of_bad_row(tmp_path, bad_row):
     path = tmp_path / "bad.csv"
-    path.write_text(_SKIPPED_LINES + bad_row + "\n2,2,3.0\n")
-    with pytest.raises(ValueError, match=r"bad\.csv:8: "):
-        read_spectrum(path)
+    rest = bad_row + "\n2,2,3.0\n"
+    message = _read_both_forms(path, _BLANK_LINES + rest, _SKIPPED_LINES + rest)
+    assert message.startswith(f"{path}:8: ")
 
 
 def test_read_skips_comment_blank_and_whitespace_lines(tmp_path):
@@ -207,9 +242,11 @@ def test_read_skips_comment_blank_and_whitespace_lines(tmp_path):
 
 
 def test_read_rows_in_any_order(tmp_path):
-    path = tmp_path / "shuffled.csv"
-    path.write_text("# basis=Z n=1\n1,-2,4.0\n0,1,1.0\n1,0,2.0\n 1 , -1 , 3.0 \n")
-    spec = read_spectrum(path)
+    spec = _read_both_forms(
+        tmp_path / "shuffled.csv",
+        "# basis=Z n=1\n\n1,-2,4.0\n0,1,1.0\n1,0,2.0\n1,-1,3.0\n",
+        "# basis=Z n=1\n# a comment\n1,-2,4.0\n0,1,1.0\n1,0,2.0\n 1 , -1 , 3.0 \n",
+    )
     assert (spec[1, -2], spec[0, 1], spec[1, 0], spec[1, -1]) == (4.0, 1.0, 2.0, 3.0)
     assert np.count_nonzero(spec.flat()) == 4
 
@@ -238,9 +275,52 @@ def test_read_header_only_file_is_zero_without_warning(tmp_path, rows):
 )
 def test_read_rejects_non_integer_and_overflowing_indices(tmp_path, row):
     path = tmp_path / "index.csv"
-    path.write_text("# basis=Y n=2\n" + row + "\n")
-    with pytest.raises(ValueError):
-        read_spectrum(path)
+    message = _read_both_forms(
+        path, "# basis=Y n=2\n\n" + row + "\n", "# basis=Y n=2\n# a comment\n  " + row + "\n"
+    )
+    assert message.startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("odd", ["\x0c", "\x1c"])
+def test_read_skips_form_feed_and_separator_lines(tmp_path, odd):
+    # loadtxt alone would take such a line for a short row: the line filter
+    # must read the file, and skip the line as whitespace
+    path = tmp_path / "odd.csv"
+    path.write_text(f"# basis=Y n=1\n0,0,1.0\n{odd}\n1,-1,2.0\n")
+    spec = read_spectrum(path)
+    assert (spec[0, 0], spec[1, -1]) == (1.0, 2.0)
+    assert np.count_nonzero(spec.flat()) == 2
+
+
+def test_read_hands_writer_files_to_loadtxt_whole(tmp_path, monkeypatch):
+    # a writer-made file reaches loadtxt as the open file; a comment line
+    # sends the same rows through the line filter
+    seen = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: seen.append(lines) or loadtxt(lines, **kw))
+    path = tmp_path / "spec.csv"
+    spec = random_spectrum(4, seed=3)
+    write_spectrum(spec, path)
+    plain = read_spectrum(path)
+    path.write_text(path.read_text() + "# the end\n")
+    decorated = read_spectrum(path)
+    assert isinstance(seen[0], io.TextIOBase) and not isinstance(seen[1], io.TextIOBase)
+    assert np.array_equal(plain.flat(), spec.flat()) and np.array_equal(decorated.flat(), spec.flat())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_pipe(tmp_path):
+    # a pipe cannot be scanned and read again: it must still read, unscanned
+    spec = random_spectrum(4, seed=5)
+    write_spectrum(spec, tmp_path / "spec.csv")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=((tmp_path / "spec.csv").read_text(),))
+    writer.start()
+    back = read_spectrum(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.flat(), spec.flat())
 
 
 def test_read_rejects_digit_group_underscores(tmp_path):
