@@ -26,16 +26,7 @@ from .spectra import (
     read_spectrum,
     write_spectrum,
 )
-from .operators import (
-    BandedMatrix,
-    OrderSystem,
-    build_A,
-    build_B,
-    build_order_system,
-    shuffle_permutation,
-    z_to_cscy,
-    cscy_to_z,
-)
+from .operators import build_A, build_B, shuffle_permutation, z_to_cscy, cscy_to_z
 from .solver import (
     solve_order,
     differentiate,

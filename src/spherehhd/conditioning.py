@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrences as rec
-from .operators import build_A, build_B
+from .operators import _dense_system, build_A, build_B
 from .spectra import _require_integers
 
 __all__ = ["ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
@@ -56,8 +56,7 @@ def build_CD(n, m):
     _require_integers("build_CD", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_CD: need 1 <= m <= n-1, got m={m}, n={n}")
-    a = build_A(n, m).toarray()
-    b = build_B(n, m).toarray()
+    a, b = build_A(n, m), build_B(n, m)
     c = a.T @ a + b.T @ b
     d = a.T @ b + b.T @ a
     off = np.abs(np.subtract.outer(np.arange(n - m), np.arange(n - m)))
@@ -128,8 +127,7 @@ def kappa_numeric(n, m):
     if not 1 <= m <= n - 1:
         raise ValueError(f"kappa_numeric: need 1 <= m <= n-1, got m={m}, n={n}")
     sv_r = np.linalg.svd(build_R(n - m, m), compute_uv=False)
-    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
-    sv_m = np.linalg.svd(np.block([[a, b], [b, a]]), compute_uv=False)
+    sv_m = np.linalg.svd(_dense_system(n, m), compute_uv=False)
     return ConditionReport(n, m, float(sv_r[0] / sv_r[-1]), float(sv_m[0] / sv_m[-1]), kappa_bound(n, m),
                            *qi_singular_bounds(n - m, m))
 

@@ -1,4 +1,4 @@
-"""Per-order operator assembly: banded blocks, perfect shuffle, basis conversions.
+"""Per-order operator assembly: derivative blocks, perfect shuffle, basis conversions.
 
 For every order the two derivative blocks are
 
@@ -9,8 +9,11 @@ For every order the two derivative blocks are
 
 Stacking them as ``[[A, B], [B, A]]`` and interleaving rows and columns with
 the perfect shuffle (odd indices collected before even indices) produces a
-pentadiagonal system; the permutations are realized as index maps and are
-never materialized as matrices.
+pentadiagonal system.  The solver uses closed forms (:mod:`.recurrences`)
+in place of these matrices.  :func:`build_A` and :func:`build_B` return
+them dense, for the oracles, scattered from the entries that
+:func:`_block_entries` lists for any orders at once, which :mod:`.verify`
+checks against the paper's structural claims.
 
 The basis conversions are a two-term stencil (:func:`z_to_cscy`) and its
 inverse, two interleaved parity chains solved by substitution
@@ -24,77 +27,50 @@ kernel, :func:`_recurrence`, which takes grids of any length and cuts
 them into chunks itself.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import recurrences as rec
 from .spectra import _real_array, _require_integers
 
-__all__ = [
-    "BandedMatrix",
-    "OrderSystem",
-    "build_A",
-    "build_B",
-    "shuffle_permutation",
-    "build_order_system",
-    "z_to_cscy",
-    "cscy_to_z",
-]
+__all__ = ["build_A", "build_B", "shuffle_permutation", "z_to_cscy", "cscy_to_z"]
 
 
-class BandedMatrix:
-    """Rectangular banded matrix stored by diagonals.
+def _runs(counts):
+    """Position of each entry within its run, for runs of ``counts`` entries laid end to end."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    ``data[upper_bw + i - j, j]`` holds entry ``(i, j)``; entries with
-    ``i - j > lower_bw`` or ``j - i > upper_bw`` are structurally zero.
+
+def _block_entries(n, orders):
+    """``(order, row, column, value)`` arrays of the stored entries of ``A``, and of ``B``, at degree ``n``.
+
+    One grid covers the ``orders`` (ascending, ``0 <= m <= n - 1``), entries grouped by order.  Rows
+    count csc degrees from ``m``, columns potential degrees from ``max(m, 1)``.  For ``L = m + 1 .. n``,
+    ``A`` holds ``gamma(L, m)`` at degrees ``(L - 1, L)`` and ``delta(L - 1, m)`` at ``(L, L - 1)``
+    where each lies inside the block; ``B`` holds ``m`` at ``(l, l)`` for every column ``l``.
     """
+    orders = np.asarray(orders)
+    first = np.maximum(orders, 1)  # the least potential degree
+    m = np.repeat(orders, n - orders)
+    start = np.repeat(first, n - orders)
+    L = m + 1 + _runs(n - orders)
+    gamma, delta = rec._derivative(L.astype(np.float64), m)
+    keep = np.stack([L < n, L > start], axis=1)  # [gamma, delta] of each L
+    pairs = (m, m), (L - 1 - m, L - m), (L - start, L - 1 - start), (gamma, delta)
+    j = _runs(n - first)
+    m = np.repeat(orders, n - first)
+    return tuple(np.stack(x, axis=1)[keep] for x in pairs), (m, j, j, m.astype(np.float64))
 
-    def __init__(self, rows, cols, lower_bw, upper_bw, data=None):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.lower_bw = int(lower_bw)
-        self.upper_bw = int(upper_bw)
-        shape = (self.lower_bw + self.upper_bw + 1, self.cols)
-        if data is None:
-            self.data = np.zeros(shape)
-        else:
-            data = np.asarray(data, dtype=np.float64)
-            if data.shape != shape:
-                raise ValueError(f"band data must have shape {shape}")
-            self.data = data
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def diagonal(self, offset):
-        """View of the diagonal ``i - j == offset`` indexed by column ``j``."""
-        if not -self.upper_bw <= offset <= self.lower_bw:
-            raise ValueError(f"offset {offset} outside band")
-        return self.data[self.upper_bw + offset]
-
-    def toarray(self):
-        out = np.zeros((self.rows, self.cols))
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            j = np.arange(max(0, -off), min(self.cols, self.rows - off))
-            out[j + off, j] = self.data[self.upper_bw + off, j]
-        return out
-
-    def bandwidths_used(self):
-        """Actual (lower, upper) bandwidths of the stored nonzeros."""
-        lower = upper = 0
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            lo = max(0, -off)
-            hi = min(self.cols, self.rows - off)
-            if hi > lo and np.any(self.data[self.upper_bw + off, lo:hi]):
-                lower = max(lower, off)
-                upper = max(upper, -off)
-        return lower, upper
+def _scatter(entries, shape):
+    """Dense ``shape`` array that holds ``entries`` of one order (see :func:`_block_entries`)."""
+    _, rows, cols, values = entries
+    out = np.zeros(shape)
+    out[rows, cols] = values
+    return out
 
 
 def build_A(n, m):
-    """Colatitude-derivative block for order ``m`` at truncation degree ``n``.
+    """Colatitude-derivative block for order ``m`` at truncation degree ``n``, as a dense array.
 
     Rows are csc-harmonic degrees ``m..n`` (``0..n`` for ``m == 0``), columns
     are potential degrees ``m..n-1`` (``1..n-1`` for ``m == 0``).
@@ -104,31 +80,23 @@ def build_A(n, m):
         raise ValueError("build_A: order must be >= 0")
     if m >= 1 and m > n - 1:
         raise ValueError(f"build_A: need 1 <= m <= n-1, got m={m}, n={n}")
-    if m == 0:
-        if n < 2:
-            raise ValueError("build_A: need n >= 2 at m = 0")
-        A = BandedMatrix(n + 1, n - 1, lower_bw=2, upper_bw=0)
-        cols = np.arange(1, n)  # potential degrees
-        A.diagonal(0)[:] = rec.gamma(cols, 0)
-        A.diagonal(2)[:] = rec.delta(cols, 0)
-        return A
-    q, p = n + 1 - m, n - m
-    A = BandedMatrix(q, p, lower_bw=1, upper_bw=1)
-    if p > 1:
-        A.diagonal(-1)[1:] = rec.gamma(np.arange(m + 1, n), m)
-    A.diagonal(1)[:] = rec.delta(np.arange(m, n), m)
-    return A
+    if m == 0 and n < 2:
+        raise ValueError("build_A: need n >= 2 at m = 0")
+    return _scatter(_block_entries(n, [m])[0], (n + 1 - m, n - max(m, 1)))
 
 
 def build_B(n, m):
-    """Longitude-derivative block: constant ``m`` diagonal over a zero row."""
+    """Longitude-derivative block, as a dense array: constant ``m`` diagonal over a zero row."""
     _require_integers("build_B", n=n, m=m)
     if not 1 <= m <= n - 1:
         raise ValueError(f"build_B: need 1 <= m <= n-1, got m={m}, n={n}")
-    q, p = n + 1 - m, n - m
-    B = BandedMatrix(q, p, lower_bw=0, upper_bw=0)
-    B.diagonal(0)[:] = float(m)
-    return B
+    return _scatter(_block_entries(n, [m])[1], (n + 1 - m, n - m))
+
+
+def _dense_system(n, m):
+    """Dense ``[[A, B], [B, A]]`` of order ``m >= 1``, for the oracles."""
+    a, b = build_A(n, m), build_B(n, m)
+    return np.block([[a, b], [b, a]])
 
 
 def shuffle_permutation(size):
@@ -141,53 +109,6 @@ def shuffle_permutation(size):
     if size % 2 != 0:
         raise ValueError("shuffle_permutation: size must be even")
     return np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])
-
-
-@dataclass
-class OrderSystem:
-    """One order's block system together with its interleaved banded form."""
-
-    n: int
-    m: int
-    A: BandedMatrix
-    B: BandedMatrix
-    shuffled: BandedMatrix
-    perm_rows: np.ndarray
-    perm_cols: np.ndarray
-
-
-def build_order_system(n, m):
-    """Assemble ``[[A, B], [B, A]]`` and its pentadiagonal interleaved form.
-
-    The permutations are applied by index scatter, never by matrix
-    multiplication; the builder refuses to place an entry outside the
-    pentadiagonal band, so success certifies the bandwidths.
-    """
-    _require_integers("build_order_system", n=n, m=m)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"build_order_system: need 1 <= m <= n-1, got m={m}, n={n}")
-    A = build_A(n, m)
-    B = build_B(n, m)
-    q, p = A.rows, A.cols
-    perm_rows = shuffle_permutation(2 * q)
-    perm_cols = shuffle_permutation(2 * p)
-    shuffled = BandedMatrix(2 * q, 2 * p, lower_bw=2, upper_bw=2)
-    # (values, old rows, old columns) of the four block copies: A top-left and
-    # bottom-right, B top-right and bottom-left
-    pieces = []
-    for off in (-1, 1):
-        j = np.arange(max(0, -off), min(p, q - off))
-        vals = A.diagonal(off)[j]
-        pieces += [(vals, j + off, j), (vals, q + j + off, p + j)]
-    j = np.arange(p)
-    pieces += [(B.diagonal(0), j, p + j), (B.diagonal(0), q + j, j)]
-    values, old_i, old_j = (np.concatenate(x) for x in zip(*pieces))
-    nj = perm_cols[old_j]
-    off = perm_rows[old_i] - nj
-    if np.any(np.abs(off) > 2):
-        raise AssertionError("interleaved entry outside the pentadiagonal band")
-    shuffled.data[2 + off, nj] = values
-    return OrderSystem(n, m, A, B, shuffled, perm_rows, perm_cols)
 
 
 def _slice_order(name, m, n):

@@ -14,13 +14,13 @@ contiguous memory.  Spectra are treated as immutable values once filled;
 nothing in the library mutates a spectrum it did not create.
 """
 
+import bisect
 import math
 import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, islice
-from operator import methodcaller
+from itertools import chain, islice
 
 import numpy as np
 
@@ -335,18 +335,46 @@ def write_spectrum(spectrum, path):
             fh.write("%d,%d,%.16e\n" * (hi - lo) % tuple(chain.from_iterable(cells)))
 
 
-def _data_row_line(path, row):
-    """Line number and text of data row ``row`` (0-based) of the file at ``path``.
+class _DataRows:
+    """The data rows of an open file past its header, left-stripped, for the parser.
 
-    Data rows are the lines after the header that are neither blank nor
-    comments, the rows :func:`read_spectrum` parses.  Only its error paths
-    call this, so rereading the file costs nothing on success.
+    Data rows are the lines that are neither blank nor comments, so a ``#`` inside a row stays
+    an error and the parser counts data rows only.  The line where each run of rows starts is
+    kept, so :meth:`line` needs no second read, which a pipe could not give.  ``last`` is the
+    last row read, the one the parser stopped at if it failed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        rows = ((i, line.strip()) for i, line in enumerate(fh, start=2))
-        data = ((i, line) for i, line in rows if line and not line.startswith("#"))
-        return next(islice(data, row, None))
+
+    def __init__(self, fh):
+        self.fh, self.last, self.runs = fh, "", [(0, 2)]  # (row, its line): the next rows are the next lines
+
+    def __iter__(self):
+        row = 0
+        for lineno, line in enumerate(self.fh, start=2):
+            line = line.lstrip()
+            if line and line[0] != "#":
+                row, self.last = row + 1, line
+                yield line
+            else:
+                self.runs.append((row, lineno + 1))
+
+    def line(self, row):
+        """Line number of data row ``row`` (0-based)."""
+        start, lineno = self.runs[bisect.bisect_right(self.runs, (row, math.inf)) - 1]
+        return lineno + row - start
+
+
+def _data_row_line(path, lines, row):
+    """Line number of data row ``row``, and the text of the last row read (row ``row`` if the parser stopped there).
+
+    The parser reads a plain file straight from its handle; only error
+    paths read it again, up to the row, so rereading costs nothing on success.
+    """
+    if not isinstance(lines, _DataRows):
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            lines = _DataRows(fh)
+            next(islice(lines, row, None))
+    return lines.line(row), lines.last.strip()
 
 
 def read_spectrum(path):
@@ -368,7 +396,10 @@ def read_spectrum(path):
     Whole-array checks and one scatter into the table follow.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         parts = header.split()
         if (
             len(parts) != 3
@@ -388,13 +419,9 @@ def read_spectrum(path):
             spec = _CLASS_BY_BASIS[basis](int(degree))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        # Comment and blank lines are dropped before the parser sees them, so
-        # a '#' inside a row stays an error and loadtxt counts data rows only.
-        # lstrip returns an unindented line itself; loadtxt skips the empty
-        # string a blank line leaves.  A plain body needs no filter: loadtxt
-        # skips its blank lines itself, counting rows as the filter would.
-        # A pipe cannot be scanned and read again, so it keeps the filter.
-        lines = filterfalse(methodcaller("startswith", "#"), map(str.lstrip, fh))
+        # A plain body needs no filter: loadtxt skips its blank lines itself,
+        # counting rows as the filter would.  A pipe cannot be scanned.
+        lines = _DataRows(fh)
         try:
             if fh.seekable():
                 body, chunks = fh.tell(), iter(lambda: fh.read(_SCAN_CHARS), "")
@@ -416,7 +443,7 @@ def read_spectrum(path):
             # loadtxt counts data rows from 0 in conversion errors and from 1
             # in column-count errors
             converting = message.startswith("could not convert")
-            lineno, line = _data_row_line(path, int(named[-1]) - (not converting))
+            lineno, line = _data_row_line(path, lines, int(named[-1]) - (not converting))
             problem = f"malformed row {line!r}" if converting else "expected 'l,m,value'"
             raise ValueError(f"{path}:{lineno}: {problem}") from None
 
@@ -442,6 +469,6 @@ def read_spectrum(path):
             problem = f"{lm} outside the basis-{spec.basis} index set for n={spec.n}"
         else:
             problem = f"duplicate row for {lm}"
-        raise ValueError(f"{path}:{_data_row_line(path, row)[0]}: {problem}")
+        raise ValueError(f"{path}:{_data_row_line(path, lines, row)[0]}: {problem}")
     spec.flat()[pos] = values
     return spec

@@ -15,17 +15,13 @@ import numpy as np
 
 from . import recurrences as rec
 from . import conditioning as cond
-from .operators import build_A, build_B, build_order_system, cscy_to_z, z_to_cscy
+from . import operators as ops
+from .operators import cscy_to_z, z_to_cscy
 from .pointwise import GridSpec, _Basis, analyze_z, synthesize_from_potentials
 from .solver import decompose, differentiate, solve_order
 from .spectra import random_potentials, relative_l2_error
 
 __all__ = ["run_verification", "SUITES"]
-
-
-def _dense_system(n, m):
-    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
-    return np.block([[a, b], [b, a]])
 
 
 def _worst(values):
@@ -70,26 +66,51 @@ def conversion_deviations(sizes):
 
 def structure_deviations(sizes):
     """Excess over ``(n+1-m) x (n-m)`` shapes, ``A`` zero off its first sub- and superdiagonals,
-    ``B`` zero off a diagonal of ``m``, and a pentadiagonal interleaved system (bands only)."""
+    ``B`` zero off a diagonal of ``m``, and a pentadiagonal interleaved system (bands only).
+
+    Every order of a degree at once, on the entries that ``build_A`` and ``build_B`` scatter.
+    The shuffle of ``2q`` rows sends rows ``i`` and ``q + i`` where that of ``2n`` rows sends
+    ``i`` and ``n + i``, so one shuffle of ``2n`` rows and one of ``2n - 2`` columns place all.
+    """
     for n in sizes:
-        for m in range(1, n):
-            system = build_order_system(n, m)
-            a, b = system.A, system.B
-            shape = (n + 1 - m, n - m)
-            yield f"(n={n}, m={m})", float(np.max([
-                a.shape != shape or b.shape != shape, _worst(a.diagonal(0)),
-                _worst(b.diagonal(0) - m), *b.bandwidths_used(),
-                *np.subtract(a.bandwidths_used(), 1), *np.subtract(system.shuffled.bandwidths_used(), 2),
-            ]))
+        a, b = ops._block_entries(n, np.arange(1, n))
+        rows, cols = ops.shuffle_permutation(2 * n), ops.shuffle_permutation(2 * n - 2)
+        order = np.arange(1, n)
+        worst = []
+        # each block's entries hold |row - column| == band; the shifts place
+        # its two copies, A top left and bottom right, B top right and bottom left
+        for (m, i, j, v), band, shifts in ((a, 1, ((0, 0), (n, n - 1))), (b, 0, ((0, n - 1), (n, 0)))):
+            excess = [(np.minimum(i, j) < 0) | (i > n - m) | (j >= n - m),
+                      np.where(np.abs(i - j) != band, np.abs(v), 0.0)]
+            excess += [np.abs(rows[r + i] - cols[c + j]) - 2 for r, c in shifts]
+            worst.append(np.maximum.reduceat(np.max(excess, axis=0), np.searchsorted(m, order)))
+        m, i, j, v = b
+        diag = np.zeros((n - 1, n - 1))  # B's diagonal, one order per row
+        on = (i == j) & (i < n - m)
+        diag[m[on] - 1, i[on]] = v[on]
+        inside = np.arange(n - 1) < (n - order)[:, None]
+        worst.append(np.max(np.where(inside, np.abs(diag - order[:, None]), 0.0), axis=1))
+        for m, dev in zip(order.tolist(), np.max(worst, axis=0).tolist()):
+            yield f"(n={n}, m={m})", dev
 
 
 def permutation_deviations(sizes):
-    """Dense check that the interleaved system is ``[[A, B], [B, A]]`` under its index maps."""
+    """Dense check that the system the shuffle's index maps scatter is ``[[A, B], [B, A]]``.
+
+    The entries of every order of a degree come from one call, the dense
+    system from ``build_A`` and ``build_B`` one order at a time.
+    """
     for n in sizes:
+        (am, ai, aj, av), (bm, bi, bj, bv) = ops._block_entries(n, np.arange(1, n))
         for m in range(1, n):
-            system = build_order_system(n, m)
-            sd = system.shuffled.toarray()[np.ix_(system.perm_rows, system.perm_cols)]
-            yield f"(n={n}, m={m})", _worst(sd - _dense_system(n, m))
+            a, b = am == m, bm == m
+            i, j, v, k, l, w = ai[a], aj[a], av[a], bi[b], bj[b], bv[b]
+            q, p = n + 1 - m, n - m
+            rows, cols = ops.shuffle_permutation(2 * q), ops.shuffle_permutation(2 * p)
+            shuffled = np.zeros((2 * q, 2 * p))
+            for r, c, x in ((i, j, v), (q + i, p + j, v), (k, p + l, w), (q + k, l, w)):
+                shuffled[rows[r], cols[c]] = x
+            yield f"(n={n}, m={m})", _worst(shuffled[np.ix_(rows, cols)] - ops._dense_system(n, m))
 
 
 def cholesky_deviations(sizes):
@@ -112,7 +133,7 @@ def condition_deviations(sizes):
 def eigenvalue_deviations(n, orders):
     """Eigenvalues of ``M'M`` against those of ``C + D`` taken twice, over the largest."""
     for m in orders:
-        dense = _dense_system(n, m)
+        dense = ops._dense_system(n, m)
         ev_m = np.linalg.eigvalsh(dense.T @ dense)
         ev_cd = np.linalg.eigvalsh(np.add(*cond.build_CD(n, m)))
         yield f"(n={n}, m={m})", _worst(ev_m - np.sort(np.concatenate([ev_cd, ev_cd]))) / ev_m[-1]
@@ -148,7 +169,7 @@ def lstsq_deviations(n, seed):
     """``solve_order`` against dense least squares, for two random right-hand sides per order."""
     rng = np.random.default_rng(seed)
     for m in range(1, n):
-        dense = _dense_system(n, m)
+        dense = ops._dense_system(n, m)
         rhs = rng.standard_normal((dense.shape[0], 2))
         x_ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
         yield f"(n={n}, m={m})", _worst(solve_order(n, m, rhs)[0] - x_ref) / _worst(x_ref)
@@ -156,7 +177,7 @@ def lstsq_deviations(n, seed):
 
 def consistent_deviations(n, m, seed):
     """``solve_order`` on a consistent system ``b``: its error, and its residual over ``||b||``."""
-    dense = _dense_system(n, m)
+    dense = ops._dense_system(n, m)
     x_true = np.random.default_rng(seed).standard_normal((dense.shape[1], 2))
     x, residual = solve_order(n, m, dense @ x_true)
     yield f"x at (n={n}, m={m})", _worst(x - x_true) / _worst(x_true)

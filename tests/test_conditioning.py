@@ -19,9 +19,8 @@ from spherehhd.conditioning import (
     kappa_numeric,
     qi_singular_bounds,
 )
+from spherehhd.operators import _dense_system
 from spherehhd.recurrences import chol_d, chol_e, chol_f
-
-from conftest import dense_block_system
 
 
 def test_build_R_values():
@@ -70,7 +69,7 @@ def test_CD_structure_check_fires(monkeypatch):
 
     def build_A_with_diagonal(n, m):
         a = true_build_A(n, m)
-        a.diagonal(0)[:] = 1.0
+        np.fill_diagonal(a, 1.0)
         return a
 
     monkeypatch.setattr(conditioning, "build_A", build_A_with_diagonal)
@@ -111,7 +110,7 @@ def test_condition_number_squares_under_normal_equations():
     # forming M'M squares the condition number: the reason the solver
     # never touches the normal equations
     rep = kappa_numeric(16, 1)
-    dense = dense_block_system(16, 1)
+    dense = _dense_system(16, 1)
     ev = np.linalg.eigvalsh(dense.T @ dense)
     assert ev[-1] / ev[0] == pytest.approx(rep.kappa_M**2, rel=1e-8)
 

@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spherehhd import operators
+from spherehhd import operators, verify
 from spherehhd.operators import (
     CHUNK_STEPS,
-    BandedMatrix,
+    _dense_system,
     _recurrence,
     build_A,
     build_B,
-    build_order_system,
     cscy_to_z,
     shuffle_permutation,
     z_to_cscy,
@@ -24,49 +23,25 @@ from spherehhd.spectra import TangentField, random_potentials
 from conftest import FOLD_DEGREES
 
 
-def test_banded_matrix_basics():
-    mat = BandedMatrix(4, 3, lower_bw=1, upper_bw=1)
-    mat.diagonal(0)[:] = [1.0, 2.0, 3.0]
-    mat.diagonal(1)[:] = [4.0, 5.0, 6.0]
-    dense = mat.toarray()
-    assert dense[3, 0] == 0.0  # outside the band
-    assert np.array_equal(np.diagonal(dense), [1.0, 2.0, 3.0])
-    assert np.array_equal(np.diagonal(dense, -1), [4.0, 5.0, 6.0])
-
-
-@pytest.mark.parametrize("shape", [(9, 4), (7, 7), (4, 9)], ids=["tall", "square", "wide"])
-@pytest.mark.parametrize("lower_bw,upper_bw", [(0, 0), (1, 2), (3, 0), (0, 5)])
-def test_toarray_inverts_banded_from_dense(shape, lower_bw, upper_bw, rng):
-    rows, cols = shape
-    offsets = np.subtract.outer(np.arange(rows), np.arange(cols))
-    x = rng.standard_normal(shape) * ((offsets <= lower_bw) & (-offsets <= upper_bw))
-    mat = BandedMatrix(rows, cols, lower_bw, upper_bw)
-    for off in range(-upper_bw, lower_bw + 1):  # the band of x, diagonal by diagonal
-        j = np.arange(max(0, -off), min(cols, rows - off))
-        mat.diagonal(off)[j] = x[j + off, j]
-    assert np.array_equal(mat.toarray(), x)
-
-
 def test_build_A_values_n3_m1():
     expected = np.array([[0.0, -1.3416407864998738], [0.4472135954999579, 0.0], [0.0, 0.9561828874675149]])
-    assert_allclose(build_A(3, 1).toarray(), expected, atol=1e-15)
+    assert_allclose(build_A(3, 1), expected, atol=1e-15)
 
 
 def test_build_A_smallest_system():
-    assert_allclose(build_A(2, 1).toarray(), [[0.0], [0.4472135954999579]], atol=1e-15)
+    assert_allclose(build_A(2, 1), [[0.0], [0.4472135954999579]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (9, 4), (17, 16), (12, 3)])
 def test_build_A_zero_main_diagonal(n, m):
-    dense = build_A(n, m).toarray()
+    dense = build_A(n, m)
     assert not np.any(np.diagonal(dense))
     assert dense.shape == (n + 1 - m, n - m)
 
 
 def test_build_A_order_zero_shape():
-    a0 = build_A(6, 0)
-    assert a0.shape == (7, 5)
-    dense = a0.toarray()
+    dense = build_A(6, 0)
+    assert dense.shape == (7, 5)
     # columns are potential degrees 1..5; each column couples degrees l' -/+ 1
     for j, lp in enumerate(range(1, 6)):
         nz = np.nonzero(dense[:, j])[0]
@@ -74,9 +49,9 @@ def test_build_A_order_zero_shape():
 
 
 def test_build_B_structure():
-    assert_allclose(build_B(4, 2).toarray(), [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    assert_allclose(build_B(2, 1).toarray(), [[1.0], [0.0]])
-    assert_allclose(build_B(5, 4).toarray(), [[4.0], [0.0]])
+    assert_allclose(build_B(4, 2), [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    assert_allclose(build_B(2, 1), [[1.0], [0.0]])
+    assert_allclose(build_B(5, 4), [[4.0], [0.0]])
 
 
 def test_build_domain_errors():
@@ -98,41 +73,53 @@ def test_shuffle_permutation_examples():
 
 
 def test_order_system_pentadiagonal():
-    system = build_order_system(3, 1)
-    assert system.shuffled.shape == (6, 4)
-    lower, upper = system.shuffled.bandwidths_used()
-    assert lower <= 2 and upper <= 2
+    # the perfect shuffle of rows and columns scatters [[A, B], [B, A]] into
+    # a band of two diagonals on either side
+    dense = _dense_system(3, 1)
+    shuffled = np.zeros_like(dense)
+    shuffled[np.ix_(shuffle_permutation(6), shuffle_permutation(4))] = dense
+    rows, cols = np.nonzero(shuffled)
+    assert shuffled.shape == (6, 4)
+    assert np.max(np.abs(rows - cols)) == 2
 
 
 def test_order_system_refuses_entries_outside_the_band(monkeypatch):
     # without the shuffle, B's top-right copy lies p columns right of the
-    # diagonal: the builder must raise rather than drop or misplace it
+    # diagonal: the structure check must report it rather than pass
     monkeypatch.setattr(operators, "shuffle_permutation", np.arange)
-    with pytest.raises(AssertionError, match="pentadiagonal band"):
-        build_order_system(9, 2)
+    assert max(dev for _, dev in verify.structure_deviations([9])) > 0
+
+
+def test_structure_check_sees_an_entry_of_A_off_its_band(monkeypatch):
+    # build_A and the check read the same entries: move order 2's first one
+    # onto the main diagonal, and both see it
+    true_entries = operators._block_entries
+
+    def entries_with_one_moved(n, orders):
+        (m, i, j, v), b = true_entries(n, orders)
+        i, first = i.copy(), np.searchsorted(m, 2)
+        i[first] = j[first]
+        return (m, i, j, v), b
+
+    monkeypatch.setattr(operators, "_block_entries", entries_with_one_moved)
+    assert np.any(np.diagonal(build_A(9, 2)))
+    deviations = dict(verify.structure_deviations([9]))
+    assert deviations.pop("(n=9, m=2)") > 0
+    assert not any(deviations.values())
 
 
 def test_order_system_matches_blocks_small():
-    system = build_order_system(2, 1)
-    a = system.A.toarray()
-    b = system.B.toarray()
-    dense = np.block([[a, b], [b, a]])
     expected = np.array(
         [[0.0, 1.0], [0.4472135954999579, 0.0], [1.0, 0.0], [0.0, 0.4472135954999579]]
     )
-    assert_allclose(dense, expected, atol=1e-15)
+    assert_allclose(_dense_system(2, 1), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("n,m", [(5, 2), (9, 1), (9, 8), (16, 7)])
 def test_order_system_scatter_identity(n, m):
-    system = build_order_system(n, m)
-    a = system.A.toarray()
-    b = system.B.toarray()
-    dense = np.block([[a, b], [b, a]])
-    shuffled = system.shuffled.toarray()
-    # interleaving scatters entry (i, j) of the block system to
-    # (perm_rows[i], perm_cols[j]) of the pentadiagonal system
-    assert np.array_equal(shuffled[np.ix_(system.perm_rows, system.perm_cols)], dense)
+    # the entries of every order of n, scattered through the shuffle's index
+    # maps, give the interleaved system of one order's [[A, B], [B, A]]
+    assert dict(verify.permutation_deviations([n]))[f"(n={n}, m={m})"] == 0.0
 
 
 def test_z_to_cscy_zero():
@@ -260,7 +247,7 @@ def test_m_zero_conversion_roundtrip():
 
 def test_delta_consistency_in_A():
     # subdiagonal of A holds the higher-degree derivative coefficients
-    a = build_A(6, 2).toarray()
+    a = build_A(6, 2)
     for j, lp in enumerate(range(2, 6)):
         assert a[j + 1, j] == pytest.approx(delta(lp, 2), rel=1e-15)
 
@@ -303,7 +290,7 @@ def _differentiate_reference(s, t):
     out = TangentField.zeros(n)
     a0 = build_A(n, 0)
     for comp, pot in ((out.theta, s), (out.phi, t)):
-        comp.set_order_slice(0, _chain_solve_reference(a0.toarray() @ pot.order_slice(0)[1:], 0, n))
+        comp.set_order_slice(0, _chain_solve_reference(a0 @ pot.order_slice(0)[1:], 0, n))
     for m in range(1, n):
         a = build_A(n, m)
         sp, sm, tp, tm = (pot.order_slice(k) for pot in (s, t) for k in (m, -m))
@@ -314,8 +301,8 @@ def _differentiate_reference(s, t):
             (out.phi, m, tp, sm),
             (out.phi, -m, tm, -sp),
         ):
-            w = a.toarray() @ x
-            w[: a.cols] += m * partner
+            w = a @ x
+            w[: a.shape[1]] += m * partner
             comp.set_order_slice(order, _chain_solve_reference(w, m, n))
     return out
 

@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -8,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spherehhd
 from spherehhd import recurrences as rec
 from spherehhd.conditioning import build_CD, build_R, condition_trend, kappa_bound, kappa_numeric, qi_singular_bounds
-from spherehhd.operators import CHUNK_STEPS, build_A, build_B, build_order_system, cscy_to_z, z_to_cscy
+from spherehhd.operators import CHUNK_STEPS, _dense_system, build_A, build_B, cscy_to_z, z_to_cscy
 from spherehhd.solver import (
     _lanes,
     _lsq_sweep,
@@ -28,7 +33,7 @@ from spherehhd.spectra import (
     relative_l2_error,
 )
 
-from conftest import FOLD_DEGREES, dense_block_system
+from conftest import FOLD_DEGREES
 
 
 def block_problems(n, ms):
@@ -52,7 +57,7 @@ def sweep_halves(n, m, rhs=None):
     dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
     both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
     x, res = _lsq_sweep(segments, rotations, (d, e, f), both)
-    a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+    a, b = build_A(n, m), build_B(n, m)
     r_plus, j = np.diag(d[:p, 0]), np.arange(p)
     r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = e[: p - 1, 0], f[: max(p - 2, 0), 0]
     return [
@@ -132,7 +137,7 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
             assert np.array_equal(d[:p], np.diagonal(closed))
             assert np.array_equal(e[: p - 1], np.diagonal(closed, 1))
             assert np.array_equal(f[: max(p - 2, 0)], np.diagonal(closed, 2))
-            a, b = build_A(n, m).toarray(), build_B(n, m).toarray()
+            a, b = build_A(n, m), build_B(n, m)
             flip = (-1.0) ** np.arange(1, p + 2)[:, None]
             for dense, cj, ej in ((a + b, c, e), (a - b, flip * c, -e)):
                 columns = np.diagonal(dense, -1), np.diagonal(dense), np.r_[0.0, np.diagonal(dense, 1)]
@@ -180,7 +185,7 @@ def test_solve_zero_rhs():
 
 def test_solve_consistent_system(rng):
     n, m = 16, 3
-    dense = dense_block_system(n, m)
+    dense = _dense_system(n, m)
     x_true = rng.standard_normal((dense.shape[1], 2))
     rhs = dense @ x_true
     x, res = solve_order(n, m, rhs)
@@ -191,7 +196,7 @@ def test_solve_consistent_system(rng):
 @pytest.mark.parametrize("m", range(1, 12))
 def test_solve_matches_dense_least_squares(m, rng):
     n = 12
-    dense = dense_block_system(n, m)
+    dense = _dense_system(n, m)
     rhs = rng.standard_normal((dense.shape[0], 2))
     x, res = solve_order(n, m, rhs)
     x_ref, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
@@ -213,7 +218,7 @@ def test_solve_single_column_and_shape_errors(rng):
 def test_residual_local_optimality(rng):
     # perturbing any solved coordinate cannot decrease the residual
     n, m = 12, 2
-    dense = dense_block_system(n, m)
+    dense = _dense_system(n, m)
     rhs = rng.standard_normal(dense.shape[0])
     x, res = solve_order(n, m, rhs)
     base = np.linalg.norm(dense @ x - rhs)
@@ -349,7 +354,7 @@ def test_decompose_solves_order_zero_in_closed_form(n, seed, consistent):
     w = np.column_stack([z_to_cscy(comp.order_slice(0), 0, n) for comp in (field.theta, field.phi)])
     got = np.column_stack([result.spheroidal.order_slice(0), result.toroidal.order_slice(0)])
     assert not np.any(got[0])
-    a0 = build_A(n, 0).toarray()
+    a0 = build_A(n, 0)
     ref, *_ = np.linalg.lstsq(a0, w, rcond=None)
     assert np.max(np.abs(got[1:] - ref)) <= 1e-11 * np.max(np.abs(ref))
     r = a0 @ got[1:] - w
@@ -425,7 +430,7 @@ def test_order_zero_in_a_small_first_block_matches_dense_least_squares(n):
     for comp in (field.theta, field.phi):
         comp.flat()[:] = rng.standard_normal(comp.size)
     result = decompose(field)
-    a0 = build_A(n, 0).toarray()
+    a0 = build_A(n, 0)
     w = np.column_stack([z_to_cscy(comp.order_slice(0), 0, n) for comp in (field.theta, field.phi)])
     ref, *_ = np.linalg.lstsq(a0, w, rcond=None)
     got = np.column_stack([result.spheroidal.order_slice(0)[1:], result.toroidal.order_slice(0)[1:]])
@@ -450,10 +455,10 @@ def test_blocked_decompose_matches_per_order_dense_least_squares(n):
     for m in range(n):
         csc = {(c, k): z_to_cscy(comp.order_slice(k), k, n) for c, comp in enumerate(comps) for k in {m, -m}}
         if m == 0:
-            dense, rhs = build_A(n, 0).toarray(), np.column_stack([csc[0, 0], csc[1, 0]])
+            dense, rhs = build_A(n, 0), np.column_stack([csc[0, 0], csc[1, 0]])
             got = np.column_stack([pot.order_slice(0)[1:] for pot in pots])
         else:
-            dense = dense_block_system(n, m)
+            dense = _dense_system(n, m)
             rhs = np.block([[csc[0, m][:, None], csc[0, -m][:, None]], [-csc[1, -m][:, None], csc[1, m][:, None]]])
             s_m, s_neg, t_m, t_neg = (pot.order_slice(k) for pot in pots for k in (m, -m))
             got = np.block([[s_m[:, None], s_neg[:, None]], [-t_neg[:, None], t_m[:, None]]])
@@ -548,7 +553,6 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda n: cscy_to_z(np.zeros(2), 1, n), 2.0, np.int64(2)),
     (lambda n: build_A(n, 0), 5.0, np.int64(5)),
     (lambda m: build_B(5, m), 1.5, np.int64(1)),
-    (lambda n: build_order_system(n, 1), 5.0, np.int64(5)),
     (lambda n: build_R(n, 1), 2.5, np.int64(2)),
     (lambda n: build_CD(n, 1), 5.0, np.int64(5)),
     (lambda n: kappa_bound(n, 2), 10.5, np.int64(10)),
@@ -556,12 +560,24 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda n: kappa_numeric(n, 2), 8.0, np.int64(8)),
     (lambda n: condition_trend(n), 8.0, np.int64(8)),
 ], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "z_to_cscy-m", "cscy_to_z-n", "build_A-n",
-        "build_B-m", "build_order_system-n", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
+        "build_B-m", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
         "kappa_numeric-n", "condition_trend-n"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)
     call(good)
+
+
+def test_exported_names_resolve():
+    # a deleted name must leave its module's __all__ and the package's
+    # re-exports; every re-export is listed in the __all__ of its module
+    modules = [importlib.import_module(f"spherehhd.{info.name}") for info in pkgutil.iter_modules(spherehhd.__path__)
+               if info.name != "__main__"]
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+    for name, value in vars(spherehhd).items():
+        if not name.startswith("_") and not inspect.ismodule(value):
+            assert name in sys.modules[value.__module__].__all__, name
 
 
 # every entry point that takes coefficients as an array, with complex ones:
@@ -666,7 +682,7 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     n = p + m0
     ms = np.arange(m0, m0 + min(nprob, p))
     rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
-    dense = [build_A(n, m).toarray() + build_B(n, m).toarray() for m in ms.tolist()]
+    dense = [build_A(n, m) + build_B(n, m) for m in ms.tolist()]
     sizes = n - ms
     _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs))
 

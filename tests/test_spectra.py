@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import tempfile
 import threading
 import warnings
@@ -321,6 +322,45 @@ def test_read_from_a_pipe(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert np.array_equal(back.flat(), spec.flat())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body,expected", [
+    ("# a comment\n1,x,1.0\n", ":3: malformed row '1,x,1.0'"),
+    ("1,1,1.0\n\n# a comment\n1,1,2.0\n", ":5: duplicate row for (l=1, m=1)"),
+], ids=["malformed", "duplicate"])
+def test_read_reports_file_line_of_bad_row_in_a_pipe(tmp_path, body, expected):
+    # a pipe cannot be read again: opening it a second time would wait for a
+    # writer that is gone, so the reader runs in a thread and a hang fails
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def read():
+        try:
+            read_spectrum(fifo)
+        except ValueError as exc:
+            outcome.append(str(exc))
+
+    threads = [threading.Thread(target=fifo.write_text, args=("# basis=Y n=2\n" + body,), daemon=True),
+               threading.Thread(target=read, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert outcome == [f"{fifo}{expected}"]
+
+
+@pytest.mark.parametrize("content", [
+    b"# basis=Y n=2\xff\n0,0,1.0\n",
+    b"# basis=Y n=300\n" + b"0,0,1.0\n" * 20000 + b"1,\xff,1.0\n",
+], ids=["header", "deep-in-body"])
+def test_read_names_the_file_of_a_byte_that_is_not_utf8(tmp_path, content):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+        read_spectrum(path)
 
 
 def test_read_rejects_digit_group_underscores(tmp_path):
