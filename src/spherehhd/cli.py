@@ -5,7 +5,8 @@ Subcommands
 decompose     read tangential-component coefficient files, write potentials
 differentiate generate seeded random potentials and their tangential field
 bench         differentiate-then-decompose errors and timings over a list of
-              degrees (CSV; ``--json PATH`` also writes medians and peak RSS)
+              degrees (CSV; ``--json PATH`` also writes medians, page faults
+              and peak RSS)
 cond          condition numbers and bounds over (n, m) grids (CSV)
 verify        run the verification suites, one line per suite naming its worst
               item; tolerances are fixed, ``--level`` picks the sizes
@@ -22,6 +23,7 @@ import contextlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -98,31 +100,33 @@ def cmd_differentiate(args):
 
 
 def _timed_roundtrip_rows(n, seed, iters):
-    """(iter, rel_error, decompose_seconds, differentiate_seconds) per seeded round trip."""
+    """(iter, rel_error, decompose_seconds, differentiate_seconds, decompose_minflt,
+    differentiate_minflt) per seeded round trip: each call's wall time and minor page faults."""
     rows = []
     s, t = random_potentials(n, seed)
     decompose(differentiate(s, t))  # warm-up, discarded
     for it in range(1, iters + 1):
         s, t = random_potentials(n, seed + it)
-        t0 = time.perf_counter()
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         field = differentiate(s, t)
-        t1 = time.perf_counter()
+        t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         result = decompose(field)
-        t2 = time.perf_counter()
+        t2, f2 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         err = max(
             relative_l2_error(result.spheroidal, s),
             relative_l2_error(result.toroidal, t),
         )
-        rows.append((it, err, t2 - t1, t1 - t0))
+        rows.append((it, err, t2 - t1, t1 - t0, f2 - f1, f1 - f0))
     return rows
 
 
-# one round trip in a fresh interpreter, which prints its peak RSS in MiB
-# (ru_maxrss is in KiB on Linux)
+# one round trip in a fresh interpreter, which prints its peak RSS in MiB: the
+# high-water mark of its own memory (VmHWM, in KiB), since ru_maxrss keeps the
+# RSS the child had when it was forked from this process
 _PEAK_RSS_CHILD = (
-    "import resource, sys; from spherehhd.cli import _timed_roundtrip_rows; "
+    "import sys; from spherehhd.cli import _timed_roundtrip_rows; "
     "_timed_roundtrip_rows(int(sys.argv[1]), int(sys.argv[2]), 1); "
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+    "print(next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM')) / 1024)"
 )
 
 
@@ -153,10 +157,12 @@ def cmd_bench(args):
         for n in args.n_list:
             rows = _timed_roundtrip_rows(n, args.seed, args.iters)
             means = [sum(r[col] for r in rows) / len(rows) for col in (1, 2, 3)]
-            for it, err, dec, diff in rows + [("mean", *means)]:
+            for it, err, dec, diff in [r[:4] for r in rows] + [("mean", *means)]:
                 print(f"{n},{it},{err:.16e},{dec:.6f},{diff:.6f}")
             runs.append({"n": n, "decompose_s": statistics.median(r[2] for r in rows),
                          "differentiate_s": statistics.median(r[3] for r in rows),
+                         "decompose_minflt": round(statistics.median(r[4] for r in rows)),
+                         "differentiate_minflt": round(statistics.median(r[5] for r in rows)),
                          "roundtrip_rel_err": max(r[1] for r in rows),
                          "peak_rss_mib": _peak_rss_mib(n, args.seed) if fh else None})
         if fh:

@@ -27,6 +27,8 @@ kernel, :func:`_recurrence`, which takes grids of any length and cuts
 them into chunks itself.
 """
 
+import math
+
 import numpy as np
 
 from . import recurrences as rec
@@ -133,7 +135,7 @@ def z_to_cscy(z, m, n):
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
     if mu:
-        return _z_to_cscy_block(z[:, None, None], _lane_grid(np.array([mu]), L - 1))[:, 0, 0]
+        return _z_to_cscy_block(z.copy()[:, None, None], _lane_grid(np.array([mu]), L - 1))[:, 0, 0]
     grid = np.full((n + 3, 1, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
     grid[2:-1, 0, 0] = z
     return -_z_to_cscy_block(grid, _lane_grid(np.zeros(1, int), n + 2))[:-1, 0, 0]
@@ -144,7 +146,7 @@ def _lane_grid(ms, rows):
     return ms + np.arange(1.0, rows + 1)[:, None], ms[None], np.ones((1, 1), dtype=bool)
 
 
-def _z_to_cscy_block(z, grid):
+def _z_to_cscy_block(z, grid, work=None):
     """:func:`z_to_cscy` for ``c`` slices in each of ``K`` lanes of ``z``, shape ``(rows, c, K)``.
 
     Row by row, ``grid = (l, m, keep)`` gives the order ``m`` and degree
@@ -153,14 +155,16 @@ def _z_to_cscy_block(z, grid):
     the zero rows between orders.  Result row ``i`` is csc degree ``l - 1``,
     an order's dropped tail past its ``n - m + 1`` rows.  At ``m == 0``,
     whose basis functions enter with the opposite sign, it is the negated
-    conversion; callers fill degrees -1, 0 and ``n + 1`` with -0.0.
+    conversion; callers fill degrees -1, 0 and ``n + 1`` with -0.0.  ``z``
+    is overwritten, and the result is ``work``'s ``"w"`` (see :func:`_empty`).
     """
     # row i, csc degree l - 1, is beta(l - 2) z[i] + alpha(l) z[i + 2]
     l, m, keep = (x[: z.shape[0] - 1] for x in grid)
     alpha, beta = rec._conversion(l, m)
     alpha *= keep
-    w = beta[:, None] * z[:-1]
-    w[:-1] += alpha[:-1, None] * z[2:]
+    w = np.multiply(beta[:, None], z[:-1], out=_empty(work, "w", (len(l),) + z.shape[1:]))
+    z[2:] *= alpha[:-1, None]
+    w[:-1] += z[2:]
     return w
 
 
@@ -175,7 +179,22 @@ def _z_to_cscy_block(z, grid):
 CHUNK_STEPS = 4
 
 
-def _recurrence(g, a=None, b=None, d=None):
+def _empty(work, key, shape):
+    """Uninitialized ``shape`` array: with a dict ``work``, a view of its buffer ``key``, grown on demand.
+
+    One ``work`` per call serves all its blocks, so each temporary is allocated once per call.
+    A view is valid until ``key`` is asked for again, so a caller may hold data that is spent
+    before a callee runs in one of the callee's keys.
+    """
+    if work is None:
+        return np.empty(shape)
+    size, buffer = math.prod(shape), work.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = work[key] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+def _recurrence(g, a=None, b=None, d=None, work=None):
     """Solve ``y[i] = (g[i] + a[i] y[i-1] + b[i] y[i-2]) / d[i]`` in place, ``y[-1] = y[-2] = 0``.
 
     ``g`` has shape ``(rows, r, K)``, any ``rows``: ``r`` right-hand sides
@@ -183,7 +202,8 @@ def _recurrence(g, a=None, b=None, d=None):
     ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``.
     A recurrence that runs downward takes reversed views.  Without ``a``
     the two parities never meet, and each pair of rows is one step of a
-    first-order recurrence.
+    first-order recurrence.  The step-major copies live in ``work`` (see
+    :func:`_empty`).
 
     Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
     every chunk of ``CHUNK_STEPS`` steps runs at once from zero inflow, with
@@ -200,16 +220,15 @@ def _recurrence(g, a=None, b=None, d=None):
     head = rows % span  # rows of a short first chunk, which filler rows lead
     q, nchunk = 1 if b is None else 2, -(-rows // span)
 
-    def by_step(x, fill):  # [i, column, chunk, problem]: step i of every chunk, contiguous
+    def by_step(x, fill, out):  # fills out[i, column, chunk, problem] with step i of every chunk
         cols = x.shape[1]
-        out = np.empty((CHUNK_STEPS, cols, nchunk, pair, nprob))
-        chunks = out.transpose(2, 0, 3, 1, 4)  # [chunk, i, half, column, problem]
+        chunks = out.reshape(CHUNK_STEPS, cols, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, column, problem]
         chunks[head > 0 :] = x[head:].reshape(rows // span, CHUNK_STEPS, pair, cols, nprob)
         if head:
             first = np.full((span, cols, nprob), fill)
             first[span - head :] = x[:head]
             chunks[0] = first.reshape(CHUNK_STEPS, pair, cols, nprob)
-        return out.reshape(CHUNK_STEPS, cols, nchunk, pair * nprob)
+        return out
 
     def advance(out, i, y1, y2):  # out = ((out + a y1) + b y2) / d
         t = tmp[: len(out)]
@@ -220,31 +239,31 @@ def _recurrence(g, a=None, b=None, d=None):
         if d is not None:
             out /= d[i]
 
-    a, b, d = (x if x is None else by_step(x[:, None], fill)[:, 0]
-               for x, fill in ((a, 0.0), (b, 0.0), (d, 1.0)))
-    y = by_step(g, 0.0)
+    a, b, d = (x if x is None else by_step(x[:, None], fill, _empty(work, key, (CHUNK_STEPS, 1, nchunk, pair * nprob)))[:, 0]
+               for x, fill, key in ((a, 0.0, "a by step"), (b, 0.0, "b by step"), (d, 1.0, "d by step")))
     # phase 1: every chunk from zero inflow; columns r + j of each step
     # hold the response to a unit y[-1 - j]
-    steps = np.zeros((CHUNK_STEPS, r + q) + y.shape[2:])
-    steps[:, :r] = y
+    steps = _empty(work, "steps", (CHUNK_STEPS, r + q, nchunk, pair * nprob))
+    by_step(g, 0.0, steps[:, :r])
+    steps[:, r:] = 0.0
     unit = np.zeros((2, r + q, 1, 1))  # broadcasts over chunks and problems
     for k in range(q):
         unit[k, r + k] = 1.0
-    tmp = np.empty_like(steps[0])
+    tmp = _empty(work, "tmp", steps.shape[1:])
     y1, y2 = unit
     for i, new in enumerate(steps):
         advance(new, i, y1, y2)
         y1, y2 = new, y1
-    # phase 2: carry the last q values of each chunk across the chunks
+    # phase 2: carry the last q values of each chunk across the chunks; true[c + 1] are chunk c's
     ends = steps[: -q - 1 : -1].transpose(2, 0, 1, 3)  # [chunk, k, column, problem]
-    true = ends[:, :, :r].copy()
-    for prev, cur, h in zip(true, true[1:], ends[1:, :, r:, None]):
+    true = _empty(work, "true", (nchunk + 1, q, r, pair * nprob))
+    true[0], true[1:] = 0.0, ends[:, :, :r]
+    for prev, cur, h in zip(true[1:], true[2:], ends[1:, :, r:, None]):
         for j in range(q):
             cur += h[:, j] * prev[j]
-    # phase 3: every chunk again from its true inflow
-    inflow = np.zeros((q, r) + y.shape[2:])
-    inflow[:, :, 1:] = true[:-1].transpose(1, 2, 0, 3)
-    y1, y2 = inflow[0], inflow[-1]
+    # phase 3: every chunk again from its true inflow, in the steps' first r columns
+    y = by_step(g, 0.0, steps[:, :r])
+    y1, y2 = true[:-1, 0].transpose(1, 0, 2), true[:-1, -1].transpose(1, 0, 2)
     for i, out in enumerate(y):
         advance(out, i, y1, y2)
         y1, y2 = out, y1
@@ -254,7 +273,7 @@ def _recurrence(g, a=None, b=None, d=None):
         g[:head] = y[0].reshape(span, r, nprob)[span - head :]
 
 
-def _cscy_to_z_block(w, grid):
+def _cscy_to_z_block(w, grid, work=None):
     """:func:`cscy_to_z` for lanes of orders ``>= 1``, in place: the inverse of :func:`_z_to_cscy_block`.
 
     Row ``i`` of ``w``, csc degree ``l - 1`` of order ``m`` by ``grid`` and
@@ -266,7 +285,7 @@ def _cscy_to_z_block(w, grid):
     alpha, beta = rec._conversion(l, m)
     alpha *= keep
     w /= beta[:, None]
-    _recurrence(w[::-1], b=(-alpha / beta)[::-1])
+    _recurrence(w[::-1], b=(-alpha / beta)[::-1], work=work)
     return w
 
 

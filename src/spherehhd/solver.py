@@ -23,10 +23,14 @@ zero rotations and off-diagonals and unit pivots off each problem's rows.
 :func:`decompose` and :func:`differentiate` fold the order triangle into
 blocks of ``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m`` unknowns and
 order ``n - m`` has ``m``, so a lane holds both (:func:`_lanes`), and about
-``n / 64`` blocks cover all orders.  In :func:`differentiate` whole-grid
-expressions apply ``[[A, B], [B, A]]``, the same kernel converts to the
-tangential basis, and order zero is one scale, ``-sqrt(l (l + 1)) s_l``.
-Each order costs O(n), the whole O(n^2); no normal equations are formed.
+``n / 64`` blocks cover all orders.  A call lays its blocks out once: the
+next block's grid and gather/scatter masks follow from the last one's by
+an offset, and every block writes into one workspace the call allocates
+and drops (:func:`.operators._empty`).  In :func:`differentiate`
+whole-grid expressions apply ``[[A, B], [B, A]]``, the same kernel
+converts to the tangential basis, and order zero is one scale,
+``-sqrt(l (l + 1)) s_l``.  Each order costs O(n), the whole O(n^2); no
+normal equations are formed.
 """
 
 import math
@@ -34,14 +38,17 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_block, _lane_grid, _recurrence, _z_to_cscy_block
+from .operators import _cscy_to_z_block, _empty, _lane_grid, _recurrence, _z_to_cscy_block
 from .spectra import HHDResult, ScalarSpectrum, TangentField, _real_array, _require_integers
 
 __all__ = ["solve_order", "differentiate", "decompose"]
 
 # Lanes per block in decompose and differentiate; 32 make n = 64 one block.
-# At n = 1024 on a 2-vCPU Xeon, decompose took 0.260 / 0.221 / 0.239 s with
-# 16 / 32 / 64 (medians of 5 calls, alternating in one process).
+# With one workspace per call (measured on top of 9d0e309, 2-vCPU Xeon),
+# 16 / 32 / 64 gave decompose 0.215 / 0.183 / 0.183 s and differentiate
+# 0.090 / 0.090 / 0.092 s at n = 1024, and 22.7 / 17.4 / 16.1 ms and
+# 10.2 / 8.3 / 8.6 ms at n = 256 (medians of 30 calls, alternating in one
+# process).
 BLOCK_ORDERS = 32
 
 
@@ -53,7 +60,7 @@ def _require_finite(name, values):
         raise ValueError(f"{name}: non-finite value in row {row}")
 
 
-def _lsq_sweep(segments, rotations, factor, rhs):
+def _lsq_sweep(segments, rotations, factor, rhs, work=None):
     """Least squares for tridiagonal problems of shape ``(p + 1) x p``, one or two to a lane.
 
     ``segments = (starts, sizes)`` gives each problem's first row and ``p``:
@@ -63,10 +70,12 @@ def _lsq_sweep(segments, rotations, factor, rhs):
     ``factor = (d, e, f)`` holds the diagonals ``R[j, j]``, ``R[j, j + 1]``,
     ``R[j, j + 2]`` of the triangular factor left.  Off a problem's ``p``
     rows entries must be finite and are ignored: the sweep zeroes the
-    rotations and off-diagonals there, with unit pivots, and puts an
-    identity rotation before a second problem.  Returns ``x``
+    rotations and off-diagonals there in place, with unit pivots, and puts
+    an identity rotation before a second problem.  Returns ``x``
     (``(rows - 1, r, L)``, zero off the problems' rows) and the signed
-    residuals ``(len(sizes), r)`` left in each row ``p``.
+    residuals ``(len(sizes), r)`` left in each row ``p``.  ``x`` is a view
+    of ``rhs``, solved in place; the temporaries are ``work``'s (see
+    :func:`.operators._empty`).
     """
     rows, _, nlanes = rhs.shape
     (starts, sizes), second = segments, slice(nlanes, None)
@@ -74,43 +83,85 @@ def _lsq_sweep(segments, rotations, factor, rhs):
     live = i < sizes[:nlanes]
     if len(sizes) > nlanes:  # second problems
         live[:, lanes[second]] |= (i >= starts[second]) & (i < starts[second] + sizes[second])
-    c, s, e, f = (live * x for x in (*rotations, *factor[1:]))
+    (c, s), (d, e, f) = rotations, factor
+    for x in (c, s, e, f):
+        x *= live
     c[starts[second] - 1, lanes[second]] = 1.0
-    d = np.where(live, factor[0], 1.0)
-    # what the rotations leave in row j: t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1]
-    t = rhs.copy()
+    d[~live] = 1.0
+    # s[j] rhs[j + 1] for row j of Q'rhs (below), before the rotations overwrite rhs:
+    # they leave t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1] in row j
+    below = np.multiply(s[:-1, None], rhs[1:], out=_empty(work, "spare", rhs[1:].shape))
+    t, a = rhs, _empty(work, "a", s.shape)
     t[1:] *= c[:-1, None]
-    _recurrence(t, np.concatenate((np.zeros_like(s[:1]), -s[:-1])))
+    a[0] = 0.0
+    np.negative(s[:-1], out=a[1:])
+    _recurrence(t, a, work=work)
     residual = t[starts + sizes, :, lanes]
     # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
     # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
     t *= c[:, None]
-    t[:-1] += s[:-1, None] * rhs[1:]
-    _recurrence(t[::-1], -e[::-1], -f[::-1], d=d[::-1])
+    t[:-1] += below
+    e, f = np.negative(e, out=a), np.negative(f, out=_empty(work, "b", f.shape))
+    _recurrence(t[::-1], e[::-1], f[::-1], d=d[::-1], work=work)
     return t[:-1], residual
 
 
 def _lanes(n, low, paired):
-    """Lanes of a block: lane ``k`` holds order ``low[k] >= 1`` and, if ``k < paired``, order ``n - low[k]`` behind it.
+    """Lanes of blocks: lane ``k`` holds order ``low[k] + o >= 1`` and, if ``k < paired``, order ``n - low[k] - o`` behind it.
 
     Order ``m`` takes ``n - m + 2`` lane rows (degrees ``m - 1 .. n``), its
     problem the first ``n - m + 1``; a partner starts at a multiple of 8
     past two gap rows.  A lane has ``rows + 1`` rows, ``rows = n + 12`` with
     partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
     meets :func:`.operators._recurrence`'s chunk boundaries where a block of
-    consecutive orders does.  Returns each problem's order and first row in
-    :func:`_lsq_sweep`'s order and the ``(l, m, keep)`` grid of the lanes
-    (see :func:`.operators._z_to_cscy_block`), whose gap rows continue the
-    first order's degrees, in the closed forms' domain; ``keep = l <= n + 2``.
+    consecutive orders does.  Returns ``block(o)`` (``o`` a multiple of 8 up
+    to ``n / 2``): each problem's order and first row in :func:`_lsq_sweep`'s
+    order, the ``(l, m, keep)`` grid of the lanes (see
+    :func:`.operators._z_to_cscy_block`), whose gap rows continue the first
+    order's degrees, in the closed forms' domain, ``keep = l <= n + 2``, and
+    :func:`_spans`' masks by basis.  The offset moves the firsts' ``l`` and
+    ``m`` by ``o``, the partners' first row and ``m`` by ``-o``, so a mask
+    is one comparison with a scalar; every block shares the same arrays.
     """
     rows = n + 12 if paired else n + 1 - low[0]
-    first = (n + 11 - low) // 8 * 8  # first + m + 1 <= n + 12
-    orders = np.concatenate((low, n - low[:paired]))
-    starts = np.concatenate((np.zeros(len(low), dtype=int), first[:paired]))
-    first[paired:], i = rows + 1, np.arange(rows + 1.0)[:, None]
-    second, l = i >= first, i + (low + 1.0)
-    np.add(i, n + 1.0 - low - first, out=l, where=second)  # np.where is slower
-    return orders, starts, (l, np.where(second, n - low, low), l <= n + 2)
+    first = (n + 11 - low) // 8 * 8  # first + low + 1 <= n + 12
+    first[paired:] = rows + n + 1  # out of reach: no partner
+    i = np.arange(rows + 1.0)[:, None]
+    rel = i - first  # lane row past the partner's first
+    l, m, keep, second = np.empty(rel.shape), np.empty(rel.shape), np.empty(rel.shape, bool), np.empty(rel.shape, bool)
+    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): a first
+    # holds n + 2 - m entries in basis Z, n - m in Y, a partner low + 2 and low
+    shape, past_lane = (len(low), 2, rows + 1), (np.arange(len(low))[:, None] + i.T).astype(np.int32)[:, None]
+    masks = {basis: (np.empty(shape, bool), np.empty((paired,) + shape[1:], bool), int(lead - low[0]),
+                     np.ascontiguousarray(np.where(rel < low + lead - n, rel, -rows).T[:paired][::-1, None], np.int32))
+             for basis, lead in (("Z", n + 2), ("Y", n))}
+
+    def block(o):
+        np.greater_equal(rel, -o, out=second)
+        np.add(i, low + (o + 1.0), out=l)
+        np.add(rel, n + 1.0 - low, out=l, where=second)  # np.where is slower
+        m[...] = low + o
+        np.copyto(m, n - low - o, where=second)
+        np.less_equal(l, n + 2, out=keep)
+        for firsts, partners, count, past_first in masks.values():
+            np.less(past_lane, count - o, out=firsts)
+            np.greater_equal(past_first, -o, out=partners)
+        orders = np.concatenate((low + o, n - low[:paired] - o))
+        starts = np.concatenate((np.zeros(len(low), dtype=int), first[:paired] - o))
+        return orders, starts, (l, m, keep), masks
+
+    return block
+
+
+def _blocks(n):
+    """The layouts (see :func:`_lanes`) of the blocks of ``BLOCK_ORDERS`` lanes that hold orders ``1 .. n - 1``."""
+    shape = None
+    for start in range(1, n // 2 + 1, BLOCK_ORDERS):
+        low = np.arange(start, min(start + BLOCK_ORDERS, n // 2 + 1))
+        paired = np.count_nonzero(2 * low < n)
+        if (len(low), paired) != shape:  # the last block may have fewer lanes, or order n / 2 alone
+            shape, block, base = (len(low), paired), _lanes(n, low, paired), start
+        yield block(start - base)
 
 
 def _order_problems(n, lanes):
@@ -119,12 +170,12 @@ def _order_problems(n, lanes):
     Row ``j`` of order ``m``'s ``A + B`` problem is :func:`.recurrences._qr` at ``l = j + 1``: the
     paper's closed-form rotation and the row of the Cholesky factor it leaves.
     """
-    orders, starts, (l, m, _) = lanes
+    orders, starts, (l, m, _) = lanes[:3]
     rows = len(l) - 1
     return ((starts, n - orders), *rec._qr(l[:rows] - m[:rows], m[:rows]))
 
 
-def _solve_orders(n, lanes, b1, b2):
+def _solve_orders(n, lanes, b1, b2, work=None):
     """Least squares for the block systems of the orders of ``lanes`` (see :func:`_lanes`).
 
     ``b1``/``b2`` (``(rows, r, K)``, ``K`` lanes) are the halves of the
@@ -135,13 +186,18 @@ def _solve_orders(n, lanes, b1, b2):
     """
     rows, r, nlanes = b1.shape
     sign = (1.0 - 2.0 * (np.arange(rows) % 2))[:, None, None]  # D
-    rhs = np.empty((rows, 2 * r, nlanes))
+    rhs = _empty(work, "rhs", (rows, 2 * r, nlanes))
     np.add(b1, b2, out=rhs[:, :r])
     np.subtract(b2, b1, out=rhs[:, r:])
     rhs[:, r:] *= sign
-    x, res = _lsq_sweep(*_order_problems(n, lanes), rhs)
-    u, v = x[:, :r], sign[:-1] * x[:, r:]
-    return 0.5 * (u + v), 0.5 * (u - v), math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
+    x, res = _lsq_sweep(*_order_problems(n, lanes), rhs, work)
+    u, v = x[:, :r], x[:, r:]
+    v *= sign[:-1]
+    halves = _empty(work, "spare", (2,) + u.shape)  # the sweep is done with it
+    np.add(u, v, out=halves[0])
+    np.subtract(u, v, out=halves[1])
+    halves *= 0.5
+    return halves[0], halves[1], math.sqrt(0.5) * np.hypot.reduce(res, axis=1)
 
 
 def solve_order(n, m, rhs):
@@ -167,43 +223,42 @@ def solve_order(n, m, rhs):
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
 
-def _spans(spec, lanes, rows):
+def _spans(spec, lanes):
     """Where the orders of ``lanes`` lie in ``spec``: ``(span, pick, inside)`` for the firsts and the partners.
 
     The firsts, ascending, fill one span of the flat storage, ``+m`` before
     ``-m``, the partners, descending, another; ``pick`` selects the span's
-    lanes of a ``(K, 2, rows)`` grid in flat order, ``inside`` its entries.
+    lanes of a ``(K, 2, rows)`` grid in flat order, ``inside`` its entries
+    (:func:`_lanes`' masks, ``rows + 1`` long).
     """
-    orders, starts, (l, _, _) = lanes
-    nlanes, paired = l.shape[1], len(orders) - l.shape[1]
+    orders, _, _, masks = lanes
+    low, high = masks[spec.basis][:2]
+    nlanes, paired = len(low), len(high)
     offsets, counts = spec.order_offsets(np.concatenate((orders[:nlanes], orders[nlanes:][::-1])))
-    i, first, ends = np.arange(rows), starts[nlanes:][::-1, None, None], offsets + 2 * counts
-    low, high = np.empty((nlanes, 2, rows), dtype=bool), np.empty((paired, 2, rows), dtype=bool)
-    np.less(i, counts[:nlanes, None, None], out=low)  # a broadcast mask is slower
-    np.less(i - first, counts[nlanes:, None, None], out=high)
-    high &= i >= first
+    ends = offsets + 2 * counts
     spans = [(slice(offsets[0], ends[nlanes - 1]), slice(None), low)]
     if paired:
         spans.append((slice(offsets[nlanes], ends[-1]), slice(paired - 1, None, -1), high))
     return spans
 
 
-def _gather(lanes, specs, grids):
-    """Copy the orders of ``lanes`` (see :func:`_spans`) of each spectrum (one layout) into its zero grid."""
-    spans = _spans(specs[0], lanes, grids[0].shape[0])
+def _gather(lanes, specs, grids, work):
+    """Copy the orders of ``lanes`` (see :func:`_spans`) of each spectrum (one basis) into its grid, zero elsewhere."""
+    spans = _spans(specs[0], lanes)
+    by_lane = _empty(work, "spare", grids[0].shape[::-1])  # a masked copy into a strided grid is slower
     for spec, grid in zip(specs, grids):
-        by_lane = np.zeros(grid.shape[::-1])  # a masked copy into a strided grid is slower
+        by_lane.fill(0.0)
         for span, pick, inside in spans:
-            by_lane[pick][inside] = spec.flat()[span]
+            by_lane[pick][inside[..., : len(grid)]] = spec.flat()[span]
         grid[...] = by_lane.transpose(2, 1, 0)
 
 
 def _scatter(lanes, specs, grids):
     """Write each grid into the orders of ``lanes`` (see :func:`_spans`) of its spectrum."""
-    spans = _spans(specs[0], lanes, grids[0].shape[0])
+    spans = _spans(specs[0], lanes)
     for spec, grid in zip(specs, grids):
         for span, pick, inside in spans:
-            spec.flat()[span] = grid.transpose(2, 1, 0)[pick][inside]
+            spec.flat()[span] = grid.transpose(2, 1, 0)[pick][inside[..., : len(grid)]]
 
 
 def differentiate(s, t):
@@ -234,35 +289,35 @@ def differentiate(s, t):
     # columns of a block: (s_m, s_-m, t_m, t_-m) in, (theta_m, theta_-m,
     # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
     # column 3 - c through B = m
-    cross = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-    for start in range(1, n // 2 + 1, BLOCK_ORDERS):
-        low = np.arange(start, min(start + BLOCK_ORDERS, n // 2 + 1))
-        lanes = _lanes(n, low, np.count_nonzero(2 * low < n))
+    cross, work = np.array([-1.0, 1.0, 1.0, -1.0])[:, None], {}
+    for lanes in _blocks(n):
         l, m, keep = lanes[2]
-        x = np.zeros((len(l), 4, len(low)))
-        _gather(lanes, (s, t), (x[:, :2], x[:, 2:]))
+        x = _empty(work, "steps", (len(l), 4, l.shape[1]))  # spent before the conversion's kernel takes it
+        _gather(lanes, (s, t), (x[:, :2], x[:, 2:]), work)
         # row i of A x is gamma(l) x[i + 1] + delta(l - 2) x[i - 1], csc degree l - 1;
         # gap rows take nothing from the order above them
         gamma, delta = rec._derivative(l[:-1], m[:-1])
         gamma *= keep[:-1]
-        w = np.zeros_like(x)
-        w[:-1] = gamma[:, None] * x[1:]
-        w[1:] += delta[:, None] * x[:-1]
+        w, product = _empty(work, "w", x.shape), _empty(work, "spare", x.shape)
+        np.multiply(gamma[:, None], x[1:], out=w[:-1])
+        w[-1] = 0.0
+        w[1:] += np.multiply(delta[:, None], x[:-1], out=product[1:])
         x *= m[:, None]
-        w += cross * x[:, ::-1]
-        z = _cscy_to_z_block(w, lanes[2])
+        w += np.multiply(cross, x[:, ::-1], out=product)
+        del gamma, delta  # before the conversion makes its grids
+        z = _cscy_to_z_block(w, lanes[2], work)
         _scatter(lanes, (out.theta, out.phi), (z[:, :2], z[:, 2:]))
     return out
 
 
-def _block_rhs(theta, phi, lanes):
+def _block_rhs(theta, phi, lanes, work):
     """The halves (see :func:`_solve_orders`) of the systems of ``(s_m, -t_-m)`` and ``(s_-m, t_m)`` of ``lanes``' orders."""
     grid = lanes[2]
     rows, nlanes = grid[0].shape
-    z = np.zeros((rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m
-    _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]))
-    w = _z_to_cscy_block(z, grid)
-    return w[:, :2], w[:, 3:1:-1] * [[-1.0], [1.0]]
+    z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
+    _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)
+    w = _z_to_cscy_block(z, grid, work)
+    return w[:, :2], np.multiply(w[:, 3:1:-1], [[-1.0], [1.0]], out=_empty(work, "spare", w[:, 2:].shape))
 
 
 def decompose(field):
@@ -306,11 +361,11 @@ def decompose(field):
         z = comp.order_slice(0)
         pot.order_slice(0)[1:] = -(z[:-1] - z[-1] * w) / np.sqrt(l * (l + 1))
     residual[0] = math.sqrt(2 / (2 * n + 1)) * math.hypot(theta.order_slice(0)[-1], phi.order_slice(0)[-1])
-    for start in range(1, n // 2 + 1, BLOCK_ORDERS):
-        low = np.arange(start, min(start + BLOCK_ORDERS, n // 2 + 1))
-        lanes = _lanes(n, low, np.count_nonzero(2 * low < n))
-        x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, *_block_rhs(theta, phi, lanes))
-        _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1] * [[1.0], [-1.0]]))
+    work = {}
+    for lanes in _blocks(n):
+        x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, *_block_rhs(theta, phi, lanes, work), work)
+        x2[:, 0] *= -1.0
+        _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
     result.residual_by_order.update(zip(range(n), residual.tolist()))
     # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1
     offsets, counts = theta.order_offsets(np.arange(n))

@@ -162,8 +162,11 @@ def test_bench_json_schema(tmp_path, capsys):
     assert report["machine"]["nproc"] >= 1 and report["iters"] == 2
     assert [run["n"] for run in report["runs"]] == [8, 12]
     for run in report["runs"]:
-        assert set(run) == {"n", "decompose_s", "differentiate_s", "roundtrip_rel_err", "peak_rss_mib"}
+        assert set(run) == {"n", "decompose_s", "differentiate_s", "decompose_minflt", "differentiate_minflt",
+                            "roundtrip_rel_err", "peak_rss_mib"}
         assert run["decompose_s"] > 0 and run["differentiate_s"] > 0
+        for key in ("decompose_minflt", "differentiate_minflt"):
+            assert isinstance(run[key], int) and run[key] >= 0
         assert run["roundtrip_rel_err"] <= 1e-12
         assert run["peak_rss_mib"] > 1.0  # a fresh interpreter with numpy loaded
 

@@ -178,7 +178,7 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
         for name in ("_qr", "_conversion", "_derivative"):
             mp.setattr(rec, name, recorder(name))
         decompose(differentiate(*random_potentials(n, seed)))
-        _order_problems(n, _lanes(n, ms, 0))
+        _order_problems(n, _lanes(n, ms, 0)(0))
         _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), _lane_grid(ms, rows)), _lane_grid(ms, rows))
     assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}
     for name, l, m, out in calls:
@@ -197,7 +197,7 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
                 assert np.array_equal(have, _reference(key, l, m))
             # from the first row of each order in a lane, its n - m columns are build_R's
             for k, lane in enumerate(np.broadcast_to(m, l.shape).T):
-                for mk in np.unique(lane).tolist():
+                for mk in np.unique(lane).astype(int).tolist():
                     start, p = int(np.argmax(lane == mk)), n - mk
                     r = build_R(p, mk)
                     assert np.array_equal(d[start : start + p, k], np.diagonal(r))

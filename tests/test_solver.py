@@ -38,7 +38,7 @@ from conftest import FOLD_DEGREES
 
 def block_problems(n, ms):
     """Segments, rotations and factors of a block of consecutive orders ``ms``, one to a lane."""
-    return _order_problems(n, _lanes(n, ms, 0))
+    return _order_problems(n, _lanes(n, ms, 0)(0))
 
 
 def sweep_halves(n, m, rhs=None):
@@ -501,6 +501,33 @@ def test_orders_are_isolated_in_the_folded_lanes(n, pick):
         assert all(a[k] == b[k] for k in a if k != m), table
 
 
+def test_calls_keep_no_state():
+    # a call builds its block layout and workspace for itself and keeps
+    # neither: interleaved calls at other degrees leave each differentiate
+    # and decompose result, residuals and out-of-range norms included,
+    # bit-identical to the same call made in another order, and the solver
+    # and operators modules gain no array or container
+    import spherehhd.operators as operators_module
+    import spherehhd.solver as solver_module
+
+    def held():
+        return {(mod.__name__, name): (type(v), len(v)) for mod in (solver_module, operators_module)
+                for name, v in vars(mod).items() if isinstance(v, (np.ndarray, list, tuple, dict, set))}
+
+    def run(n):
+        field = differentiate(*random_potentials(n, n))
+        result = decompose(_random_field(n, n))  # a general field: nonzero residuals
+        tables = (result.residual_by_order, result.out_of_range_by_order)
+        return [x.flat().tobytes() for x in (field.theta, field.phi, result.spheroidal, result.toroidal)] + [
+            (list(t), np.array(list(t.values())).tobytes()) for t in tables]
+
+    before, sizes = held(), (1030, 64, 257, 64, 9)
+    first = {n: run(n) for n in sorted(set(sizes))}
+    for n in sizes:
+        assert run(n) == first[n], n
+    assert held() == before
+
+
 def test_out_of_range_reporting():
     n = 6
     field = TangentField.zeros(n)
@@ -684,7 +711,7 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
     dense = [build_A(n, m) + build_B(n, m) for m in ms.tolist()]
     sizes = n - ms
-    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs.copy()))
 
 
 @pytest.mark.parametrize("layout", ["orders", "folded"])
@@ -697,7 +724,7 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     # would overflow the recurrence kernel's chunk responses
     n, low = 3 * CHUNK_STEPS + 2, np.arange(1, 7)
     # lane m holds order m, or orders m and n - m when folded
-    segments, rotations, factor = _order_problems(n, _lanes(n, low, len(low) if layout == "folded" else 0))
+    segments, rotations, factor = _order_problems(n, _lanes(n, low, len(low) if layout == "folded" else 0)(0))
     (rows, nlanes), (starts, sizes) = rotations[0].shape, segments
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((rows, 2, nlanes))
@@ -710,7 +737,7 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     def noisy(grids, keep=live):
         return tuple(np.where(keep, x, rng.uniform(-1e300, 1e300, x.shape)) for x in grids)
 
-    x, res = _lsq_sweep(segments, rotations, factor, rhs)
+    x, res = _lsq_sweep(segments, rotations, factor, rhs.copy())  # solved in place
     (rhs_noisy,) = noisy((rhs,), used[:, None])
     x_noisy, res_noisy = _lsq_sweep(segments, noisy(rotations), noisy(factor), rhs_noisy)
     assert np.array_equal(x_noisy, x)
