@@ -360,18 +360,19 @@ def decompose(field):
     for comp, pot in ((theta, result.spheroidal), (phi, result.toroidal)):
         z = comp.order_slice(0)
         pot.order_slice(0)[1:] = -(z[:-1] - z[-1] * w) / np.sqrt(l * (l + 1))
-    residual[0] = math.sqrt(2 / (2 * n + 1)) * math.hypot(theta.order_slice(0)[-1], phi.order_slice(0)[-1])
     work = {}
     for lanes in _blocks(n):
         x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, *_block_rhs(theta, phi, lanes, work), work)
         x2[:, 0] *= -1.0
         _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
-    result.residual_by_order.update(zip(range(n), residual.tolist()))
     # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1
     offsets, counts = theta.order_offsets(np.arange(n))
     tops = np.hypot.reduce([comp.flat()[offsets + k * counts - 1] for comp in (theta, phi) for k in (1, 2)], axis=0)
-    tops[0] = math.hypot(theta.flat()[n - 1], phi.flat()[n - 1])
+    tops[0] = math.hypot(theta.order_slice(0)[-1], phi.order_slice(0)[-1])  # |z_n| of order zero
+    residual[0] = math.sqrt(2 / (2 * n + 1)) * tops[0]
+    result.residual_by_order.update(zip(range(n), residual.tolist()))
     result.out_of_range_by_order.update(zip(range(n), (rec._conversion(n + 2.0, np.arange(n))[1] * tops).tolist()))
-    for mu, tail in ((n, slice(-6, -2)), (n + 1, slice(-2, None))):  # +-n, +-(n + 1) end the storage
-        result.out_of_range_by_order[mu] = math.hypot(*theta.flat()[tail], *phi.flat()[tail])
+    for mu in (n, n + 1):
+        ends = np.concatenate([comp.order_slice(m) for comp in (theta, phi) for m in (mu, -mu)])
+        result.out_of_range_by_order[mu] = math.hypot(*ends)
     return result

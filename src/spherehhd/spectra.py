@@ -8,10 +8,13 @@ Two triangular tables are used throughout:
   tangential field in the complementary orthonormal basis, degrees
   ``||m|-1| <= l <= n`` with orders up to ``|m| = n + 1``.
 
-Storage is order-major and degree-contiguous: for each signed order the run
-of degrees is one contiguous block, so every per-order operation touches
-contiguous memory.  Spectra are treated as immutable values once filled;
-nothing in the library mutates a spectrum it did not create.
+The two index sets differ by one order, the basis's ``shift`` (0 for Y, 1
+for Z): order ``m`` starts at degree ``||m| - shift|`` and orders reach
+``|m| = n + shift``.  Storage is order-major and degree-contiguous (order 0,
+then ``+1, -1, +2, -2, ...``), so every per-order operation touches
+contiguous memory and every offset has a closed form.  Spectra are treated
+as immutable values once filled; nothing in the library mutates a spectrum
+it did not create.
 """
 
 import bisect
@@ -68,9 +71,15 @@ def _real_array(name, values):
 
 
 class _CoeffTable:
-    """Shared machinery for the two triangular coefficient tables."""
+    """Shared machinery for the two triangular coefficient tables.
 
-    basis = None  # "Y" or "Z"
+    With ``shift`` 0 for Y and 1 for Z, order ``m`` starts at degree
+    ``||m| - shift|`` and orders reach ``n + shift``, so order 0 holds
+    ``n + 1 - shift`` entries and the pair ``+nu, -nu`` holds
+    ``2 (n + shift + 1 - nu)``: :meth:`order_offsets` sums them in closed form.
+    """
+
+    basis, shift = None, 0  # "Y" or "Z", and its shift
 
     def __init__(self, n, data=None):
         _require_integers(type(self).__name__, n=n)
@@ -90,12 +99,12 @@ class _CoeffTable:
                 raise ValueError(f"expected flat data of length {pos}, got {data.shape}")
             self._data = data
 
-    # subclasses fix the index set
     def degree_start(self, m):
-        raise NotImplementedError
+        """Lowest degree of order ``m`` (an int or int array)."""
+        return abs(abs(m) - self.shift)
 
     def max_order(self):
-        raise NotImplementedError
+        return self.n + self.shift
 
     def order_offsets(self, orders):
         """Flat start and length of the slices of the signed ``orders`` (an int or int array).
@@ -106,25 +115,30 @@ class _CoeffTable:
         """
         mu = abs(orders)
         counts = self.n - self.degree_start(orders) + 1
-        count0 = max(self.n - self.degree_start(0) + 1, 0)
-        count1 = self.n - self.degree_start(1) + 1
-        # the pair of order nu >= 1 holds 2 * (count1 + 1 - nu) entries
-        pairs_before = (mu - 1) * (2 * count1 + 2 - mu)
-        return (mu != 0) * (count0 + pairs_before + (orders < 0) * counts), counts
+        pairs_before = (mu - 1) * (2 * self.max_order() + 2 - mu)
+        return (mu != 0) * (self.n + 1 - self.shift + pairs_before + (orders < 0) * counts), counts
 
     @property
     def size(self):
         return self._size
 
     def _holds(self, l, m):
-        """Whether ``(l, m)`` is in the index set; order ``m`` is iff ``(n, m)`` is."""
-        return abs(m) <= self.max_order() and self.degree_start(m) <= l <= self.n
+        """Whether ``(l, m)`` is in the index set (elementwise); order ``m`` is iff ``(n, m)`` is."""
+        top = self.max_order()  # not abs(m) <= top: abs wraps the int64 minimum
+        return (-top <= m) & (m <= top) & (self.degree_start(m) <= l) & (l <= self.n)
+
+    def _labels(self):
+        """The degrees and the orders of all flat positions, as two int arrays."""
+        orders = np.array(self.orders())
+        starts, counts = self.order_offsets(orders)
+        m = np.repeat(orders, counts)
+        return np.arange(self._size) - np.repeat(starts - self.degree_start(orders), counts), m
 
     def orders(self):
         """The signed orders with coefficients, in canonical order: 0, +1, -1, +2, -2, ..."""
         mu = np.arange(1, self.max_order() + 1)
         orders = np.append(0, np.column_stack([mu, -mu]).ravel())
-        return orders[self.order_offsets(orders)[1] > 0].tolist()
+        return orders[self._holds(self.n, orders)].tolist()
 
     def order_slice(self, m):
         """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
@@ -158,11 +172,7 @@ class _CoeffTable:
         if np.isfinite(self._data).all():
             return
         pos = int(np.flatnonzero(~np.isfinite(self._data))[0])
-        orders = np.array(self.orders())
-        starts = self.order_offsets(orders)[0]
-        k = int(np.searchsorted(starts, pos, side="right")) - 1
-        m = int(orders[k])
-        l = self.degree_start(m) + pos - int(starts[k])
+        l, m = (int(x[pos]) for x in self._labels())
         raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
 
     def flat(self):
@@ -184,12 +194,6 @@ class ScalarSpectrum(_CoeffTable):
 
     basis = "Y"
 
-    def degree_start(self, m):
-        return abs(m)
-
-    def max_order(self):
-        return self.n
-
     @property
     def n_pot(self):
         return self.n
@@ -203,13 +207,7 @@ class ZSpectrum(_CoeffTable):
     differentiating a potential of degree ``<= n-1``.
     """
 
-    basis = "Z"
-
-    def degree_start(self, m):
-        return abs(abs(m) - 1)
-
-    def max_order(self):
-        return self.n + 1
+    basis, shift = "Z", 1
 
 
 def new_scalar_spectrum(n_pot):
@@ -322,10 +320,7 @@ def write_spectrum(spectrum, path):
     full table.  The ``l`` and ``m`` columns come from the closed-form
     layout, and rows are formatted a fixed-size chunk at a time.
     """
-    orders = np.array(spectrum.orders())
-    starts, counts = spectrum.order_offsets(orders)
-    m = np.repeat(orders, counts)
-    l = np.arange(spectrum.size) - np.repeat(starts - spectrum.degree_start(orders), counts)
+    l, m = spectrum._labels()
     values = spectrum.flat()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n")
@@ -363,17 +358,17 @@ class _DataRows:
         return lineno + row - start
 
 
-def _data_row_line(path, lines, row):
+def _data_row_line(lines, body, row):
     """Line number of data row ``row``, and the text of the last row read (row ``row`` if the parser stopped there).
 
-    The parser reads a plain file straight from its handle; only error
-    paths read it again, up to the row, so rereading costs nothing on success.
+    The parser reads a plain file straight from its handle ``lines``; only
+    error paths seek it back to ``body``, where the rows start, and walk it
+    up to the row, so this costs nothing on success.
     """
     if not isinstance(lines, _DataRows):
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            lines = _DataRows(fh)
-            next(islice(lines, row, None))
+        lines.seek(body)
+        lines = _DataRows(lines)
+        next(islice(lines, row, None))
     return lines.line(row), lines.last.strip()
 
 
@@ -421,7 +416,7 @@ def read_spectrum(path):
             raise ValueError(f"{path}: {exc}") from None
         # A plain body needs no filter: loadtxt skips its blank lines itself,
         # counting rows as the filter would.  A pipe cannot be scanned.
-        lines = _DataRows(fh)
+        lines, body = _DataRows(fh), None
         try:
             if fh.seekable():
                 body, chunks = fh.tell(), iter(lambda: fh.read(_SCAN_CHARS), "")
@@ -443,32 +438,30 @@ def read_spectrum(path):
             # loadtxt counts data rows from 0 in conversion errors and from 1
             # in column-count errors
             converting = message.startswith("could not convert")
-            lineno, line = _data_row_line(path, lines, int(named[-1]) - (not converting))
+            lineno, line = _data_row_line(lines, body, int(named[-1]) - (not converting))
             problem = f"malformed row {line!r}" if converting else "expected 'l,m,value'"
             raise ValueError(f"{path}:{lineno}: {problem}") from None
 
-    l, m, values = rows["l"], rows["m"], rows["value"]
-    top = spec.max_order()
-    start = spec.degree_start(m)
-    outside = (m < -top) | (m > top) | (l < start) | (l > spec.n)
-    pos = spec.order_offsets(m)[0] + l - start
-    # a stable sort keeps the rows of one position in file order: every row
-    # after the first of its position repeats an earlier one
-    by_pos = np.argsort(pos, kind="stable")
-    repeated = np.zeros(len(rows), dtype=bool)
-    repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
-    nonfinite = ~np.isfinite(values)
-    bad = nonfinite | outside | repeated
-    if bad.any():
-        # the first offending row, judged as a row-by-row reader would
-        row = int(np.argmax(bad))
-        lm = f"(l={l[row]}, m={m[row]})"
-        if nonfinite[row]:
-            problem = "non-finite value"
-        elif outside[row]:
-            problem = f"{lm} outside the basis-{spec.basis} index set for n={spec.n}"
-        else:
-            problem = f"duplicate row for {lm}"
-        raise ValueError(f"{path}:{_data_row_line(path, lines, row)[0]}: {problem}")
+        l, m, values = rows["l"], rows["m"], rows["value"]
+        outside = ~spec._holds(l, m)
+        pos = spec.order_offsets(m)[0] + l - spec.degree_start(m)
+        # a stable sort keeps the rows of one position in file order: every row
+        # after the first of its position repeats an earlier one
+        by_pos = np.argsort(pos, kind="stable")
+        repeated = np.zeros(len(rows), dtype=bool)
+        repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
+        nonfinite = ~np.isfinite(values)
+        bad = nonfinite | outside | repeated
+        if bad.any():
+            # the first offending row, judged as a row-by-row reader would
+            row = int(np.argmax(bad))
+            lm = f"(l={l[row]}, m={m[row]})"
+            if nonfinite[row]:
+                problem = "non-finite value"
+            elif outside[row]:
+                problem = f"{lm} outside the basis-{spec.basis} index set for n={spec.n}"
+            else:
+                problem = f"duplicate row for {lm}"
+            raise ValueError(f"{path}:{_data_row_line(lines, body, row)[0]}: {problem}")
     spec.flat()[pos] = values
     return spec

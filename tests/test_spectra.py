@@ -1,3 +1,4 @@
+import builtins
 import io
 import math
 import os
@@ -194,6 +195,20 @@ def _read_both_forms(path, plain, decorated):
         assert type(first) is type(second) and first.n == second.n
         assert np.array_equal(first.flat().view(np.int64), second.flat().view(np.int64))
     return first
+
+
+def test_read_locates_a_bad_row_of_a_plain_file_in_the_open_file(tmp_path, monkeypatch):
+    # the duplicate is found after parsing: its line comes from the handle
+    # that was parsed, not from opening the path again
+    path = tmp_path / "dup.csv"
+    path.write_text("# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n")
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *args, **kw: opened.append(args[0]) or real_open(*args, **kw))
+    with pytest.raises(ValueError) as info:
+        read_spectrum(path)
+    assert str(info.value) == f"{path}:4: duplicate row for (l=1, m=1)"
+    assert opened == [path]
 
 
 def test_read_rejects_duplicate_rows(tmp_path):
@@ -474,13 +489,27 @@ def test_norms_are_exact_under_extreme_power_of_two_scaling(k, rng):
     assert relative_l2_error(big_a, ZSpectrum(6)) == math.ldexp(a.norm(), k)
 
 
-def test_order_offsets_match_order_slices():
-    for cls, n in ((ScalarSpectrum, 5), (ZSpectrum, 5), (ZSpectrum, 0)):
-        spec = cls(n, np.arange(float(cls(n).size)))  # entries name their position
-        orders = np.array(spec.orders())
-        starts, counts = spec.order_offsets(orders)
-        for m, start, count in zip(orders, starts, counts):
-            assert np.array_equal(spec.order_slice(m), np.arange(start, start + count))
+@settings(max_examples=40, deadline=None)
+@given(cls=st.sampled_from([ScalarSpectrum, ZSpectrum]), n=st.integers(0, 40))
+def test_order_offsets_match_order_slices(cls, n):
+    spec = cls(n, np.arange(float(cls(n).size)))  # entries name their position
+    # the order slices tile the storage in canonical order
+    assert np.array_equal(np.concatenate([spec.order_slice(m) for m in spec.orders()]), spec.flat())
+    # the label of every position names that position
+    assert [spec.flat_index(l, m) for l, m in zip(*spec._labels())] == list(range(spec.size))
+    # the elementwise membership rule agrees with flat_index, one past every
+    # edge and at the int64 extremes, where abs(m) would wrap
+    top = spec.max_order()
+    orders = [*range(-top - 1, top + 2), 2**63 - 1, -(2**63 - 1), -(2**63)]
+    l, m = np.meshgrid(np.arange(-1, n + 2), orders)
+    held = spec._holds(l, m)
+    for li, mi, inside in zip(l.ravel().tolist(), m.ravel().tolist(), held.ravel().tolist()):
+        try:
+            spec.flat_index(li, mi)
+        except ValueError:
+            assert not inside
+        else:
+            assert inside
 
 
 @settings(max_examples=60, deadline=None)
