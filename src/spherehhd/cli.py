@@ -70,8 +70,11 @@ def _int_list(text):
 def cmd_decompose(args):
     theta = read_spectrum(args.input_theta)
     phi = read_spectrum(args.input_phi)
+    for path, spec in ((args.input_theta, theta), (args.input_phi, phi)):
+        if spec.basis != "Z":
+            raise ValueError(f"{path}: a basis-{spec.basis} spectrum, where decompose reads basis Z")
     if theta.n != phi.n:
-        raise ValueError(f"component degrees differ: {theta.n} vs {phi.n}")
+        raise ValueError(f"component degrees differ: {args.input_theta} has n={theta.n}, {args.input_phi} has n={phi.n}")
     result = decompose(TangentField(theta, phi))
     write_spectrum(result.spheroidal, f"{args.out_prefix}_spheroidal.csv")
     write_spectrum(result.toroidal, f"{args.out_prefix}_toroidal.csv")

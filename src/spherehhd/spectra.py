@@ -18,12 +18,13 @@ it did not create.
 """
 
 import bisect
+import functools
 import math
 import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -304,11 +305,35 @@ class HHDResult:
 _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
 
 
-# rows per ``%`` formatting call of the writer: bounds its working memory
+# rows per chunk of the writer: bounds its working memory
 _WRITE_CHUNK_ROWS = 4096
 _ROW_DTYPE = np.dtype([("l", np.int64), ("m", np.int64), ("value", np.float64)])
 _SCAN_CHARS = 1 << 16  # characters per read of the reader's plain-body scan
 _NOT_PLAIN = "# \t\v\f\r\x1c\x1d\x1e\x1f"  # '#' and ASCII whitespace but '\n'
+
+
+def _split(a):
+    """Dekker's split ``a = hi + lo``, exact, each half of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    return c - (c - a), a - (c - (c - a))
+
+
+@functools.cache
+def _format_tables():
+    """The writer's tables: row ``E + 281`` (``E`` in -281..280) of ``(ph, *_split(ph), pl)``,
+    ``ph + pl ~ 10**(16 - E)``, and of ``e±XX[X]``; the digit groups 0000..9999."""
+    tens = [(10 ** max(16 - e, 0), 10 ** max(e - 16, 0)) for e in range(-281, 281)]  # 10**(16 - e) = n / d
+    ph = np.array([n / d for n, d in tens])  # int / int rounds correctly
+    pl = np.array([(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(tens, map(float.as_integer_ratio, ph.tolist()))])
+    exps = np.array([[b"e%+03d" % e] for e in range(-281, 281)]).view(np.uint8)
+    groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return (ph, *_split(ph), pl), exps, groups.astype(np.uint8)
+
+
+def _format_fallback(values):
+    """CPython's ``%.16e`` of ``values``, one 24-byte row each, padded with zero bytes."""
+    text = "%-24.16e" * len(values) % tuple(values.tolist())
+    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), np.uint8).reshape(-1, 24)
 
 
 def write_spectrum(spectrum, path):
@@ -317,17 +342,49 @@ def write_spectrum(spectrum, path):
     Line 1 is ``# basis=<Y|Z> n=<int>``; each following line is ``l,m,value``
     with the value in 17-significant-digit scientific notation, rows in
     order-major order.  Missing rows denote zero, but the writer emits the
-    full table.  The ``l`` and ``m`` columns come from the closed-form
-    layout, and rows are formatted a fixed-size chunk at a time.
+    full table.  A non-finite value is refused before the file is created.
+
+    The bytes equal CPython's ``"%d,%d,%.16e\n"``, built a chunk at a time as
+    ``uint8`` rows padded with zero bytes, dropped on writing.  For ``|x|`` in
+    ``[1e-280, 1e280)``, guess ``E = floor(log10 |x|)``, let ``ph + pl`` be
+    ``10**(16 - E)`` to ``2**-106``; Dekker's product (1971) gives ``p + err =
+    |x| ph`` exactly (no partial product underflows).  With ``frac = err + |x|
+    pl``, ``p + frac`` is within ``1e-13`` of ``y = |x| 10**(16 - E)`` while
+    ``y < 1e18`` (``|err| <= ulp(p) / 2``, ``|x pl| <= 2**-53 y``).  So if
+    ``frac`` is over ``1e-9`` from a half-integer, ``D = p + floor(frac +
+    0.5)`` is the integer nearest ``y``, not a tie.  ``D`` strictly inside
+    ``(1e16, 1e17)`` proves the guess (one too high gives ``y < 1e16``, one too
+    low ``y >= 1e17``) and ``p > 2**53`` an integer, so its digits are the
+    correctly rounded ones CPython's dtoa prints (Gay 1990).  Other rows
+    (near-ties, wrong guesses, ``|x|`` out of range) go to one ``%`` call per
+    chunk; ``±0.0`` prints as zeros.
     """
-    l, m = spectrum._labels()
-    values = spectrum.flat()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n")
+    spectrum.require_finite(f"write_spectrum: {path}")
+    (ph, ph_hi, ph_lo, pl), exps, groups = _format_tables()
+    top = spectrum.max_order()
+    ints = np.array([[b"%d," % i] for i in range(-top, top + 1)]).view(np.uint8)  # "l," and "m,"
+    w, (l, m), values = 2 * ints.shape[1], spectrum._labels(), spectrum.flat()
+    rows = np.zeros((min(_WRITE_CHUNK_ROWS, spectrum.size), w + 25), np.uint8)
+    rows[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n".encode("ascii"))
         for lo in range(0, spectrum.size, _WRITE_CHUNK_ROWS):
-            hi = min(lo + _WRITE_CHUNK_ROWS, spectrum.size)
-            cells = zip(l[lo:hi].tolist(), m[lo:hi].tolist(), values[lo:hi].tolist())
-            fh.write("%d,%d,%.16e\n" * (hi - lo) % tuple(chain.from_iterable(cells)))
+            x, hi = values[lo : lo + _WRITE_CHUNK_ROWS], lo + _WRITE_CHUNK_ROWS
+            chunk, v = rows[: len(x)], rows[: len(x), w:-1]  # v: the value's 24 bytes
+            chunk[:, :w] = np.take(ints, np.stack([l[lo:hi], m[lo:hi]], 1) + top, axis=0).reshape(-1, w)
+            ax, zero = np.abs(x), x == 0
+            ax[(ax < 1e-280) | (ax >= 1e280)] = 1.0  # gives D = 10**16, so redone; zeros get D = 0
+            e = np.floor(np.log10(ax)).astype(np.int64) + 281
+            p, (a_hi, a_lo) = ax * ph[e], _split(ax)
+            frac = (((a_hi * ph_hi[e] - p) + a_hi * ph_lo[e] + a_lo * ph_hi[e]) + a_lo * ph_lo[e]) + ax * pl[e]
+            r = np.floor(frac + 0.5)
+            d = p.astype(np.int64) + r.astype(np.int64) - zero * 10**16
+            ok = zero | (d > 10**16) & (d < 10**17) & (np.abs(frac - r) < 0.5 - 1e-9)
+            v[:, 0], v[:, 1], v[:, 2] = np.signbit(x) * ord("-"), d // 10**16 + ord("0"), ord(".")
+            v[:, 3:19] = np.take(groups, d[:, None] // 10 ** np.arange(12, -1, -4) % 10000, axis=0).reshape(-1, 16)
+            v[:, 19:] = np.take(exps, e, axis=0)
+            v[~ok] = _format_fallback(x[~ok])
+            fh.write(chunk[chunk != 0])
 
 
 class _DataRows:

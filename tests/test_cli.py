@@ -72,7 +72,7 @@ def test_decompose_mismatched_degrees_fails(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "out"),
     )
     assert code == 1
-    assert "degrees differ" in err
+    assert f"degrees differ: {tmp_path / 'a.csv'} has n=5, {tmp_path / 'b.csv'} has n=6" in err
 
 
 def test_decompose_wrong_basis_fails(tmp_path, capsys):
@@ -88,6 +88,7 @@ def test_decompose_wrong_basis_fails(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "out"),
     )
     assert code == 1
+    assert f"{tmp_path / 'y.csv'}: a basis-Y spectrum" in err
 
 
 def test_decompose_unallocatable_header_degree_fails(tmp_path, capsys):

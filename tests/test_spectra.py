@@ -415,6 +415,57 @@ def test_write_exact_text(tmp_path):
         assert (tmp_path / name).read_bytes() == expected[name].encode()
 
 
+def _reference_bytes(spec):
+    """The file ``write_spectrum`` must produce, formatted row by row by CPython."""
+    l, m = spec._labels()
+    rows = zip(l.tolist(), m.tolist(), spec.flat().tolist())
+    return (f"# basis={spec.basis} n={spec.n}\n" + "".join("%d,%d,%.16e\n" % row for row in rows)).encode()
+
+
+def test_write_matches_cpython_format(tmp_path):
+    # the numpy formatter against CPython's %.16e on values chosen to reach
+    # its edges: random bit patterns (subnormals and huge values included),
+    # the extremes, powers of ten and their neighbours (where log10 guesses
+    # wrong), and values with short exact decimals: halves and integers
+    rng = np.random.Generator(np.random.PCG64(20))
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([10.0**k for k in range(-300, 301)])
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [(j + 0.5) * 2.0**e for j in range(0, 4000, 37) for e in range(-40, 60, 3)],
+        np.arange(-3000.0, 3000.0, 7.0),
+    ])
+    spec = ScalarSpectrum(int(np.sqrt(values.size)))
+    spec.flat()[: values.size] = values
+    write_spectrum(spec, tmp_path / "all.csv")
+    assert (tmp_path / "all.csv").read_bytes() == _reference_bytes(spec)
+
+
+@pytest.mark.parametrize("make", [lambda: random_spectrum(255, 0), lambda: new_z_spectrum(256)], ids=["random", "zero"])
+def test_write_formats_normal_values_without_cpython(tmp_path, monkeypatch, make):
+    # the slow path is a fallback: a slide of ordinary values onto it is a bug
+    # that the bytes alone would not show
+    import spherehhd.spectra as spectra
+
+    fallback, rows = spectra._format_fallback, []
+    monkeypatch.setattr(spectra, "_format_fallback", lambda values: rows.append(len(values)) or fallback(values))
+    spec = make()
+    write_spectrum(spec, tmp_path / "spec.csv")
+    assert rows and sum(rows) == 0
+    assert (tmp_path / "spec.csv").read_bytes() == _reference_bytes(spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_refuses_a_non_finite_spectrum_before_creating_the_file(tmp_path, bad):
+    spec = ZSpectrum(3)
+    spec[2, -1] = bad
+    with pytest.raises(ValueError, match=r"^write_spectrum: .*spec\.csv: non-finite coefficient .* at \(l=2, m=-1\)$"):
+        write_spectrum(spec, tmp_path / "spec.csv")
+    assert not (tmp_path / "spec.csv").exists()
+
+
 @st.composite
 def spectra(draw):
     cls = draw(st.sampled_from([ScalarSpectrum, ZSpectrum]))
