@@ -128,12 +128,25 @@ class _CoeffTable:
         top = self.max_order()  # not abs(m) <= top: abs wraps the int64 minimum
         return (-top <= m) & (m <= top) & (self.degree_start(m) <= l) & (l <= self.n)
 
-    def _labels(self):
-        """The degrees and the orders of all flat positions, as two int arrays."""
-        orders = np.array(self.orders())
+    def _order_index(self, k):
+        """Index of the order holding flat position ``k`` in the canonical 0, +1, -1, +2, -2, ..."""
+        past = k - (self.n + 1 - self.shift)  # positions past order 0
+        if past < 0:
+            return 0
+        # the pairs before pair a + 1 fill a (b - a) positions: take the last a with a (b - a) <= past
+        b = 2 * self.max_order() + 1
+        a = (b - math.isqrt(b * b - 4 * past - 1) - 1) // 2
+        return 2 * a + 1 + (past - a * (b - a) >= self.max_order() - a)  # +(a + 1) holds max_order - a
+
+    def _labels(self, lo=0, hi=None):
+        """The degrees and the orders of flat positions ``lo`` up to ``hi`` (default: all), as two int arrays."""
+        hi = self._size if hi is None else min(hi, self._size)
+        i = np.arange(self._order_index(lo), self._order_index(hi - 1) + 1)
+        orders = (i + 1) // 2 * np.where(i % 2, 1, -1)
         starts, counts = self.order_offsets(orders)
-        m = np.repeat(orders, counts)
-        return np.arange(self._size) - np.repeat(starts - self.degree_start(orders), counts), m
+        cut = slice(lo - starts[0], hi - starts[0])
+        m = np.repeat(orders, counts)[cut]
+        return np.arange(lo, hi) - np.repeat(starts - self.degree_start(orders), counts)[cut], m
 
     def orders(self):
         """The signed orders with coefficients, in canonical order: 0, +1, -1, +2, -2, ..."""
@@ -173,7 +186,7 @@ class _CoeffTable:
         if np.isfinite(self._data).all():
             return
         pos = int(np.flatnonzero(~np.isfinite(self._data))[0])
-        l, m = (int(x[pos]) for x in self._labels())
+        l, m = (int(x[0]) for x in self._labels(pos, pos + 1))
         raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
 
     def flat(self):
@@ -305,10 +318,11 @@ class HHDResult:
 _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
 
 
-# rows per chunk of the writer: bounds its working memory
-_WRITE_CHUNK_ROWS = 4096
+# rows per chunk of the writer: bounds its working memory (8192 wrote faster than 4096 or 16384)
+_WRITE_CHUNK_ROWS = 8192
 _ROW_DTYPE = np.dtype([("l", np.int64), ("m", np.int64), ("value", np.float64)])
 _SCAN_CHARS = 1 << 16  # characters per read of the reader's plain-body scan
+_READ_BLOCK = 1 << 18  # bytes per read of the exact reader: bounds its working memory
 _NOT_PLAIN = "# \t\v\f\r\x1c\x1d\x1e\x1f"  # '#' and ASCII whitespace but '\n'
 
 
@@ -328,6 +342,27 @@ def _format_tables():
     exps = np.array([[b"e%+03d" % e] for e in range(-281, 281)]).view(np.uint8)
     groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     return (ph, *_split(ph), pl), exps, groups.astype(np.uint8)
+
+
+@functools.cache
+def _parse_tables():
+    """The exact reader's table: row ``E + 280`` (``E`` in -280..280) of ``(qh, *_split(qh), ql)``,
+    ``qh + ql ~ 10**(E - 16) / 2**k`` with ``qh`` in ``[1, 2)``, and of ``k``."""
+    rows = []
+    for e in range(-296, 265):  # E - 16
+        n, d = 10 ** max(e, 0), 10 ** max(-e, 0)
+        k = n.bit_length() - d.bit_length()  # n / d / 2**k in (1/2, 2)
+        n, d = (n, d << k) if k >= 0 else (n << -k, d)
+        k, n = (k - 1, 2 * n) if n < d else (k, n)
+        a, b = (n / d).as_integer_ratio()
+        rows.append((n / d, (n * b - a * d) / (d * b), k))
+    qh, ql, k = (np.array(c) for c in zip(*rows))
+    return (qh, *_split(qh), ql), k
+
+
+def _label_table(top):
+    """The ASCII ``"%d,"`` of each integer ``-top..top``, one row each, padded with zero bytes."""
+    return np.array([[b"%d," % i] for i in range(-top, top + 1)]).view(np.uint8)
 
 
 def _format_fallback(values):
@@ -362,16 +397,16 @@ def write_spectrum(spectrum, path):
     spectrum.require_finite(f"write_spectrum: {path}")
     (ph, ph_hi, ph_lo, pl), exps, groups = _format_tables()
     top = spectrum.max_order()
-    ints = np.array([[b"%d," % i] for i in range(-top, top + 1)]).view(np.uint8)  # "l," and "m,"
-    w, (l, m), values = 2 * ints.shape[1], spectrum._labels(), spectrum.flat()
+    ints = _label_table(top)  # "l," and "m,"
+    w, values = 2 * ints.shape[1], spectrum.flat()
     rows = np.zeros((min(_WRITE_CHUNK_ROWS, spectrum.size), w + 25), np.uint8)
     rows[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n".encode("ascii"))
         for lo in range(0, spectrum.size, _WRITE_CHUNK_ROWS):
-            x, hi = values[lo : lo + _WRITE_CHUNK_ROWS], lo + _WRITE_CHUNK_ROWS
+            x, (l, m) = values[lo : lo + _WRITE_CHUNK_ROWS], spectrum._labels(lo, lo + _WRITE_CHUNK_ROWS)
             chunk, v = rows[: len(x)], rows[: len(x), w:-1]  # v: the value's 24 bytes
-            chunk[:, :w] = np.take(ints, np.stack([l[lo:hi], m[lo:hi]], 1) + top, axis=0).reshape(-1, w)
+            chunk[:, :w] = np.take(ints, np.stack([l, m], 1) + top, axis=0).reshape(-1, w)
             ax, zero = np.abs(x), x == 0
             ax[(ax < 1e-280) | (ax >= 1e280)] = 1.0  # gives D = 10**16, so redone; zeros get D = 0
             e = np.floor(np.log10(ax)).astype(np.int64) + 281
@@ -385,6 +420,110 @@ def write_spectrum(spectrum, path):
             v[:, 19:] = np.take(exps, e, axis=0)
             v[~ok] = _format_fallback(x[~ok])
             fh.write(chunk[chunk != 0])
+
+
+_U = np.uint64
+
+
+def _digits8(w):
+    """The values of ``uint64`` words of 8 ASCII digits, the first in the lowest byte, and which are all digits."""
+    high, zeros = _U(0xF0F0F0F0F0F0F0F0), _U(0x3030303030303030)
+    ok = ((w & high) == zeros) & (((w + _U(0x0606060606060606)) & high) == zeros)  # each byte 0x30..0x39
+    w = w - zeros  # then pairs, quads and octets of digits by SWAR multiply-shift-mask steps
+    w = (w * _U(10) + (w >> _U(8))) & _U(0x00FF00FF00FF00FF)
+    w = (w * _U(100) + (w >> _U(16))) & _U(0x0000FFFF0000FFFF)
+    return (w * _U(10000) + (w >> _U(32))) & _U(0xFFFFFFFF), ok
+
+
+def _read_exact(raw, spec):
+    """Fill ``spec`` from the binary file ``raw``, at its first row, if the rows are exactly the writer's.
+
+    Returns ``spec``, or None with ``spec`` zero if any row is not; it raises
+    no ``ValueError``.  Row ``k`` must be the writer's ``l,m,`` label of
+    flat position ``k``, then ``[-]d.<16 digits>e±XX[X]`` and a line end,
+    with ``d`` nonzero (or every digit zero) and ``|E| <= 280``; the file
+    holds ``spec.size`` rows.  Blocks of whole rows are read; every byte
+    is checked, through ``uint64`` words read at each row's offsets from its
+    line end (the label against the writer's table) and the 16 digits
+    after the point converted by SWAR steps (:func:`_digits8`).
+
+    The value is ``V = D 10**(E - 16)``, ``D`` in ``[1e16, 1e17)``.  Scaled
+    by ``2**-k`` from :func:`_parse_tables`, ``V' = D (qh + ql + eta)`` lies
+    in ``[2**53, 2**58)``, with ``|eta| <= 2**-106``.  ``Dh = fl(D)`` and
+    ``Dl = D - Dh`` (``|Dl| <= 8``) are exact; Dekker's product (1971) gives
+    ``p + err = Dh qh`` exactly (``|err| <= 16``), and ``r = (err + Dh ql)
+    + Dl qh``.  The four roundings in ``r`` (products under 16, sums under
+    64), ``Dl ql`` and ``D eta`` leave ``|V' - p - r| < 17 * 2**-50 <
+    2**-45``.  ``x = fl(p + r)`` and
+    ``rho = (p + r) - x`` come exactly from Fast2Sum (``p > |r|``).  So if
+    ``|rho| + 2**-45`` is under half the gap below ``x`` (the smaller gap:
+    at a power of two it is half the gap above), ``x`` is the double
+    nearest ``V'`` and no tie: the correctly rounded value that CPython and
+    ``np.loadtxt`` give.  ``2**k x`` is exact, as ``V`` lies in ``[1e-280,
+    1e281)``, where doubles are normal; ``D = 0`` gives ``±0.0``.  The
+    writer's rows always pass: 17 digits put a row within ``0.5e-16 |x|``
+    of its double ``x``, under half of either gap by a margin far above
+    ``2**-45``.
+    """
+    top, out = spec.max_order(), spec.flat()
+    ints = _label_table(top)
+    if ints.shape[1] > 8:  # a label word holds at most 8 bytes
+        return None
+    labels = np.zeros((len(ints), 8), np.uint8)
+    labels[:, : ints.shape[1]] = ints
+    width, masks = np.count_nonzero(ints, 1), ((labels != 0) * np.uint8(255)).view("<u8")[:, 0]
+    labels = labels.view("<u8")[:, 0]
+    (qh, qh_hi, qh_lo, ql), scale = _parse_tables()
+    buf = np.zeros(_READ_BLOCK + 64, np.uint8)  # rows from byte 32: word reads stay inside at either end
+    words = np.ndarray(len(buf) - 7, "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    k, held = 0, 0  # rows filled, and bytes of a partial row moved to the front
+    while got := raw.readinto(memoryview(buf)[32 + held : -32]):
+        end = 32 + held + got
+        nl = np.flatnonzero(buf[32:end] == 10) + 32
+        rows = len(nl)
+        if not rows or k + rows > spec.size:
+            break
+        start = np.concatenate([[32], nl[:-1] + 1])
+        b = nl - (buf[nl - 4] != ord("e"))  # past the exponent's second digit
+        three = b != nl
+        head, hi, lo, tail = words[b - 24], words[b - 20], words[b - 12], words[b - 4]
+        (hi, ok), (lo, ok_lo) = _digits8(hi), _digits8(lo)
+        # bytes 1-3 of h: '-' or ',', d, '.'; bytes 0-4 of t: 'e', the sign, two digits, a third or '\n'
+        h, t = head.view(np.uint8).reshape(-1, 8), tail.view(np.uint8).reshape(-1, 8)
+        neg, d0, ex = h[:, 1] == ord("-"), h[:, 2] - np.uint8(48), t[:, 2:5] - np.uint8(48)
+        E = (10 * ex[:, 0].astype(np.int64) + ex[:, 1]) * np.where(three, 10, 1) + three * ex[:, 2]
+        E = np.where(t[:, 1] == ord("-"), -E, E)
+        l, m = spec._labels(k, k + rows)
+        l, m = l + top, m + top
+        a = (d0 * 1e8 + hi) * 1e8  # exact: d0 * 1e8 + hi < 1e9, and that times 5**8 < 2**53
+        Dh = a + lo  # fl(D)
+        zero = Dh == 0
+        ok &= ok_lo & (h[:, 3] == ord(".")) & (neg | (h[:, 1] == ord(","))) & ((d0 >= 1) & (d0 <= 9) | zero)
+        ok &= (t[:, 0] == ord("e")) & ((t[:, 1] == ord("+")) | (t[:, 1] == ord("-"))) & (np.abs(E) <= 280)
+        ok &= (ex[:, 0] <= 9) & (ex[:, 1] <= 9) & ((ex[:, 2] <= 9) | ~three)
+        ok &= (b - 22 - neg - start == width[l] + width[m]) & ((words[start] & masks[l]) == labels[l])
+        ok &= (words[start + width[l]] & masks[m]) == labels[m]
+        if not ok.all():
+            break
+        e = E + 280
+        q, Dl = qh[e], lo - (Dh - a)  # Fast2Sum: Dl = D - Dh
+        p, (d_hi, d_lo) = Dh * q, _split(Dh)
+        err = (((d_hi * qh_hi[e] - p) + d_hi * qh_lo[e] + d_lo * qh_hi[e]) + d_lo * qh_lo[e])
+        r = (err + Dh * ql[e]) + Dl * q
+        x = p + r
+        rho = r - (x - p)
+        if not (zero | (np.abs(rho) + 2.0**-45 < (x - np.nextafter(x, 0)) / 2)).all():
+            break
+        x = np.ldexp(x, scale[e])
+        out[k : k + rows] = np.where(neg, -x, x)
+        k, cut = k + rows, nl[-1] + 1
+        held = end - cut
+        buf[32 : 32 + held] = buf[cut:end]
+    else:
+        if k == spec.size and not held:
+            return spec
+    out[:k] = 0
+    return None
 
 
 class _DataRows:
@@ -442,10 +581,15 @@ def read_spectrum(path):
     ``path:lineno``: of the first malformed row if there is one, else of
     the first row that fails a check.
 
-    One ``np.loadtxt`` parses the rows: from the open file if a chunked scan
-    finds the body plain (ASCII, no ``#``, no whitespace but line ends), as
-    writer-made files are, else through a comment and blank-line filter.
-    Whole-array checks and one scatter into the table follow.
+    A seekable file of the writer's exact rows, every position once in
+    order, is parsed in numpy a block of rows at a time, correctly rounded
+    by a proof (:func:`_read_exact`), and holds one block besides the table.
+    A file with any other row goes whole, unchanged, to one ``np.loadtxt``,
+    which parses the rows: from the open file if a chunked scan finds the
+    body plain (ASCII, no ``#``, no whitespace but line ends), else through
+    a comment and blank-line filter; so does a pipe.  Whole-array checks and
+    one scatter into the table follow.  Both paths give ``float()`` of each
+    value's text, bit for bit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -471,12 +615,20 @@ def read_spectrum(path):
             spec = _CLASS_BY_BASIS[basis](int(degree))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        # A plain body needs no filter: loadtxt skips its blank lines itself,
-        # counting rows as the filter would.  A pipe cannot be scanned.
+        # The writer's rows take the exact path.  Else a plain body needs no
+        # filter: loadtxt skips its blank lines itself, counting rows as the
+        # filter would.  A pipe can be neither read twice nor scanned.
         lines, body = _DataRows(fh), None
+        if fh.seekable():
+            body = fh.tell()
+            if body < 1 << 64:  # else the text cookie holds decoder state (a header ending in '\r')
+                fh.buffer.seek(body)
+                if _read_exact(fh.buffer, spec):
+                    return spec
+                fh.seek(body)
         try:
-            if fh.seekable():
-                body, chunks = fh.tell(), iter(lambda: fh.read(_SCAN_CHARS), "")
+            if body is not None:
+                chunks = iter(lambda: fh.read(_SCAN_CHARS), "")
                 if all(c.isascii() and not any(x in c for x in _NOT_PLAIN) for c in chunks):
                     lines = fh
                 fh.seek(body)

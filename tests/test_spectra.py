@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spherehhd.solver import differentiate
 from spherehhd.spectra import (
     HHDResult,
     ScalarSpectrum,
@@ -21,6 +23,7 @@ from spherehhd.spectra import (
     ZSpectrum,
     new_scalar_spectrum,
     new_z_spectrum,
+    random_potentials,
     random_spectrum,
     read_spectrum,
     relative_l2_error,
@@ -308,20 +311,163 @@ def test_read_skips_form_feed_and_separator_lines(tmp_path, odd):
     assert np.count_nonzero(spec.flat()) == 2
 
 
-def test_read_hands_writer_files_to_loadtxt_whole(tmp_path, monkeypatch):
-    # a writer-made file reaches loadtxt as the open file; a comment line
-    # sends the same rows through the line filter
-    seen = []
-    loadtxt = np.loadtxt
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_read_takes_other_line_ends(tmp_path, end):
+    # universal newlines: such a file is read as its '\n' twin would be
+    path = tmp_path / "ends.csv"
+    spec = random_spectrum(3, seed=4)
+    write_spectrum(spec, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+    assert np.array_equal(read_spectrum(path).flat().view(np.int64), spec.flat().view(np.int64))
+
+
+def _count_loadtxt(monkeypatch):
+    """The list to which every later ``np.loadtxt`` call appends its source."""
+    seen, loadtxt = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: seen.append(lines) or loadtxt(lines, **kw))
+    return seen
+
+
+def test_read_parses_writer_files_without_loadtxt(tmp_path, monkeypatch):
+    # a writer-made file takes the exact path; the same rows out of order,
+    # or after a comment line, are no writer's file and go to loadtxt
+    seen = _count_loadtxt(monkeypatch)
     path = tmp_path / "spec.csv"
     spec = random_spectrum(4, seed=3)
     write_spectrum(spec, path)
-    plain = read_spectrum(path)
-    path.write_text(path.read_text() + "# the end\n")
-    decorated = read_spectrum(path)
-    assert isinstance(seen[0], io.TextIOBase) and not isinstance(seen[1], io.TextIOBase)
-    assert np.array_equal(plain.flat(), spec.flat()) and np.array_equal(decorated.flat(), spec.flat())
+    header, *rows = path.read_text().splitlines(keepends=True)
+    outcomes = [read_spectrum(path)]
+    assert seen == []
+    for text in (header + "".join(rows[::-1]), header + "# a note\n" + "".join(rows)):
+        path.write_text(text)
+        outcomes.append(read_spectrum(path))
+    assert len(seen) == 2
+    for back in outcomes:
+        assert np.array_equal(back.flat().view(np.int64), spec.flat().view(np.int64))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [random_spectrum(255, 0)],
+    lambda: vars(differentiate(*random_potentials(256, 0))).values(),
+], ids=["random", "field"])
+def test_read_takes_writer_files_on_the_exact_path(tmp_path, monkeypatch, make):
+    # loadtxt is the fallback: a writer-made file that reaches it is a bug
+    # that the values alone would not show
+    seen = _count_loadtxt(monkeypatch)
+    for spec in make():
+        write_spectrum(spec, tmp_path / "spec.csv")
+        back = read_spectrum(tmp_path / "spec.csv")
+        assert np.array_equal(back.flat().view(np.int64), spec.flat().view(np.int64))
+    assert seen == []
+
+
+def _sci(digits, exp):
+    """``digits * 10**exp`` (a positive int of at most 17 digits) in the writer's ``%.16e`` form."""
+    s = str(digits)
+    return f"{s[0]}.{s[1:]:0<16}e{exp + len(s) - 1:+03d}"
+
+
+def _exact(values, cls=ScalarSpectrum, n=0):
+    """The exact path's reading of a canonical ``cls(n)`` body holding the value texts ``values``, or None."""
+    from spherehhd.spectra import _read_exact
+
+    spec = cls(n)
+    body = "".join(f"{l},{m},{v}\n" for l, m, v in zip(*spec._labels(), values))
+    back = _read_exact(io.BytesIO(body.encode("ascii")), spec)
+    if back is None:
+        assert not np.any(spec.flat())
+        return None
+    return back.flat().copy()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from([ScalarSpectrum, ZSpectrum]), n=st.integers(0, 2), data=st.data())
+def test_read_exact_path_is_cpython_or_declines(cls, n, data):
+    # arbitrary digits and exponents, in range and out of it: whatever the
+    # exact path accepts is float() of the text, bit for bit
+    row = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**17 - 1), st.integers(-330, 310))
+    rows = data.draw(st.lists(row, min_size=cls(n).size, max_size=cls(n).size))
+    texts = [f"{sign}{d // 10**16}.{d % 10**16:016d}e{e:+03d}" for sign, d, e in rows]
+    back = _exact(texts, cls, n)
+    if back is not None:
+        assert np.array_equal(_bits(back), _bits([float(t) for t in texts]))
+
+
+def _near_powers_of_two():
+    """Texts around powers of two, both sides, where the gap below is half the gap above."""
+    for k in (-900, -60, -1, 0, 1, 52, 53, 200, 900):
+        mantissa, exp = ("%.16e" % 2.0**k).split("e")
+        digits = int(mantissa.replace(".", ""))
+        yield from (_sci(digits + delta, int(exp) - 16) for delta in range(-12, 13))
+
+
+@pytest.mark.parametrize("text", [
+    "9.0071992547409930e+15",  # 2**53 + 1, the midpoint above 2**53: a tie, to even
+    "9.0071992547409950e+15",  # 2**53 + 3: a tie, to 2**53 + 4
+    "1.0000000000000001e+00",
+    "9.9999999999999999e-01",
+    "-0.0000000000000000e+00",
+    "1.2345678901234567e+123", "-9.8765432109876543e-123", "1.0000000000000000e+280",
+    "9.9999999999999999e+280", "1.0000000000000000e-280", "1.0000000000000000e-281",
+    "1.7976931348623157e+308", "1.7976931348623158e+308",
+    "2.2250738585072014e-308", "2.2250738585072009e-308", "4.9406564584124654e-324",
+    *_near_powers_of_two(),
+])
+def test_read_exact_path_rounds_as_cpython(tmp_path, text):
+    # one row on the exact path if it can certify it, else through loadtxt:
+    # either way the value is float() of the text
+    back = _exact([text])
+    if back is not None:
+        assert _bits(back) == _bits(float(text))
+    path = tmp_path / "one.csv"
+    path.write_text(f"# basis=Y n=0\n0,0,{text}\n")
+    assert _bits(read_spectrum(path).flat()) == _bits(float(text))
+
+
+def test_read_exact_path_declines_ties_and_takes_plain_rounding():
+    assert _exact(["9.0071992547409930e+15"]) is None  # the tie needs round-half-even
+    # below 1.0 the gap is half the gap above: 1 - 1e-17 is within half of it
+    assert _exact(["1.0000000000000000e+00", "9.9999999999999999e-01"], ZSpectrum, 0).tolist() == [1.0, 1.0]
+    assert _exact(["-0.0000000000000000e+00"]).view(np.int64) == _bits(-0.0)
+    assert _exact(["1.0000000000000000e+281"]) is None  # past the table
+    # 17 digits of a double lie far nearer it than a tie: the writer's rows
+    # of every exponent in range are all certified
+    rng = np.random.Generator(np.random.PCG64(5))
+    values = rng.choice([-1, 1], 4096) * rng.uniform(1, 10, 4096) * 10.0 ** rng.integers(-279, 280, 4096)
+    assert np.array_equal(_bits(_exact(["%.16e" % v for v in values], ScalarSpectrum, 63)), _bits(values))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_write_peaks_are_one_block_past_the_data(tmp_path):
+    # a writer-made read holds the table and one block, a write one chunk:
+    # neither grows with the file.  One block (chunk) is the peak of a file
+    # that fills one read (chunk) and part of a second.
+    from spherehhd.spectra import _READ_BLOCK, _WRITE_CHUNK_ROWS
+
+    big, block = random_spectrum(255, 0), random_spectrum(math.isqrt(_READ_BLOCK // 16), 1)
+    chunk = random_spectrum(math.isqrt(_WRITE_CHUNK_ROWS), 2)
+    for name, spec in (("big", big), ("block", block), ("chunk", chunk)):
+        write_spectrum(spec, tmp_path / f"{name}.csv")
+        read_spectrum(tmp_path / f"{name}.csv")  # and the cached tables are built
+    assert _READ_BLOCK < os.path.getsize(tmp_path / "block.csv") < os.path.getsize(tmp_path / "big.csv") / 2
+    assert _WRITE_CHUNK_ROWS < chunk.size < big.size / 2
+    data = big.size * 8
+    read_peak = _traced_peak(lambda: read_spectrum(tmp_path / "big.csv"))
+    assert read_peak <= 1.5 * data + _traced_peak(lambda: read_spectrum(tmp_path / "block.csv"))
+    write_peak = _traced_peak(lambda: write_spectrum(big, tmp_path / "big.csv"))
+    assert write_peak <= 1.2 * data + _traced_peak(lambda: write_spectrum(chunk, tmp_path / "chunk.csv"))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
