@@ -347,7 +347,7 @@ def _format_tables():
 @functools.cache
 def _parse_tables():
     """The exact reader's table: row ``E + 280`` (``E`` in -280..280) of ``(qh, *_split(qh), ql)``,
-    ``qh + ql ~ 10**(E - 16) / 2**k`` with ``qh`` in ``[1, 2)``, and of ``k``."""
+    ``qh + ql ~ 10**(E - 16) / 2**k`` with ``qh`` in ``[1, 2)``, and of ``2**k``."""
     rows = []
     for e in range(-296, 265):  # E - 16
         n, d = 10 ** max(e, 0), 10 ** max(-e, 0)
@@ -355,9 +355,9 @@ def _parse_tables():
         n, d = (n, d << k) if k >= 0 else (n << -k, d)
         k, n = (k - 1, 2 * n) if n < d else (k, n)
         a, b = (n / d).as_integer_ratio()
-        rows.append((n / d, (n * b - a * d) / (d * b), k))
-    qh, ql, k = (np.array(c) for c in zip(*rows))
-    return (qh, *_split(qh), ql), k
+        rows.append((n / d, (n * b - a * d) / (d * b), math.ldexp(1.0, k)))
+    qh, ql, powers = (np.array(c) for c in zip(*rows))
+    return (qh, *_split(qh), ql), powers
 
 
 def _label_table(top):
@@ -473,7 +473,7 @@ def _read_exact(raw, spec):
     labels[:, : ints.shape[1]] = ints
     width, masks = np.count_nonzero(ints, 1), ((labels != 0) * np.uint8(255)).view("<u8")[:, 0]
     labels = labels.view("<u8")[:, 0]
-    (qh, qh_hi, qh_lo, ql), scale = _parse_tables()
+    (qh, qh_hi, qh_lo, ql), powers = _parse_tables()
     buf = np.zeros(_READ_BLOCK + 64, np.uint8)  # rows from byte 32: word reads stay inside at either end
     words = np.ndarray(len(buf) - 7, "<u8", buf, 0, (1,))  # the 8 bytes from each offset
     k, held = 0, 0  # rows filled, and bytes of a partial row moved to the front
@@ -514,8 +514,9 @@ def _read_exact(raw, spec):
         rho = r - (x - p)
         if not (zero | (np.abs(rho) + 2.0**-45 < (x - np.nextafter(x, 0)) / 2)).all():
             break
-        x = np.ldexp(x, scale[e])
-        out[k : k + rows] = np.where(neg, -x, x)
+        scale = powers[e]
+        np.negative(scale, where=neg, out=scale)
+        np.multiply(x, scale, out=out[k : k + rows])  # exact: by +-2**k, into the normal range
         k, cut = k + rows, nl[-1] + 1
         held = end - cut
         buf[32 : 32 + held] = buf[cut:end]
