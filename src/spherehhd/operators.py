@@ -199,11 +199,11 @@ def _recurrence(g, a=None, b=None, d=None, work=None):
 
     ``g`` has shape ``(rows, r, K)``, any ``rows``: ``r`` right-hand sides
     of ``K`` problems, whose coefficients ``a``, ``b``, ``d`` have shape
-    ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``.
-    A recurrence that runs downward takes reversed views.  Without ``a``
-    the two parities never meet, and each pair of rows is one step of a
-    first-order recurrence.  The step-major copies live in ``work`` (see
-    :func:`_empty`).
+    ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``,
+    and ``a`` or ``b`` is given.  A recurrence that runs downward takes
+    reversed views.  Without ``a`` the two parities never meet, and each
+    pair of rows is one step of a first-order recurrence.  The step-major
+    copies live in ``work`` (see :func:`_empty`).
 
     Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
     every chunk of ``CHUNK_STEPS`` steps runs at once from zero inflow, with
@@ -220,40 +220,43 @@ def _recurrence(g, a=None, b=None, d=None, work=None):
     head = rows % span  # rows of a short first chunk, which filler rows lead
     q, nchunk = 1 if b is None else 2, -(-rows // span)
 
-    def by_step(x, fill, out):  # fills out[i, column, chunk, problem] with step i of every chunk
-        cols = x.shape[1]
-        chunks = out.reshape(CHUNK_STEPS, cols, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, column, problem]
-        chunks[head > 0 :] = x[head:].reshape(rows // span, CHUNK_STEPS, pair, cols, nprob)
-        if head:
-            first = np.full((span, cols, nprob), fill)
-            first[span - head :] = x[:head]
-            chunks[0] = first.reshape(CHUNK_STEPS, pair, cols, nprob)
-        return out
+    def places(x, out):  # pairs of views: out[i, c, chunk, problem] and x's rows (rows, c, nprob) there
+        chunks = out.reshape(CHUNK_STEPS, -1, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, c, problem]
+        found = [(chunks[head > 0 :], x[head:].reshape(-1, CHUNK_STEPS, pair, *x.shape[1:]))]
+        for h in range(pair if head else 0):  # x's row j of the first chunk is its row span - head + j
+            j = (h + head) % pair
+            found.append((chunks[0, (span - head + j) // pair :, h], x[j:head:pair]))
+        return found
 
-    def advance(out, i, y1, y2):  # out = ((out + a y1) + b y2) / d
-        t = tmp[: len(out)]
-        for coef, lag in ((a, y1), (b, y2)):
-            if coef is not None:
-                np.multiply(coef[i], lag, out=t)
-                out += t
-        if d is not None:
-            out /= d[i]
+    # the coefficients step-major, past filler rows of zero a and b and unit d in a short first chunk
+    coefs = _empty(work, "coefs", (CHUNK_STEPS, 3, nchunk, pair * nprob))
+    if head:
+        coefs[:, :2, 0], coefs[:, 2, 0] = 0.0, 1.0
+    copies = [p for k, x in enumerate((a, b, d)) if x is not None for p in places(x[:, None], coefs[:, k : k + 1])]
+    a, b, d = (None if x is None else coefs[:, k] for k, x in enumerate((a, b, d)))
 
-    a, b, d = (x if x is None else by_step(x[:, None], fill, _empty(work, key, (CHUNK_STEPS, 1, nchunk, pair * nprob)))[:, 0]
-               for x, fill, key in ((a, 0.0, "a by step"), (b, 0.0, "b by step"), (d, 1.0, "d by step")))
+    def sweep(y, y1, y2, t):  # y[i] = ((y[i] + a[i] y1) + b[i] y2) / d[i], step by step
+        for i, out in enumerate(y):
+            out += np.multiply(a[i], y1, out=t)
+            if b is not None:
+                out += np.multiply(b[i], y2, out=t)
+            if d is not None:
+                out /= d[i]
+            y1, y2 = out, y1
+
     # phase 1: every chunk from zero inflow; columns r + j of each step
     # hold the response to a unit y[-1 - j]
-    steps = _empty(work, "steps", (CHUNK_STEPS, r + q, nchunk, pair * nprob))
-    by_step(g, 0.0, steps[:, :r])
+    steps = _empty(work, "steps", (CHUNK_STEPS + 1, r + q, nchunk, pair * nprob))
+    steps, tmp = steps[:-1], steps[-1]
     steps[:, r:] = 0.0
+    if head:
+        steps[:, :r, 0] = 0.0  # the filler; phase 1 leaves it zero
+    rows_of_g = places(g, steps[:, :r])
+    for out, rows_of_x in copies + rows_of_g:
+        out[...] = rows_of_x
     unit = np.zeros((2, r + q, 1, 1))  # broadcasts over chunks and problems
-    for k in range(q):
-        unit[k, r + k] = 1.0
-    tmp = _empty(work, "tmp", steps.shape[1:])
-    y1, y2 = unit
-    for i, new in enumerate(steps):
-        advance(new, i, y1, y2)
-        y1, y2 = new, y1
+    unit[range(q), range(r, r + q)] = 1.0
+    sweep(steps, *unit, tmp)
     # phase 2: carry the last q values of each chunk across the chunks; true[c + 1] are chunk c's
     ends = steps[: -q - 1 : -1].transpose(2, 0, 1, 3)  # [chunk, k, column, problem]
     true = _empty(work, "true", (nchunk + 1, q, r, pair * nprob))
@@ -262,15 +265,11 @@ def _recurrence(g, a=None, b=None, d=None, work=None):
         for j in range(q):
             cur += h[:, j] * prev[j]
     # phase 3: every chunk again from its true inflow, in the steps' first r columns
-    y = by_step(g, 0.0, steps[:, :r])
-    y1, y2 = true[:-1, 0].transpose(1, 0, 2), true[:-1, -1].transpose(1, 0, 2)
-    for i, out in enumerate(y):
-        advance(out, i, y1, y2)
-        y1, y2 = out, y1
-    y = y.reshape(CHUNK_STEPS, r, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)
-    g[head:].reshape(rows // span, CHUNK_STEPS, pair, r, nprob)[...] = y[head > 0 :]
-    if head:
-        g[:head] = y[0].reshape(span, r, nprob)[span - head :]
+    for out, rows_of_x in rows_of_g:
+        out[...] = rows_of_x
+    sweep(steps[:, :r], true[:-1, 0].transpose(1, 0, 2), true[:-1, -1].transpose(1, 0, 2), tmp[:r])
+    for out, rows_of_x in rows_of_g:
+        rows_of_x[...] = out
 
 
 def _cscy_to_z_block(w, grid, work=None):

@@ -63,31 +63,25 @@ def _require_finite(name, values):
 def _lsq_sweep(segments, rotations, factor, rhs, work=None):
     """Least squares for tridiagonal problems of shape ``(p + 1) x p``, one or two to a lane.
 
-    ``segments = (starts, sizes)`` gives each problem's first row and ``p``:
-    problem ``k < L`` lies in lane ``k`` of ``rhs`` (``(rows, r, L)``) from
-    row 0, problem ``L + k`` past its row ``p``.  The known plane rotation
-    ``(c[j, k], s[j, k])`` acts on rows ``j, j + 1`` of lane ``k``, and
-    ``factor = (d, e, f)`` holds the diagonals ``R[j, j]``, ``R[j, j + 1]``,
-    ``R[j, j + 2]`` of the triangular factor left.  Off a problem's ``p``
-    rows entries must be finite and are ignored: the sweep zeroes the
+    ``segments = (live, seconds, ends)``: ``live`` (``(rows, L)``) marks
+    the problems' ``p`` rows in the lanes of ``rhs`` (``(rows, r, L)``),
+    ``seconds`` and ``ends`` the (row, lane) index arrays of the first row
+    of each problem past another and of each problem's row ``p``.  The
+    known plane rotation ``(c[j, k], s[j, k])`` acts on rows ``j, j + 1`` of
+    lane ``k``, and ``factor = (d, e, f)`` holds the diagonals ``R[j, j]``,
+    ``R[j, j + 1]``, ``R[j, j + 2]`` of the triangular factor left.  Off the
+    live rows entries must be finite and are ignored: the sweep zeroes the
     rotations and off-diagonals there in place, with unit pivots, and puts
-    an identity rotation before a second problem.  Returns ``x``
-    (``(rows - 1, r, L)``, zero off the problems' rows) and the signed
-    residuals ``(len(sizes), r)`` left in each row ``p``.  ``x`` is a view
-    of ``rhs``, solved in place; the temporaries are ``work``'s (see
-    :func:`.operators._empty`).
+    an identity rotation before a second problem.  Returns ``x`` (``(rows -
+    1, r, L)``, zero off the live rows) and the signed residuals left in the
+    rows ``ends``.  ``x`` is a view of ``rhs``, solved in place; the
+    temporaries are ``work``'s (see :func:`.operators._empty`).
     """
-    rows, _, nlanes = rhs.shape
-    (starts, sizes), second = segments, slice(nlanes, None)
-    lanes, i = np.arange(len(sizes)) % nlanes, np.arange(rows)[:, None]
-    live = i < sizes[:nlanes]
-    if len(sizes) > nlanes:  # second problems
-        live[:, lanes[second]] |= (i >= starts[second]) & (i < starts[second] + sizes[second])
-    (c, s), (d, e, f) = rotations, factor
+    (live, seconds, ends), (c, s), (d, e, f) = segments, rotations, factor
     for x in (c, s, e, f):
         x *= live
-    c[starts[second] - 1, lanes[second]] = 1.0
-    d[~live] = 1.0
+    c[seconds[0] - 1, seconds[1]] = 1.0
+    np.putmask(d, ~live, 1.0)
     # s[j] rhs[j + 1] for row j of Q'rhs (below), before the rotations overwrite rhs:
     # they leave t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1] in row j
     below = np.multiply(s[:-1, None], rhs[1:], out=_empty(work, "spare", rhs[1:].shape))
@@ -96,7 +90,7 @@ def _lsq_sweep(segments, rotations, factor, rhs, work=None):
     a[0] = 0.0
     np.negative(s[:-1], out=a[1:])
     _recurrence(t, a, work=work)
-    residual = t[starts + sizes, :, lanes]
+    residual = t[ends[0], :, ends[1]]
     # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
     # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
     t *= c[:, None]
@@ -115,40 +109,54 @@ def _lanes(n, low, paired):
     partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
     meets :func:`.operators._recurrence`'s chunk boundaries where a block of
     consecutive orders does.  Returns ``block(o)`` (``o`` a multiple of 8 up
-    to ``n / 2``): each problem's order and first row in :func:`_lsq_sweep`'s
-    order, the ``(l, m, keep)`` grid of the lanes (see
-    :func:`.operators._z_to_cscy_block`), whose gap rows continue the first
-    order's degrees, in the closed forms' domain, ``keep = l <= n + 2``, and
-    :func:`_spans`' masks by basis.  The offset moves the firsts' ``l`` and
-    ``m`` by ``o``, the partners' first row and ``m`` by ``-o``, so a mask
-    is one comparison with a scalar; every block shares the same arrays.
+    to ``n / 2``): each problem's order in :func:`_lsq_sweep`'s order
+    (firsts, then partners), its ``(seconds, ends)`` indices, the ``(l, m,
+    keep)`` grid of the lanes (see :func:`.operators._z_to_cscy_block`),
+    whose gap rows continue the first order's degrees, in the closed forms'
+    domain, ``keep = l <= n + 2``, and :func:`_gather`'s spans by basis.
+    The offset moves the firsts' ``l`` and ``m`` by ``o``, the partners'
+    first row and ``m`` by ``-o``: a block's grid and indices are the
+    layout's by one operation with a scalar each, a mask by two, and every
+    block shares the same arrays.
     """
+    nlanes, lanes = len(low), np.arange(len(low))
     rows = n + 12 if paired else n + 1 - low[0]
     first = (n + 11 - low) // 8 * 8  # first + low + 1 <= n + 12
     first[paired:] = rows + n + 1  # out of reach: no partner
     i = np.arange(rows + 1.0)[:, None]
     rel = i - first  # lane row past the partner's first
-    l, m, keep, second = np.empty(rel.shape), np.empty(rel.shape), np.empty(rel.shape, bool), np.empty(rel.shape, bool)
-    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): a first
-    # holds n + 2 - m entries in basis Z, n - m in Y, a partner low + 2 and low
-    shape, past_lane = (len(low), 2, rows + 1), (np.arange(len(low))[:, None] + i.T).astype(np.int32)[:, None]
-    masks = {basis: (np.empty(shape, bool), np.empty((paired,) + shape[1:], bool), int(lead - low[0]),
-                     np.ascontiguousarray(np.where(rel < low + lead - n, rel, -rows).T[:paired][::-1, None], np.int32))
-             for basis, lead in (("Z", n + 2), ("Y", n))}
+    firsts_l, partners_l, partners_m = i + (low + 1.0), rel + (n + 1.0 - low), n - low + 0.0  # at o = 0
+    l, m, keep, live, second, part = (np.empty(rel.shape, dtype) for dtype in (float, float, bool, bool, bool, bool))
+    # each problem's lane, its row n - m, and the orders whose pairs bound the spans, at o = 0
+    problems, orders = np.concatenate((lanes, lanes[:paired])), np.empty(nlanes + paired, int)
+    ends = np.concatenate((n - low, first[:paired] + low[:paired]))  # a partner's does not move
+    bounds, pick = (int(low[0]), int(low[-1]) + 1, n - int(low[paired - 1]), n + 1 - int(low[0])), slice(paired - 1, None, -1)
+    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): an order's
+    # entries fill its rows of l <= n + 2 in basis Z and l <= n in Y; a basis's pair of orders mu
+    # starts at n + (mu - 1) (c - mu) in the flat storage (see spectra's order_offsets)
+    masks = [(basis, 2 * lead, within, np.empty((nlanes, 2, rows + 1), bool), np.empty((paired, 2, rows + 1), bool))
+             for basis, lead, within in (("Z", n + 2, keep), ("Y", n, live))]
 
     def block(o):
+        np.add(low, o, out=orders[:nlanes])
+        np.subtract(n - o, low[:paired], out=orders[nlanes:])
+        np.subtract(n - o, low, out=ends[:nlanes])
         np.greater_equal(rel, -o, out=second)
-        np.add(i, low + (o + 1.0), out=l)
-        np.add(rel, n + 1.0 - low, out=l, where=second)  # np.where is slower
-        m[...] = low + o
-        np.copyto(m, n - low - o, where=second)
+        np.add(firsts_l, o, out=l)
+        np.copyto(l, partners_l, where=second)
+        np.add(low, o, out=m, casting="unsafe")
+        np.copyto(m, partners_m - o, where=second)
         np.less_equal(l, n + 2, out=keep)
-        for firsts, partners, count, past_first in masks.values():
-            np.less(past_lane, count - o, out=firsts)
-            np.greater_equal(past_first, -o, out=partners)
-        orders = np.concatenate((low + o, n - low[:paired] - o))
-        starts = np.concatenate((np.zeros(len(low), dtype=int), first[:paired] - o))
-        return orders, starts, (l, m, keep), masks
+        np.less_equal(l, n, out=live)
+        spans = {}
+        for basis, c, within, firsts, partners in masks:
+            np.greater(within, second, out=part)  # within and not second
+            firsts[...] = part.T[:, None]
+            np.logical_and(within, second, out=part)
+            partners[...] = part.T[:paired][::-1, None]
+            at = [n + (mu - 1) * (c - mu) for mu in (bounds[0] + o, bounds[1] + o, bounds[2] - o, bounds[3] - o)]
+            spans[basis] = [(slice(*at[:2]), slice(None), firsts), (slice(*at[2:]), pick, partners)][: 1 + (paired > 0)]
+        return orders, ((first[:paired] - o, lanes[:paired]), (ends, problems)), (l, m, keep), spans
 
     return block
 
@@ -157,22 +165,22 @@ def _blocks(n):
     """The layouts (see :func:`_lanes`) of the blocks of ``BLOCK_ORDERS`` lanes that hold orders ``1 .. n - 1``."""
     shape = None
     for start in range(1, n // 2 + 1, BLOCK_ORDERS):
-        low = np.arange(start, min(start + BLOCK_ORDERS, n // 2 + 1))
-        paired = np.count_nonzero(2 * low < n)
-        if (len(low), paired) != shape:  # the last block may have fewer lanes, or order n / 2 alone
-            shape, block, base = (len(low), paired), _lanes(n, low, paired), start
+        stop = min(start + BLOCK_ORDERS, n // 2 + 1)
+        paired = max(min(stop, (n + 1) // 2) - start, 0)  # the orders m with 2 m < n
+        if (stop - start, paired) != shape:  # the last block may have fewer lanes, or order n / 2 alone
+            shape, block, base = (stop - start, paired), _lanes(n, np.arange(start, stop), paired), start
         yield block(start - base)
 
 
 def _order_problems(n, lanes):
-    """Segments, rotations and triangular factors of the problems of ``lanes`` (see :func:`_lanes`).
+    """Segments (see :func:`_lsq_sweep`), rotations and triangular factors of the problems of ``lanes`` (see :func:`_lanes`).
 
-    Row ``j`` of order ``m``'s ``A + B`` problem is :func:`.recurrences._qr` at ``l = j + 1``: the
-    paper's closed-form rotation and the row of the Cholesky factor it leaves.
+    Row ``j`` of order ``m``'s ``A + B`` problem, lane row ``l <= n``, is :func:`.recurrences._qr` at
+    ``l - m = j + 1``: the paper's closed-form rotation and the row of the Cholesky factor it leaves.
     """
-    orders, starts, (l, m, _) = lanes[:3]
+    _, (seconds, ends), (l, m, _) = lanes[:3]
     rows = len(l) - 1
-    return ((starts, n - orders), *rec._qr(l[:rows] - m[:rows], m[:rows]))
+    return ((l[:rows] <= n, seconds, ends), *rec._qr(l[:rows] - m[:rows], m[:rows]))
 
 
 def _solve_orders(n, lanes, b1, b2, work=None):
@@ -185,14 +193,13 @@ def _solve_orders(n, lanes, b1, b2, work=None):
     rows, and each problem's residual norm.
     """
     rows, r, nlanes = b1.shape
-    sign = (1.0 - 2.0 * (np.arange(rows) % 2))[:, None, None]  # D
     rhs = _empty(work, "rhs", (rows, 2 * r, nlanes))
     np.add(b1, b2, out=rhs[:, :r])
     np.subtract(b2, b1, out=rhs[:, r:])
-    rhs[:, r:] *= sign
+    rhs[1::2, r:] *= -1.0  # D
     x, res = _lsq_sweep(*_order_problems(n, lanes), rhs, work)
     u, v = x[:, :r], x[:, r:]
-    v *= sign[:-1]
+    v[1::2] *= -1.0
     halves = _empty(work, "spare", (2,) + u.shape)  # the sweep is done with it
     np.add(u, v, out=halves[0])
     np.subtract(u, v, out=halves[1])
@@ -217,47 +224,30 @@ def solve_order(n, m, rhs):
     if rhs.ndim not in (1, 2) or rhs.shape[0] != 2 * q:
         raise ValueError(f"solve_order: rhs must have {2 * q} rows, got shape {rhs.shape}")
     _require_finite("solve_order: rhs", rhs)
-    halves, ms = rhs.reshape(2, q, -1, 1), np.array([m])
-    x1, x2, residual = _solve_orders(n, (ms, np.zeros(1, int), _lane_grid(ms, q + 1)), halves[0], halves[1])
+    ms, none = np.array([m]), np.zeros(0, int)  # one problem in one lane: no partner, its row p is q - 1
+    x1, x2, residual = _solve_orders(n, (ms, ((none, none), ([q - 1], [0])), _lane_grid(ms, q + 1)), *rhs.reshape(2, q, -1, 1))
     x = np.concatenate([x1[..., 0], x2[..., 0]])
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
 
-def _spans(spec, lanes):
-    """Where the orders of ``lanes`` lie in ``spec``: ``(span, pick, inside)`` for the firsts and the partners.
-
-    The firsts, ascending, fill one span of the flat storage, ``+m`` before
-    ``-m``, the partners, descending, another; ``pick`` selects the span's
-    lanes of a ``(K, 2, rows)`` grid in flat order, ``inside`` its entries
-    (:func:`_lanes`' masks, ``rows + 1`` long).
-    """
-    orders, _, _, masks = lanes
-    low, high = masks[spec.basis][:2]
-    nlanes, paired = len(low), len(high)
-    offsets, counts = spec.order_offsets(np.concatenate((orders[:nlanes], orders[nlanes:][::-1])))
-    ends = offsets + 2 * counts
-    spans = [(slice(offsets[0], ends[nlanes - 1]), slice(None), low)]
-    if paired:
-        spans.append((slice(offsets[nlanes], ends[-1]), slice(paired - 1, None, -1), high))
-    return spans
-
-
 def _gather(lanes, specs, grids, work):
-    """Copy the orders of ``lanes`` (see :func:`_spans`) of each spectrum (one basis) into its grid, zero elsewhere."""
-    spans = _spans(specs[0], lanes)
+    """Copy the orders of ``lanes`` of each spectrum (one basis) into its grid, zero elsewhere.
+
+    The firsts fill one span of the flat storage, ``+m`` before ``-m``, the partners another: a span
+    picks the lanes of a ``(K, 2, rows)`` grid in flat order, and its mask their entries (see :func:`_lanes`).
+    """
     by_lane = _empty(work, "spare", grids[0].shape[::-1])  # a masked copy into a strided grid is slower
     for spec, grid in zip(specs, grids):
         by_lane.fill(0.0)
-        for span, pick, inside in spans:
+        for span, pick, inside in lanes[3][spec.basis]:
             by_lane[pick][inside[..., : len(grid)]] = spec.flat()[span]
         grid[...] = by_lane.transpose(2, 1, 0)
 
 
 def _scatter(lanes, specs, grids):
-    """Write each grid into the orders of ``lanes`` (see :func:`_spans`) of its spectrum."""
-    spans = _spans(specs[0], lanes)
+    """Write each grid into the orders of ``lanes`` (see :func:`_gather`) of its spectrum."""
     for spec, grid in zip(specs, grids):
-        for span, pick, inside in spans:
+        for span, pick, inside in lanes[3][spec.basis]:
             spec.flat()[span] = grid.transpose(2, 1, 0)[pick][inside[..., : len(grid)]]
 
 
@@ -284,8 +274,8 @@ def differentiate(s, t):
     # order zero is one scale: its tangential basis is P~_l^1, and the
     # colatitude derivative of P~_l^0 is -sqrt(l (l + 1)) P~_l^1; z_n stays zero
     scale = -np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))
-    for comp, pot in ((out.theta, s), (out.phi, t)):
-        comp.order_slice(0)[:-1] = scale * pot.order_slice(0)[1:]
+    for comp, pot in ((out.theta, s), (out.phi, t)):  # order zero leads both tables
+        comp.flat()[: n - 1] = scale * pot.flat()[1:n]
     # columns of a block: (s_m, s_-m, t_m, t_-m) in, (theta_m, theta_-m,
     # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
     # column 3 - c through B = m
@@ -317,7 +307,8 @@ def _block_rhs(theta, phi, lanes, work):
     z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
     _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)
     w = _z_to_cscy_block(z, grid, work)
-    return w[:, :2], np.multiply(w[:, 3:1:-1], [[-1.0], [1.0]], out=_empty(work, "spare", w[:, 2:].shape))
+    np.negative(w[:, 3], out=w[:, 3])
+    return w[:, :2], w[:, 3:1:-1]
 
 
 def decompose(field):
@@ -357,22 +348,23 @@ def decompose(field):
     residual = np.empty(n)  # by order
     l = np.arange(1.0, n)
     w = np.where((n - l) % 2, 0.0, np.sqrt(l * (l + 1) * (2 * l + 1) / (n * (n + 1) * (2 * n + 1))))
-    for comp, pot in ((theta, result.spheroidal), (phi, result.toroidal)):
-        z = comp.order_slice(0)
-        pot.order_slice(0)[1:] = -(z[:-1] - z[-1] * w) / np.sqrt(l * (l + 1))
+    z = np.array((theta.flat()[:n], phi.flat()[:n]))  # order zero leads both tables
+    result.spheroidal.flat()[1:n], result.toroidal.flat()[1:n] = -(z[:, :-1] - z[:, -1:] * w) / np.sqrt(l * (l + 1))
     work = {}
     for lanes in _blocks(n):
         x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, *_block_rhs(theta, phi, lanes, work), work)
         x2[:, 0] *= -1.0
         _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
-    # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1
-    offsets, counts = theta.order_offsets(np.arange(n))
-    tops = np.hypot.reduce([comp.flat()[offsets + k * counts - 1] for comp in (theta, phi) for k in (1, 2)], axis=0)
-    tops[0] = math.hypot(theta.order_slice(0)[-1], phi.order_slice(0)[-1])  # |z_n| of order zero
+    # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1,
+    # the last six entries of a table: +n and -n (degrees n - 1, n), +(n + 1) and -(n + 1) (degree n)
+    m = np.arange(n)
+    minus = n - 1 + m * (2 * n + 3 - m)  # degree n of -m, before the pair of m + 1 (see _lanes)
+    at = np.array((minus - (n + 2 - m), minus))  # and of +m, which holds n + 2 - m entries
+    tops = np.hypot.reduce(np.concatenate((theta.flat()[at], phi.flat()[at])), axis=0)
+    tops[0] = math.hypot(theta.flat()[n - 1], phi.flat()[n - 1])  # |z_n| of order zero
     residual[0] = math.sqrt(2 / (2 * n + 1)) * tops[0]
-    result.residual_by_order.update(zip(range(n), residual.tolist()))
-    result.out_of_range_by_order.update(zip(range(n), (rec._conversion(n + 2.0, np.arange(n))[1] * tops).tolist()))
-    for mu in (n, n + 1):
-        ends = np.concatenate([comp.order_slice(m) for comp in (theta, phi) for m in (mu, -mu)])
-        result.out_of_range_by_order[mu] = math.hypot(*ends)
+    result.residual_by_order.update(enumerate(residual.tolist()))
+    a, b = theta.flat()[-6:].tolist(), phi.flat()[-6:].tolist()
+    outside = (rec._conversion(n + 2.0, m)[1] * tops).tolist() + [math.hypot(*a[:4], *b[:4]), math.hypot(*a[4:], *b[4:])]
+    result.out_of_range_by_order.update(enumerate(outside))
     return result

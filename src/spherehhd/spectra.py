@@ -48,13 +48,17 @@ def _l2_norm(*arrays):
 
     The entries are scaled by the power of two that brings the largest
     magnitude into ``[0.5, 1)`` before squaring, which is exact, so the
-    result scales by exactly ``2**k`` when every input does.
+    result scales by exactly ``2**k`` when every input does.  A norm past
+    the largest double is ``inf``.
     """
     top = max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
     if top == 0.0 or not math.isfinite(top):
         return top
     e = math.frexp(top)[1]
-    return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
+    try:
+        return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
+    except OverflowError:
+        return math.inf
 
 
 def _require_integers(name, **values):
@@ -182,12 +186,16 @@ class _CoeffTable:
         self._data[self.flat_index(*lm)] = value
 
     def require_finite(self, name):
-        """Raise ``ValueError`` naming ``name`` and the ``(l, m)`` of the first non-finite value."""
-        if np.isfinite(self._data).all():
-            return
-        pos = int(np.flatnonzero(~np.isfinite(self._data))[0])
-        l, m = (int(x[0]) for x in self._labels(pos, pos + 1))
-        raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
+        """Raise ``ValueError`` naming ``name`` and the ``(l, m)`` of the first non-finite value.
+
+        The values are checked a chunk at a time, so no mask of the whole table is made.
+        """
+        for lo in range(0, self._size, 1 << 16):
+            finite = np.isfinite(self._data[lo : lo + (1 << 16)])
+            if np.count_nonzero(finite) < finite.size:  # faster than all() on a small table
+                pos = lo + int(np.argmin(finite))
+                l, m = (int(x[0]) for x in self._labels(pos, pos + 1))
+                raise ValueError(f"{name}: non-finite coefficient {self._data[pos]} at (l={l}, m={m})")
 
     def flat(self):
         """Flattened coefficient vector in canonical (order-major) order."""

@@ -50,7 +50,7 @@ def sweep_halves(n, m, rhs=None):
     residual and the dense triangular factor.
     """
     segments, rotations, (d, e, f) = block_problems(n, np.array([m]))
-    p = int(segments[1][0])
+    p = n - m
     if rhs is None:
         rhs = np.zeros((p + 1, 2, 1))
     r = rhs.shape[2]
@@ -130,8 +130,8 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
     # D R D, reached by the rotations (-1)^(j + 1) c_j, for A - B
     for n in (4, 8, 16, 32, 64):
         for m in range(1, n):
-            (_, sizes), (c, s), factor = block_problems(n, np.array([m]))
-            p = int(sizes[0])
+            _, (c, s), factor = block_problems(n, np.array([m]))
+            p = n - m
             closed = build_R(p, m)
             d, e, f = (x[:, 0] for x in factor)
             assert np.array_equal(d[:p], np.diagonal(closed))
@@ -148,8 +148,8 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
 def test_closed_form_rotations_beyond_dense_oracles(n, m):
     # the same check at sizes past DENSE_ORACLE_LIMIT, with A + B from the
     # recurrences: column j holds gamma in row j - 1, m in row j, delta in row j + 1
-    (_, sizes), rotations, factor = block_problems(n, np.array([m]))
-    p = int(sizes[0])
+    _, rotations, factor = block_problems(n, np.array([m]))
+    p = n - m
     degrees = m + np.arange(p)
     columns = rec.delta(degrees, m), np.full(p, float(m)), rec.gamma(degrees, m)
     assert_rotations_give_factor(rotations, factor, columns, p)
@@ -521,11 +521,31 @@ def test_calls_keep_no_state():
         return [x.flat().tobytes() for x in (field.theta, field.phi, result.spheroidal, result.toroidal)] + [
             (list(t), np.array(list(t.values())).tobytes()) for t in tables]
 
-    before, sizes = held(), (1030, 64, 257, 64, 9)
+    # every layout shape: one block or several, every lane paired (65) or order n / 2 alone in the
+    # last (64), a block of one lane holding orders 1 and 2 (3), order n / 2 alone (66) or order 1 (2)
+    before, sizes = held(), (1030, 64, 2, 257, 65, 3, 64, 66, 9)
     first = {n: run(n) for n in sorted(set(sizes))}
     for n in sizes:
         assert run(n) == first[n], n
     assert held() == before
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("component", ["theta", "phi"])
+def test_out_of_range_tail_is_exact(n, component):
+    # a table ends with six entries: orders +n, -n (degrees n - 1, n), then
+    # +(n + 1), -(n + 1) (degree n); a unit in one of them is reported whole
+    # under its order, and nothing else moves
+    size = ZSpectrum(n).size
+    l, m = ZSpectrum(n)._labels(size - 6)
+    assert list(zip(l.tolist(), m.tolist())) == [(n - 1, n), (n, n), (n - 1, -n), (n, -n), (n, n + 1), (n, -n - 1)]
+    for k, mu in zip(range(size - 6, size), np.abs(m).tolist()):
+        field = TangentField.zeros(n)
+        getattr(field, component).flat()[k] = 1.0
+        result = decompose(field)
+        assert result.out_of_range_by_order == {order: float(order == mu) for order in range(n + 2)}
+        assert set(result.residual_by_order.values()) == {0.0}
+        assert not np.any(result.spheroidal.flat()) and not np.any(result.toroidal.flat())
 
 
 def test_out_of_range_reporting():
@@ -723,14 +743,19 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     # rows, leave the solutions and residuals unchanged, even values that
     # would overflow the recurrence kernel's chunk responses
     n, low = 3 * CHUNK_STEPS + 2, np.arange(1, 7)
-    # lane m holds order m, or orders m and n - m when folded
-    segments, rotations, factor = _order_problems(n, _lanes(n, low, len(low) if layout == "folded" else 0)(0))
-    (rows, nlanes), (starts, sizes) = rotations[0].shape, segments
+    # lane m holds order m, or orders m and n - m when folded: the firsts from row 0, the partners
+    # from the rows the layout names for them
+    lanes = _lanes(n, low, len(low) if layout == "folded" else 0)(0)
+    segments, rotations, factor = _order_problems(n, lanes)
+    (rows, nlanes), (seconds, _) = rotations[0].shape, segments[1]
+    starts, sizes = np.concatenate((np.zeros(nlanes, int), seconds)), n - lanes[0]
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((rows, 2, nlanes))
     live, used = np.zeros((2, rows, nlanes), dtype=bool)
     for k, (start, p) in enumerate(zip(starts.tolist(), sizes.tolist())):
         live[start : start + p, k % nlanes] = used[start : start + p + 1, k % nlanes] = True
+    assert np.array_equal(segments[0], live)
+    assert np.array_equal(segments[2][0], starts + sizes)
     if layout == "folded":
         assert np.all(starts[nlanes:] > starts[:nlanes] + sizes[:nlanes] + 1)
 

@@ -686,6 +686,19 @@ def test_norms_are_exact_under_extreme_power_of_two_scaling(k, rng):
     assert relative_l2_error(big_a, ZSpectrum(6)) == math.ldexp(a.norm(), k)
 
 
+@pytest.mark.parametrize("values", [np.full(4, 1e308), [2.0**1023] * 4])
+def test_norms_past_the_largest_double_are_inf(values):
+    # inf, as math.hypot and HHDResult.total_residual give, not an OverflowError
+    a = ScalarSpectrum(1, values)
+    assert a.norm() == math.inf
+    assert TangentField(ZSpectrum(0, a.flat()[:2]), ZSpectrum(0, a.flat()[2:])).norm() == math.inf
+    assert relative_l2_error(a, ScalarSpectrum(1)) == math.inf
+
+
+def test_norm_just_below_the_largest_double_is_exact():
+    assert ScalarSpectrum(1, [2.0**1022] * 4).norm() == 2.0**1023
+
+
 @settings(max_examples=40, deadline=None)
 @given(cls=st.sampled_from([ScalarSpectrum, ZSpectrum]), n=st.integers(0, 40))
 def test_order_offsets_match_order_slices(cls, n):
@@ -718,4 +731,15 @@ def test_require_finite_names_the_non_finite_entry(cls, n, data, bad):
                                       for l in range(spec.degree_start(m), n + 1)]))
     spec[l, m] = bad
     with pytest.raises(ValueError, match=rf"^field: non-finite coefficient .* at \(l={l}, m={m}\)$"):
+        spec.require_finite("field")
+
+
+def test_require_finite_makes_no_mask_of_the_table():
+    # a mask of the table would take one byte a value; the check goes a
+    # chunk at a time and still names an entry far past the first chunk
+    spec = random_spectrum(1023, 3)
+    assert _traced_peak(lambda: spec.require_finite("field")) < spec.size // 4
+    spec.flat()[700_001] = -np.inf
+    l, m = (int(x[0]) for x in spec._labels(700_001, 700_002))
+    with pytest.raises(ValueError, match=rf"^field: non-finite coefficient -inf at \(l={l}, m={m}\)$"):
         spec.require_finite("field")
