@@ -49,14 +49,15 @@ def _l2_norm(*arrays):
     The entries are scaled by the power of two that brings the largest
     magnitude into ``[0.5, 1)`` before squaring, which is exact, so the
     result scales by exactly ``2**k`` when every input does.  A norm past
-    the largest double is ``inf``.
+    the largest double is ``inf``.  Squares are summed 64 Ki at a time by numpy, not BLAS.
     """
-    top = max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
+    top = max((float(max(a.max(), -a.min())) for a in arrays if a.size), default=0.0)
     if top == 0.0 or not math.isfinite(top):
         return top
     e = math.frexp(top)[1]
+    chunks = (np.ldexp(a[lo : lo + (1 << 16)], -e) for a in arrays for lo in range(0, a.size, 1 << 16))
     try:
-        return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(a, -e))) for a in arrays)), e)
+        return math.ldexp(math.sqrt(math.fsum(float(np.square(c, out=c).sum()) for c in chunks)), e)
     except OverflowError:
         return math.inf
 
@@ -268,11 +269,10 @@ def relative_l2_error(a, b):
     """
     if type(a) is not type(b) or a.n != b.n:
         raise ValueError("relative_l2_error: spectra must share basis and degree")
-    denom = _l2_norm(b.flat())
-    diff = _l2_norm(a.flat() - b.flat())
-    if denom == 0.0:
-        return diff
-    return diff / denom
+    # if a - b or a norm could overflow, one power of two scales both tables: exact, so the ratio is unchanged
+    k = max(0, math.frexp(max(max(s.flat().max(), -s.flat().min()) for s in (a, b)))[1] + a.size.bit_length() - 1021)
+    x, y = (np.ldexp(s.flat(), -k) if k else s.flat() for s in (a, b))
+    return _l2_norm(x - y) / denom if (denom := _l2_norm(y)) else _l2_norm(a.flat())
 
 
 @dataclass
@@ -343,13 +343,12 @@ def _split(a):
 @functools.cache
 def _format_tables():
     """The writer's tables: row ``E + 281`` (``E`` in -281..280) of ``(ph, *_split(ph), pl)``,
-    ``ph + pl ~ 10**(16 - E)``, and of ``e±XX[X]``; the digit groups 0000..9999."""
+    ``ph + pl ~ 10**(16 - E)``, and of ``e±XX[X]`` and a line end, padded with zero bytes."""
     tens = [(10 ** max(16 - e, 0), 10 ** max(e - 16, 0)) for e in range(-281, 281)]  # 10**(16 - e) = n / d
     ph = np.array([n / d for n, d in tens])  # int / int rounds correctly
     pl = np.array([(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(tens, map(float.as_integer_ratio, ph.tolist()))])
-    exps = np.array([[b"e%+03d" % e] for e in range(-281, 281)]).view(np.uint8)
-    groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return (ph, *_split(ph), pl), exps, groups.astype(np.uint8)
+    exps = np.array([b"e%+03d\n" % e for e in range(-281, 281)], "S8").view("<u8")
+    return (ph, *_split(ph), pl), exps
 
 
 @functools.cache
@@ -368,15 +367,20 @@ def _parse_tables():
     return (qh, *_split(qh), ql), powers
 
 
-def _label_table(top):
-    """The ASCII ``"%d,"`` of each integer ``-top..top``, one row each, padded with zero bytes."""
-    return np.array([[b"%d," % i] for i in range(-top, top + 1)]).view(np.uint8)
+def _label_tables(top, width):
+    """The ASCII ``"%d,"`` of each integer ``-top..top``, a row each, zero-padded to ``width`` bytes: left-, then right-aligned."""
+    i = np.arange(-top, top + 1)[:, None]
+    places = 10.0 ** np.arange(width - 2, -1, -1)  # a column for '-', then one per digit
+    held, first = (abs(i) >= places) | (places == 1), (10 * abs(i) >= places) | (places == 10)  # '-' in the column before the digits
+    text = np.where(held, (abs(i) / places).astype(np.int64) % 10 + ord("0"), (i < 0) * first * ord("-"))
+    text = np.column_stack([text, np.full(len(i), ord(","))]).astype(np.uint8)
+    return np.take_along_axis(text, (np.arange(text.shape[1]) + (text == 0).sum(1)[:, None]) % text.shape[1], 1), text
 
 
 def _format_fallback(values):
-    """CPython's ``%.16e`` of ``values``, one 24-byte row each, padded with zero bytes."""
-    text = "%-24.16e" * len(values) % tuple(values.tolist())
-    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), np.uint8).reshape(-1, 24)
+    """CPython's ``%.16e`` of ``values`` and a line end, one 25-byte row each, a zero byte for ``+`` and after ``e±XX``."""
+    text = "% -24.16e\n" * len(values) % tuple(values.tolist())
+    return np.frombuffer(text.replace(" \n", "\n ").replace(" ", "\0").encode("ascii"), np.uint8).reshape(-1, 25)
 
 
 def write_spectrum(spectrum, path):
@@ -387,9 +391,12 @@ def write_spectrum(spectrum, path):
     order-major order.  Missing rows denote zero, but the writer emits the
     full table.  A non-finite value is refused before the file is created.
 
-    The bytes equal CPython's ``"%d,%d,%.16e\n"``, built a chunk at a time as
-    ``uint8`` rows padded with zero bytes, dropped on writing.  For ``|x|`` in
-    ``[1e-280, 1e280)``, guess ``E = floor(log10 |x|)``, let ``ph + pl`` be
+    The bytes equal CPython's ``"%d,%d,%.16e\n"``.  A chunk of whole orders (the
+    order of every ``_WRITE_CHUNK_ROWS``-th row starts one) is built as rows of
+    8-byte words: ``l,`` right-aligned in one; ``m,`` left-aligned in ``k``, then
+    the sign, ``d`` and ``.``; 16 digits in two; ``e±XX[X]\n`` in one.  Their zero
+    padding, at most two runs a row (numpy drops those faster than scattered
+    zeros), is dropped on writing.  For ``|x|`` in ``[1e-280, 1e280)``, guess ``E = floor(log10 |x|)``, let ``ph + pl`` be
     ``10**(16 - E)`` to ``2**-106``; Dekker's product (1971) gives ``p + err =
     |x| ph`` exactly (no partial product underflows).  With ``frac = err + |x|
     pl``, ``p + frac`` is within ``1e-13`` of ``y = |x| 10**(16 - E)`` while
@@ -398,36 +405,42 @@ def write_spectrum(spectrum, path):
     0.5)`` is the integer nearest ``y``, not a tie.  ``D`` strictly inside
     ``(1e16, 1e17)`` proves the guess (one too high gives ``y < 1e16``, one too
     low ``y >= 1e17``) and ``p > 2**53`` an integer, so its digits are the
-    correctly rounded ones CPython's dtoa prints (Gay 1990).  Other rows
-    (near-ties, wrong guesses, ``|x|`` out of range) go to one ``%`` call per
-    chunk; ``±0.0`` prints as zeros.
+    correctly rounded ones CPython's dtoa prints (Gay 1990), the 16 after the
+    point by :func:`_ascii8`.  Other rows (near-ties, wrong guesses, ``|x|``
+    out of range) go to one ``%`` call per chunk; ``±0.0`` prints as zeros.
     """
     spectrum.require_finite(f"write_spectrum: {path}")
-    (ph, ph_hi, ph_lo, pl), exps, groups = _format_tables()
-    top = spectrum.max_order()
-    ints = _label_table(top)  # "l," and "m,"
-    w, values = 2 * ints.shape[1], spectrum.flat()
-    rows = np.zeros((min(_WRITE_CHUNK_ROWS, spectrum.size), w + 25), np.uint8)
-    rows[:, -1] = ord("\n")
+    (ph, ph_hi, ph_lo, pl), exps = _format_tables()
+    top, k = spectrum.max_order(), (len(str(spectrum.max_order())) + 12) // 8
+    orders, degrees = _label_tables(top, 8 * k)
+    orders, degrees = orders.view(f"V{8 * k}")[:, 0], np.ascontiguousarray(degrees[top:, -8:]).view("<u8")[:, 0]
+    starts, counts = spectrum.order_offsets(m_of := np.array(spectrum.orders()))
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, spectrum.size, _WRITE_CHUNK_ROWS), "right") - 1).tolist() + [len(starts)]
+    runs, ends = list(zip(starts.tolist(), counts.tolist(), spectrum.degree_start(m_of).tolist())), np.append(starts, spectrum.size)
+    rows = np.zeros(max(np.diff(ends[cuts])), [("l", "<u8"), ("m", orders.dtype), ("hi", "<u8"), ("lo", "<u8"), ("exp", "<u8")])
     with open(path, "wb") as fh:
         fh.write(f"# basis={spectrum.basis} n={spectrum.n}\n".encode("ascii"))
-        for lo in range(0, spectrum.size, _WRITE_CHUNK_ROWS):
-            x, (l, m) = values[lo : lo + _WRITE_CHUNK_ROWS], spectrum._labels(lo, lo + _WRITE_CHUNK_ROWS)
-            chunk, v = rows[: len(x)], rows[: len(x), w:-1]  # v: the value's 24 bytes
-            chunk[:, :w] = np.take(ints, np.stack([l, m], 1) + top, axis=0).reshape(-1, w)
+        for i0, i1 in zip(cuts, cuts[1:]):
+            lo = runs[i0][0]
+            x, chunk = spectrum.flat()[lo : ends[i1]], rows[: ends[i1] - lo]
+            ls, chunk["m"] = chunk["l"], np.repeat(orders[m_of[i0:i1] + top], counts[i0:i1])
+            for a, c, l in runs[i0:i1]:  # each order's degree labels are one slice of the table
+                ls[a - lo : a - lo + c] = degrees[l : l + c]
             ax, zero = np.abs(x), x == 0
             ax[(ax < 1e-280) | (ax >= 1e280)] = 1.0  # gives D = 10**16, so redone; zeros get D = 0
             e = np.floor(np.log10(ax)).astype(np.int64) + 281
             p, (a_hi, a_lo) = ax * ph[e], _split(ax)
             frac = (((a_hi * ph_hi[e] - p) + a_hi * ph_lo[e] + a_lo * ph_hi[e]) + a_lo * ph_lo[e]) + ax * pl[e]
             r = np.floor(frac + 0.5)
-            d = p.astype(np.int64) + r.astype(np.int64) - zero * 10**16
+            d = (p.astype(np.int64) + r.astype(np.int64) - zero * 10**16).view(_U)
             ok = zero | (d > 10**16) & (d < 10**17) & (np.abs(frac - r) < 0.5 - 1e-9)
-            v[:, 0], v[:, 1], v[:, 2] = np.signbit(x) * ord("-"), d // 10**16 + ord("0"), ord(".")
-            v[:, 3:19] = np.take(groups, d[:, None] // 10 ** np.arange(12, -1, -4) % 10000, axis=0).reshape(-1, 16)
-            v[:, 19:] = np.take(exps, e, axis=0)
-            v[~ok] = _format_fallback(x[~ok])
-            fh.write(chunk[chunk != 0])
+            q, lead, text = d // _U(10**8), d // _U(10**16), chunk.view(np.uint8).reshape(len(x), -1)
+            np.multiply(np.signbit(x), np.uint8(ord("-")), out=text[:, 8 * k + 5])
+            np.add(lead, ord("0") | ord(".") << 8, out=chunk.view("<u2").reshape(len(x), -1)[:, 4 * k + 3], casting="unsafe")
+            chunk["hi"], chunk["lo"] = _ascii8(np.stack([q - lead * _U(10**8), d - q * _U(10**8)]))
+            chunk["exp"] = exps[e]
+            text[~ok, 8 * k + 5 : -2] = _format_fallback(x[~ok])
+            fh.write(text[text != 0])
 
 
 _U = np.uint64
@@ -441,6 +454,16 @@ def _digits8(w):
     w = (w * _U(10) + (w >> _U(8))) & _U(0x00FF00FF00FF00FF)
     w = (w * _U(100) + (w >> _U(16))) & _U(0x0000FFFF0000FFFF)
     return (w * _U(10000) + (w >> _U(32))) & _U(0xFFFFFFFF), ok
+
+
+def _ascii8(x):
+    """:func:`_digits8` inverted in place: ``// 10**4``, ``// 100``, ``// 10`` by exact multiply-shifts, remainders a lane up."""
+    for mul, shift, mask, lane, base in (109951163, 40, 0x3FFF, 32, 10**4), (5243, 19, 0x7F0000007F, 16, 100), (103, 10, 0xF000F000F000F, 8, 10):
+        q = x * _U(mul) >> _U(shift) & _U(mask)
+        x <<= _U(lane)
+        x -= q * _U((base << lane) - 1)
+    x += _U(0x3030303030303030)
+    return x
 
 
 def _read_exact(raw, spec):
@@ -474,12 +497,8 @@ def _read_exact(raw, spec):
     ``2**-45``.
     """
     top, out = spec.max_order(), spec.flat()
-    ints = _label_table(top)
-    if ints.shape[1] > 8:  # a label word holds at most 8 bytes
-        return None
-    labels = np.zeros((len(ints), 8), np.uint8)
-    labels[:, : ints.shape[1]] = ints
-    width, masks = np.count_nonzero(ints, 1), ((labels != 0) * np.uint8(255)).view("<u8")[:, 0]
+    labels = _label_tables(top, 8)[0]  # 8 bytes hold every label: top >= 10**6 needs 10**12 coefficients
+    width, masks = np.count_nonzero(labels, 1), ((labels != 0) * np.uint8(255)).view("<u8")[:, 0]
     labels = labels.view("<u8")[:, 0]
     (qh, qh_hi, qh_lo, ql), powers = _parse_tables()
     buf = np.zeros(_READ_BLOCK + 64, np.uint8)  # rows from byte 32: word reads stay inside at either end

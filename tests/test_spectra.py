@@ -589,6 +589,35 @@ def test_write_matches_cpython_format(tmp_path):
     assert (tmp_path / "all.csv").read_bytes() == _reference_bytes(spec)
 
 
+def test_ascii_digit_words_are_the_readers_inverse():
+    # the writer's SWAR encoder against "%08d" and the reader's decoder, at the
+    # edges of every lane split and on random values
+    from spherehhd.spectra import _ascii8, _digits8
+
+    edges = [0, 1, 9, 10, 99, 100, 9999, 10**4, 99_999_999] + [10**k - 1 for k in range(1, 9)] + [10**k for k in range(8)]
+    x = np.concatenate([edges, np.random.Generator(np.random.PCG64(8)).integers(0, 10**8, 100_000)]).astype(np.uint64)
+    words = _ascii8(x.copy())
+    assert words.astype("<u8").tobytes() == "".join("%08d" % v for v in x.tolist()).encode()
+    values, ok = _digits8(words)
+    assert ok.all() and np.array_equal(values, x)
+
+
+def test_write_matches_cpython_format_at_four_digit_labels(tmp_path):
+    # orders reach +-1000 and degrees 999, so labels have 1 to 5 bytes; near
+    # each chunk start, values with 3-digit exponents and values the numpy
+    # path cannot prove, which CPython formats
+    from spherehhd.spectra import _WRITE_CHUNK_ROWS
+
+    rng = np.random.Generator(np.random.PCG64(21))
+    spec = ZSpectrum(999, rng.standard_normal(ZSpectrum(999).size) * 10.0 ** rng.integers(-5, 6, ZSpectrum(999).size))
+    special = [-1e-150, 2.5e200, 9.999999999999999e-101, 1e100, 1e-300, -5e-324, 1.7976931348623157e308, 3e290,
+               -0.0, 0.0, (12345 + 0.5) * 2.0**-20, -((1 << 52) + 0.5)]
+    near = np.arange(_WRITE_CHUNK_ROWS - 6, spec.size - 6, _WRITE_CHUNK_ROWS)[:, None] + np.arange(12)
+    spec.flat()[near] = np.resize(special, near.shape)
+    write_spectrum(spec, tmp_path / "z999.csv")
+    assert (tmp_path / "z999.csv").read_bytes() == _reference_bytes(spec)
+
+
 @pytest.mark.parametrize("make", [lambda: random_spectrum(255, 0), lambda: new_z_spectrum(256)], ids=["random", "zero"])
 def test_write_formats_normal_values_without_cpython(tmp_path, monkeypatch, make):
     # the slow path is a fallback: a slide of ordinary values onto it is a bug
@@ -697,6 +726,35 @@ def test_norms_past_the_largest_double_are_inf(values):
 
 def test_norm_just_below_the_largest_double_is_exact():
     assert ScalarSpectrum(1, [2.0**1022] * 4).norm() == 2.0**1023
+
+
+def test_relative_l2_error_past_the_largest_double():
+    # ||b|| passes the largest double, and so does a - b entrywise for
+    # opposite signs (a RuntimeWarning, an error here): the ratio is still exact
+    huge = ScalarSpectrum(1, np.full(4, 1e308))
+    assert relative_l2_error(ScalarSpectrum(1), huge) == 1.0
+    assert relative_l2_error(ScalarSpectrum(1, -huge.flat()), huge) == 2.0
+    assert relative_l2_error(huge, ScalarSpectrum(1)) == math.inf
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relative_l2_error_of_ordinary_pairs_is_the_unscaled_ratio(seed):
+    # the power of two that guards against overflow is exact: bit for bit the plain ratio
+    from spherehhd.spectra import _l2_norm
+
+    a, b = random_spectrum(20, seed), random_spectrum(20, seed + 100)
+    b.flat()[::3] *= 1e-5
+    assert relative_l2_error(a, b) == _l2_norm(a.flat() - b.flat()) / _l2_norm(b.flat())
+    assert relative_l2_error(a, ScalarSpectrum(20)) == _l2_norm(a.flat())
+    # and so do tables near the largest double, which are scaled
+    big_a, big_b = (ScalarSpectrum(20, np.ldexp(x.flat(), 1015)) for x in (a, b))
+    assert relative_l2_error(big_a, big_b) == relative_l2_error(a, b)
+
+
+def test_norm_makes_no_copy_of_the_table():
+    # the squares are summed a chunk at a time, without a scaled copy of the table
+    spec = random_spectrum(1023, 4)
+    assert _traced_peak(spec.norm) < spec.size * 8 / 4
 
 
 @settings(max_examples=40, deadline=None)
