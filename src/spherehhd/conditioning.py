@@ -134,6 +134,7 @@ def kappa_numeric(n, m):
 
 def block_a(l, m=1):
     """Diagonal 2x2 block of the blocked factor (rows ``2l-1``, ``2l``)."""
+    _require_integers("block_a", l=l, m=m)
     if l < 1:
         raise ValueError("block_a: need l >= 1")
     (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
@@ -142,6 +143,7 @@ def block_a(l, m=1):
 
 def block_b(l, m=1):
     """Superdiagonal 2x2 block of the blocked factor."""
+    _require_integers("block_b", l=l, m=m)
     if l < 1:
         raise ValueError("block_b: need l >= 1")
     _, (_, e2), (f1, f2) = rec._chol(np.array([2 * l - 1, 2 * l]), m)
@@ -150,12 +152,14 @@ def block_b(l, m=1):
 
 def block_a_inv(l, m=1):
     """Closed-form inverse of the diagonal block."""
+    _require_integers("block_a_inv", l=l, m=m)
     (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
     return np.array([[1.0 / d1, e1 / (d1 * d2)], [0.0, 1.0 / d2]])
 
 
 def block_c(l, m=1):
     """Propagation block ``c_l = -a_l^{-1} b_l`` of the semi-separable inverse."""
+    _require_integers("block_c", l=l, m=m)
     return -block_a_inv(l, m) @ block_b(l, m)
 
 
@@ -165,6 +169,7 @@ def inverse_norm_frobenius_bound(n):
     Proved for the blocked dimension ``2n``; dense inverses of the
     constructed factors stay below it.
     """
+    _require_integers("inverse_norm_frobenius_bound", n=n)
     if n < 1:
         raise ValueError("inverse_norm_frobenius_bound: need n >= 1")
     return 4.0 * math.exp(1.0 + 7.0 * math.pi**2 / 8.0) * (2.0 + math.log(2 * n - 1))
@@ -172,6 +177,7 @@ def inverse_norm_frobenius_bound(n):
 
 def inverse_norm_conjecture(n):
     """Conjectured sharp estimate of ``||R^{-1}||_2`` at ``m == 1`` (reported, not proved)."""
+    _require_integers("inverse_norm_conjecture", n=n)
     if n <= 1:
         raise ValueError("inverse_norm_conjecture: need n > 1")
     return (2.0 / math.pi) * math.log(n + 2.5)

@@ -24,7 +24,6 @@ import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -329,9 +328,7 @@ _CLASS_BY_BASIS = {"Y": ScalarSpectrum, "Z": ZSpectrum}
 # rows per chunk of the writer: bounds its working memory (8192 wrote faster than 4096 or 16384)
 _WRITE_CHUNK_ROWS = 8192
 _ROW_DTYPE = np.dtype([("l", np.int64), ("m", np.int64), ("value", np.float64)])
-_SCAN_CHARS = 1 << 16  # characters per read of the reader's plain-body scan
 _READ_BLOCK = 1 << 18  # bytes per read of the exact reader: bounds its working memory
-_NOT_PLAIN = "# \t\v\f\r\x1c\x1d\x1e\x1f"  # '#' and ASCII whitespace but '\n'
 
 
 def _split(a):
@@ -469,14 +466,14 @@ def _ascii8(x):
 def _read_exact(raw, spec):
     """Fill ``spec`` from the binary file ``raw``, at its first row, if the rows are exactly the writer's.
 
-    Returns ``spec``, or None with ``spec`` zero if any row is not; it raises
-    no ``ValueError``.  Row ``k`` must be the writer's ``l,m,`` label of
-    flat position ``k``, then ``[-]d.<16 digits>e±XX[X]`` and a line end,
-    with ``d`` nonzero (or every digit zero) and ``|E| <= 280``; the file
-    holds ``spec.size`` rows.  Blocks of whole rows are read; every byte
-    is checked, through ``uint64`` words read at each row's offsets from its
-    line end (the label against the writer's table) and the 16 digits
-    after the point converted by SWAR steps (:func:`_digits8`).
+    Returns ``spec``, or None with ``spec`` zero if any row is not or a value
+    is not finite; it raises no ``ValueError``.  Row ``k`` must be the
+    writer's ``l,m,`` label of flat position ``k``, then ``[-]d.<16
+    digits>e±XX[X]`` and a line end, with ``d`` nonzero (or every digit
+    zero); the file holds ``spec.size`` rows.  Blocks of whole rows are
+    read; every byte is checked, through ``uint64`` words read at each row's
+    offsets from its line end (the label against the writer's table) and
+    the 16 digits after the point converted by SWAR steps (:func:`_digits8`).
 
     The value is ``V = D 10**(E - 16)``, ``D`` in ``[1e16, 1e17)``.  Scaled
     by ``2**-k`` from :func:`_parse_tables`, ``V' = D (qh + ql + eta)`` lies
@@ -492,9 +489,10 @@ def _read_exact(raw, spec):
     nearest ``V'`` and no tie: the correctly rounded value that CPython and
     ``np.loadtxt`` give.  ``2**k x`` is exact, as ``V`` lies in ``[1e-280,
     1e281)``, where doubles are normal; ``D = 0`` gives ``±0.0``.  The
-    writer's rows always pass: 17 digits put a row within ``0.5e-16 |x|``
-    of its double ``x``, under half of either gap by a margin far above
-    ``2**-45``.
+    writer's rows in that range always pass: 17 digits put a row within
+    ``0.5e-16 |x|`` of its double ``x``, under half of either gap by a margin
+    far above ``2**-45``.  Other rows (near-ties, ``|E| > 280``) are
+    ``float()`` of their text, one pass a block; an infinite one declines.
     """
     top, out = spec.max_order(), spec.flat()
     labels = _label_tables(top, 8)[0]  # 8 bytes hold every label: top >= 10**6 needs 10**12 coefficients
@@ -526,12 +524,14 @@ def _read_exact(raw, spec):
         Dh = a + lo  # fl(D)
         zero = Dh == 0
         ok &= ok_lo & (h[:, 3] == ord(".")) & (neg | (h[:, 1] == ord(","))) & ((d0 >= 1) & (d0 <= 9) | zero)
-        ok &= (t[:, 0] == ord("e")) & ((t[:, 1] == ord("+")) | (t[:, 1] == ord("-"))) & (np.abs(E) <= 280)
+        ok &= (t[:, 0] == ord("e")) & ((t[:, 1] == ord("+")) | (t[:, 1] == ord("-")))
         ok &= (ex[:, 0] <= 9) & (ex[:, 1] <= 9) & ((ex[:, 2] <= 9) | ~three)
         ok &= (b - 22 - neg - start == width[l] + width[m]) & ((words[start] & masks[l]) == labels[l])
         ok &= (words[start + width[l]] & masks[m]) == labels[m]
         if not ok.all():
             break
+        far = np.abs(E) > 280  # past the table: float() takes the row
+        E[far] = 0  # any row of the table will do
         e = E + 280
         q, Dl = qh[e], lo - (Dh - a)  # Fast2Sum: Dl = D - Dh
         p, (d_hi, d_lo) = Dh * q, _split(Dh)
@@ -539,11 +539,14 @@ def _read_exact(raw, spec):
         r = (err + Dh * ql[e]) + Dl * q
         x = p + r
         rho = r - (x - p)
-        if not (zero | (np.abs(rho) + 2.0**-45 < (x - np.nextafter(x, 0)) / 2)).all():
+        doubt = np.flatnonzero(~(zero | (np.abs(rho) + 2.0**-45 < (x - np.nextafter(x, 0)) / 2)) | far)
+        plain = [float(buf[i:j].tobytes()) for i, j in zip((b[doubt] - 22 - neg[doubt]).tolist(), nl[doubt].tolist())]
+        if not all(map(math.isfinite, plain)):  # plain: float() of the rows the proof does not take
             break
         scale = powers[e]
         np.negative(scale, where=neg, out=scale)
         np.multiply(x, scale, out=out[k : k + rows])  # exact: by +-2**k, into the normal range
+        out[k + doubt] = plain
         k, cut = k + rows, nl[-1] + 1
         held = end - cut
         buf[32 : 32 + held] = buf[cut:end]
@@ -582,20 +585,6 @@ class _DataRows:
         return lineno + row - start
 
 
-def _data_row_line(lines, body, row):
-    """Line number of data row ``row``, and the text of the last row read (row ``row`` if the parser stopped there).
-
-    The parser reads a plain file straight from its handle ``lines``; only
-    error paths seek it back to ``body``, where the rows start, and walk it
-    up to the row, so this costs nothing on success.
-    """
-    if not isinstance(lines, _DataRows):
-        lines.seek(body)
-        lines = _DataRows(lines)
-        next(islice(lines, row, None))
-    return lines.line(row), lines.last.strip()
-
-
 def read_spectrum(path):
     """Read a spectrum written by :func:`write_spectrum`.
 
@@ -610,14 +599,13 @@ def read_spectrum(path):
     the first row that fails a check.
 
     A seekable file of the writer's exact rows, every position once in
-    order, is parsed in numpy a block of rows at a time, correctly rounded
-    by a proof (:func:`_read_exact`), and holds one block besides the table.
-    A file with any other row goes whole, unchanged, to one ``np.loadtxt``,
-    which parses the rows: from the open file if a chunked scan finds the
-    body plain (ASCII, no ``#``, no whitespace but line ends), else through
-    a comment and blank-line filter; so does a pipe.  Whole-array checks and
-    one scatter into the table follow.  Both paths give ``float()`` of each
-    value's text, bit for bit.
+    order, is parsed in numpy a block of rows at a time and holds one block
+    besides the table (:func:`_read_exact`): a proof certifies the rounding
+    of each row it covers, and ``float()`` takes the rest.  Any other file,
+    and every pipe, goes whole, unchanged, through a comment and blank-line
+    filter to one ``np.loadtxt``; whole-array checks and one scatter into
+    the table follow.  Both paths give ``float()`` of each value's text,
+    bit for bit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -643,23 +631,15 @@ def read_spectrum(path):
             spec = _CLASS_BY_BASIS[basis](int(degree))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        # The writer's rows take the exact path.  Else a plain body needs no
-        # filter: loadtxt skips its blank lines itself, counting rows as the
-        # filter would.  A pipe can be neither read twice nor scanned.
-        lines, body = _DataRows(fh), None
-        if fh.seekable():
-            body = fh.tell()
-            if body < 1 << 64:  # else the text cookie holds decoder state (a header ending in '\r')
-                fh.buffer.seek(body)
-                if _read_exact(fh.buffer, spec):
-                    return spec
-                fh.seek(body)
+        # The writer's rows take the exact path, once: a pipe cannot be read
+        # twice, and a cookie past 2**64 holds decoder state (a header ending in '\r')
+        if fh.seekable() and (body := fh.tell()) < 1 << 64:
+            fh.buffer.seek(body)
+            if _read_exact(fh.buffer, spec):
+                return spec
+            fh.seek(body)
+        lines = _DataRows(fh)
         try:
-            if body is not None:
-                chunks = iter(lambda: fh.read(_SCAN_CHARS), "")
-                if all(c.isascii() and not any(x in c for x in _NOT_PLAIN) for c in chunks):
-                    lines = fh
-                fh.seek(body)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 # numpy releases that parse '1.0' in an integer field through
@@ -675,9 +655,8 @@ def read_spectrum(path):
             # loadtxt counts data rows from 0 in conversion errors and from 1
             # in column-count errors
             converting = message.startswith("could not convert")
-            lineno, line = _data_row_line(lines, body, int(named[-1]) - (not converting))
-            problem = f"malformed row {line!r}" if converting else "expected 'l,m,value'"
-            raise ValueError(f"{path}:{lineno}: {problem}") from None
+            problem = f"malformed row {lines.last.strip()!r}" if converting else "expected 'l,m,value'"
+            raise ValueError(f"{path}:{lines.line(int(named[-1]) - (not converting))}: {problem}") from None
 
         l, m, values = rows["l"], rows["m"], rows["value"]
         outside = ~spec._holds(l, m)
@@ -699,6 +678,6 @@ def read_spectrum(path):
                 problem = f"{lm} outside the basis-{spec.basis} index set for n={spec.n}"
             else:
                 problem = f"duplicate row for {lm}"
-            raise ValueError(f"{path}:{_data_row_line(lines, body, row)[0]}: {problem}")
+            raise ValueError(f"{path}:{lines.line(row)}: {problem}")
     spec.flat()[pos] = values
     return spec

@@ -14,7 +14,20 @@ from numpy.testing import assert_allclose
 
 import spherehhd
 from spherehhd import recurrences as rec
-from spherehhd.conditioning import build_CD, build_R, condition_trend, kappa_bound, kappa_numeric, qi_singular_bounds
+from spherehhd.conditioning import (
+    block_a,
+    block_a_inv,
+    block_b,
+    block_c,
+    build_CD,
+    build_R,
+    condition_trend,
+    inverse_norm_conjecture,
+    inverse_norm_frobenius_bound,
+    kappa_bound,
+    kappa_numeric,
+    qi_singular_bounds,
+)
 from spherehhd.operators import CHUNK_STEPS, _dense_system, build_A, build_B, cscy_to_z, z_to_cscy
 from spherehhd.solver import (
     _lanes,
@@ -606,9 +619,16 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda n: qi_singular_bounds(n, 2), 6.5, np.int64(6)),
     (lambda n: kappa_numeric(n, 2), 8.0, np.int64(8)),
     (lambda n: condition_trend(n), 8.0, np.int64(8)),
+    (lambda l: block_a(l), 1.5, np.int64(1)),
+    (lambda m: block_b(1, m), 2.0, np.int64(2)),
+    (lambda l: block_a_inv(l), 1.5, np.int64(1)),
+    (lambda m: block_c(1, m), 1.0, np.int64(1)),
+    (lambda n: inverse_norm_frobenius_bound(n), 2.5, np.int64(2)),
+    (lambda n: inverse_norm_conjecture(n), 2.5, np.int64(2)),
 ], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "z_to_cscy-m", "cscy_to_z-n", "build_A-n",
         "build_B-m", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
-        "kappa_numeric-n", "condition_trend-n"])
+        "kappa_numeric-n", "condition_trend-n", "block_a-l", "block_b-m", "block_a_inv-l", "block_c-m",
+        "inverse_norm_frobenius_bound-n", "inverse_norm_conjecture-n"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)

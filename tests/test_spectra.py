@@ -178,11 +178,11 @@ def test_read_rejects_malformed_files(tmp_path, content):
 def _read_both_forms(path, plain, decorated):
     """What ``read_spectrum`` makes of ``path`` holding ``plain``, then ``decorated``.
 
-    ``plain`` holds a header, rows and blank lines only, so one ``np.loadtxt``
-    reads the open file; ``decorated`` is the same file, line for line, with
-    a comment and an indented row, so its lines go through the filter.  Both
-    must give a bit-identical spectrum or the same ``path:lineno: message``,
-    which is returned (a message as the string).
+    ``plain`` holds a header, rows and blank lines only; ``decorated`` is the
+    same file, line for line, with a comment and an indented row.  Neither is
+    a writer's file, so both go through the line filter to ``np.loadtxt``,
+    and both must give a bit-identical spectrum or the same
+    ``path:lineno: message``, which is returned (a message as the string).
     """
     outcomes = []
     for text in (plain, decorated):
@@ -201,8 +201,8 @@ def _read_both_forms(path, plain, decorated):
 
 
 def test_read_locates_a_bad_row_of_a_plain_file_in_the_open_file(tmp_path, monkeypatch):
-    # the duplicate is found after parsing: its line comes from the handle
-    # that was parsed, not from opening the path again
+    # the duplicate is found after parsing: its line comes from the filter
+    # that fed the parser, not from opening the path again
     path = tmp_path / "dup.csv"
     path.write_text("# basis=Y n=2\n1,1,1.0\n2,0,3.0\n1,1,2.0\n")
     opened = []
@@ -346,10 +346,19 @@ def test_read_parses_writer_files_without_loadtxt(tmp_path, monkeypatch):
         assert np.array_equal(back.flat().view(np.int64), spec.flat().view(np.int64))
 
 
+def _outside_the_table():
+    """A ``random_spectrum(255, 3)`` with some entries scaled by 1e-300 and the extremes of the doubles."""
+    spec = random_spectrum(255, 3)
+    spec.flat()[::97] *= 1e-300
+    spec.flat()[1:7] = [5e-324, -5e-324, 2.2250738585072009e-308, 1e300, 1.7976931348623157e308, -0.0]
+    return [spec]
+
+
 @pytest.mark.parametrize("make", [
     lambda: [random_spectrum(255, 0)],
     lambda: vars(differentiate(*random_potentials(256, 0))).values(),
-], ids=["random", "field"])
+    _outside_the_table,
+], ids=["random", "field", "outside-the-table"])
 def test_read_takes_writer_files_on_the_exact_path(tmp_path, monkeypatch, make):
     # loadtxt is the fallback: a writer-made file that reaches it is a bug
     # that the values alone would not show
@@ -359,6 +368,19 @@ def test_read_takes_writer_files_on_the_exact_path(tmp_path, monkeypatch, make):
         back = read_spectrum(tmp_path / "spec.csv")
         assert np.array_equal(back.flat().view(np.int64), spec.flat().view(np.int64))
     assert seen == []
+
+
+def test_read_names_the_line_of_a_writer_row_past_the_largest_double(tmp_path):
+    # float() of the edited row is inf: the exact path declines the file,
+    # and the line filter names the row's line
+    path = tmp_path / "spec.csv"
+    write_spectrum(random_spectrum(4, seed=6), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[7] = lines[7].split("e")[0] + "e+309\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_spectrum(path)
+    assert str(info.value) == f"{path}:8: non-finite value"
 
 
 def _sci(digits, exp):
@@ -418,8 +440,8 @@ def _near_powers_of_two():
     *_near_powers_of_two(),
 ])
 def test_read_exact_path_rounds_as_cpython(tmp_path, text):
-    # one row on the exact path if it can certify it, else through loadtxt:
-    # either way the value is float() of the text
+    # one row on the exact path unless its value is not finite, else through
+    # loadtxt: either way the value is float() of the text
     back = _exact([text])
     if back is not None:
         assert _bits(back) == _bits(float(text))
@@ -428,12 +450,13 @@ def test_read_exact_path_rounds_as_cpython(tmp_path, text):
     assert _bits(read_spectrum(path).flat()) == _bits(float(text))
 
 
-def test_read_exact_path_declines_ties_and_takes_plain_rounding():
-    assert _exact(["9.0071992547409930e+15"]) is None  # the tie needs round-half-even
+def test_read_exact_path_takes_float_of_ties_and_plain_rounding():
+    # a row the certificate cannot take is float() of its text, bit for bit
+    assert _bits(_exact(["9.0071992547409930e+15"])) == _bits(float("9.0071992547409930e+15"))  # a tie, to even
     # below 1.0 the gap is half the gap above: 1 - 1e-17 is within half of it
     assert _exact(["1.0000000000000000e+00", "9.9999999999999999e-01"], ZSpectrum, 0).tolist() == [1.0, 1.0]
     assert _exact(["-0.0000000000000000e+00"]).view(np.int64) == _bits(-0.0)
-    assert _exact(["1.0000000000000000e+281"]) is None  # past the table
+    assert _bits(_exact(["1.0000000000000000e+281"])) == _bits(float("1.0000000000000000e+281"))  # past the table
     # 17 digits of a double lie far nearer it than a tie: the writer's rows
     # of every exponent in range are all certified
     rng = np.random.Generator(np.random.PCG64(5))
@@ -472,7 +495,7 @@ def test_read_and_write_peaks_are_one_block_past_the_data(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_from_a_pipe(tmp_path):
-    # a pipe cannot be scanned and read again: it must still read, unscanned
+    # a pipe cannot be read twice: it skips the exact path and must still read
     spec = random_spectrum(4, seed=5)
     write_spectrum(spec, tmp_path / "spec.csv")
     fifo = tmp_path / "pipe.csv"
