@@ -26,11 +26,13 @@ from .spectra import (
     read_spectrum,
     write_spectrum,
 )
-from .operators import build_A, build_B, shuffle_permutation, z_to_cscy, cscy_to_z
+from .operators import build_A, build_B, shuffle_permutation
 from .solver import (
     solve_order,
     differentiate,
     decompose,
+    z_to_cscy,
+    cscy_to_z,
 )
 from .conditioning import (
     ConditionReport,

@@ -1,4 +1,4 @@
-"""Per-order least squares with the paper's closed-form QR, and the decomposition.
+"""The fast path: per-order closed-form least squares, the basis conversions and the decomposition.
 
 For an order ``m >= 1``, ``P [[A, B], [B, A]] P = diag(A + B, A - B)`` with
 ``P = (1/sqrt 2) [[I, I], [I, -I]]``, and ``A - B = -D (A + B) D`` with
@@ -15,20 +15,22 @@ bounds describe the very factor it uses.  Order zero's least-squares
 problem has a closed-form minimizer, which :func:`decompose` evaluates
 directly from the field's order-zero slices, with no sweep.
 
-The sweep solves many problems at once in (degree, right-hand side, lane)
-arrays; applying the rotations and back-substituting are linear
-recurrences over degree, run by :func:`.operators._recurrence`.  The
-problem builders return the bare closed forms, and the sweep gives them
-zero rotations and off-diagonals and unit pivots off each problem's rows.
-:func:`decompose` and :func:`differentiate` fold the order triangle into
-blocks of ``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m`` unknowns and
-order ``n - m`` has ``m``, so a lane holds both (:func:`_lanes`), and about
-``n / 64`` blocks cover all orders.  A call lays its blocks out once: the
-next block's grid and gather/scatter masks follow from the last one's by
-an offset, and every block writes into one workspace the call allocates
-and drops (:func:`.operators._empty`).  In :func:`differentiate`
-whole-grid expressions apply ``[[A, B], [B, A]]``, the same kernel
-converts to the tangential basis, and order zero is one scale,
+Every sequential sweep over degree -- the rotations, the back-substitution
+and the conversion to the tangential basis (:func:`cscy_to_z`, two
+interleaved parity chains; :func:`z_to_cscy` is a two-term stencil) -- is a
+linear recurrence, run by one partitioned kernel, :func:`_recurrence`, on
+(degree, right-hand side, lane) arrays.  The problem builders return the
+bare closed forms, and the sweep gives them zero rotations and
+off-diagonals and unit pivots off each problem's rows.  :func:`decompose`
+and :func:`differentiate` fold the order triangle into blocks of
+``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m`` unknowns and order
+``n - m`` has ``m``, so a lane holds both (:func:`_lanes`), and about
+``n / 64`` blocks cover all orders.  A call lays its blocks out once, the
+next block's grid and gather/scatter masks following from the last one's
+by an offset, and draws every temporary from one workspace
+(:func:`_empty`); a one-order call uses a fresh one.  In
+:func:`differentiate` whole-grid expressions apply ``[[A, B], [B, A]]``,
+the kernel converts to the tangential basis, and order zero is one scale,
 ``-sqrt(l (l + 1)) s_l``.  Each order costs O(n), the whole O(n^2); no
 normal equations are formed.
 """
@@ -38,10 +40,9 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .operators import _cscy_to_z_block, _empty, _lane_grid, _recurrence, _z_to_cscy_block
 from .spectra import HHDResult, ScalarSpectrum, TangentField, _real_array, _require_integers
 
-__all__ = ["solve_order", "differentiate", "decompose"]
+__all__ = ["solve_order", "differentiate", "decompose", "z_to_cscy", "cscy_to_z"]
 
 # Lanes per block in decompose and differentiate; 32 make n = 64 one block.
 # With one workspace per call (measured on top of 9d0e309, 2-vCPU Xeon),
@@ -52,6 +53,17 @@ __all__ = ["solve_order", "differentiate", "decompose"]
 BLOCK_ORDERS = 32
 
 
+# Steps per chunk of the recurrence kernel.  A call takes about 2 CHUNK_STEPS
+# + rows / CHUNK_STEPS Python steps, so a longer chunk makes a one-order solve
+# grow more slowly than its size, and acceptance criterion 02 fits that
+# growth to a slope in [0.8, 1.2].  On a 2-vCPU Xeon at n = 1024, L = 2 / 4 /
+# 6 / 8 gave decompose 0.228 / 0.185 / 0.169 / 0.165 s (median of 5 calls),
+# a peak-RSS rise over decompose of 24.1 / 22.5 / 22.7 / 21.9 MiB, and
+# criterion 02's per-order slope 0.945 / 0.88 / 0.806 / 0.754: 6 is on the
+# edge of the window and 8 outside it.
+CHUNK_STEPS = 4
+
+
 def _require_finite(name, values):
     """Raise ``ValueError`` naming ``name`` and the first row of ``values`` with a non-finite entry."""
     bad = ~np.isfinite(values)
@@ -60,7 +72,208 @@ def _require_finite(name, values):
         raise ValueError(f"{name}: non-finite value in row {row}")
 
 
-def _lsq_sweep(segments, rotations, factor, rhs, work=None):
+def _empty(work, key, shape):
+    """Uninitialized ``shape`` array, a view of the buffer ``key`` of the dict ``work``, grown on demand.
+
+    One ``work`` per call serves all its blocks, so each temporary is allocated once per call.
+    A view is valid until ``key`` is asked for again, so a caller may hold data that is spent
+    before a callee runs in one of the callee's keys.
+    """
+    size, buffer = math.prod(shape), work.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = work[key] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+def _recurrence(g, a=None, b=None, d=None, *, work):
+    """Solve ``y[i] = (g[i] + a[i] y[i-1] + b[i] y[i-2]) / d[i]`` in place, ``y[-1] = y[-2] = 0``.
+
+    ``g`` has shape ``(rows, r, K)``, any ``rows``: ``r`` right-hand sides
+    of ``K`` problems, whose coefficients ``a``, ``b``, ``d`` have shape
+    ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``,
+    and ``a`` or ``b`` is given.  A recurrence that runs downward takes
+    reversed views.  Without ``a`` the two parities never meet, and each
+    pair of rows is one step of a first-order recurrence.  The step-major
+    copies live in ``work`` (see :func:`_empty`).
+
+    Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
+    every chunk of ``CHUNK_STEPS`` steps runs at once from zero inflow, with
+    the responses of its last values to a unit inflow carried as extra
+    right-hand sides; one step per chunk then carries the true last values
+    across the chunks, and the chunks run again from their true inflow with
+    the arithmetic of a sequential loop.  Filler rows of zero ``g``, ``a``,
+    ``b`` and unit ``d`` lead a short first chunk and keep y zero.
+    """
+    rows, r, nprob = g.shape
+    pair = 1 if a is not None else 2
+    a, b = (a, b) if pair == 1 else (b, None)
+    span = pair * CHUNK_STEPS  # rows per chunk
+    head = rows % span  # rows of a short first chunk, which filler rows lead
+    q, nchunk = 1 if b is None else 2, -(-rows // span)
+
+    def places(x, out):  # pairs of views: out[i, c, chunk, problem] and x's rows (rows, c, nprob) there
+        chunks = out.reshape(CHUNK_STEPS, -1, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, c, problem]
+        found = [(chunks[head > 0 :], x[head:].reshape(-1, CHUNK_STEPS, pair, *x.shape[1:]))]
+        for h in range(pair if head else 0):  # x's row j of the first chunk is its row span - head + j
+            j = (h + head) % pair
+            found.append((chunks[0, (span - head + j) // pair :, h], x[j:head:pair]))
+        return found
+
+    # the coefficients step-major, past filler rows of zero a and b and unit d in a short first chunk
+    coefs = _empty(work, "coefs", (CHUNK_STEPS, 3, nchunk, pair * nprob))
+    if head:
+        coefs[:, :2, 0], coefs[:, 2, 0] = 0.0, 1.0
+    copies = [p for k, x in enumerate((a, b, d)) if x is not None for p in places(x[:, None], coefs[:, k : k + 1])]
+    a, b, d = (None if x is None else coefs[:, k] for k, x in enumerate((a, b, d)))
+
+    def sweep(y, y1, y2, t):  # y[i] = ((y[i] + a[i] y1) + b[i] y2) / d[i], step by step
+        for i, out in enumerate(y):
+            out += np.multiply(a[i], y1, out=t)
+            if b is not None:
+                out += np.multiply(b[i], y2, out=t)
+            if d is not None:
+                out /= d[i]
+            y1, y2 = out, y1
+
+    # phase 1: every chunk from zero inflow; columns r + j of each step
+    # hold the response to a unit y[-1 - j]
+    steps = _empty(work, "steps", (CHUNK_STEPS + 1, r + q, nchunk, pair * nprob))
+    steps, tmp = steps[:-1], steps[-1]
+    steps[:, r:] = 0.0
+    if head:
+        steps[:, :r, 0] = 0.0  # the filler; phase 1 leaves it zero
+    rows_of_g = places(g, steps[:, :r])
+    for out, rows_of_x in copies + rows_of_g:
+        out[...] = rows_of_x
+    unit = np.zeros((2, r + q, 1, 1))  # broadcasts over chunks and problems
+    unit[range(q), range(r, r + q)] = 1.0
+    sweep(steps, *unit, tmp)
+    # phase 2: carry the last q values of each chunk across the chunks; true[c + 1] are chunk c's
+    ends = steps[: -q - 1 : -1].transpose(2, 0, 1, 3)  # [chunk, k, column, problem]
+    true = _empty(work, "true", (nchunk + 1, q, r, pair * nprob))
+    true[0], true[1:] = 0.0, ends[:, :, :r]
+    for prev, cur, h in zip(true[1:], true[2:], ends[1:, :, r:, None]):
+        for j in range(q):
+            cur += h[:, j] * prev[j]
+    # phase 3: every chunk again from its true inflow, in the steps' first r columns
+    for out, rows_of_x in rows_of_g:
+        out[...] = rows_of_x
+    sweep(steps[:, :r], true[:-1, 0].transpose(1, 0, 2), true[:-1, -1].transpose(1, 0, 2), tmp[:r])
+    for out, rows_of_x in rows_of_g:
+        rows_of_x[...] = out
+
+
+def _lane_grid(ms, rows):
+    """The grid (see :func:`_z_to_cscy_block`) of ``rows`` rows of lanes that hold one order ``ms[k]`` each."""
+    return ms + np.arange(1.0, rows + 1)[:, None], ms[None], np.ones((1, 1), dtype=bool)
+
+
+def _z_to_cscy_block(z, grid, work):
+    """:func:`z_to_cscy` for ``c`` slices in each of ``K`` lanes of ``z``, shape ``(rows, c, K)``.
+
+    Row by row, ``grid = (l, m, keep)`` gives the order ``m`` and degree
+    ``l - 2`` a lane row holds (orders ``>= 0`` one behind the other, each
+    from degree ``m - 1``) and zero coupling where ``keep`` is False, on
+    the zero rows between orders.  Result row ``i`` is csc degree ``l - 1``,
+    an order's dropped tail past its ``n - m + 1`` rows.  At ``m == 0``,
+    whose basis functions enter with the opposite sign, it is the negated
+    conversion; callers fill degrees -1, 0 and ``n + 1`` with -0.0.  ``z``
+    is overwritten, and the result is ``work``'s ``"w"`` (see :func:`_empty`).
+    """
+    # row i, csc degree l - 1, is beta(l - 2) z[i] + alpha(l) z[i + 2]
+    l, m, keep = (x[: z.shape[0] - 1] for x in grid)
+    alpha, beta = rec._conversion(l, m)
+    alpha *= keep
+    w = np.multiply(beta[:, None], z[:-1], out=_empty(work, "w", (len(l),) + z.shape[1:]))
+    z[2:] *= alpha[:-1, None]
+    w[:-1] += z[2:]
+    return w
+
+
+def _cscy_to_z_block(w, grid, work):
+    """:func:`cscy_to_z` for lanes of orders ``>= 1``, in place: the inverse of :func:`_z_to_cscy_block`.
+
+    Row ``i`` of ``w``, csc degree ``l - 1`` of order ``m`` by ``grid`` and
+    zero past the order's ``n - m + 1`` rows, becomes degree ``l - 2`` of
+    ``z``, zero past its ``n - m + 2`` rows; no order reaches another.
+    """
+    # z row i, degree l - 2: z_l-2 = (w_l-1 - alpha(l) z_l) / beta(l - 2), downward
+    l, m, keep = (x[: w.shape[0]] for x in grid)
+    alpha, beta = rec._conversion(l, m)
+    alpha *= keep
+    w /= beta[:, None]
+    _recurrence(w[::-1], b=(-alpha / beta)[::-1], work=work)
+    return w
+
+
+def _cscy_to_z_zero(w, n):
+    """Order-zero chains for ``c`` csc-harmonic slices ``w`` of shape ``(n + 1, c)``.
+
+    Substitutes upward from degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``;
+    row ``n`` of ``w`` is the redundant equation.
+    """
+    # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
+    a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
+    z = (-w[:n] / a)[:, :, None]
+    _recurrence(z, b=-b / a, work={})
+    return z[:, :, 0]
+
+
+def _slice_order(name, m, n):
+    """``|m|``, once ``m`` and ``n`` are integers and ``m`` is an order of basis Z at degree ``n``."""
+    _require_integers(name, m=m, n=n)
+    if abs(m) > n + 1:
+        raise ValueError(f"{name}: order {m} outside basis Z with n={n}")
+    return abs(m)
+
+
+def z_to_cscy(z, m, n):
+    """Convert one order slice from the tangential basis to csc-harmonic form.
+
+    ``z`` covers degrees ``||m|-1|..n``; the result covers degrees
+    ``|m|..n``.  The degree ``n+1`` tail generated by the top coefficient is
+    not representable and is dropped here; callers that need it account for
+    ``beta(n, |m|) * z[-1]`` separately.
+    """
+    mu = _slice_order("z_to_cscy", m, n)
+    z = _real_array("z_to_cscy", z)
+    L = n - abs(mu - 1) + 1
+    if z.shape != (L,):
+        raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
+    _require_finite("z_to_cscy: z", z)
+    if mu:
+        return _z_to_cscy_block(z.copy()[:, None, None], _lane_grid(np.array([mu]), L - 1), {})[:, 0, 0]
+    grid = np.full((n + 3, 1, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
+    grid[2:-1, 0, 0] = z
+    return -_z_to_cscy_block(grid, _lane_grid(np.zeros(1, int), n + 2), {})[:-1, 0, 0]
+
+
+def cscy_to_z(w, m, n):
+    """Convert one csc-harmonic order slice back to the tangential basis.
+
+    Solves the two interleaved parity chains of the conversion by
+    substitution.  For ``|m| >= 1`` the substitution runs from the top degree
+    downward and the single free top-degree coefficient of the deficient
+    chain is set to zero; exact data generated by differentiating a
+    degree ``<= n-1`` potential has no content there, so the conversion is
+    exact on that range.  At ``m == 0`` both chains substitute upward from
+    the bottom and one equation is redundant.
+    """
+    mu = _slice_order("cscy_to_z", m, n)
+    w = _real_array("cscy_to_z", w)
+    if w.ndim != 1:
+        raise ValueError("cscy_to_z: expected a single order slice")
+    if w.shape != (n - mu + 1,):
+        raise ValueError(f"cscy_to_z: expected length {n - mu + 1} at m={m}, got {w.shape[0]}")
+    _require_finite("cscy_to_z: w", w)
+    if mu == 0:
+        return _cscy_to_z_zero(w[:, None], n)[:, 0]
+    z = np.zeros((n - mu + 2, 1, 1))
+    z[: n - mu + 1, 0, 0] = w
+    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), n - mu + 2), {})[:, 0, 0]
+
+
+def _lsq_sweep(segments, rotations, factor, rhs, work):
     """Least squares for tridiagonal problems of shape ``(p + 1) x p``, one or two to a lane.
 
     ``segments = (live, seconds, ends)``: ``live`` (``(rows, L)``) marks
@@ -75,7 +288,7 @@ def _lsq_sweep(segments, rotations, factor, rhs, work=None):
     an identity rotation before a second problem.  Returns ``x`` (``(rows -
     1, r, L)``, zero off the live rows) and the signed residuals left in the
     rows ``ends``.  ``x`` is a view of ``rhs``, solved in place; the
-    temporaries are ``work``'s (see :func:`.operators._empty`).
+    temporaries are ``work``'s (see :func:`_empty`).
     """
     (live, seconds, ends), (c, s), (d, e, f) = segments, rotations, factor
     for x in (c, s, e, f):
@@ -107,11 +320,11 @@ def _lanes(n, low, paired):
     problem the first ``n - m + 1``; a partner starts at a multiple of 8
     past two gap rows.  A lane has ``rows + 1`` rows, ``rows = n + 12`` with
     partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
-    meets :func:`.operators._recurrence`'s chunk boundaries where a block of
+    meets :func:`_recurrence`'s chunk boundaries where a block of
     consecutive orders does.  Returns ``block(o)`` (``o`` a multiple of 8 up
     to ``n / 2``): each problem's order in :func:`_lsq_sweep`'s order
     (firsts, then partners), its ``(seconds, ends)`` indices, the ``(l, m,
-    keep)`` grid of the lanes (see :func:`.operators._z_to_cscy_block`),
+    keep)`` grid of the lanes (see :func:`_z_to_cscy_block`),
     whose gap rows continue the first order's degrees, in the closed forms'
     domain, ``keep = l <= n + 2``, and :func:`_gather`'s spans by basis.
     The offset moves the firsts' ``l`` and ``m`` by ``o``, the partners'
@@ -183,7 +396,7 @@ def _order_problems(n, lanes):
     return ((l[:rows] <= n, seconds, ends), *rec._qr(l[:rows] - m[:rows], m[:rows]))
 
 
-def _solve_orders(n, lanes, b1, b2, work=None):
+def _solve_orders(n, lanes, b1, b2, work):
     """Least squares for the block systems of the orders of ``lanes`` (see :func:`_lanes`).
 
     ``b1``/``b2`` (``(rows, r, K)``, ``K`` lanes) are the halves of the
@@ -223,9 +436,11 @@ def solve_order(n, m, rhs):
     q = n + 1 - m
     if rhs.ndim not in (1, 2) or rhs.shape[0] != 2 * q:
         raise ValueError(f"solve_order: rhs must have {2 * q} rows, got shape {rhs.shape}")
+    if rhs.size == 0:
+        raise ValueError("solve_order: rhs must have at least one column")
     _require_finite("solve_order: rhs", rhs)
     ms, none = np.array([m]), np.zeros(0, int)  # one problem in one lane: no partner, its row p is q - 1
-    x1, x2, residual = _solve_orders(n, (ms, ((none, none), ([q - 1], [0])), _lane_grid(ms, q + 1)), *rhs.reshape(2, q, -1, 1))
+    x1, x2, residual = _solve_orders(n, (ms, ((none, none), ([q - 1], [0])), _lane_grid(ms, q + 1)), *rhs.reshape(2, q, -1, 1), {})
     x = np.concatenate([x1[..., 0], x2[..., 0]])
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
@@ -300,17 +515,6 @@ def differentiate(s, t):
     return out
 
 
-def _block_rhs(theta, phi, lanes, work):
-    """The halves (see :func:`_solve_orders`) of the systems of ``(s_m, -t_-m)`` and ``(s_-m, t_m)`` of ``lanes``' orders."""
-    grid = lanes[2]
-    rows, nlanes = grid[0].shape
-    z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
-    _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)
-    w = _z_to_cscy_block(z, grid, work)
-    np.negative(w[:, 3], out=w[:, 3])
-    return w[:, :2], w[:, 3:1:-1]
-
-
 def decompose(field):
     """Split a tangential field into spheroidal and toroidal potentials.
 
@@ -352,7 +556,13 @@ def decompose(field):
     result.spheroidal.flat()[1:n], result.toroidal.flat()[1:n] = -(z[:, :-1] - z[:, -1:] * w) / np.sqrt(l * (l + 1))
     work = {}
     for lanes in _blocks(n):
-        x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, *_block_rhs(theta, phi, lanes, work), work)
+        rows, nlanes = lanes[2][0].shape
+        z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
+        _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)
+        w = _z_to_cscy_block(z, lanes[2], work)
+        np.negative(w[:, 3], out=w[:, 3])
+        # the halves (see _solve_orders) of the systems of (s_m, -t_-m) and (s_-m, t_m)
+        x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, w[:, :2], w[:, 3:1:-1], work)
         x2[:, 0] *= -1.0
         _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
     # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1,

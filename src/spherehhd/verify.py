@@ -16,9 +16,8 @@ import numpy as np
 from . import recurrences as rec
 from . import conditioning as cond
 from . import operators as ops
-from .operators import cscy_to_z, z_to_cscy
 from .pointwise import GridSpec, _Basis, analyze_z, synthesize_from_potentials
-from .solver import decompose, differentiate, solve_order
+from .solver import cscy_to_z, decompose, differentiate, solve_order, z_to_cscy
 from .spectra import random_potentials, relative_l2_error
 
 __all__ = ["run_verification", "SUITES"]
@@ -157,11 +156,11 @@ def condition_bound_excess(sizes):
     for ``m >= 2`` also over ``sigma_max <= n + m + 3/2`` and ``sigma_min >= m - 3/2``."""
     for n in sizes:
         for m in range(1, n):
-            rep = cond.kappa_numeric(n, m)
             sv = np.linalg.svd(cond.build_R(n - m, m), compute_uv=False)
-            excess = [rep.kappa_R - rep.bound, sv[0] - rep.sigma_max_bound]
+            sigma_max, sigma_min = cond.qi_singular_bounds(n - m, m)
+            excess = [float(sv[0] / sv[-1]) - cond.kappa_bound(n, m), sv[0] - sigma_max]
             if m >= 2:
-                excess += [rep.sigma_min_bound - sv[-1], sv[0] - (n + m + 1.5), m - 1.5 - sv[-1]]
+                excess += [sigma_min - sv[-1], sv[0] - (n + m + 1.5), m - 1.5 - sv[-1]]
             yield f"(n={n}, m={m})", float(np.max(excess))
 
 

@@ -5,19 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spherehhd import operators, verify
-from spherehhd.operators import (
-    CHUNK_STEPS,
-    _dense_system,
-    _recurrence,
-    build_A,
-    build_B,
-    cscy_to_z,
-    shuffle_permutation,
-    z_to_cscy,
-)
+from spherehhd.operators import _dense_system, build_A, build_B, shuffle_permutation
 from spherehhd.pointwise import eval_Y, eval_Z
 from spherehhd.recurrences import alpha, beta, delta
-from spherehhd.solver import differentiate
+from spherehhd.solver import CHUNK_STEPS, _recurrence, cscy_to_z, differentiate, z_to_cscy
 from spherehhd.spectra import TangentField, random_potentials
 
 from conftest import FOLD_DEGREES
@@ -335,11 +326,11 @@ def _run_kernel(g, coefs, downward):
     """The kernel on ``g`` and ``coefs``, through reversed views when ``downward``."""
     if not downward:
         out = g.copy()
-        _recurrence(out, *coefs)
+        _recurrence(out, *coefs, work={})
         return out
     # stored top row first, presented bottom row first: the same sequence
     stored = g[::-1].copy()
-    _recurrence(stored[::-1], *(None if x is None else x[::-1].copy()[::-1] for x in coefs))
+    _recurrence(stored[::-1], *(None if x is None else x[::-1].copy()[::-1] for x in coefs), work={})
     return stored[::-1]
 
 

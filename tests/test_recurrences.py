@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from spherehhd import recurrences as rec
 from spherehhd.conditioning import build_R
-from spherehhd.operators import _cscy_to_z_block, _lane_grid, _z_to_cscy_block
 from spherehhd.recurrences import alpha, beta, gamma, delta, chol_d, chol_e, chol_f
-from spherehhd.solver import _lanes, _order_problems, decompose, differentiate
+from spherehhd.solver import _cscy_to_z_block, _lane_grid, _lanes, _order_problems, _z_to_cscy_block, decompose, differentiate
 from spherehhd.spectra import random_potentials
 
 
@@ -179,7 +178,8 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
             mp.setattr(rec, name, recorder(name))
         decompose(differentiate(*random_potentials(n, seed)))
         _order_problems(n, _lanes(n, ms, 0)(0))
-        _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), _lane_grid(ms, rows)), _lane_grid(ms, rows))
+        grid = _lane_grid(ms, rows)
+        _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), grid, {}), grid, {})
     assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}
     for name, l, m, out in calls:
         if name == "_conversion":

@@ -28,14 +28,17 @@ from spherehhd.conditioning import (
     kappa_numeric,
     qi_singular_bounds,
 )
-from spherehhd.operators import CHUNK_STEPS, _dense_system, build_A, build_B, cscy_to_z, z_to_cscy
+from spherehhd.operators import _dense_system, build_A, build_B
 from spherehhd.solver import (
+    CHUNK_STEPS,
     _lanes,
     _lsq_sweep,
     _order_problems,
+    cscy_to_z,
     decompose,
     differentiate,
     solve_order,
+    z_to_cscy,
 )
 from spherehhd.spectra import (
     ScalarSpectrum,
@@ -69,7 +72,7 @@ def sweep_halves(n, m, rhs=None):
     r = rhs.shape[2]
     dq, dp = (-1.0) ** np.arange(p + 1), (-1.0) ** np.arange(p)
     both = np.concatenate([rhs[:, 0], -dq[:, None] * rhs[:, 1]], axis=1)[:, :, None]
-    x, res = _lsq_sweep(segments, rotations, (d, e, f), both)
+    x, res = _lsq_sweep(segments, rotations, (d, e, f), both, {})
     a, b = build_A(n, m), build_B(n, m)
     r_plus, j = np.diag(d[:p, 0]), np.arange(p)
     r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = e[: p - 1, 0], f[: max(p - 2, 0), 0]
@@ -226,6 +229,8 @@ def test_solve_single_column_and_shape_errors(rng):
     assert x.shape == (2 * (n - m),)
     with pytest.raises(ValueError):
         solve_order(n, m, rng.standard_normal(rows + 1))
+    with pytest.raises(ValueError, match="^solve_order: rhs must have at least one column$"):
+        solve_order(n, m, np.zeros((rows, 0)))
 
 
 def test_residual_local_optimality(rng):
@@ -561,6 +566,42 @@ def test_out_of_range_tail_is_exact(n, component):
         assert not np.any(result.spheroidal.flat()) and not np.any(result.toroidal.flat())
 
 
+def test_no_temporary_is_read_before_it_is_written(monkeypatch):
+    # every workspace view starts as NaN: any value read from it before it is
+    # written would reach the outputs, so they stay bit-identical only if the
+    # workspace contract holds; one block or several, paired lanes or not,
+    # the one-order solve and both conversions at m = 0, interior and -n
+    import spherehhd.solver as solver_module
+
+    def run():
+        out = []
+        for n in (2, 3, 9, 64, 65, 66, 257):
+            field = differentiate(*random_potentials(n, n))
+            noise = _random_field(n, n)
+            result = decompose(TangentField(*(ZSpectrum(n, a.flat() + 1e-3 * b.flat())
+                                              for a, b in ((field.theta, noise.theta), (field.phi, noise.phi)))))
+            out += [x.flat().tobytes() for x in (field.theta, field.phi, result.spheroidal, result.toroidal)]
+            out += [np.array(list(t.values())).tobytes() for t in (result.residual_by_order, result.out_of_range_by_order)]
+        rng = np.random.default_rng(3)
+        x, res = solve_order(12, 5, rng.standard_normal((16, 3)))
+        out += [x.tobytes(), res]
+        n = 9
+        for m in (0, 4, -n):
+            out.append(z_to_cscy(rng.standard_normal(n - abs(abs(m) - 1) + 1), m, n).tobytes())
+            out.append(cscy_to_z(rng.standard_normal(n - abs(m) + 1), m, n).tobytes())
+        return out
+
+    plain, empty = run(), solver_module._empty
+
+    def poisoned(work, key, shape):
+        view = empty(work, key, shape)
+        view.fill(np.nan)
+        return view
+
+    monkeypatch.setattr(solver_module, "_empty", poisoned)
+    assert run() == plain
+
+
 def test_out_of_range_reporting():
     n = 6
     field = TangentField.zeros(n)
@@ -684,6 +725,10 @@ def test_one_order_solvers_reject_non_finite_input(value, rng):
         solve_order(10, 3, rhs)
     with pytest.raises(ValueError, match="rhs.* row 5"):
         solve_order(10, 3, rhs[:, 1])
+    with pytest.raises(ValueError, match="^z_to_cscy: z: .* row 5"):
+        z_to_cscy(rhs[:9, 1], 3, 10)
+    with pytest.raises(ValueError, match="^cscy_to_z: w: .* row 5"):
+        cscy_to_z(rhs[:8, 1], 3, 10)
 
 
 def test_decompose_power_of_two_scale_is_exact_and_norms_finite():
@@ -751,7 +796,7 @@ def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
     dense = [build_A(n, m) + build_B(n, m) for m in ms.tolist()]
     sizes = n - ms
-    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs.copy()))
+    _assert_sweep_matches_lstsq(dense, sizes, rhs, _lsq_sweep(*block_problems(n, ms), rhs.copy(), {}))
 
 
 @pytest.mark.parametrize("layout", ["orders", "folded"])
@@ -782,9 +827,9 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     def noisy(grids, keep=live):
         return tuple(np.where(keep, x, rng.uniform(-1e300, 1e300, x.shape)) for x in grids)
 
-    x, res = _lsq_sweep(segments, rotations, factor, rhs.copy())  # solved in place
+    x, res = _lsq_sweep(segments, rotations, factor, rhs.copy(), {})  # solved in place
     (rhs_noisy,) = noisy((rhs,), used[:, None])
-    x_noisy, res_noisy = _lsq_sweep(segments, noisy(rotations), noisy(factor), rhs_noisy)
+    x_noisy, res_noisy = _lsq_sweep(segments, noisy(rotations), noisy(factor), rhs_noisy, {})
     assert np.array_equal(x_noisy, x)
     assert not np.any(np.where(live[:-1, None], 0.0, x))
     assert np.array_equal(res_noisy, res)
