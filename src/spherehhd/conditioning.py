@@ -153,6 +153,8 @@ def block_b(l, m=1):
 def block_a_inv(l, m=1):
     """Closed-form inverse of the diagonal block."""
     _require_integers("block_a_inv", l=l, m=m)
+    if l < 1:
+        raise ValueError("block_a_inv: need l >= 1")
     (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
     return np.array([[1.0 / d1, e1 / (d1 * d2)], [0.0, 1.0 / d2]])
 
@@ -195,6 +197,9 @@ def condition_trend(n, orders=None):
         orders = range(2, n)
     out = {}
     for m in orders:
+        _require_integers("condition_trend", m=m)
+        if not 1 <= m <= n - 1:
+            raise ValueError(f"condition_trend: need 1 <= m <= n-1, got m={m}, n={n}")
         sv = np.linalg.svd(build_R(n - m, m), compute_uv=False)
         out[m] = float(sv[0] / sv[-1])
     return out

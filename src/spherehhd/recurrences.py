@@ -26,10 +26,14 @@ __all__ = ["alpha", "beta", "gamma", "delta", "chol_d", "chol_e", "chol_f"]
 
 
 def _checked(name, l, m, lmin, mmin):
-    """Degrees ``l`` as float64, once every entry passes ``m >= mmin`` and ``l >= lmin``."""
-    if np.any(m < mmin) if isinstance(m, np.ndarray) else m < mmin:
+    """Degrees ``l`` as float64, once every entry is a finite integer and passes ``m >= mmin`` and ``l >= lmin``."""
+    arr, orders = np.asarray(l, dtype=np.float64), np.asarray(m, dtype=np.float64)
+    for what, x in (("degree l", arr), ("order m", orders)):
+        whole = np.isfinite(x) & (np.trunc(x) == x)
+        if not whole.all():
+            raise ValueError(f"{name}: {what} must be a finite integer, got {x[~whole][0]}")
+    if np.any(orders < mmin):
         raise ValueError(f"{name}: order m must be >= {mmin}")
-    arr = np.asarray(l, dtype=np.float64)
     if np.any(arr < lmin):
         raise ValueError(f"{name}: degree l must be >= {lmin}, got {l}")
     return arr

@@ -25,10 +25,9 @@ off-diagonals and unit pivots off each problem's rows.  :func:`decompose`
 and :func:`differentiate` fold the order triangle into blocks of
 ``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m`` unknowns and order
 ``n - m`` has ``m``, so a lane holds both (:func:`_lanes`), and about
-``n / 64`` blocks cover all orders.  A call lays its blocks out once, the
-next block's grid and gather/scatter masks following from the last one's
-by an offset, and draws every temporary from one workspace
-(:func:`_empty`); a one-order call uses a fresh one.  In
+``n / 64`` blocks cover all orders.  A block's layout follows from its
+own orders, and a call draws every temporary, the grid included, from one
+workspace (:func:`_empty`); a one-order call uses a fresh one.  In
 :func:`differentiate` whole-grid expressions apply ``[[A, B], [B, A]]``,
 the kernel converts to the tangential basis, and order zero is one scale,
 ``-sqrt(l (l + 1)) s_l``.  Each order costs O(n), the whole O(n^2); no
@@ -222,7 +221,7 @@ def _cscy_to_z_zero(w, n):
 def _slice_order(name, m, n):
     """``|m|``, once ``m`` and ``n`` are integers and ``m`` is an order of basis Z at degree ``n``."""
     _require_integers(name, m=m, n=n)
-    if abs(m) > n + 1:
+    if abs(abs(m) - 1) > n:  # order m starts at degree ||m| - 1| (spectra's degree_start)
         raise ValueError(f"{name}: order {m} outside basis Z with n={n}")
     return abs(m)
 
@@ -313,76 +312,55 @@ def _lsq_sweep(segments, rotations, factor, rhs, work):
     return t[:-1], residual
 
 
-def _lanes(n, low, paired):
-    """Lanes of blocks: lane ``k`` holds order ``low[k] + o >= 1`` and, if ``k < paired``, order ``n - low[k] - o`` behind it.
+def _lanes(n, low, paired, work):
+    """The layout of a block: lane ``k`` holds order ``low[k] >= 1`` and, if ``k < paired``, order ``n - low[k]`` behind it.
 
     Order ``m`` takes ``n - m + 2`` lane rows (degrees ``m - 1 .. n``), its
     problem the first ``n - m + 1``; a partner starts at a multiple of 8
     past two gap rows.  A lane has ``rows + 1`` rows, ``rows = n + 12`` with
     partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
     meets :func:`_recurrence`'s chunk boundaries where a block of
-    consecutive orders does.  Returns ``block(o)`` (``o`` a multiple of 8 up
-    to ``n / 2``): each problem's order in :func:`_lsq_sweep`'s order
-    (firsts, then partners), its ``(seconds, ends)`` indices, the ``(l, m,
-    keep)`` grid of the lanes (see :func:`_z_to_cscy_block`),
-    whose gap rows continue the first order's degrees, in the closed forms'
-    domain, ``keep = l <= n + 2``, and :func:`_gather`'s spans by basis.
-    The offset moves the firsts' ``l`` and ``m`` by ``o``, the partners'
-    first row and ``m`` by ``-o``: a block's grid and indices are the
-    layout's by one operation with a scalar each, a mask by two, and every
-    block shares the same arrays.
+    consecutive orders does.  Returns each problem's order in
+    :func:`_lsq_sweep`'s order (firsts, then partners), its ``(seconds,
+    ends)`` indices, the ``(l, m, keep)`` grid of the lanes (see
+    :func:`_z_to_cscy_block`), whose gap rows continue the first order's
+    degrees, in the closed forms' domain, ``keep = l <= n + 2``, and
+    :func:`_gather`'s spans by basis.  ``l`` and ``m`` are ``work``'s (see
+    :func:`_empty`).
     """
     nlanes, lanes = len(low), np.arange(len(low))
     rows = n + 12 if paired else n + 1 - low[0]
-    first = (n + 11 - low) // 8 * 8  # first + low + 1 <= n + 12
-    first[paired:] = rows + n + 1  # out of reach: no partner
+    first = (n + 11 - low) // 8 * 8  # a partner's first row: first + low + 1 <= n + 12
     i = np.arange(rows + 1.0)[:, None]
-    rel = i - first  # lane row past the partner's first
-    firsts_l, partners_l, partners_m = i + (low + 1.0), rel + (n + 1.0 - low), n - low + 0.0  # at o = 0
-    l, m, keep, live, second, part = (np.empty(rel.shape, dtype) for dtype in (float, float, bool, bool, bool, bool))
-    # each problem's lane, its row n - m, and the orders whose pairs bound the spans, at o = 0
-    problems, orders = np.concatenate((lanes, lanes[:paired])), np.empty(nlanes + paired, int)
-    ends = np.concatenate((n - low, first[:paired] + low[:paired]))  # a partner's does not move
-    bounds, pick = (int(low[0]), int(low[-1]) + 1, n - int(low[paired - 1]), n + 1 - int(low[0])), slice(paired - 1, None, -1)
-    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): an order's
-    # entries fill its rows of l <= n + 2 in basis Z and l <= n in Y; a basis's pair of orders mu
-    # starts at n + (mu - 1) (c - mu) in the flat storage (see spectra's order_offsets)
-    masks = [(basis, 2 * lead, within, np.empty((nlanes, 2, rows + 1), bool), np.empty((paired, 2, rows + 1), bool))
-             for basis, lead, within in (("Z", n + 2, keep), ("Y", n, live))]
-
-    def block(o):
-        np.add(low, o, out=orders[:nlanes])
-        np.subtract(n - o, low[:paired], out=orders[nlanes:])
-        np.subtract(n - o, low, out=ends[:nlanes])
-        np.greater_equal(rel, -o, out=second)
-        np.add(firsts_l, o, out=l)
-        np.copyto(l, partners_l, where=second)
-        np.add(low, o, out=m, casting="unsafe")
-        np.copyto(m, partners_m - o, where=second)
-        np.less_equal(l, n + 2, out=keep)
-        np.less_equal(l, n, out=live)
-        spans = {}
-        for basis, c, within, firsts, partners in masks:
-            np.greater(within, second, out=part)  # within and not second
-            firsts[...] = part.T[:, None]
-            np.logical_and(within, second, out=part)
-            partners[...] = part.T[:paired][::-1, None]
-            at = [n + (mu - 1) * (c - mu) for mu in (bounds[0] + o, bounds[1] + o, bounds[2] - o, bounds[3] - o)]
-            spans[basis] = [(slice(*at[:2]), slice(None), firsts), (slice(*at[2:]), pick, partners)][: 1 + (paired > 0)]
-        return orders, ((first[:paired] - o, lanes[:paired]), (ends, problems)), (l, m, keep), spans
-
-    return block
+    second = i >= first  # a partner's rows
+    second[:, paired:] = False
+    l, m = _empty(work, "l", second.shape), _empty(work, "m", second.shape)
+    np.add(i, low + 1.0, out=l)
+    np.add(l, n - 2.0 * low - first, out=l, where=second)  # a partner's l is n + 1 - low at its first row
+    np.copyto(m, low)
+    np.copyto(m, n - low, where=second)
+    keep = l <= n + 2
+    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): an order's entries
+    # fill its rows of l <= n + 2 in basis Z and l <= n in Y; a basis's pair of orders mu starts at
+    # n + (mu - 1) (c - mu) in the flat storage (see spectra's order_offsets)
+    bounds = int(low[0]), int(low[-1]) + 1, n - int(low[paired - 1]), n + 1 - int(low[0])  # of the spans' orders
+    spans, pick = {}, slice(paired - 1, None, -1)
+    for basis, c, within in (("Z", 2 * n + 4, keep), ("Y", 2 * n, l <= n)):
+        firsts, partners = (within > second).T, (within & second).T[:paired][::-1]  # within and not second, and both
+        at = [n + (mu - 1) * (c - mu) for mu in bounds]
+        spans[basis] = [(slice(*at[:2]), slice(None), firsts[:, None].repeat(2, 1)),
+                        (slice(*at[2:]), pick, partners[:, None].repeat(2, 1))][: 1 + (paired > 0)]
+    # each problem's row n - m and lane (see _lsq_sweep), and its order
+    ends = np.concatenate((n - low, first[:paired] + low[:paired])), np.concatenate((lanes, lanes[:paired]))
+    return np.concatenate((low, n - low[:paired])), ((first[:paired], lanes[:paired]), ends), (l, m, keep), spans
 
 
-def _blocks(n):
+def _blocks(n, work):
     """The layouts (see :func:`_lanes`) of the blocks of ``BLOCK_ORDERS`` lanes that hold orders ``1 .. n - 1``."""
-    shape = None
     for start in range(1, n // 2 + 1, BLOCK_ORDERS):
-        stop = min(start + BLOCK_ORDERS, n // 2 + 1)
+        stop = min(start + BLOCK_ORDERS, n // 2 + 1)  # the last block may have fewer lanes, or order n / 2 alone
         paired = max(min(stop, (n + 1) // 2) - start, 0)  # the orders m with 2 m < n
-        if (stop - start, paired) != shape:  # the last block may have fewer lanes, or order n / 2 alone
-            shape, block, base = (stop - start, paired), _lanes(n, np.arange(start, stop), paired), start
-        yield block(start - base)
+        yield _lanes(n, np.arange(start, stop), paired, work)
 
 
 def _order_problems(n, lanes):
@@ -495,7 +473,7 @@ def differentiate(s, t):
     # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
     # column 3 - c through B = m
     cross, work = np.array([-1.0, 1.0, 1.0, -1.0])[:, None], {}
-    for lanes in _blocks(n):
+    for lanes in _blocks(n, work):
         l, m, keep = lanes[2]
         x = _empty(work, "steps", (len(l), 4, l.shape[1]))  # spent before the conversion's kernel takes it
         _gather(lanes, (s, t), (x[:, :2], x[:, 2:]), work)
@@ -555,7 +533,7 @@ def decompose(field):
     z = np.array((theta.flat()[:n], phi.flat()[:n]))  # order zero leads both tables
     result.spheroidal.flat()[1:n], result.toroidal.flat()[1:n] = -(z[:, :-1] - z[:, -1:] * w) / np.sqrt(l * (l + 1))
     work = {}
-    for lanes in _blocks(n):
+    for lanes in _blocks(n, work):
         rows, nlanes = lanes[2][0].shape
         z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
         _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)

@@ -163,6 +163,23 @@ def test_block_c_infinity_norm_bound():
         assert norm <= 1.0 + 0.5 / (l - 0.5) + 1.75 / (l - 0.5) ** 2 + 1e-15
 
 
+def test_block_inverse_names_itself_below_degree_one():
+    # block_c inverts the diagonal block first, and so stops at the same check
+    for l in (0, -1):
+        for block in (block_a_inv, block_c):
+            with pytest.raises(ValueError, match="^block_a_inv: need l >= 1$"):
+                block(l)
+
+
+def test_condition_trend_names_itself_on_orders_outside_the_factor():
+    for m in (7, 5, 0, -1):
+        with pytest.raises(ValueError, match=f"^condition_trend: need 1 <= m <= n-1, got m={m}, n=5$"):
+            condition_trend(5, orders=[m])
+    with pytest.raises(ValueError, match="^condition_trend: m must be an integer"):
+        condition_trend(5, orders=[2.5])
+    assert sorted(condition_trend(5, orders=[1, 4])) == [1, 4]
+
+
 def test_closed_form_c_matches_display():
     for l in (1, 2, 5, 9):
         d1, d2 = chol_d(2 * l - 1, 1), chol_d(2 * l, 1)

@@ -134,11 +134,12 @@ def test_z_to_cscy_length_check():
         z_to_cscy(np.zeros(5), 1, 8)
     with pytest.raises(ValueError):
         cscy_to_z(np.zeros(5), 1, 8)
-    # an order outside basis Z at n = 8 (|m| <= 9) is named, whatever the length
-    for m in (10, -10):
+    # an order outside basis Z at n = 8 (|m| <= 9), or at n <= 0 (no order 0), is named, whatever the length
+    for m, n in ((10, 8), (-10, 8), (0, 0), (0, -1)):
         for convert in (z_to_cscy, cscy_to_z):
-            with pytest.raises(ValueError, match=f"order {m} outside basis Z with n=8"):
-                convert(np.ones(0), m, 8)
+            for length in (0, 1):
+                with pytest.raises(ValueError, match=f"order {m} outside basis Z with n={n}"):
+                    convert(np.ones(length), m, n)
 
 
 def test_cscy_to_z_zero():

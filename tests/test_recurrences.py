@@ -60,10 +60,25 @@ def test_chol_e_bounded_for_huge_degree():
         (chol_d, 1, 0),
         (chol_e, 1, 0),
         (chol_f, 0, 2),
+        # degrees and orders must be finite integers; NaN passes every comparison with a bound
+        (alpha, np.nan, 1),
+        (alpha, 2.5, 1),
+        (beta, 3, np.nan),
+        (beta, np.inf, 1),
+        (gamma, -np.inf, 0),
+        (gamma, 3, 2.5),
+        (delta, 2.5, 0),
+        (delta, 3, np.inf),
+        (chol_d, np.nan, 1),
+        (chol_d, 3, -np.inf),
+        (chol_e, np.inf, 1),
+        (chol_f, 3, 2.5),
+        (chol_f, np.array([1.0, 2.0, np.nan]), 1),
     ],
 )
 def test_domain_violations_raise(fn, l, m):
-    with pytest.raises(ValueError):
+    name = "chol_d/e/f" if fn.__name__.startswith("chol_") else fn.__name__  # one checked pass gives all three
+    with pytest.raises(ValueError, match=f"^{name}: "):
         fn(l, m)
 
 
@@ -177,7 +192,7 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
         for name in ("_qr", "_conversion", "_derivative"):
             mp.setattr(rec, name, recorder(name))
         decompose(differentiate(*random_potentials(n, seed)))
-        _order_problems(n, _lanes(n, ms, 0)(0))
+        _order_problems(n, _lanes(n, ms, 0, {}))
         grid = _lane_grid(ms, rows)
         _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), grid, {}), grid, {})
     assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}

@@ -31,6 +31,7 @@ from spherehhd.conditioning import (
 from spherehhd.operators import _dense_system, build_A, build_B
 from spherehhd.solver import (
     CHUNK_STEPS,
+    _blocks,
     _lanes,
     _lsq_sweep,
     _order_problems,
@@ -54,7 +55,7 @@ from conftest import FOLD_DEGREES
 
 def block_problems(n, ms):
     """Segments, rotations and factors of a block of consecutive orders ``ms``, one to a lane."""
-    return _order_problems(n, _lanes(n, ms, 0)(0))
+    return _order_problems(n, _lanes(n, ms, 0, {}))
 
 
 def sweep_halves(n, m, rhs=None):
@@ -491,6 +492,34 @@ def test_blocked_decompose_matches_per_order_dense_least_squares(n):
         assert result.out_of_range_by_order[mu] == pytest.approx(np.linalg.norm(outside), rel=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300))
+@example(n=64)  # one full block, order n / 2 alone in its lane
+@example(n=66)  # a last block of one lane
+def test_block_layouts_hold_every_order_once(n):
+    # in the layouts of a call's blocks every order 1 .. n - 1 is one problem;
+    # the grid's m reads its order and l its degree + 2 on each of its n - m + 2
+    # rows (degrees m - 1 .. n), row n - m is its end, and keep marks these rows
+    # and no other; a partner starts at a multiple of 8, past its first order's
+    # last row and two gap rows
+    orders = []
+    for problems, ((seconds, partner_lanes), (end_rows, end_lanes)), (l, m, keep), _ in _blocks(n, {}):
+        nlanes, held = l.shape[1], np.zeros(l.shape, bool)
+        starts = np.concatenate((np.zeros(nlanes, int), seconds))
+        lanes = np.concatenate((np.arange(nlanes), partner_lanes))
+        assert np.array_equal(partner_lanes, np.arange(len(seconds)))
+        assert np.array_equal(end_lanes, lanes) and np.array_equal(end_rows, starts + n - problems)
+        for order, start, lane in zip(problems.tolist(), starts.tolist(), lanes.tolist()):
+            rows = slice(start, start + n - order + 2)
+            assert rows.stop <= len(l)
+            assert np.all(m[rows, lane] == order) and np.array_equal(l[rows, lane], np.arange(order + 1.0, n + 3))
+            held[rows, lane] = True
+        assert np.array_equal(keep, held)
+        assert np.all(seconds % 8 == 0) and np.all(seconds >= (n - problems[: len(seconds)] + 1) + 3)
+        orders += problems.tolist()
+    assert sorted(orders) == list(range(1, n))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 140), pick=st.integers(0, 141))
 @example(n=64, pick=32)  # order n / 2, alone in its lane
@@ -810,7 +839,7 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     n, low = 3 * CHUNK_STEPS + 2, np.arange(1, 7)
     # lane m holds order m, or orders m and n - m when folded: the firsts from row 0, the partners
     # from the rows the layout names for them
-    lanes = _lanes(n, low, len(low) if layout == "folded" else 0)(0)
+    lanes = _lanes(n, low, len(low) if layout == "folded" else 0, {})
     segments, rotations, factor = _order_problems(n, lanes)
     (rows, nlanes), (seconds, _) = rotations[0].shape, segments[1]
     starts, sizes = np.concatenate((np.zeros(nlanes, int), seconds)), n - lanes[0]
