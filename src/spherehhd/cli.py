@@ -211,7 +211,7 @@ def _build_parser():
     """One subparser per subcommand, holding its handler and only the flags it reads."""
     n = dict(type=_checked(int, lambda v: v >= 2, "must be >= 2"), required=True,
              help="truncation degree")
-    seed = dict(type=int, default=0, help="random seed")
+    seed = dict(type=_checked(int, lambda v: v >= 0, "must be >= 0"), default=0, help="random seed")
     out_prefix = dict(required=True, help="prefix for output files")
     limit = cond.DENSE_ORACLE_LIMIT
     commands = {

@@ -26,16 +26,20 @@ __all__ = ["alpha", "beta", "gamma", "delta", "chol_d", "chol_e", "chol_f"]
 
 
 def _checked(name, l, m, lmin, mmin):
-    """Degrees ``l`` as float64, once every entry is a finite integer and passes ``m >= mmin`` and ``l >= lmin``."""
-    arr, orders = np.asarray(l, dtype=np.float64), np.asarray(m, dtype=np.float64)
-    for what, x in (("degree l", arr), ("order m", orders)):
-        whole = np.isfinite(x) & (np.trunc(x) == x)
+    """Degrees ``l`` as float64, once every entry is a finite integer (no bool) with ``m >= mmin`` and ``l >= lmin(m)``."""
+    checked = []
+    for what, x in (("degree l", l), ("order m", m)):
+        x = np.asarray(x)  # an int past int64 stays a Python int: compared exactly, converted only within the float range
+        whole = (x.dtype != bool) & (np.abs(x) <= float(np.finfo(np.float64).max))
+        checked.append(np.where(whole, x, 0.0).astype(np.float64))
+        whole &= np.trunc(checked[-1]) == checked[-1]
         if not whole.all():
             raise ValueError(f"{name}: {what} must be a finite integer, got {x[~whole][0]}")
+    arr, orders = checked
     if np.any(orders < mmin):
         raise ValueError(f"{name}: order m must be >= {mmin}")
-    if np.any(arr < lmin):
-        raise ValueError(f"{name}: degree l must be >= {lmin}, got {l}")
+    if np.any(arr < lmin(orders)):
+        raise ValueError(f"{name}: degree l must be >= {lmin(orders)}, got {l}")
     return arr
 
 
@@ -69,7 +73,7 @@ def _qr(l, m):
     """Closed-form QR of order ``m``'s ``A + B`` at column ``l - 1`` on a grid from ``l, m >= 1``.
 
     Returns the paper's plane rotation ``(c, s)`` of the column and the row
-    ``(d, -e, -f)`` of the triangular factor it leaves (see :func:`chol_d`).
+    ``(d, e, f)`` it leaves of the triangular factor ``R = d, -e, -f`` (see :func:`chol_d`).
     """
     _check_corner("_qr", l, m, lambda m0: 1, 1)
     lm = l + m
@@ -78,8 +82,8 @@ def _qr(l, m):
     rotation = lm1 * l2m1
     return (np.sqrt((m + 1) * odd / rotation), np.sqrt(llm / rotation)), (
         (lm - 1) * np.sqrt(lm1 * l2m * l2m1 / (lm * (odd - 2) * odd)),
-        -np.sqrt(l * l2m1 / (lm * lm1)),
-        (-2 - lm) * np.sqrt(llm * (l + 1) / (lm1 * odd * (odd + 2))),
+        np.sqrt(l * l2m1 / (lm * lm1)),
+        (lm + 2) * np.sqrt(llm * (l + 1) / (lm1 * odd * (odd + 2))),
     )
 
 
@@ -89,7 +93,7 @@ def alpha(l, m):
     Defined for ``l >= m >= 0`` with ``l >= 1``; always nonpositive, and zero
     exactly when ``l == m``.
     """
-    return _maybe_scalar(_conversion(_checked("alpha", l, m, np.maximum(1, m), 0), m)[0])
+    return _maybe_scalar(_conversion(_checked("alpha", l, m, lambda m: np.maximum(1, m), 0), m)[0])
 
 
 def beta(l, m):
@@ -97,7 +101,7 @@ def beta(l, m):
 
     Defined for ``l >= 0``, ``m >= 0``; strictly positive once ``l + m >= 1``.
     """
-    return _maybe_scalar(_conversion(_checked("beta", l, m, 0, 0) + 2, m)[1])
+    return _maybe_scalar(_conversion(_checked("beta", l, m, lambda m: 0, 0) + 2, m)[1])
 
 
 def gamma(l, m):
@@ -105,7 +109,7 @@ def gamma(l, m):
 
     Defined for ``l >= m >= 0`` with ``l >= 1``; always nonpositive.
     """
-    return _maybe_scalar(_derivative(_checked("gamma", l, m, np.maximum(1, m), 0), m)[0])
+    return _maybe_scalar(_derivative(_checked("gamma", l, m, lambda m: np.maximum(1, m), 0), m)[0])
 
 
 def delta(l, m):
@@ -113,13 +117,12 @@ def delta(l, m):
 
     Defined for ``l >= m >= 0``; zero only at ``l == 0``.
     """
-    return _maybe_scalar(_derivative(_checked("delta", l, m, m, 0) + 1, m)[1])
+    return _maybe_scalar(_derivative(_checked("delta", l, m, lambda m: m, 0) + 1, m)[1])
 
 
 def _chol(l, m):
     """``(chol_d, chol_e, chol_f)`` from one :func:`_qr` pass, every entry checked."""
-    d, e, f = _qr(_checked("chol_d/e/f", l, m, 1, 1), m)[1]
-    return _maybe_scalar(d), _maybe_scalar(-e), _maybe_scalar(-f)
+    return tuple(map(_maybe_scalar, _qr(_checked("chol_d/e/f", l, m, lambda m: 1, 1), m)[1]))
 
 
 def chol_d(l, m):

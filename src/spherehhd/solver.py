@@ -171,13 +171,11 @@ def _z_to_cscy_block(z, grid, work):
     """:func:`z_to_cscy` for ``c`` slices in each of ``K`` lanes of ``z``, shape ``(rows, c, K)``.
 
     Row by row, ``grid = (l, m, keep)`` gives the order ``m`` and degree
-    ``l - 2`` a lane row holds (orders ``>= 0`` one behind the other, each
+    ``l - 2`` a lane row holds (orders ``>= 1`` one behind the other, each
     from degree ``m - 1``) and zero coupling where ``keep`` is False, on
     the zero rows between orders.  Result row ``i`` is csc degree ``l - 1``,
-    an order's dropped tail past its ``n - m + 1`` rows.  At ``m == 0``,
-    whose basis functions enter with the opposite sign, it is the negated
-    conversion; callers fill degrees -1, 0 and ``n + 1`` with -0.0.  ``z``
-    is overwritten, and the result is ``work``'s ``"w"`` (see :func:`_empty`).
+    an order's dropped tail past its ``n - m + 1`` rows.  ``z`` is
+    overwritten, and the result is ``work``'s ``"w"`` (see :func:`_empty`).
     """
     # row i, csc degree l - 1, is beta(l - 2) z[i] + alpha(l) z[i + 2]
     l, m, keep = (x[: z.shape[0] - 1] for x in grid)
@@ -205,19 +203,6 @@ def _cscy_to_z_block(w, grid, work):
     return w
 
 
-def _cscy_to_z_zero(w, n):
-    """Order-zero chains for ``c`` csc-harmonic slices ``w`` of shape ``(n + 1, c)``.
-
-    Substitutes upward from degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``;
-    row ``n`` of ``w`` is the redundant equation.
-    """
-    # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
-    a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
-    z = (-w[:n] / a)[:, :, None]
-    _recurrence(z, b=-b / a, work={})
-    return z[:, :, 0]
-
-
 def _slice_order(name, m, n):
     """``|m|``, once ``m`` and ``n`` are integers and ``m`` is an order of basis Z at degree ``n``."""
     _require_integers(name, m=m, n=n)
@@ -242,9 +227,9 @@ def z_to_cscy(z, m, n):
     _require_finite("z_to_cscy: z", z)
     if mu:
         return _z_to_cscy_block(z.copy()[:, None, None], _lane_grid(np.array([mu]), L - 1), {})[:, 0, 0]
-    grid = np.full((n + 3, 1, 1), -0.0)  # degrees -1 .. n + 1, see _z_to_cscy_block
-    grid[2:-1, 0, 0] = z
-    return -_z_to_cscy_block(grid, _lane_grid(np.zeros(1, int), n + 2), {})[:-1, 0, 0]
+    alpha, beta = rec._conversion(np.arange(1.0, n + 2), 0)  # order zero's basis enters with the opposite sign
+    z = np.concatenate(([-0.0, -0.0], z, [-0.0]))  # degrees -1 .. n + 1; the -0.0 pads fix the signs of zero results
+    return -(beta * z[:-2] + alpha * z[2:])
 
 
 def cscy_to_z(w, m, n):
@@ -256,7 +241,8 @@ def cscy_to_z(w, m, n):
     chain is set to zero; exact data generated by differentiating a
     degree ``<= n-1`` potential has no content there, so the conversion is
     exact on that range.  At ``m == 0`` both chains substitute upward from
-    the bottom and one equation is redundant.
+    degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``, and the
+    top equation is redundant.
     """
     mu = _slice_order("cscy_to_z", m, n)
     w = _real_array("cscy_to_z", w)
@@ -265,8 +251,11 @@ def cscy_to_z(w, m, n):
     if w.shape != (n - mu + 1,):
         raise ValueError(f"cscy_to_z: expected length {n - mu + 1} at m={m}, got {w.shape[0]}")
     _require_finite("cscy_to_z: w", w)
-    if mu == 0:
-        return _cscy_to_z_zero(w[:, None], n)[:, 0]
+    if mu == 0:  # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
+        a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
+        z = (-w[:n, None] / a)[:, :, None]
+        _recurrence(z, b=-b / a, work={})
+        return z[:, 0, 0]
     z = np.zeros((n - mu + 2, 1, 1))
     z[: n - mu + 1, 0, 0] = w
     return _cscy_to_z_block(z, _lane_grid(np.array([mu]), n - mu + 2), {})[:, 0, 0]
@@ -275,24 +264,24 @@ def cscy_to_z(w, m, n):
 def _lsq_sweep(segments, rotations, factor, rhs, work):
     """Least squares for tridiagonal problems of shape ``(p + 1) x p``, one or two to a lane.
 
-    ``segments = (live, seconds, ends)``: ``live`` (``(rows, L)``) marks
-    the problems' ``p`` rows in the lanes of ``rhs`` (``(rows, r, L)``),
-    ``seconds`` and ``ends`` the (row, lane) index arrays of the first row
-    of each problem past another and of each problem's row ``p``.  The
-    known plane rotation ``(c[j, k], s[j, k])`` acts on rows ``j, j + 1`` of
-    lane ``k``, and ``factor = (d, e, f)`` holds the diagonals ``R[j, j]``,
-    ``R[j, j + 1]``, ``R[j, j + 2]`` of the triangular factor left.  Off the
-    live rows entries must be finite and are ignored: the sweep zeroes the
-    rotations and off-diagonals there in place, with unit pivots, and puts
-    an identity rotation before a second problem.  Returns ``x`` (``(rows -
-    1, r, L)``, zero off the live rows) and the signed residuals left in the
-    rows ``ends``.  ``x`` is a view of ``rhs``, solved in place; the
-    temporaries are ``work``'s (see :func:`_empty`).
+    ``segments = (live, ends)``: ``live`` (``(rows, L)``) marks each
+    problem's ``p`` rows, one run, in the lanes of ``rhs`` (``(rows, r,
+    L)``), and ``ends`` the (row, lane) index arrays of each problem's row
+    ``p``.  The known plane rotation ``(c[j, k], s[j, k])`` acts on rows
+    ``j, j + 1`` of lane ``k``, and ``factor = (d, e, f)`` holds the
+    magnitudes of the triangular factor left, ``R[j, j : j + 3] = d[j],
+    -e[j], -f[j]``.  Off the live rows entries must be finite and are
+    ignored: the sweep zeroes the rotations and off-diagonals there in
+    place, with unit pivots, and puts an identity rotation before each run
+    past row 0.  Returns ``x`` (``(rows - 1, r, L)``, zero off the live
+    rows) and the signed residuals left in the rows ``ends``.  ``x`` is a
+    view of ``rhs``, solved in place; the temporaries are ``work``'s (see
+    :func:`_empty`).
     """
-    (live, seconds, ends), (c, s), (d, e, f) = segments, rotations, factor
+    (live, ends), (c, s), (d, e, f) = segments, rotations, factor
     for x in (c, s, e, f):
         x *= live
-    c[seconds[0] - 1, seconds[1]] = 1.0
+    np.putmask(c[:-1], live[1:] > live[:-1], 1.0)
     np.putmask(d, ~live, 1.0)
     # s[j] rhs[j + 1] for row j of Q'rhs (below), before the rotations overwrite rhs:
     # they leave t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1] in row j
@@ -304,10 +293,9 @@ def _lsq_sweep(segments, rotations, factor, rhs, work):
     _recurrence(t, a, work=work)
     residual = t[ends[0], :, ends[1]]
     # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
-    # x[j] = (q[j] - e[j] x[j + 1] - f[j] x[j + 2]) / d[j] runs from the bottom
+    # x[j] = (q[j] + e[j] x[j + 1] + f[j] x[j + 2]) / d[j] runs from the bottom
     t *= c[:, None]
     t[:-1] += below
-    e, f = np.negative(e, out=a), np.negative(f, out=_empty(work, "b", f.shape))
     _recurrence(t[::-1], e[::-1], f[::-1], d=d[::-1], work=work)
     return t[:-1], residual
 
@@ -321,14 +309,13 @@ def _lanes(n, low, paired, work):
     partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
     meets :func:`_recurrence`'s chunk boundaries where a block of
     consecutive orders does.  Returns each problem's order in
-    :func:`_lsq_sweep`'s order (firsts, then partners), its ``(seconds,
-    ends)`` indices, the ``(l, m, keep)`` grid of the lanes (see
+    :func:`_lsq_sweep`'s order (firsts, then partners), its ``ends``
+    indices, the ``(l, m, keep)`` grid of the lanes (see
     :func:`_z_to_cscy_block`), whose gap rows continue the first order's
     degrees, in the closed forms' domain, ``keep = l <= n + 2``, and
     :func:`_gather`'s spans by basis.  ``l`` and ``m`` are ``work``'s (see
     :func:`_empty`).
     """
-    nlanes, lanes = len(low), np.arange(len(low))
     rows = n + 12 if paired else n + 1 - low[0]
     first = (n + 11 - low) // 8 * 8  # a partner's first row: first + low + 1 <= n + 12
     i = np.arange(rows + 1.0)[:, None]
@@ -351,8 +338,8 @@ def _lanes(n, low, paired, work):
         spans[basis] = [(slice(*at[:2]), slice(None), firsts[:, None].repeat(2, 1)),
                         (slice(*at[2:]), pick, partners[:, None].repeat(2, 1))][: 1 + (paired > 0)]
     # each problem's row n - m and lane (see _lsq_sweep), and its order
-    ends = np.concatenate((n - low, first[:paired] + low[:paired])), np.concatenate((lanes, lanes[:paired]))
-    return np.concatenate((low, n - low[:paired])), ((first[:paired], lanes[:paired]), ends), (l, m, keep), spans
+    ends = np.concatenate((n - low, first[:paired] + low[:paired])), np.concatenate((np.arange(len(low)), np.arange(paired)))
+    return np.concatenate((low, n - low[:paired])), ends, (l, m, keep), spans
 
 
 def _blocks(n, work):
@@ -363,19 +350,18 @@ def _blocks(n, work):
         yield _lanes(n, np.arange(start, stop), paired, work)
 
 
-def _order_problems(n, lanes):
-    """Segments (see :func:`_lsq_sweep`), rotations and triangular factors of the problems of ``lanes`` (see :func:`_lanes`).
+def _order_problems(n, ends, grid):
+    """Segments (see :func:`_lsq_sweep`), rotations and triangular factors of a block's problems (see :func:`_lanes`).
 
     Row ``j`` of order ``m``'s ``A + B`` problem, lane row ``l <= n``, is :func:`.recurrences._qr` at
     ``l - m = j + 1``: the paper's closed-form rotation and the row of the Cholesky factor it leaves.
     """
-    _, (seconds, ends), (l, m, _) = lanes[:3]
-    rows = len(l) - 1
-    return ((l[:rows] <= n, seconds, ends), *rec._qr(l[:rows] - m[:rows], m[:rows]))
+    l, m = (x[: len(grid[0]) - 1] for x in grid[:2])
+    return ((l <= n, ends), *rec._qr(l - m, m))
 
 
-def _solve_orders(n, lanes, b1, b2, work):
-    """Least squares for the block systems of the orders of ``lanes`` (see :func:`_lanes`).
+def _solve_orders(n, ends, grid, b1, b2, work):
+    """Least squares for the block systems of a block's orders, by its ``ends`` and ``grid`` (see :func:`_lanes`).
 
     ``b1``/``b2`` (``(rows, r, K)``, ``K`` lanes) are the halves of the
     right-hand sides: ``A + B`` takes ``b1 + b2`` for ``x1 + x2`` and
@@ -388,7 +374,7 @@ def _solve_orders(n, lanes, b1, b2, work):
     np.add(b1, b2, out=rhs[:, :r])
     np.subtract(b2, b1, out=rhs[:, r:])
     rhs[1::2, r:] *= -1.0  # D
-    x, res = _lsq_sweep(*_order_problems(n, lanes), rhs, work)
+    x, res = _lsq_sweep(*_order_problems(n, ends, grid), rhs, work)
     u, v = x[:, :r], x[:, r:]
     v[1::2] *= -1.0
     halves = _empty(work, "spare", (2,) + u.shape)  # the sweep is done with it
@@ -417,14 +403,14 @@ def solve_order(n, m, rhs):
     if rhs.size == 0:
         raise ValueError("solve_order: rhs must have at least one column")
     _require_finite("solve_order: rhs", rhs)
-    ms, none = np.array([m]), np.zeros(0, int)  # one problem in one lane: no partner, its row p is q - 1
-    x1, x2, residual = _solve_orders(n, (ms, ((none, none), ([q - 1], [0])), _lane_grid(ms, q + 1)), *rhs.reshape(2, q, -1, 1), {})
+    # one problem in one lane, its row p is q - 1
+    x1, x2, residual = _solve_orders(n, ([q - 1], [0]), _lane_grid(np.array([m]), q + 1), *rhs.reshape(2, q, -1, 1), {})
     x = np.concatenate([x1[..., 0], x2[..., 0]])
     return (x[:, 0] if rhs.ndim == 1 else x), float(residual[0])
 
 
-def _gather(lanes, specs, grids, work):
-    """Copy the orders of ``lanes`` of each spectrum (one basis) into its grid, zero elsewhere.
+def _gather(spans, specs, grids, work):
+    """Copy a block's orders of each spectrum (one basis) into its grid, zero elsewhere, by its ``spans``.
 
     The firsts fill one span of the flat storage, ``+m`` before ``-m``, the partners another: a span
     picks the lanes of a ``(K, 2, rows)`` grid in flat order, and its mask their entries (see :func:`_lanes`).
@@ -432,15 +418,15 @@ def _gather(lanes, specs, grids, work):
     by_lane = _empty(work, "spare", grids[0].shape[::-1])  # a masked copy into a strided grid is slower
     for spec, grid in zip(specs, grids):
         by_lane.fill(0.0)
-        for span, pick, inside in lanes[3][spec.basis]:
+        for span, pick, inside in spans[spec.basis]:
             by_lane[pick][inside[..., : len(grid)]] = spec.flat()[span]
         grid[...] = by_lane.transpose(2, 1, 0)
 
 
-def _scatter(lanes, specs, grids):
-    """Write each grid into the orders of ``lanes`` (see :func:`_gather`) of its spectrum."""
+def _scatter(spans, specs, grids):
+    """Write each grid into a block's orders of its spectrum, by the block's ``spans`` (see :func:`_gather`)."""
     for spec, grid in zip(specs, grids):
-        for span, pick, inside in lanes[3][spec.basis]:
+        for span, pick, inside in spans[spec.basis]:
             spec.flat()[span] = grid.transpose(2, 1, 0)[pick][inside[..., : len(grid)]]
 
 
@@ -473,10 +459,9 @@ def differentiate(s, t):
     # phi_m, phi_-m) out; in each, [[A, B], [B, A]] couples column c with
     # column 3 - c through B = m
     cross, work = np.array([-1.0, 1.0, 1.0, -1.0])[:, None], {}
-    for lanes in _blocks(n, work):
-        l, m, keep = lanes[2]
+    for _, _, (l, m, keep), spans in _blocks(n, work):
         x = _empty(work, "steps", (len(l), 4, l.shape[1]))  # spent before the conversion's kernel takes it
-        _gather(lanes, (s, t), (x[:, :2], x[:, 2:]), work)
+        _gather(spans, (s, t), (x[:, :2], x[:, 2:]), work)
         # row i of A x is gamma(l) x[i + 1] + delta(l - 2) x[i - 1], csc degree l - 1;
         # gap rows take nothing from the order above them
         gamma, delta = rec._derivative(l[:-1], m[:-1])
@@ -488,8 +473,8 @@ def differentiate(s, t):
         x *= m[:, None]
         w += np.multiply(cross, x[:, ::-1], out=product)
         del gamma, delta  # before the conversion makes its grids
-        z = _cscy_to_z_block(w, lanes[2], work)
-        _scatter(lanes, (out.theta, out.phi), (z[:, :2], z[:, 2:]))
+        z = _cscy_to_z_block(w, (l, m, keep), work)
+        _scatter(spans, (out.theta, out.phi), (z[:, :2], z[:, 2:]))
     return out
 
 
@@ -533,16 +518,15 @@ def decompose(field):
     z = np.array((theta.flat()[:n], phi.flat()[:n]))  # order zero leads both tables
     result.spheroidal.flat()[1:n], result.toroidal.flat()[1:n] = -(z[:, :-1] - z[:, -1:] * w) / np.sqrt(l * (l + 1))
     work = {}
-    for lanes in _blocks(n, work):
-        rows, nlanes = lanes[2][0].shape
-        z = _empty(work, "rhs", (rows, 4, nlanes))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
-        _gather(lanes, (theta, phi), (z[:, :2], z[:, 2:]), work)
-        w = _z_to_cscy_block(z, lanes[2], work)
+    for orders, ends, grid, spans in _blocks(n, work):
+        z = _empty(work, "rhs", (len(grid[0]), 4, grid[0].shape[1]))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
+        _gather(spans, (theta, phi), (z[:, :2], z[:, 2:]), work)
+        w = _z_to_cscy_block(z, grid, work)
         np.negative(w[:, 3], out=w[:, 3])
         # the halves (see _solve_orders) of the systems of (s_m, -t_-m) and (s_-m, t_m)
-        x1, x2, residual[lanes[0]] = _solve_orders(n, lanes, w[:, :2], w[:, 3:1:-1], work)
+        x1, x2, residual[orders] = _solve_orders(n, ends, grid, w[:, :2], w[:, 3:1:-1], work)
         x2[:, 0] *= -1.0
-        _scatter(lanes, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
+        _scatter(spans, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
     # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1,
     # the last six entries of a table: +n and -n (degrees n - 1, n), +(n + 1) and -(n + 1) (degree n)
     m = np.arange(n)

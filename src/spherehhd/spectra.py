@@ -246,8 +246,11 @@ def random_spectrum(n_pot, seed):
     """Scalar spectrum with i.i.d. standard-normal coefficients.
 
     Uses the PCG64 generator, so results are reproducible across platforms
-    for a fixed seed.
+    for a fixed seed, a non-negative integer.
     """
+    _require_integers("random_spectrum", seed=seed)
+    if seed < 0:
+        raise ValueError(f"random_spectrum: seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = ScalarSpectrum(n_pot)
     spec._data[:] = rng.standard_normal(spec.size)

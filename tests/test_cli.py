@@ -305,6 +305,14 @@ def test_invalid_iters(capsys):
     assert out == "" and "--iters: must be >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["differentiate", "bench"])
+def test_invalid_seed(capsys, tmp_path, command):
+    flags = ["--n", "4", "--out-prefix", str(tmp_path / "x")] if command == "differentiate" else ["--n-list", "8"]
+    code, out, err = run_cli(capsys, command, *flags, "--seed", "-1")
+    assert code == 1
+    assert out == "" and "--seed: must be >= 0" in err and not list(tmp_path.iterdir())
+
+
 # each subcommand's required flags, and a well-formed value for every flag;
 # no subcommand reads --tol (verify's tolerances are fixed), so all reject it
 _REQUIRED = {

@@ -74,6 +74,15 @@ def test_chol_e_bounded_for_huge_degree():
         (chol_e, np.inf, 1),
         (chol_f, 3, 2.5),
         (chol_f, np.array([1.0, 2.0, np.nan]), 1),
+        # nor is a bool, or an int past the float range, whose order is checked before any floor on l
+        (alpha, True, 1),
+        (chol_d, True, 1),
+        (beta, 2, True),
+        (gamma, np.array([True, True]), 0),
+        pytest.param(alpha, 10**400, 1, id="alpha-huge-l"),
+        pytest.param(gamma, 10**400, 2, id="gamma-huge-l"),
+        pytest.param(alpha, 3, 10**400, id="alpha-huge-m"),
+        pytest.param(delta, [3, -(10**400)], 0, id="delta-huge-negative-l"),
     ],
 )
 def test_domain_violations_raise(fn, l, m):
@@ -85,6 +94,13 @@ def test_domain_violations_raise(fn, l, m):
 def test_negative_order_raises():
     with pytest.raises(ValueError):
         beta(3, -1)
+
+
+def test_integers_of_every_type_give_the_same_coefficients():
+    # numpy integers and integer-valued floats pass the check as Python ints do, to the bit
+    for fn in (alpha, beta, gamma, delta, chol_d, chol_e, chol_f):
+        assert fn(np.int64(5), np.uint8(2)) == fn(5.0, 2.0) == fn(5, 2)
+        assert np.array_equal(fn(np.array([5, 6], dtype=np.int32), 2), fn([5.0, 6.0], np.float64(2)))
 
 
 def test_signs_on_valid_domain():
@@ -192,7 +208,8 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
         for name in ("_qr", "_conversion", "_derivative"):
             mp.setattr(rec, name, recorder(name))
         decompose(differentiate(*random_potentials(n, seed)))
-        _order_problems(n, _lanes(n, ms, 0, {}))
+        _, ends, grid, _ = _lanes(n, ms, 0, {})
+        _order_problems(n, ends, grid)
         grid = _lane_grid(ms, rows)
         _cscy_to_z_block(_z_to_cscy_block(np.ones((rows + 1, 1, len(ms))), grid, {}), grid, {})
     assert {call[0] for call in calls} == {"_qr", "_conversion", "_derivative"}
@@ -206,9 +223,9 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
             assert np.array_equal(out[1], _reference("delta", l, m, -1))
         else:
             (c, s), (d, e, f) = out
-            assert np.array_equal(d, chol_d(l, m)) and np.array_equal(e, -chol_e(l, m))
-            assert np.array_equal(f, -chol_f(l, m))
-            for have, key in ((c, "c"), (s, "s"), (d, "d"), (-e, "e"), (-f, "f")):
+            assert np.array_equal(d, chol_d(l, m)) and np.array_equal(e, chol_e(l, m))
+            assert np.array_equal(f, chol_f(l, m))
+            for have, key in ((c, "c"), (s, "s"), (d, "d"), (e, "e"), (f, "f")):
                 assert np.array_equal(have, _reference(key, l, m))
             # from the first row of each order in a lane, its n - m columns are build_R's
             for k, lane in enumerate(np.broadcast_to(m, l.shape).T):
@@ -216,8 +233,8 @@ def test_grid_evaluators_match_the_checked_coefficients(n, first, width, seed):
                     start, p = int(np.argmax(lane == mk)), n - mk
                     r = build_R(p, mk)
                     assert np.array_equal(d[start : start + p, k], np.diagonal(r))
-                    assert np.array_equal(e[start : start + p - 1, k], np.diagonal(r, 1))
-                    assert np.array_equal(f[start : start + max(p - 2, 0), k], np.diagonal(r, 2))
+                    assert np.array_equal(-e[start : start + p - 1, k], np.diagonal(r, 1))
+                    assert np.array_equal(-f[start : start + max(p - 2, 0), k], np.diagonal(r, 2))
 
 
 def test_grid_evaluators_reject_an_out_of_domain_corner():

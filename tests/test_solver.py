@@ -54,8 +54,9 @@ from conftest import FOLD_DEGREES
 
 
 def block_problems(n, ms):
-    """Segments, rotations and factors of a block of consecutive orders ``ms``, one to a lane."""
-    return _order_problems(n, _lanes(n, ms, 0, {}))
+    """Segments, rotations and factor magnitudes of a block of consecutive orders ``ms``, one to a lane."""
+    _, ends, grid, _ = _lanes(n, ms, 0, {})
+    return _order_problems(n, ends, grid)
 
 
 def sweep_halves(n, m, rhs=None):
@@ -76,7 +77,7 @@ def sweep_halves(n, m, rhs=None):
     x, res = _lsq_sweep(segments, rotations, (d, e, f), both, {})
     a, b = build_A(n, m), build_B(n, m)
     r_plus, j = np.diag(d[:p, 0]), np.arange(p)
-    r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = e[: p - 1, 0], f[: max(p - 2, 0), 0]
+    r_plus[j[:-1], j[1:]], r_plus[j[:-2], j[2:]] = -e[: p - 1, 0], -f[: max(p - 2, 0), 0]
     return [
         (a + b, x[:, :r, 0], res[0, :r], r_plus),
         (a - b, dp[:, None] * x[:, r:, 0], res[0, r:], dp[:, None] * r_plus * dp),
@@ -152,24 +153,24 @@ def test_sweep_r_matches_closed_form_cholesky_factor():
             closed = build_R(p, m)
             d, e, f = (x[:, 0] for x in factor)
             assert np.array_equal(d[:p], np.diagonal(closed))
-            assert np.array_equal(e[: p - 1], np.diagonal(closed, 1))
-            assert np.array_equal(f[: max(p - 2, 0)], np.diagonal(closed, 2))
+            assert np.array_equal(-e[: p - 1], np.diagonal(closed, 1))
+            assert np.array_equal(-f[: max(p - 2, 0)], np.diagonal(closed, 2))
             a, b = build_A(n, m), build_B(n, m)
             flip = (-1.0) ** np.arange(1, p + 2)[:, None]
-            for dense, cj, ej in ((a + b, c, e), (a - b, flip * c, -e)):
+            for dense, cj, ej in ((a + b, c, -e), (a - b, flip * c, e)):
                 columns = np.diagonal(dense, -1), np.diagonal(dense), np.r_[0.0, np.diagonal(dense, 1)]
-                assert_rotations_give_factor((cj, s), (d[:, None], ej[:, None], f[:, None]), columns, p)
+                assert_rotations_give_factor((cj, s), (d[:, None], ej[:, None], -f[:, None]), columns, p)
 
 
 @pytest.mark.parametrize("n,m", [(4096, 1), (4096, 2), (4096, 3), (4096, 64), (4096, 1000), (4096, 4095)])
 def test_closed_form_rotations_beyond_dense_oracles(n, m):
     # the same check at sizes past DENSE_ORACLE_LIMIT, with A + B from the
     # recurrences: column j holds gamma in row j - 1, m in row j, delta in row j + 1
-    _, rotations, factor = block_problems(n, np.array([m]))
+    _, rotations, (d, e, f) = block_problems(n, np.array([m]))
     p = n - m
     degrees = m + np.arange(p)
     columns = rec.delta(degrees, m), np.full(p, float(m)), rec.gamma(degrees, m)
-    assert_rotations_give_factor(rotations, factor, columns, p)
+    assert_rotations_give_factor(rotations, (d, -e, -f), columns, p)
 
 
 def test_r_diagonal_nonnegative_and_small_system():
@@ -501,14 +502,20 @@ def test_block_layouts_hold_every_order_once(n):
     # the grid's m reads its order and l its degree + 2 on each of its n - m + 2
     # rows (degrees m - 1 .. n), row n - m is its end, and keep marks these rows
     # and no other; a partner starts at a multiple of 8, past its first order's
-    # last row and two gap rows
+    # last row and two gap rows.  On the sweep's rows each problem's live rows
+    # (l <= n) are one run that starts at its first row and stops at its end,
+    # so the rows where a lane turns live past row 0 are its partner's start
     orders = []
-    for problems, ((seconds, partner_lanes), (end_rows, end_lanes)), (l, m, keep), _ in _blocks(n, {}):
+    for problems, (end_rows, end_lanes), (l, m, keep), _ in _blocks(n, {}):
         nlanes, held = l.shape[1], np.zeros(l.shape, bool)
+        seconds = np.argmax(m != m[0], axis=0)[: len(problems) - nlanes]  # where a partner's order takes over
         starts = np.concatenate((np.zeros(nlanes, int), seconds))
-        lanes = np.concatenate((np.arange(nlanes), partner_lanes))
-        assert np.array_equal(partner_lanes, np.arange(len(seconds)))
+        lanes = np.concatenate((np.arange(nlanes), np.arange(len(seconds))))
         assert np.array_equal(end_lanes, lanes) and np.array_equal(end_rows, starts + n - problems)
+        turns = np.diff(np.pad(l[:-1] <= n, ((1, 1), (0, 0))).astype(int), axis=0)  # 1 at a run's first row, -1 past it
+        for lane in range(nlanes):
+            assert np.array_equal(np.flatnonzero(turns[:, lane] == 1), starts[lanes == lane])
+            assert np.array_equal(np.flatnonzero(turns[:, lane] == -1), end_rows[lanes == lane])
         for order, start, lane in zip(problems.tolist(), starts.tolist(), lanes.tolist()):
             rows = slice(start, start + n - order + 2)
             assert rows.stop <= len(l)
@@ -839,17 +846,18 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     n, low = 3 * CHUNK_STEPS + 2, np.arange(1, 7)
     # lane m holds order m, or orders m and n - m when folded: the firsts from row 0, the partners
     # from the rows the layout names for them
-    lanes = _lanes(n, low, len(low) if layout == "folded" else 0, {})
-    segments, rotations, factor = _order_problems(n, lanes)
-    (rows, nlanes), (seconds, _) = rotations[0].shape, segments[1]
-    starts, sizes = np.concatenate((np.zeros(nlanes, int), seconds)), n - lanes[0]
+    orders, ends, grid, _ = _lanes(n, low, len(low) if layout == "folded" else 0, {})
+    segments, rotations, factor = _order_problems(n, ends, grid)
+    rows, nlanes = rotations[0].shape
+    seconds = np.argmax(grid[1] != grid[1][0], axis=0)[: len(orders) - nlanes]  # where a partner's order takes over
+    starts, sizes = np.concatenate((np.zeros(nlanes, int), seconds)), n - orders
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal((rows, 2, nlanes))
     live, used = np.zeros((2, rows, nlanes), dtype=bool)
     for k, (start, p) in enumerate(zip(starts.tolist(), sizes.tolist())):
         live[start : start + p, k % nlanes] = used[start : start + p + 1, k % nlanes] = True
     assert np.array_equal(segments[0], live)
-    assert np.array_equal(segments[2][0], starts + sizes)
+    assert np.array_equal(segments[1][0], starts + sizes)
     if layout == "folded":
         assert np.all(starts[nlanes:] > starts[:nlanes] + sizes[:nlanes] + 1)
 
@@ -862,3 +870,9 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     assert np.array_equal(x_noisy, x)
     assert not np.any(np.where(live[:-1, None], 0.0, x))
     assert np.array_equal(res_noisy, res)
+    # and each problem, a partner too, is solved as lstsq solves it: the sweep
+    # starts every run of live rows afresh, with an identity rotation before it
+    for k, (start, p) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        b = rhs[start : start + p + 1, :, k % nlanes]
+        ref = np.linalg.lstsq(build_A(n, int(orders[k])) + build_B(n, int(orders[k])), b, rcond=None)[0]
+        assert np.max(np.abs(x[start : start + p, :, k % nlanes] - ref)) <= 1e-11 * np.max(np.abs(ref))

@@ -78,6 +78,14 @@ def test_random_spectrum_deterministic():
     assert not np.array_equal(a.flat(), c.flat())
 
 
+@pytest.mark.parametrize("seed", [-1, None, True, 2.5, "1"])
+def test_random_spectrum_rejects_a_seed_that_is_no_nonnegative_integer(seed):
+    # None would draw fresh entropy, so the spectrum could not be reproduced
+    with pytest.raises(ValueError, match="^random_spectrum: seed"):
+        random_spectrum(3, seed)
+    assert random_spectrum(3, np.int64(5)).flat().tolist() == random_spectrum(3, 5).flat().tolist()
+
+
 def test_random_spectrum_moments():
     draws = random_spectrum(999, seed=7).flat()  # 10^6 draws
     assert abs(draws.mean()) < 0.01
