@@ -8,7 +8,8 @@ turns condition-number estimation into scalar inequalities:
 * row/column-sum bounds on bidiagonal-like triangles bracket the extreme
   singular values for orders ``m >= 2``;
 * for ``m == 1`` a block semi-separable representation of ``R^{-1}`` gives
-  a Frobenius-norm bound that grows only logarithmically.
+  a Frobenius-norm bound that grows only logarithmically; the lemmas on its
+  2x2 blocks are checked in ``tests/test_conditioning.py``.
 
 Dense singular-value and eigenvalue oracles (LAPACK via numpy) live here
 and in the test suite only; the fast solver never touches them.  They
@@ -24,11 +25,10 @@ import numpy as np
 
 from . import recurrences as rec
 from .operators import _dense_system, build_A, build_B
-from .spectra import _require_integers
+from .spectra import _require_integers, _require_order
 
 __all__ = ["ConditionReport", "build_R", "build_CD", "kappa_numeric", "kappa_bound",
-           "qi_singular_bounds", "block_a", "block_b", "block_c", "block_a_inv",
-           "inverse_norm_frobenius_bound", "inverse_norm_conjecture", "condition_trend"]
+           "qi_singular_bounds", "inverse_norm_frobenius_bound", "inverse_norm_conjecture"]
 
 DENSE_ORACLE_LIMIT = 512
 
@@ -53,9 +53,7 @@ def build_CD(n, m):
     superdiagonals, ``D`` tridiagonal with an exactly zero main diagonal;
     an ``AssertionError`` reports an entry outside either structure.
     """
-    _require_integers("build_CD", n=n, m=m)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"build_CD: need 1 <= m <= n-1, got m={m}, n={n}")
+    _require_order("build_CD", n, m)
     a, b = build_A(n, m), build_B(n, m)
     c = a.T @ a + b.T @ b
     d = a.T @ b + b.T @ a
@@ -71,9 +69,7 @@ def kappa_bound(n, m):
     The ``m == 1`` branch grows like ``n log n``; for ``m >= 2`` the bound is
     the ratio of the singular-value brackets and is uniform in ``n/m``.
     """
-    _require_integers("kappa_bound", n=n, m=m)
-    if n < 1 or m < 1:
-        raise ValueError("kappa_bound: need n >= 1 and m >= 1")
+    _require_order("kappa_bound", n, m)
     if m == 1:
         return (n + 2.5) * (4.0 * math.exp(1.0 + 7.0 * math.pi**2 / 8.0) * (2.0 + math.log(n)))
     return (n + m + 1.5) / (m - 1.5)
@@ -121,48 +117,13 @@ def kappa_numeric(n, m):
     the singular-value brackets.  Refuses truncations beyond the dense
     oracle scale.
     """
-    _require_integers("kappa_numeric", n=n, m=m)
+    _require_order("kappa_numeric", n, m)
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"kappa_numeric: dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"kappa_numeric: need 1 <= m <= n-1, got m={m}, n={n}")
     sv_r = np.linalg.svd(build_R(n - m, m), compute_uv=False)
     sv_m = np.linalg.svd(_dense_system(n, m), compute_uv=False)
     return ConditionReport(n, m, float(sv_r[0] / sv_r[-1]), float(sv_m[0] / sv_m[-1]), kappa_bound(n, m),
                            *qi_singular_bounds(n - m, m))
-
-
-def block_a(l, m=1):
-    """Diagonal 2x2 block of the blocked factor (rows ``2l-1``, ``2l``)."""
-    _require_integers("block_a", l=l, m=m)
-    if l < 1:
-        raise ValueError("block_a: need l >= 1")
-    (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
-    return np.array([[d1, -e1], [0.0, d2]])
-
-
-def block_b(l, m=1):
-    """Superdiagonal 2x2 block of the blocked factor."""
-    _require_integers("block_b", l=l, m=m)
-    if l < 1:
-        raise ValueError("block_b: need l >= 1")
-    _, (_, e2), (f1, f2) = rec._chol(np.array([2 * l - 1, 2 * l]), m)
-    return -np.array([[f1, 0.0], [e2, f2]])
-
-
-def block_a_inv(l, m=1):
-    """Closed-form inverse of the diagonal block."""
-    _require_integers("block_a_inv", l=l, m=m)
-    if l < 1:
-        raise ValueError("block_a_inv: need l >= 1")
-    (d1, d2), (e1, _), _ = rec._chol(np.array([2 * l - 1, 2 * l]), m)
-    return np.array([[1.0 / d1, e1 / (d1 * d2)], [0.0, 1.0 / d2]])
-
-
-def block_c(l, m=1):
-    """Propagation block ``c_l = -a_l^{-1} b_l`` of the semi-separable inverse."""
-    _require_integers("block_c", l=l, m=m)
-    return -block_a_inv(l, m) @ block_b(l, m)
 
 
 def inverse_norm_frobenius_bound(n):
@@ -183,23 +144,3 @@ def inverse_norm_conjecture(n):
     if n <= 1:
         raise ValueError("inverse_norm_conjecture: need n > 1")
     return (2.0 / math.pi) * math.log(n + 2.5)
-
-
-def condition_trend(n, orders=None):
-    """Dense ``kappa_2`` of the factor for each order at fixed truncation ``n``.
-
-    Used to report the empirical monotone decrease of the condition number
-    as the order grows toward ``n``; soft-checked, since the trend is an
-    observation rather than a theorem.
-    """
-    _require_integers("condition_trend", n=n)
-    if orders is None:
-        orders = range(2, n)
-    out = {}
-    for m in orders:
-        _require_integers("condition_trend", m=m)
-        if not 1 <= m <= n - 1:
-            raise ValueError(f"condition_trend: need 1 <= m <= n-1, got m={m}, n={n}")
-        sv = np.linalg.svd(build_R(n - m, m), compute_uv=False)
-        out[m] = float(sv[0] / sv[-1])
-    return out

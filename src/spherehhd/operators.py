@@ -19,7 +19,7 @@ checks against the paper's structural claims.
 import numpy as np
 
 from . import recurrences as rec
-from .spectra import _require_integers
+from .spectra import _require_integers, _require_order
 
 __all__ = ["build_A", "build_B", "shuffle_permutation"]
 
@@ -67,18 +67,16 @@ def build_A(n, m):
     _require_integers("build_A", n=n, m=m)
     if m < 0:
         raise ValueError("build_A: order must be >= 0")
-    if m >= 1 and m > n - 1:
-        raise ValueError(f"build_A: need 1 <= m <= n-1, got m={m}, n={n}")
-    if m == 0 and n < 2:
+    if m >= 1:
+        _require_order("build_A", n, m)
+    elif n < 2:
         raise ValueError("build_A: need n >= 2 at m = 0")
     return _scatter(_block_entries(n, [m])[0], (n + 1 - m, n - max(m, 1)))
 
 
 def build_B(n, m):
     """Longitude-derivative block, as a dense array: constant ``m`` diagonal over a zero row."""
-    _require_integers("build_B", n=n, m=m)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"build_B: need 1 <= m <= n-1, got m={m}, n={n}")
+    _require_order("build_B", n, m)
     return _scatter(_block_entries(n, [m])[1], (n + 1 - m, n - m))
 
 
@@ -95,6 +93,9 @@ def shuffle_permutation(size):
     ``k`` of the stacked block system lands at row ``perm[k]`` of the
     interleaved system.
     """
+    _require_integers("shuffle_permutation", size=size)
+    if size < 0:
+        raise ValueError(f"shuffle_permutation: size must be >= 0, got {size}")
     if size % 2 != 0:
         raise ValueError("shuffle_permutation: size must be even")
     return np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])

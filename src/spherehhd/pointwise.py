@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import TangentField
+from .spectra import TangentField, _require_integers
 
 __all__ = [
     "GridSpec",
@@ -51,6 +51,7 @@ def legendre_table(m, lmax, x):
     The recurrence is seeded at ``l == m`` with the closed product form and
     run upward in degree, which is stable for the L2-normalized functions.
     """
+    _require_integers("legendre_table", m=m, lmax=lmax)
     if m < 0:
         raise ValueError("legendre_table: order m must be >= 0")
     if lmax < m:
@@ -80,8 +81,9 @@ def legendre_table(m, lmax, x):
 
 def legendre_norm(l, m, x):
     """Single normalized associated Legendre function ``P~_l^m(x)``."""
+    _require_integers("legendre_norm", l=l, m=m)
     if not 0 <= m <= l:
-        raise ValueError("legendre_norm: need 0 <= m <= l")
+        raise ValueError(f"legendre_norm: need 0 <= m <= l, got l={l}, m={m}")
     return legendre_table(m, l, x)[-1]
 
 
@@ -116,8 +118,6 @@ class _Basis:
         self.lmax, self.theta, self.phi, self.tables = lmax, np.asarray(theta, float), phi, {}
 
     def legendre(self, l, m):
-        if not 0 <= m <= l:
-            raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
         if m not in self.tables:
             self.tables[m] = legendre_table(m, self.lmax, np.cos(self.theta))
         return self.tables[m][l - m]
@@ -138,14 +138,22 @@ class _Basis:
         return th_comp, self.legendre(l, abs(m)) * _azimuthal_deriv(m, self.phi) / np.sin(self.theta)
 
 
+def _basis(name, l, m, shift, theta, phi):
+    """``_Basis(l, theta, phi)``, once ``(l, m)`` is in basis Y (``shift`` 0) or Z (1): ``l >= ||m| - shift|``."""
+    _require_integers(name, l=l, m=m)
+    if abs(abs(m) - shift) > l:
+        raise ValueError(f"{name}: (l={l}, m={m}) outside basis {'YZ'[shift]}")
+    return _Basis(l, theta, phi)
+
+
 def eval_Y(l, m, theta, phi):
     """Real spherical harmonic of degree ``l`` and signed order ``m``."""
-    return _Basis(l, theta, phi).Y(l, m)
+    return _basis("eval_Y", l, m, 0, theta, phi).Y(l, m)
 
 
 def eval_Z(l, m, theta, phi):
     """Tangential-component basis function of degree ``l`` and signed order ``m``."""
-    return _Basis(l, theta, phi).Z(l, m)
+    return _basis("eval_Z", l, m, 1, theta, phi).Z(l, m)
 
 
 def eval_gradY(l, m, theta, phi):
@@ -155,7 +163,7 @@ def eval_gradY(l, m, theta, phi):
     ``theta_comp e_theta + phi_comp e_phi``; the phi component carries the
     ``csc(theta)`` factor.  ``theta`` must stay away from the poles.
     """
-    return _Basis(l, theta, phi).gradY(l, m)
+    return _basis("eval_gradY", l, m, 0, theta, phi).gradY(l, m)
 
 
 @dataclass
@@ -177,6 +185,7 @@ class GridSpec:
     phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _require_integers("GridSpec", n_theta=self.n_theta, n_phi=self.n_phi)
         if self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("GridSpec: grid sizes must be positive")
         x, w = np.polynomial.legendre.leggauss(self.n_theta)
@@ -192,6 +201,7 @@ class GridSpec:
         ``n_phi = 2 n + 4`` leaves headroom over the formal minimum
         ``2 n + 2``, which would alias the order ``n + 1`` cosine products.
         """
+        _require_integers("GridSpec.for_degree", n=n)
         return cls(n + 1, 2 * n + 4)
 
     def check_resolves(self, n):

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .spectra import HHDResult, ScalarSpectrum, TangentField, _real_array, _require_integers
+from .spectra import HHDResult, ScalarSpectrum, TangentField, _real_array, _require_integers, _require_order
 
 __all__ = ["solve_order", "differentiate", "decompose", "z_to_cscy", "cscy_to_z"]
 
@@ -393,9 +393,7 @@ def solve_order(n, m, rhs):
     of the residual over all columns.  Raises ``ValueError`` on a complex
     ``rhs``, or naming the first ``rhs`` row that holds a non-finite value.
     """
-    _require_integers("solve_order", n=n, m=m)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"solve_order: need 1 <= m <= n-1, got m={m}, n={n}")
+    _require_order("solve_order", n, m)
     rhs = _real_array("solve_order", rhs)
     q = n + 1 - m
     if rhs.ndim not in (1, 2) or rhs.shape[0] != 2 * q:

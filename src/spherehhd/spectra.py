@@ -68,6 +68,13 @@ def _require_integers(name, **values):
             raise ValueError(f"{name}: {key} must be an integer, got {value!r}")
 
 
+def _require_order(name, n, m):
+    """Raise ``ValueError`` naming ``name`` unless ``n`` and ``m`` are integers with ``1 <= m <= n - 1``."""
+    _require_integers(name, n=n, m=m)
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"{name}: need 1 <= m <= n-1, got m={m}, n={n}")
+
+
 def _real_array(name, values):
     """``values`` as a float64 array, once they are not complex (an O(1) dtype check for arrays)."""
     if np.iscomplexobj(values):
@@ -160,6 +167,7 @@ class _CoeffTable:
 
     def order_slice(self, m):
         """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
+        _require_integers(type(self).__name__, m=m)
         if not self._holds(self.n, m):
             raise ValueError(f"order {m} outside basis {self.basis} with n={self.n}")
         pos, count = self.order_offsets(m)
@@ -173,6 +181,7 @@ class _CoeffTable:
 
     def flat_index(self, l, m):
         """Position of coefficient ``(l, m)`` in :meth:`flat`."""
+        _require_integers(type(self).__name__, l=l, m=m)
         if not self._holds(l, m):
             raise ValueError(
                 f"(l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}"
@@ -259,6 +268,9 @@ def random_spectrum(n_pot, seed):
 
 def random_potentials(n, seed):
     """``random_spectrum(n - 1, seed)`` and ``(n - 1, seed + 1_000_000)``, constant modes zeroed."""
+    _require_integers("random_potentials", n=n)
+    if n < 1:
+        raise ValueError(f"random_potentials: need n >= 1, got {n}")
     s, t = random_spectrum(n - 1, seed), random_spectrum(n - 1, seed + 1_000_000)
     s[0, 0] = t[0, 0] = 0.0
     return s, t

@@ -6,13 +6,8 @@ from numpy.testing import assert_allclose
 
 from spherehhd import conditioning
 from spherehhd.conditioning import (
-    block_a,
-    block_a_inv,
-    block_b,
-    block_c,
     build_CD,
     build_R,
-    condition_trend,
     inverse_norm_conjecture,
     inverse_norm_frobenius_bound,
     kappa_bound,
@@ -102,7 +97,7 @@ def test_kappa_numeric_against_m1_bound():
 
 
 def test_kappa_numeric_scale_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kappa_numeric: dense oracle limited to n <= 512$"):
         kappa_numeric(1024, 2)
 
 
@@ -135,52 +130,45 @@ def test_qi_bounds_bracket_dense_singular_values():
     assert sv[0] <= upper
 
 
+def _m1_blocks(count):
+    """Blocks ``a_l``, ``b_l``, ``a_l^{-1}`` and ``c_l = -a_l^{-1} b_l`` of the m = 1 factor (rows
+    ``2l - 1`` and ``2l``) for l = 1 .. ``count``, stacked as ``(count, 2, 2)`` arrays."""
+    odd = 2 * np.arange(1, count + 1) - 1
+    (d1, e1, f1), (d2, e2, f2) = ([g(k, 1) for g in (chol_d, chol_e, chol_f)] for k in (odd, odd + 1))
+    zero = np.zeros(count)
+    a, b = np.moveaxis([[d1, -e1], [zero, d2]], -1, 0), -np.moveaxis([[f1, zero], [e2, f2]], -1, 0)
+    a_inv = np.moveaxis([[1.0 / d1, e1 / (d1 * d2)], [zero, 1.0 / d2]], -1, 0)
+    return a, b, a_inv, -a_inv @ b
+
+
 def test_blocked_pieces_match_R():
     # the 2x2 blocks tile the dense factor at m = 1
     nb = 4
     r = build_R(2 * nb, 1)
+    a, b, a_inv, _ = _m1_blocks(nb)
     for l in range(1, nb + 1):
         rows = slice(2 * l - 2, 2 * l)
-        assert_allclose(block_a(l), r[rows, rows], atol=1e-15)
+        assert_allclose(a[l - 1], r[rows, rows], atol=1e-15)
         if l < nb:
-            cols = slice(2 * l, 2 * l + 2)
-            assert_allclose(block_b(l), r[rows, cols], atol=1e-15)
-    for l in range(1, nb + 1):
-        assert_allclose(block_a_inv(l) @ block_a(l), np.eye(2), atol=1e-14)
-        assert_allclose(block_c(l), -block_a_inv(l) @ block_b(l), atol=1e-15)
+            assert_allclose(b[l - 1], r[rows, slice(2 * l, 2 * l + 2)], atol=1e-15)
+        assert_allclose(a_inv[l - 1] @ a[l - 1], np.eye(2), atol=1e-14)
 
 
 def test_block_a_inv_infinity_norm_bound():
     # ||a_l^{-1}||_inf <= 2/(l - 1/2), checked numerically over a long run
-    for l in range(1, 1001):
-        norm = np.max(np.sum(np.abs(block_a_inv(l)), axis=1))
-        assert norm <= 2.0 / (l - 0.5) + 1e-15
+    l = np.arange(1, 1001)
+    norm = np.abs(_m1_blocks(1000)[2]).sum(axis=2).max(axis=1)
+    assert np.all(norm <= 2.0 / (l - 0.5) + 1e-15)
 
 
 def test_block_c_infinity_norm_bound():
-    for l in range(1, 1001):
-        norm = np.max(np.sum(np.abs(block_c(l)), axis=1))
-        assert norm <= 1.0 + 0.5 / (l - 0.5) + 1.75 / (l - 0.5) ** 2 + 1e-15
-
-
-def test_block_inverse_names_itself_below_degree_one():
-    # block_c inverts the diagonal block first, and so stops at the same check
-    for l in (0, -1):
-        for block in (block_a_inv, block_c):
-            with pytest.raises(ValueError, match="^block_a_inv: need l >= 1$"):
-                block(l)
-
-
-def test_condition_trend_names_itself_on_orders_outside_the_factor():
-    for m in (7, 5, 0, -1):
-        with pytest.raises(ValueError, match=f"^condition_trend: need 1 <= m <= n-1, got m={m}, n=5$"):
-            condition_trend(5, orders=[m])
-    with pytest.raises(ValueError, match="^condition_trend: m must be an integer"):
-        condition_trend(5, orders=[2.5])
-    assert sorted(condition_trend(5, orders=[1, 4])) == [1, 4]
+    l = np.arange(1, 1001)
+    norm = np.abs(_m1_blocks(1000)[3]).sum(axis=2).max(axis=1)
+    assert np.all(norm <= 1.0 + 0.5 / (l - 0.5) + 1.75 / (l - 0.5) ** 2 + 1e-15)
 
 
 def test_closed_form_c_matches_display():
+    c = _m1_blocks(9)[3]
     for l in (1, 2, 5, 9):
         d1, d2 = chol_d(2 * l - 1, 1), chol_d(2 * l, 1)
         e1, e2 = chol_e(2 * l - 1, 1), chol_e(2 * l, 1)
@@ -191,7 +179,7 @@ def test_closed_form_c_matches_display():
                 [e2 / d2, f2 / d2],
             ]
         )
-        assert_allclose(block_c(l), expected, rtol=1e-14, atol=1e-15)
+        assert_allclose(c[l - 1], expected, rtol=1e-14, atol=1e-15)
 
 
 def test_inverse_norm_frobenius_bound():
@@ -224,10 +212,8 @@ def test_inverse_norm_conjecture_is_in_the_ballpark():
 def test_condition_decreases_with_order():
     # soft-asserted empirical trend at fixed truncation degree
     n = 64
-    trend = condition_trend(n)
-    ms = sorted(trend)
-    ratios = [trend[b] / trend[a] for a, b in zip(ms, ms[1:])]
-    assert max(ratios) <= 1.0 + 1e-8
+    kappa = [np.linalg.cond(build_R(n - m, m)) for m in range(2, n)]
+    assert max(b / a for a, b in zip(kappa, kappa[1:])) <= 1.0 + 1e-8
 
 
 def test_kappa_equals_sqrt_of_combined_block_condition():

@@ -59,8 +59,10 @@ def test_shuffle_permutation_examples():
     assert list(shuffle_permutation(6)) == [0, 2, 4, 1, 3, 5]
     assert list(shuffle_permutation(2)) == [0, 1]
     assert list(shuffle_permutation(8)) == [0, 2, 4, 6, 1, 3, 5, 7]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shuffle_permutation: size must be even$"):
         shuffle_permutation(5)
+    with pytest.raises(ValueError, match="^shuffle_permutation: size must be >= 0, got -2$"):
+        shuffle_permutation(-2)
 
 
 def test_order_system_pentadiagonal():

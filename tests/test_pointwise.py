@@ -69,10 +69,12 @@ def test_eval_Z_low_order():
 
 
 def test_eval_Y_index_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eval_Y: \(l=1, m=2\) outside basis Y$"):
         eval_Y(1, 2, 0.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eval_Z: \(l=0, m=2\) outside basis Z$"):
         eval_Z(0, 2, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"^eval_Z: \(l=0, m=0\) outside basis Z$"):
+        eval_Z(0, 0, 0.5, 0.5)
 
 
 def test_z_orthonormal_on_sphere():

@@ -15,20 +15,16 @@ from numpy.testing import assert_allclose
 import spherehhd
 from spherehhd import recurrences as rec
 from spherehhd.conditioning import (
-    block_a,
-    block_a_inv,
-    block_b,
-    block_c,
     build_CD,
     build_R,
-    condition_trend,
     inverse_norm_conjecture,
     inverse_norm_frobenius_bound,
     kappa_bound,
     kappa_numeric,
     qi_singular_bounds,
 )
-from spherehhd.operators import _dense_system, build_A, build_B
+from spherehhd.operators import _dense_system, build_A, build_B, shuffle_permutation
+from spherehhd.pointwise import GridSpec, eval_gradY, eval_Y, eval_Z, legendre_norm, legendre_table
 from spherehhd.solver import (
     CHUNK_STEPS,
     _blocks,
@@ -695,21 +691,45 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda n: kappa_bound(n, 2), 10.5, np.int64(10)),
     (lambda n: qi_singular_bounds(n, 2), 6.5, np.int64(6)),
     (lambda n: kappa_numeric(n, 2), 8.0, np.int64(8)),
-    (lambda n: condition_trend(n), 8.0, np.int64(8)),
-    (lambda l: block_a(l), 1.5, np.int64(1)),
-    (lambda m: block_b(1, m), 2.0, np.int64(2)),
-    (lambda l: block_a_inv(l), 1.5, np.int64(1)),
-    (lambda m: block_c(1, m), 1.0, np.int64(1)),
     (lambda n: inverse_norm_frobenius_bound(n), 2.5, np.int64(2)),
     (lambda n: inverse_norm_conjecture(n), 2.5, np.int64(2)),
+    (shuffle_permutation, 4.0, np.int64(4)),
+    (lambda l: eval_Y(l, 1, 0.5, 0.5), 2.5, np.int64(2)),
+    (lambda l: eval_Y(l, 0, 0.5, 0.5), True, np.int64(1)),
+    (lambda m: eval_Z(2, m, 0.5, 0.5), 1.0, np.int64(1)),
+    (lambda m: eval_gradY(2, m, 0.5, 0.5), 1.0, np.int64(1)),
+    (lambda m: legendre_table(m, 3, 0.2), 1.5, np.int64(1)),
+    (lambda l: legendre_norm(l, 1, 0.2), 2.0, np.int64(2)),
+    (lambda n: GridSpec(n, 4), 2.5, np.int64(2)),
+    (GridSpec.for_degree, 2.5, np.int64(2)),
+    (lambda m: ZSpectrum(3).flat_index(2, m), 1.0, np.int64(1)),
+    (lambda l: ZSpectrum(3)[l, 1], True, np.int64(1)),
+    (lambda l: ZSpectrum(3)[l, 1], 1.5, np.int64(1)),
+    (lambda m: ZSpectrum(3).order_slice(m), True, np.int64(1)),
 ], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "z_to_cscy-m", "cscy_to_z-n", "build_A-n",
         "build_B-m", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
-        "kappa_numeric-n", "condition_trend-n", "block_a-l", "block_b-m", "block_a_inv-l", "block_c-m",
-        "inverse_norm_frobenius_bound-n", "inverse_norm_conjecture-n"])
+        "kappa_numeric-n", "inverse_norm_frobenius_bound-n", "inverse_norm_conjecture-n",
+        "shuffle_permutation-size", "eval_Y-l", "eval_Y-bool", "eval_Z-m", "eval_gradY-m", "legendre_table-m",
+        "legendre_norm-l", "GridSpec-n_theta", "GridSpec.for_degree-n", "flat_index-m", "getitem-bool",
+        "getitem-float", "order_slice-bool"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)
     call(good)
+
+
+# every entry point that takes an order m of a truncation n
+ORDER_CALLS = {"solve_order": lambda n, m: solve_order(n, m, np.zeros(2)), "build_A": build_A, "build_B": build_B,
+               "build_CD": build_CD, "kappa_numeric": kappa_numeric, "kappa_bound": kappa_bound}
+
+
+@pytest.mark.parametrize("name,n,m", [(name, 8, m) for name in ORDER_CALLS
+                                      for m in ((8, 50) if name == "build_A" else (-1, 0, 8, 50))]
+                         + [("kappa_bound", 1, 1), ("kappa_numeric", 1024, 2000)])
+def test_an_order_outside_its_truncation_is_refused(name, n, m):
+    # build_A also takes m = 0, and names m < 0 as an order below zero
+    with pytest.raises(ValueError, match=rf"^{name}: need 1 <= m <= n-1, got m={m}, n={n}$"):
+        ORDER_CALLS[name](n, m)
 
 
 def test_exported_names_resolve():

@@ -86,6 +86,12 @@ def test_random_spectrum_rejects_a_seed_that_is_no_nonnegative_integer(seed):
     assert random_spectrum(3, np.int64(5)).flat().tolist() == random_spectrum(3, 5).flat().tolist()
 
 
+@pytest.mark.parametrize("n,message", [(0, "need n >= 1, got 0"), (1.5, "n must be an integer, got 1.5")])
+def test_random_potentials_names_itself(n, message):
+    with pytest.raises(ValueError, match=f"^random_potentials: {re.escape(message)}$"):
+        random_potentials(n, 1)
+
+
 def test_random_spectrum_moments():
     draws = random_spectrum(999, seed=7).flat()  # 10^6 draws
     assert abs(draws.mean()) < 0.01
