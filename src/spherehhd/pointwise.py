@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import TangentField, _require_integers
+from .spectra import TangentField, _real_array, _require_finite, _require_integers
 
 __all__ = [
     "GridSpec",
@@ -205,6 +205,10 @@ class GridSpec:
         return cls(n + 1, 2 * n + 4)
 
     def check_resolves(self, n):
+        """Raise ``ValueError`` unless the grid resolves a degree-``n`` expansion, ``n`` a nonnegative integer."""
+        _require_integers("GridSpec.check_resolves", n=n)
+        if n < 0:
+            raise ValueError(f"GridSpec.check_resolves: degree n must be nonnegative, got {n}")
         if self.n_theta < n + 1 or self.n_phi < 2 * n + 2:
             raise ValueError(
                 f"grid ({self.n_theta}, {self.n_phi}) under-resolves degree n={n}"
@@ -270,12 +274,20 @@ def analyze_z(vtheta, vphi, grid, n):
     Inverse of :func:`synthesize` for band-limited fields: coefficients are
     the surface inner products evaluated with Gauss x rectangle quadrature,
     exact for expansions of degree ``<= n`` on a grid that resolves them.
+    Raises ``ValueError`` on a degree that is not a nonnegative integer, and
+    naming the array and its first row (colatitude node) that holds a
+    non-finite sample.
     """
+    _require_integers("analyze_z", n=n)
+    if n < 0:
+        raise ValueError(f"analyze_z: degree n must be nonnegative, got {n}")
     grid.check_resolves(n)
-    vtheta = np.asarray(vtheta, dtype=np.float64)
-    vphi = np.asarray(vphi, dtype=np.float64)
+    vtheta = _real_array("analyze_z", vtheta)
+    vphi = _real_array("analyze_z", vphi)
     if vtheta.shape != (grid.n_theta, grid.n_phi) or vphi.shape != vtheta.shape:
         raise ValueError("analyze_z: sample arrays do not match the grid")
+    _require_finite("analyze_z: vtheta", vtheta)
+    _require_finite("analyze_z: vphi", vphi)
     out = TangentField.zeros(n)
     scale = 2.0 * np.pi / grid.n_phi
     wx = grid.weights

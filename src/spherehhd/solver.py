@@ -19,19 +19,20 @@ Every sequential sweep over degree -- the rotations, the back-substitution
 and the conversion to the tangential basis (:func:`cscy_to_z`, two
 interleaved parity chains; :func:`z_to_cscy` is a two-term stencil) -- is a
 linear recurrence, run by one partitioned kernel, :func:`_recurrence`, on
-(degree, right-hand side, lane) arrays.  The problem builders return the
-bare closed forms, and the sweep gives them zero rotations and
-off-diagonals and unit pivots off each problem's rows.  :func:`decompose`
-and :func:`differentiate` fold the order triangle into blocks of
-``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m`` unknowns and order
-``n - m`` has ``m``, so a lane holds both (:func:`_lanes`), and about
-``n / 64`` blocks cover all orders.  A block's layout follows from its
-own orders, and a call draws every temporary, the grid included, from one
-workspace (:func:`_empty`); a one-order call uses a fresh one.  In
-:func:`differentiate` whole-grid expressions apply ``[[A, B], [B, A]]``,
-the kernel converts to the tangential basis, and order zero is one scale,
-``-sqrt(l (l + 1)) s_l``.  Each order costs O(n), the whole O(n^2); no
-normal equations are formed.
+(degree, right-hand side, lane) arrays, in chunks of ``BLOCK_CHUNK_STEPS``
+steps on a block of several lanes and of ``CHUNK_STEPS`` on a grid of one
+problem.  The problem builders return the bare closed forms, and the sweep
+gives them zero rotations and off-diagonals and unit pivots off each
+problem's rows.  :func:`decompose` and :func:`differentiate` fold the order
+triangle into blocks of ``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m``
+unknowns and order ``n - m`` has ``m``, so a lane holds both
+(:func:`_lanes`), and about ``n / 64`` blocks cover all orders.  A block's
+layout follows from its own orders, and a call draws every temporary, the
+grid included, from one workspace (:func:`_empty`); a one-order call uses
+a fresh one.  In :func:`differentiate` whole-grid expressions apply
+``[[A, B], [B, A]]``, the kernel converts to the tangential basis, and
+order zero is one scale, ``-sqrt(l (l + 1)) s_l``.  Each order costs O(n),
+the whole O(n^2); no normal equations are formed.
 """
 
 import math
@@ -39,7 +40,8 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .spectra import HHDResult, ScalarSpectrum, TangentField, _real_array, _require_integers, _require_order
+from .spectra import (HHDResult, ScalarSpectrum, TangentField, _real_array, _require_finite, _require_integers,
+                      _require_order)
 
 __all__ = ["solve_order", "differentiate", "decompose", "z_to_cscy", "cscy_to_z"]
 
@@ -52,7 +54,8 @@ __all__ = ["solve_order", "differentiate", "decompose", "z_to_cscy", "cscy_to_z"
 BLOCK_ORDERS = 32
 
 
-# Steps per chunk of the recurrence kernel.  A call takes about 2 CHUNK_STEPS
+# Steps per chunk of the recurrence kernel on a grid of one problem: every
+# one-order call and a block of one lane.  A call takes about 2 CHUNK_STEPS
 # + rows / CHUNK_STEPS Python steps, so a longer chunk makes a one-order solve
 # grow more slowly than its size, and acceptance criterion 02 fits that
 # growth to a slope in [0.8, 1.2].  On a 2-vCPU Xeon at n = 1024, L = 2 / 4 /
@@ -62,13 +65,15 @@ BLOCK_ORDERS = 32
 # edge of the window and 8 outside it.
 CHUNK_STEPS = 4
 
-
-def _require_finite(name, values):
-    """Raise ``ValueError`` naming ``name`` and the first row of ``values`` with a non-finite entry."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
-        raise ValueError(f"{name}: non-finite value in row {row}")
+# Steps per chunk on a grid of several lanes, every other block of decompose
+# and differentiate.  There the phase work is data-bound and the carry's one
+# Python step per chunk is what a longer chunk saves.  On a 2-vCPU Xeon, as
+# the median ratio to 4 of alternating calls in one process, 8 / 12 / 16 gave
+# decompose 1.006 / 1.046 / 1.066 at n = 64, 0.941 / 0.924 / 0.916 at 256 and
+# 0.901 / 0.902 / 0.875 at 1024, and differentiate 0.992 / 1.042 / 1.044,
+# 0.977 / 0.986 / 0.991 and 0.969 / 0.978 / 0.968: 8 gains from n = 256 up
+# and leaves n = 64, one block, as it was.
+BLOCK_CHUNK_STEPS = 8
 
 
 def _empty(work, key, shape):
@@ -96,30 +101,32 @@ def _recurrence(g, a=None, b=None, d=None, *, work):
     copies live in ``work`` (see :func:`_empty`).
 
     Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
-    every chunk of ``CHUNK_STEPS`` steps runs at once from zero inflow, with
-    the responses of its last values to a unit inflow carried as extra
-    right-hand sides; one step per chunk then carries the true last values
-    across the chunks, and the chunks run again from their true inflow with
-    the arithmetic of a sequential loop.  Filler rows of zero ``g``, ``a``,
-    ``b`` and unit ``d`` lead a short first chunk and keep y zero.
+    every chunk of ``CHUNK_STEPS`` steps, ``BLOCK_CHUNK_STEPS`` when ``K >
+    1``, runs at once from zero inflow, with the responses of its last
+    values to a unit inflow carried as extra right-hand sides; one step per
+    chunk then carries the true last values across the chunks, and the
+    chunks run again from their true inflow with the arithmetic of a
+    sequential loop.  Filler rows of zero ``g``, ``a``, ``b`` and unit ``d``
+    lead a short first chunk and keep y zero.
     """
     rows, r, nprob = g.shape
+    length = CHUNK_STEPS if nprob == 1 else BLOCK_CHUNK_STEPS  # steps per chunk
     pair = 1 if a is not None else 2
     a, b = (a, b) if pair == 1 else (b, None)
-    span = pair * CHUNK_STEPS  # rows per chunk
+    span = pair * length  # rows per chunk
     head = rows % span  # rows of a short first chunk, which filler rows lead
     q, nchunk = 1 if b is None else 2, -(-rows // span)
 
     def places(x, out):  # pairs of views: out[i, c, chunk, problem] and x's rows (rows, c, nprob) there
-        chunks = out.reshape(CHUNK_STEPS, -1, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, c, problem]
-        found = [(chunks[head > 0 :], x[head:].reshape(-1, CHUNK_STEPS, pair, *x.shape[1:]))]
+        chunks = out.reshape(length, -1, nchunk, pair, nprob).transpose(2, 0, 3, 1, 4)  # [chunk, i, half, c, problem]
+        found = [(chunks[head > 0 :], x[head:].reshape(-1, length, pair, *x.shape[1:]))]
         for h in range(pair if head else 0):  # x's row j of the first chunk is its row span - head + j
             j = (h + head) % pair
             found.append((chunks[0, (span - head + j) // pair :, h], x[j:head:pair]))
         return found
 
     # the coefficients step-major, past filler rows of zero a and b and unit d in a short first chunk
-    coefs = _empty(work, "coefs", (CHUNK_STEPS, 3, nchunk, pair * nprob))
+    coefs = _empty(work, "coefs", (length, 3, nchunk, pair * nprob))
     if head:
         coefs[:, :2, 0], coefs[:, 2, 0] = 0.0, 1.0
     copies = [p for k, x in enumerate((a, b, d)) if x is not None for p in places(x[:, None], coefs[:, k : k + 1])]
@@ -136,7 +143,7 @@ def _recurrence(g, a=None, b=None, d=None, *, work):
 
     # phase 1: every chunk from zero inflow; columns r + j of each step
     # hold the response to a unit y[-1 - j]
-    steps = _empty(work, "steps", (CHUNK_STEPS + 1, r + q, nchunk, pair * nprob))
+    steps = _empty(work, "steps", (length + 1, r + q, nchunk, pair * nprob))
     steps, tmp = steps[:-1], steps[-1]
     steps[:, r:] = 0.0
     if head:
@@ -304,13 +311,16 @@ def _lanes(n, low, paired, work):
     """The layout of a block: lane ``k`` holds order ``low[k] >= 1`` and, if ``k < paired``, order ``n - low[k]`` behind it.
 
     Order ``m`` takes ``n - m + 2`` lane rows (degrees ``m - 1 .. n``), its
-    problem the first ``n - m + 1``; a partner starts at a multiple of 8
-    past two gap rows.  A lane has ``rows + 1`` rows, ``rows = n + 12`` with
-    partners, else ``n + 1 - low[0]``: with ``low[0] % 4 == 1`` each order
-    meets :func:`_recurrence`'s chunk boundaries where a block of
-    consecutive orders does.  Returns each problem's order in
-    :func:`_lsq_sweep`'s order (firsts, then partners), its ``ends``
-    indices, the ``(l, m, keep)`` grid of the lanes (see
+    problem the first ``n - m + 1``; a partner starts at a multiple of 8, an
+    even row as :func:`_solve_orders` needs, past two gap rows.  A lane has
+    ``rows + 1`` rows, ``rows = n + 12`` with partners, else ``n + 1 -
+    low[0]``, the rows :func:`solve_order` gives order ``low[0]``: in
+    :func:`_blocks` a block without partners is order ``n / 2`` alone, which
+    it then solves to the bit as :func:`solve_order` does.  Where
+    :func:`_recurrence`'s chunk boundaries fall in an order's rows moves
+    only their rounding, since the gap rows couple nothing.  Returns each
+    problem's order in :func:`_lsq_sweep`'s order (firsts, then partners),
+    its ``ends`` indices, the ``(l, m, keep)`` grid of the lanes (see
     :func:`_z_to_cscy_block`), whose gap rows continue the first order's
     degrees, in the closed forms' domain, ``keep = l <= n + 2``, and
     :func:`_gather`'s spans by basis.  ``l`` and ``m`` are ``work``'s (see

@@ -75,6 +75,14 @@ def _require_order(name, n, m):
         raise ValueError(f"{name}: need 1 <= m <= n-1, got m={m}, n={n}")
 
 
+def _require_finite(name, values):
+    """Raise ``ValueError`` naming ``name`` and the first row of the array ``values`` with a non-finite entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
+        raise ValueError(f"{name}: non-finite value in row {row}")
+
+
 def _real_array(name, values):
     """``values`` as a float64 array, once they are not complex (an O(1) dtype check for arrays)."""
     if np.iscomplexobj(values):

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_bench_json_schema(tmp_path, capsys):
             assert isinstance(run[key], int) and run[key] >= 0
         assert run["roundtrip_rel_err"] <= 1e-12
         assert run["peak_rss_mib"] > 1.0  # a fresh interpreter with numpy loaded
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_committed_bench_files_load(path):
+    # every committed bench --json record parses and keeps the schema that
+    # README describes, and README names it in its list of BENCH files
+    report = json.loads(path.read_text())
+    assert {"machine", "iters", "seed", "runs"} <= set(report)
+    assert report["runs"]
+    for run in report["runs"]:
+        assert {"n", "decompose_s", "differentiate_s", "roundtrip_rel_err", "peak_rss_mib"} <= set(run)
+        assert run["decompose_s"] > 0 and run["differentiate_s"] > 0 and run["peak_rss_mib"] > 0
+        assert run["roundtrip_rel_err"] <= 1e-12
+    assert f"`{path.name}`" in (REPO / "README.md").read_text()
 
 
 def test_bench_bad_json_path_fails_before_any_output(tmp_path, capsys):

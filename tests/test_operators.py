@@ -8,7 +8,7 @@ from spherehhd import operators, verify
 from spherehhd.operators import _dense_system, build_A, build_B, shuffle_permutation
 from spherehhd.pointwise import eval_Y, eval_Z
 from spherehhd.recurrences import alpha, beta, delta
-from spherehhd.solver import CHUNK_STEPS, _recurrence, cscy_to_z, differentiate, z_to_cscy
+from spherehhd.solver import BLOCK_CHUNK_STEPS, CHUNK_STEPS, _recurrence, cscy_to_z, differentiate, z_to_cscy
 from spherehhd.spectra import TangentField, random_potentials
 
 from conftest import FOLD_DEGREES
@@ -339,7 +339,7 @@ def _run_kernel(g, coefs, downward):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    p=st.integers(1, 3 * CHUNK_STEPS + 1),
+    p=st.integers(1, 3 * BLOCK_CHUNK_STEPS + 1),
     nprob=st.integers(1, 4),
     r=st.integers(1, 3),
     form=st.sampled_from(["first", "second", "parity"]),
@@ -347,13 +347,17 @@ def _run_kernel(g, coefs, downward):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(p=CHUNK_STEPS - 1, nprob=1, r=1, form="second", downward=False, seed=0)
-@example(p=2 * CHUNK_STEPS, nprob=3, r=2, form="first", downward=True, seed=1)
-@example(p=2 * CHUNK_STEPS + 1, nprob=2, r=4, form="parity", downward=True, seed=2)
+@example(p=2 * CHUNK_STEPS, nprob=1, r=2, form="first", downward=True, seed=1)
+@example(p=2 * CHUNK_STEPS + 1, nprob=1, r=4, form="parity", downward=True, seed=2)
+@example(p=BLOCK_CHUNK_STEPS - 1, nprob=2, r=1, form="second", downward=False, seed=3)
+@example(p=2 * BLOCK_CHUNK_STEPS, nprob=3, r=2, form="first", downward=True, seed=4)
+@example(p=2 * BLOCK_CHUNK_STEPS + 1, nprob=2, r=4, form="parity", downward=True, seed=5)
 def test_recurrence_matches_sequential_loop(p, nprob, r, form, downward, seed):
     # grids of p rows, any p, upward and through reversed views; problems of
     # mixed sizes, zero right-hand side past each size; first order (the
     # rotations), second order (the back-substitution) and second order
-    # without a (the parity chains of the conversions)
+    # without a (the parity chains of the conversions).  One problem runs in
+    # chunks of CHUNK_STEPS, several in BLOCK_CHUNK_STEPS
     rng = np.random.default_rng(seed)
     sizes = np.append(p, rng.integers(1, p + 1, nprob - 1))
     g = rng.standard_normal((p, r, nprob)) * (np.arange(p)[:, None, None] < sizes)
@@ -374,18 +378,19 @@ def test_recurrence_matches_sequential_loop(p, nprob, r, form, downward, seed):
 @pytest.mark.parametrize("form", ["first", "second", "parity"])
 def test_recurrence_chunk_responses_underflow(form):
     # coefficients of 1e-200 make a chunk's responses to its inflow underflow
-    # to zero; the carry must stay finite and exact
-    rows, nprob = 3 * CHUNK_STEPS + 1, 3
+    # to zero; the carry must stay finite and exact, in chunks of CHUNK_STEPS
+    # (one problem) and of BLOCK_CHUNK_STEPS (several)
     rng = np.random.default_rng(7)
-    g = rng.standard_normal((rows, 2, nprob))
-    tiny = np.full((rows, nprob), -1e-200)
-    coefs = {"first": (tiny, None, None), "second": (tiny, tiny, tiny * -1e190),
-             "parity": (None, tiny, None)}[form]
-    for downward in (False, True):
-        got = _run_kernel(g, coefs, downward)
-        assert np.all(np.isfinite(got))
-        want = _sequential(g, *coefs)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for rows, nprob in ((3 * CHUNK_STEPS + 1, 1), (3 * BLOCK_CHUNK_STEPS + 1, 3)):
+        g = rng.standard_normal((rows, 2, nprob))
+        tiny = np.full((rows, nprob), -1e-200)
+        coefs = {"first": (tiny, None, None), "second": (tiny, tiny, tiny * -1e190),
+                 "parity": (None, tiny, None)}[form]
+        for downward in (False, True):
+            got = _run_kernel(g, coefs, downward)
+            assert np.all(np.isfinite(got))
+            want = _sequential(g, *coefs)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -182,6 +182,29 @@ def test_under_resolved_grid_rejected():
         synthesize(TangentField.zeros(6), grid)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, -3])
+def test_a_degree_is_checked_under_the_callers_name(bad):
+    # a degree that is not a nonnegative integer is an error naming the call
+    # it was passed to, not a method or class that call reaches
+    grid = GridSpec.for_degree(4)
+    zero = np.zeros((grid.n_theta, grid.n_phi))
+    with pytest.raises(ValueError, match=r"^GridSpec\.check_resolves: "):
+        grid.check_resolves(bad)
+    with pytest.raises(ValueError, match="^analyze_z: "):
+        analyze_z(zero, zero, grid, bad)
+
+
+def test_analyze_rejects_non_finite_samples():
+    # named by array and by its first row (colatitude node) that holds one
+    n = 4
+    grid = GridSpec.for_degree(n)
+    for name, row, value in (("vphi", 3, np.nan), ("vtheta", 0, -np.inf)):
+        samples = {"vtheta": np.zeros((grid.n_theta, grid.n_phi)), "vphi": np.zeros((grid.n_theta, grid.n_phi))}
+        samples[name][row, 2] = samples[name][-1, 0] = value
+        with pytest.raises(ValueError, match=rf"^analyze_z: {name}: non-finite value in row {row}$"):
+            analyze_z(samples["vtheta"], samples["vphi"], grid, n)
+
+
 def test_synthesis_routes_agree():
     n = 12
     s, t = random_potentials(n, seed=31)

@@ -24,8 +24,9 @@ from spherehhd.conditioning import (
     qi_singular_bounds,
 )
 from spherehhd.operators import _dense_system, build_A, build_B, shuffle_permutation
-from spherehhd.pointwise import GridSpec, eval_gradY, eval_Y, eval_Z, legendre_norm, legendre_table
+from spherehhd.pointwise import GridSpec, analyze_z, eval_gradY, eval_Y, eval_Z, legendre_norm, legendre_table
 from spherehhd.solver import (
+    BLOCK_CHUNK_STEPS,
     CHUNK_STEPS,
     _blocks,
     _lanes,
@@ -551,6 +552,21 @@ def test_orders_are_isolated_in_the_folded_lanes(n, pick):
         assert all(a[k] == b[k] for k in a if k != m), table
 
 
+@pytest.mark.parametrize("n", [2, 66, 130])
+def test_an_order_alone_in_its_block_is_solved_as_solve_order_solves_it(n):
+    # a block without partners holds order n / 2 alone (n = 2 mod 64) and is
+    # laid out as solve_order lays that order out: one lane, chunks of
+    # CHUNK_STEPS, so its potentials and residual match solve_order's to the bit
+    m, field = n // 2, _random_field(n, n + 7)
+    p, result = n - m, decompose(field)
+    w = [z_to_cscy(comp.order_slice(k), k, n) for comp in (field.theta, field.phi) for k in (m, -m)]
+    x, residual = solve_order(n, m, np.concatenate((np.column_stack(w[:2]), np.column_stack((-w[3], w[2])))))
+    for got, want in ((result.spheroidal.order_slice(m), x[:p, 0]), (result.spheroidal.order_slice(-m), x[:p, 1]),
+                      (result.toroidal.order_slice(m), x[p:, 1]), (result.toroidal.order_slice(-m), -x[p:, 0])):
+        assert got.tobytes() == want.tobytes()
+    assert result.residual_by_order[m] == residual
+
+
 def test_calls_keep_no_state():
     # a call builds its block layout and workspace for itself and keeps
     # neither: interleaved calls at other degrees leave each differentiate
@@ -706,12 +722,17 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda l: ZSpectrum(3)[l, 1], True, np.int64(1)),
     (lambda l: ZSpectrum(3)[l, 1], 1.5, np.int64(1)),
     (lambda m: ZSpectrum(3).order_slice(m), True, np.int64(1)),
+    (lambda n: GridSpec.for_degree(4).check_resolves(n), 2.5, np.int64(2)),
+    (lambda n: GridSpec.for_degree(4).check_resolves(n), True, np.int64(1)),
+    (lambda n: analyze_z(np.zeros((5, 12)), np.zeros((5, 12)), GridSpec.for_degree(4), n), 2.5, np.int64(4)),
+    (lambda n: analyze_z(np.zeros((5, 12)), np.zeros((5, 12)), GridSpec.for_degree(4), n), True, np.int64(1)),
 ], ids=["Z-float", "Y-bool", "Y-str", "solve-m", "solve-n", "z_to_cscy-m", "cscy_to_z-n", "build_A-n",
         "build_B-m", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
         "kappa_numeric-n", "inverse_norm_frobenius_bound-n", "inverse_norm_conjecture-n",
         "shuffle_permutation-size", "eval_Y-l", "eval_Y-bool", "eval_Z-m", "eval_gradY-m", "legendre_table-m",
         "legendre_norm-l", "GridSpec-n_theta", "GridSpec.for_degree-n", "flat_index-m", "getitem-bool",
-        "getitem-float", "order_slice-bool"])
+        "getitem-float", "order_slice-bool", "check_resolves-n", "check_resolves-bool", "analyze_z-n",
+        "analyze_z-bool"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)
@@ -835,18 +856,22 @@ def _assert_sweep_matches_lstsq(dense, sizes, rhs, got):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.integers(1, 3 * CHUNK_STEPS + 1),
+    p=st.integers(1, 3 * BLOCK_CHUNK_STEPS + 1),
     m0=st.integers(1, 4),
     nprob=st.integers(1, 6),
     r=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(p=CHUNK_STEPS - 1, m0=1, nprob=1, r=1, seed=0)
-@example(p=2 * CHUNK_STEPS, m0=2, nprob=5, r=2, seed=1)
-@example(p=2 * CHUNK_STEPS + 1, m0=3, nprob=6, r=4, seed=2)
+@example(p=2 * CHUNK_STEPS, m0=2, nprob=1, r=2, seed=1)
+@example(p=2 * CHUNK_STEPS + 1, m0=3, nprob=1, r=4, seed=2)
+@example(p=BLOCK_CHUNK_STEPS - 1, m0=1, nprob=3, r=1, seed=3)
+@example(p=2 * BLOCK_CHUNK_STEPS, m0=2, nprob=5, r=2, seed=4)
+@example(p=2 * BLOCK_CHUNK_STEPS + 1, m0=3, nprob=6, r=4, seed=5)
 def test_lsq_sweep_matches_dense_least_squares(p, m0, nprob, r, seed):
     # a block of consecutive orders: sizes p, p - 1, ... in one call; the
-    # rows past each problem's own p_k + 1 are ignored
+    # rows past each problem's own p_k + 1 are ignored.  One problem runs
+    # the kernel in chunks of CHUNK_STEPS, several in BLOCK_CHUNK_STEPS
     n = p + m0
     ms = np.arange(m0, m0 + min(nprob, p))
     rhs = np.random.default_rng(seed).standard_normal((p + 1, r, len(ms)))
@@ -862,8 +887,13 @@ def test_lsq_sweep_ignores_rotations_past_each_size(layout):
     # the gap between its two problems: any finite values there in the
     # rotations or the factor, and in the right-hand side off a problem's
     # rows, leave the solutions and residuals unchanged, even values that
-    # would overflow the recurrence kernel's chunk responses
-    n, low = 3 * CHUNK_STEPS + 2, np.arange(1, 7)
+    # would overflow the recurrence kernel's chunk responses.  One lane runs
+    # the kernel in chunks of CHUNK_STEPS, six in BLOCK_CHUNK_STEPS
+    for steps, nlanes in ((CHUNK_STEPS, 1), (BLOCK_CHUNK_STEPS, 6)):
+        _check_sweep_ignores_rotations(layout, 3 * steps + 2, np.arange(1, nlanes + 1))
+
+
+def _check_sweep_ignores_rotations(layout, n, low):
     # lane m holds order m, or orders m and n - m when folded: the firsts from row 0, the partners
     # from the rows the layout names for them
     orders, ends, grid, _ = _lanes(n, low, len(low) if layout == "folded" else 0, {})
