@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import TangentField, _real_array, _require_finite, _require_integers
+from .spectra import TangentField, _real_array, _require_field, _require_finite, _require_integers, _require_potentials
 
 __all__ = [
     "GridSpec",
@@ -57,7 +57,7 @@ def legendre_table(m, lmax, x):
     if lmax < m:
         raise ValueError("legendre_table: need lmax >= m")
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise ValueError("legendre_table: abscissae must lie in [-1, 1]")
     out = np.zeros((lmax - m + 1,) + x.shape)
     # seed: accumulate sin(theta) factors inside the product to avoid under/overflow
@@ -210,14 +210,14 @@ class GridSpec:
         if n < 0:
             raise ValueError(f"GridSpec.check_resolves: degree n must be nonnegative, got {n}")
         if self.n_theta < n + 1 or self.n_phi < 2 * n + 2:
-            raise ValueError(
-                f"grid ({self.n_theta}, {self.n_phi}) under-resolves degree n={n}"
-            )
+            raise ValueError(f"GridSpec.check_resolves: grid ({self.n_theta}, {self.n_phi}) under-resolves degree n={n}")
 
 
 def synthesize(field_, grid):
     """Pointwise samples ``(V_theta, V_phi)``, shape ``(n_theta, n_phi)``, of a :class:`TangentField`
-    on ``grid``, summed directly in the tangential basis."""
+    on ``grid``, summed directly in the tangential basis.  Raises ``ValueError`` on any other field or
+    a non-finite coefficient, naming its component and ``(l, m)``."""
+    _require_field("synthesize", field_)
     n = field_.n
     grid.check_resolves(n)
     vth = np.zeros((grid.n_theta, grid.n_phi))
@@ -240,10 +240,10 @@ def synthesize_from_potentials(s, t, grid):
 
     This is the second synthesis route: it never touches the tangential
     basis, so agreement with ``synthesize(differentiate(s, t))`` exercises
-    the whole spectral pipeline.
+    the whole spectral pipeline.  Raises ``ValueError``, as :func:`.solver.differentiate` does, on
+    potentials that are not basis-Y spectra of one degree or hold a non-finite coefficient.
     """
-    if s.n_pot != t.n_pot:
-        raise ValueError("potentials must share a degree")
+    _require_potentials("synthesize_from_potentials", s, t)
     grid.check_resolves(s.n_pot + 1)
     vth = np.zeros((grid.n_theta, grid.n_phi))
     vph = np.zeros((grid.n_theta, grid.n_phi))

@@ -40,8 +40,8 @@ import math
 import numpy as np
 
 from . import recurrences as rec
-from .spectra import (HHDResult, ScalarSpectrum, TangentField, _real_array, _require_finite, _require_integers,
-                      _require_order)
+from .spectra import (HHDResult, ScalarSpectrum, TangentField, _order_offsets, _real_array, _require_field,
+                      _require_finite, _require_integers, _require_order, _require_potentials)
 
 __all__ = ["solve_order", "differentiate", "decompose", "z_to_cscy", "cscy_to_z"]
 
@@ -211,11 +211,12 @@ def _cscy_to_z_block(w, grid, work):
 
 
 def _slice_order(name, m, n):
-    """``|m|``, once ``m`` and ``n`` are integers and ``m`` is an order of basis Z at degree ``n``."""
+    """``|m|`` and the lengths of its slices in bases Z and Y at degree ``n``, once integer ``m`` is an order of Z there."""
     _require_integers(name, m=m, n=n)
-    if abs(abs(m) - 1) > n:  # order m starts at degree ||m| - 1| (spectra's degree_start)
+    (_, z_count), (_, y_count) = (_order_offsets(int(n), shift, int(m)) for shift in (1, 0))  # ints: no int64 wrap
+    if z_count < 1:
         raise ValueError(f"{name}: order {m} outside basis Z with n={n}")
-    return abs(m)
+    return abs(m), z_count, y_count
 
 
 def z_to_cscy(z, m, n):
@@ -226,9 +227,8 @@ def z_to_cscy(z, m, n):
     not representable and is dropped here; callers that need it account for
     ``beta(n, |m|) * z[-1]`` separately.
     """
-    mu = _slice_order("z_to_cscy", m, n)
+    mu, L, _ = _slice_order("z_to_cscy", m, n)
     z = _real_array("z_to_cscy", z)
-    L = n - abs(mu - 1) + 1
     if z.shape != (L,):
         raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
     _require_finite("z_to_cscy: z", z)
@@ -251,12 +251,10 @@ def cscy_to_z(w, m, n):
     degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``, and the
     top equation is redundant.
     """
-    mu = _slice_order("cscy_to_z", m, n)
+    mu, _, L = _slice_order("cscy_to_z", m, n)
     w = _real_array("cscy_to_z", w)
-    if w.ndim != 1:
-        raise ValueError("cscy_to_z: expected a single order slice")
-    if w.shape != (n - mu + 1,):
-        raise ValueError(f"cscy_to_z: expected length {n - mu + 1} at m={m}, got {w.shape[0]}")
+    if w.shape != (L,):
+        raise ValueError(f"cscy_to_z: expected length {L} at m={m}, got {w.shape}")
     _require_finite("cscy_to_z: w", w)
     if mu == 0:  # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
         a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
@@ -337,14 +335,13 @@ def _lanes(n, low, paired, work):
     np.copyto(m, low)
     np.copyto(m, n - low, where=second)
     keep = l <= n + 2
-    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): an order's entries
-    # fill its rows of l <= n + 2 in basis Z and l <= n in Y; a basis's pair of orders mu starts at
-    # n + (mu - 1) (c - mu) in the flat storage (see spectra's order_offsets)
+    # the (K, 2, rows + 1) masks of the firsts and of the partners (lanes reversed): an order fills
+    # its rows of l <= n + 2 in basis Z, at degree n, and of l <= n in Y, at the potentials' n - 1
     bounds = int(low[0]), int(low[-1]) + 1, n - int(low[paired - 1]), n + 1 - int(low[0])  # of the spans' orders
     spans, pick = {}, slice(paired - 1, None, -1)
-    for basis, c, within in (("Z", 2 * n + 4, keep), ("Y", 2 * n, l <= n)):
+    for basis, degree, shift, within in (("Z", n, 1, keep), ("Y", n - 1, 0, l <= n)):
         firsts, partners = (within > second).T, (within & second).T[:paired][::-1]  # within and not second, and both
-        at = [n + (mu - 1) * (c - mu) for mu in bounds]
+        at = [_order_offsets(degree, shift, mu)[0] for mu in bounds]
         spans[basis] = [(slice(*at[:2]), slice(None), firsts[:, None].repeat(2, 1)),
                         (slice(*at[2:]), pick, partners[:, None].repeat(2, 1))][: 1 + (paired > 0)]
     # each problem's row n - m and lane (see _lsq_sweep), and its order
@@ -448,14 +445,9 @@ def differentiate(s, t):
     folded blocks (see :func:`_lanes`).  Raises ``ValueError`` on a
     non-finite coefficient or on potentials that are not basis-Y spectra.
     """
-    if not (isinstance(s, ScalarSpectrum) and isinstance(t, ScalarSpectrum)):
-        raise ValueError("differentiate: potentials must be basis-Y spectra (ScalarSpectrum)")
-    if s.n_pot != t.n_pot:
-        raise ValueError("differentiate: potentials must share a degree")
+    _require_potentials("differentiate", s, t)
     if s.n_pot < 1:
         raise ValueError("differentiate: need potential degree >= 1")
-    s.require_finite("differentiate: s")
-    t.require_finite("differentiate: t")
     n = s.n_pot + 1
     out = TangentField.zeros(n)
     # order zero is one scale: its tangential basis is P~_l^1, and the
@@ -511,16 +503,12 @@ def decompose(field):
     ``C0``'s other columns, which meets column ``n`` in
     ``sqrt(2n - 1) alpha(n, 0)``: its norm is ``sqrt(2 / (2n + 1)) |z_n|``.
     """
-    if not isinstance(field, TangentField):
-        raise ValueError("decompose: the field must be a TangentField")
-    n = field.n
+    _require_field("decompose", field)
+    n, theta, phi = field.n, field.theta, field.phi
     if n < 2:
         raise ValueError("decompose: need truncation degree n >= 2")
-    theta, phi = field.theta, field.phi
-    theta.require_finite("decompose: theta")
-    phi.require_finite("decompose: phi")
     result = HHDResult(ScalarSpectrum(n - 1), ScalarSpectrum(n - 1))
-    residual = np.empty(n)  # by order
+    residual, tops = np.empty(n), np.empty(n)  # by order; tops: the norm of its degree-n coefficients
     l = np.arange(1.0, n)
     w = np.where((n - l) % 2, 0.0, np.sqrt(l * (l + 1) * (2 * l + 1) / (n * (n + 1) * (2 * n + 1))))
     z = np.array((theta.flat()[:n], phi.flat()[:n]))  # order zero leads both tables
@@ -529,6 +517,7 @@ def decompose(field):
     for orders, ends, grid, spans in _blocks(n, work):
         z = _empty(work, "rhs", (len(grid[0]), 4, grid[0].shape[1]))  # theta_m, theta_-m, phi_m, phi_-m; spent before the rhs
         _gather(spans, (theta, phi), (z[:, :2], z[:, 2:]), work)
+        tops[orders] = np.hypot.reduce(z[ends[0] + 1, :, ends[1]], axis=1)  # the row past a problem's end is degree n
         w = _z_to_cscy_block(z, grid, work)
         np.negative(w[:, 3], out=w[:, 3])
         # the halves (see _solve_orders) of the systems of (s_m, -t_-m) and (s_-m, t_m)
@@ -536,15 +525,11 @@ def decompose(field):
         x2[:, 0] *= -1.0
         _scatter(spans, (result.spheroidal, result.toroidal), (x1, x2[:, ::-1]))
     # out of range: beta(n, m) times the degree-n coefficients of orders below n, then orders n, n + 1,
-    # the last six entries of a table: +n and -n (degrees n - 1, n), +(n + 1) and -(n + 1) (degree n)
-    m = np.arange(n)
-    minus = n - 1 + m * (2 * n + 3 - m)  # degree n of -m, before the pair of m + 1 (see _lanes)
-    at = np.array((minus - (n + 2 - m), minus))  # and of +m, which holds n + 2 - m entries
-    tops = np.hypot.reduce(np.concatenate((theta.flat()[at], phi.flat()[at])), axis=0)
+    # the end of a table: +n and -n (degrees n - 1, n), +(n + 1) and -(n + 1) (degree n)
     tops[0] = math.hypot(theta.flat()[n - 1], phi.flat()[n - 1])  # |z_n| of order zero
     residual[0] = math.sqrt(2 / (2 * n + 1)) * tops[0]
     result.residual_by_order.update(enumerate(residual.tolist()))
-    a, b = theta.flat()[-6:].tolist(), phi.flat()[-6:].tolist()
-    outside = (rec._conversion(n + 2.0, m)[1] * tops).tolist() + [math.hypot(*a[:4], *b[:4]), math.hypot(*a[4:], *b[4:])]
+    a, b = (comp.flat()[_order_offsets(n, 1, n)[0] :].tolist() for comp in (theta, phi))
+    outside = (rec._conversion(n + 2.0, np.arange(n))[1] * tops).tolist() + [math.hypot(*a[:4], *b[:4]), math.hypot(*a[4:], *b[4:])]
     result.out_of_range_by_order.update(enumerate(outside))
     return result

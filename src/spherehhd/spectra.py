@@ -12,9 +12,10 @@ The two index sets differ by one order, the basis's ``shift`` (0 for Y, 1
 for Z): order ``m`` starts at degree ``||m| - shift|`` and orders reach
 ``|m| = n + shift``.  Storage is order-major and degree-contiguous (order 0,
 then ``+1, -1, +2, -2, ...``), so every per-order operation touches
-contiguous memory and every offset has a closed form.  Spectra are treated
-as immutable values once filled; nothing in the library mutates a spectrum
-it did not create.
+contiguous memory and every offset has a closed form, :func:`_order_offsets`,
+which this module alone spells out and the solver calls.  Spectra are treated
+as immutable values once filled; nothing in the library mutates a spectrum it
+did not create.
 """
 
 import bisect
@@ -83,6 +84,24 @@ def _require_finite(name, values):
         raise ValueError(f"{name}: non-finite value in row {row}")
 
 
+def _require_potentials(name, s, t):
+    """Raise ``ValueError`` naming ``name`` unless ``s`` and ``t`` are basis-Y spectra of one degree, all finite."""
+    if not (isinstance(s, ScalarSpectrum) and isinstance(t, ScalarSpectrum)):
+        raise ValueError(f"{name}: potentials must be basis-Y spectra (ScalarSpectrum)")
+    if s.n != t.n:
+        raise ValueError(f"{name}: potentials must share a degree")
+    s.require_finite(f"{name}: s")
+    t.require_finite(f"{name}: t")
+
+
+def _require_field(name, field):
+    """Raise ``ValueError`` naming ``name`` unless ``field`` is a :class:`TangentField` whose coefficients are all finite."""
+    if not isinstance(field, TangentField):
+        raise ValueError(f"{name}: the field must be a TangentField")
+    field.theta.require_finite(f"{name}: theta")
+    field.phi.require_finite(f"{name}: phi")
+
+
 def _real_array(name, values):
     """``values`` as a float64 array, once they are not complex (an O(1) dtype check for arrays)."""
     if np.iscomplexobj(values):
@@ -90,14 +109,21 @@ def _real_array(name, values):
     return np.asarray(values, dtype=np.float64)
 
 
-class _CoeffTable:
-    """Shared machinery for the two triangular coefficient tables.
+def _order_offsets(n, shift, orders):
+    """Flat start and length of the slices of the signed ``orders`` (an int or int array) at degree ``n``.
 
-    With ``shift`` 0 for Y and 1 for Z, order ``m`` starts at degree
-    ``||m| - shift|`` and orders reach ``n + shift``, so order 0 holds
-    ``n + 1 - shift`` entries and the pair ``+nu, -nu`` holds
-    ``2 (n + shift + 1 - nu)``: :meth:`order_offsets` sums them in closed form.
+    The layout is order 0, then the pair ``+nu, -nu`` for ``nu = 1, 2, ...``; order ``m`` starts at degree
+    ``||m| - shift|`` (``shift`` 0 for Y, 1 for Z), so order 0 holds ``n + 1 - shift`` entries and the pair
+    ``2 (n + shift + 1 - nu)``, summed here in closed form.  Orders outside the table get a nonpositive length.
     """
+    mu = abs(orders)
+    counts = n - abs(mu - shift) + 1
+    pairs_before = (mu - 1) * (2 * (n + shift) + 2 - mu)
+    return (mu != 0) * (n + 1 - shift + pairs_before + (orders < 0) * counts), counts
+
+
+class _CoeffTable:
+    """Shared machinery for the two triangular coefficient tables, laid out by :func:`_order_offsets`."""
 
     basis, shift = None, 0  # "Y" or "Z", and its shift
 
@@ -127,16 +153,8 @@ class _CoeffTable:
         return self.n + self.shift
 
     def order_offsets(self, orders):
-        """Flat start and length of the slices of the signed ``orders`` (an int or int array).
-
-        Closed form of the canonical layout: order 0, then the pair ``+nu, -nu``
-        for ``nu = 1, 2, ...``, each slice one entry shorter than the one
-        before.  Orders outside the table come out with a nonpositive length.
-        """
-        mu = abs(orders)
-        counts = self.n - self.degree_start(orders) + 1
-        pairs_before = (mu - 1) * (2 * self.max_order() + 2 - mu)
-        return (mu != 0) * (self.n + 1 - self.shift + pairs_before + (orders < 0) * counts), counts
+        """Flat start and length of the slices of the signed ``orders`` (an int or int array); see :func:`_order_offsets`."""
+        return _order_offsets(self.n, self.shift, orders)
 
     @property
     def size(self):
@@ -389,12 +407,9 @@ def _parse_tables():
 
 def _label_tables(top, width):
     """The ASCII ``"%d,"`` of each integer ``-top..top``, a row each, zero-padded to ``width`` bytes: left-, then right-aligned."""
-    i = np.arange(-top, top + 1)[:, None]
-    places = 10.0 ** np.arange(width - 2, -1, -1)  # a column for '-', then one per digit
-    held, first = (abs(i) >= places) | (places == 1), (10 * abs(i) >= places) | (places == 10)  # '-' in the column before the digits
-    text = np.where(held, (abs(i) / places).astype(np.int64) % 10 + ord("0"), (i < 0) * first * ord("-"))
-    text = np.column_stack([text, np.full(len(i), ord(","))]).astype(np.uint8)
-    return np.take_along_axis(text, (np.arange(text.shape[1]) + (text == 0).sum(1)[:, None]) % text.shape[1], 1), text
+    left = [b"%d," % i for i in range(-top, top + 1)]
+    right = [b.rjust(width, b"\0") for b in left]
+    return tuple(np.array(rows, f"S{width}").view(np.uint8).reshape(-1, width) for rows in (left, right))
 
 
 def _format_fallback(values):

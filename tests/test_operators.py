@@ -136,8 +136,9 @@ def test_z_to_cscy_length_check():
         z_to_cscy(np.zeros(5), 1, 8)
     with pytest.raises(ValueError):
         cscy_to_z(np.zeros(5), 1, 8)
-    # an order outside basis Z at n = 8 (|m| <= 9), or at n <= 0 (no order 0), is named, whatever the length
-    for m, n in ((10, 8), (-10, 8), (0, 0), (0, -1)):
+    # an order outside basis Z at n = 8 (|m| <= 9), or at n <= 0 (no order 0), is named, whatever the length;
+    # so is the int64 minimum, whose abs wraps
+    for m, n in ((10, 8), (-10, 8), (0, 0), (0, -1), (np.int64(-2**63), 8)):
         for convert in (z_to_cscy, cscy_to_z):
             for length in (0, 1):
                 with pytest.raises(ValueError, match=f"order {m} outside basis Z with n={n}"):

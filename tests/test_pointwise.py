@@ -15,7 +15,7 @@ from spherehhd.pointwise import (
     synthesize,
     synthesize_from_potentials,
 )
-from spherehhd.spectra import TangentField, ZSpectrum, random_potentials
+from spherehhd.spectra import ScalarSpectrum, TangentField, ZSpectrum, random_potentials
 
 INTERIOR = [0.3, 1.1, 1.9, 2.7]
 
@@ -49,6 +49,20 @@ def test_legendre_domain_errors():
         legendre_norm(2, 3, 0.5)
     with pytest.raises(ValueError):
         legendre_norm(2, 1, 1.5)
+
+
+@pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], -np.inf])
+def test_legendre_refuses_non_finite_abscissae(x):
+    # a NaN passes a test of |x| > 1, and would fill the table past its seed with NaN
+    with pytest.raises(ValueError, match=r"^legendre_table: abscissae must lie in \[-1, 1\]$"):
+        legendre_table(0, 2, x)
+
+
+def test_eval_refuses_a_nan_colatitude():
+    # eval_Y, eval_Z and eval_gradY read legendre_table, so they inherit its check
+    for evaluate in (eval_Y, eval_Z, eval_gradY):
+        with pytest.raises(ValueError, match="^legendre_table: "):
+            evaluate(2, 1, np.array([0.5, np.nan]), 0.5)
 
 
 def test_gauss_grid_integrates_polynomials_exactly():
@@ -176,10 +190,31 @@ def test_analyze_single_mode():
 
 def test_under_resolved_grid_rejected():
     grid = GridSpec(4, 8)
-    with pytest.raises(ValueError):
+    message = r"^GridSpec\.check_resolves: grid \(4, 8\) under-resolves degree n=6$"
+    with pytest.raises(ValueError, match=message):
         analyze_z(np.zeros((4, 8)), np.zeros((4, 8)), grid, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         synthesize(TangentField.zeros(6), grid)
+
+
+def test_synthesis_checks_its_input_under_its_own_name():
+    # as differentiate and decompose do: the type, one degree, finite coefficients
+    n = 4
+    grid = GridSpec.for_degree(n)
+    s, t = random_potentials(n, seed=5)
+    field = TangentField.zeros(n)
+    field.phi[2, -3] = np.nan
+    with pytest.raises(ValueError, match=r"^synthesize: phi: non-finite coefficient nan at \(l=2, m=-3\)$"):
+        synthesize(field, grid)
+    with pytest.raises(ValueError, match="^synthesize: the field must be a TangentField$"):
+        synthesize(field.theta, grid)
+    with pytest.raises(ValueError, match="^synthesize_from_potentials: potentials must be basis-Y spectra"):
+        synthesize_from_potentials(field, t, grid)
+    with pytest.raises(ValueError, match="^synthesize_from_potentials: potentials must share a degree$"):
+        synthesize_from_potentials(s, ScalarSpectrum(n - 2), grid)
+    t[1, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^synthesize_from_potentials: t: non-finite coefficient inf at \(l=1, m=0\)$"):
+        synthesize_from_potentials(s, t, grid)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, -3])

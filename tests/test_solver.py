@@ -29,9 +29,11 @@ from spherehhd.solver import (
     BLOCK_CHUNK_STEPS,
     CHUNK_STEPS,
     _blocks,
+    _gather,
     _lanes,
     _lsq_sweep,
     _order_problems,
+    _scatter,
     cscy_to_z,
     decompose,
     differentiate,
@@ -522,6 +524,33 @@ def test_block_layouts_hold_every_order_once(n):
         assert np.all(seconds % 8 == 0) and np.all(seconds >= (n - problems[: len(seconds)] + 1) + 3)
         orders += problems.tolist()
     assert sorted(orders) == list(range(1, n))
+
+
+@pytest.mark.parametrize("n", FOLD_DEGREES + [257])
+def test_block_spans_agree_with_the_flat_layout(n):
+    # in tables whose entries are their own flat position + 1, a block's gather
+    # reads flat_index(l - 2, +-m) + 1 in Z and flat_index(l - 1, +-m) + 1 in Y
+    # on each lane row of grid (l, m) that an order holds, and 0 on every other
+    # row; the scatter of those grids writes orders 1 .. n - 1 back in place
+    tables = ZSpectrum(n), ScalarSpectrum(n - 1)
+    for spec in tables:
+        spec.flat()[:] = np.arange(1.0, spec.size + 1)
+    back = ZSpectrum(n), ScalarSpectrum(n - 1)
+    for _, _, (l, m, keep), spans in _blocks(n, {}):
+        grids = np.full((2, len(l), 2, l.shape[1]), np.nan)
+        _gather(spans, tables, grids, {})
+        for spec, grid, degree, held in zip(tables, grids, (l - 2, l - 1), (keep, l <= n)):
+            expected = np.zeros_like(grid)
+            for i, k in zip(*np.nonzero(held)):
+                expected[i, :, k] = [spec.flat_index(int(degree[i, k]), sign * int(m[i, k])) + 1 for sign in (1, -1)]
+            assert np.array_equal(grid, expected)
+        _scatter(spans, back, grids)
+    for spec, got in zip(tables, back):
+        expected = type(spec)(spec.n)
+        for order in range(-(n - 1), n):
+            if order:
+                expected.order_slice(order)[:] = spec.order_slice(order)
+        assert np.array_equal(got.flat(), expected.flat())
 
 
 @settings(max_examples=25, deadline=None)
