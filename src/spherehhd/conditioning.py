@@ -36,9 +36,7 @@ DENSE_ORACLE_LIMIT = 512
 def build_R(n, m):
     """Dense Cholesky factor of size ``n`` for order ``m``: ``chol_d`` on the diagonal, ``-chol_e``
     and ``-chol_f`` on the first and second superdiagonals."""
-    _require_integers("build_R", n=n, m=m)
-    if n < 1 or m < 1:
-        raise ValueError(f"build_R: need n >= 1 and m >= 1, got n={n}, m={m}")
+    _require_integers("build_R", least=1, n=n, m=m)
     d, e, f = rec._chol(np.arange(1, n + 1), m)
     r, i = np.diag(d), np.arange(n)
     r[i[:-1], i[1:]] = -e[:-1]
@@ -82,9 +80,7 @@ def qi_singular_bounds(n, m):
     valid for ``m >= 2`` and is ``None`` at ``m == 1``.  Entries whose index
     drops below one contribute zero.
     """
-    _require_integers("qi_singular_bounds", n=n, m=m)
-    if n < 1 or m < 1:
-        raise ValueError("qi_singular_bounds: need n >= 1 and m >= 1")
+    _require_integers("qi_singular_bounds", least=1, n=n, m=m)
     d, e, f = rec._chol(np.arange(1, n + 1), m)
     e_prev = np.concatenate([[0.0], e[:-1]])  # e_{l-1}
     f_prev2 = np.concatenate([[0.0, 0.0], f[:-2]])  # f_{l-2}
@@ -132,15 +128,11 @@ def inverse_norm_frobenius_bound(n):
     Proved for the blocked dimension ``2n``; dense inverses of the
     constructed factors stay below it.
     """
-    _require_integers("inverse_norm_frobenius_bound", n=n)
-    if n < 1:
-        raise ValueError("inverse_norm_frobenius_bound: need n >= 1")
+    _require_integers("inverse_norm_frobenius_bound", least=1, n=n)
     return 4.0 * math.exp(1.0 + 7.0 * math.pi**2 / 8.0) * (2.0 + math.log(2 * n - 1))
 
 
 def inverse_norm_conjecture(n):
     """Conjectured sharp estimate of ``||R^{-1}||_2`` at ``m == 1`` (reported, not proved)."""
-    _require_integers("inverse_norm_conjecture", n=n)
-    if n <= 1:
-        raise ValueError("inverse_norm_conjecture: need n > 1")
+    _require_integers("inverse_norm_conjecture", least=2, n=n)
     return (2.0 / math.pi) * math.log(n + 2.5)

@@ -64,9 +64,8 @@ def build_A(n, m):
     Rows are csc-harmonic degrees ``m..n`` (``0..n`` for ``m == 0``), columns
     are potential degrees ``m..n-1`` (``1..n-1`` for ``m == 0``).
     """
-    _require_integers("build_A", n=n, m=m)
-    if m < 0:
-        raise ValueError("build_A: order must be >= 0")
+    _require_integers("build_A", n=n)
+    _require_integers("build_A", least=0, m=m)
     if m >= 1:
         _require_order("build_A", n, m)
     elif n < 2:
@@ -93,9 +92,7 @@ def shuffle_permutation(size):
     ``k`` of the stacked block system lands at row ``perm[k]`` of the
     interleaved system.
     """
-    _require_integers("shuffle_permutation", size=size)
-    if size < 0:
-        raise ValueError(f"shuffle_permutation: size must be >= 0, got {size}")
+    _require_integers("shuffle_permutation", least=0, size=size)
     if size % 2 != 0:
         raise ValueError("shuffle_permutation: size must be even")
     return np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])

@@ -51,9 +51,8 @@ def legendre_table(m, lmax, x):
     The recurrence is seeded at ``l == m`` with the closed product form and
     run upward in degree, which is stable for the L2-normalized functions.
     """
-    _require_integers("legendre_table", m=m, lmax=lmax)
-    if m < 0:
-        raise ValueError("legendre_table: order m must be >= 0")
+    _require_integers("legendre_table", least=0, m=m)
+    _require_integers("legendre_table", lmax=lmax)
     if lmax < m:
         raise ValueError("legendre_table: need lmax >= m")
     x = np.asarray(x, dtype=np.float64)
@@ -115,7 +114,7 @@ class _Basis:
     ``l == m``, so a row does not depend on the table's length: it is :func:`legendre_norm`'s."""
 
     def __init__(self, lmax, theta, phi):
-        self.lmax, self.theta, self.phi, self.tables = lmax, np.asarray(theta, float), phi, {}
+        self.lmax, self.theta, self.phi, self.tables = lmax, theta, phi, {}
 
     def legendre(self, l, m):
         if m not in self.tables:
@@ -139,10 +138,14 @@ class _Basis:
 
 
 def _basis(name, l, m, shift, theta, phi):
-    """``_Basis(l, theta, phi)``, once ``(l, m)`` is in basis Y (``shift`` 0) or Z (1): ``l >= ||m| - shift|``."""
+    """``_Basis(l, theta, phi)``, once ``(l, m)`` is in basis Y (``shift`` 0) or Z (1): ``l >= ||m| - shift|``,
+    and the coordinates are real and finite."""
     _require_integers(name, l=l, m=m)
     if abs(abs(m) - shift) > l:
         raise ValueError(f"{name}: (l={l}, m={m}) outside basis {'YZ'[shift]}")
+    theta, phi = _real_array(f"{name}: theta", theta), _real_array(f"{name}: phi", phi)
+    _require_finite(f"{name}: theta", np.atleast_1d(theta))
+    _require_finite(f"{name}: phi", np.atleast_1d(phi))
     return _Basis(l, theta, phi)
 
 
@@ -185,9 +188,7 @@ class GridSpec:
     phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_integers("GridSpec", n_theta=self.n_theta, n_phi=self.n_phi)
-        if self.n_theta < 1 or self.n_phi < 1:
-            raise ValueError("GridSpec: grid sizes must be positive")
+        _require_integers("GridSpec", least=1, n_theta=self.n_theta, n_phi=self.n_phi)
         x, w = np.polynomial.legendre.leggauss(self.n_theta)
         self.x = x
         self.weights = w
@@ -201,14 +202,12 @@ class GridSpec:
         ``n_phi = 2 n + 4`` leaves headroom over the formal minimum
         ``2 n + 2``, which would alias the order ``n + 1`` cosine products.
         """
-        _require_integers("GridSpec.for_degree", n=n)
+        _require_integers("GridSpec.for_degree", least=0, n=n)
         return cls(n + 1, 2 * n + 4)
 
     def check_resolves(self, n):
         """Raise ``ValueError`` unless the grid resolves a degree-``n`` expansion, ``n`` a nonnegative integer."""
-        _require_integers("GridSpec.check_resolves", n=n)
-        if n < 0:
-            raise ValueError(f"GridSpec.check_resolves: degree n must be nonnegative, got {n}")
+        _require_integers("GridSpec.check_resolves", least=0, n=n)
         if self.n_theta < n + 1 or self.n_phi < 2 * n + 2:
             raise ValueError(f"GridSpec.check_resolves: grid ({self.n_theta}, {self.n_phi}) under-resolves degree n={n}")
 
@@ -278,9 +277,7 @@ def analyze_z(vtheta, vphi, grid, n):
     naming the array and its first row (colatitude node) that holds a
     non-finite sample.
     """
-    _require_integers("analyze_z", n=n)
-    if n < 0:
-        raise ValueError(f"analyze_z: degree n must be nonnegative, got {n}")
+    _require_integers("analyze_z", least=0, n=n)
     grid.check_resolves(n)
     vtheta = _real_array("analyze_z", vtheta)
     vphi = _real_array("analyze_z", vphi)

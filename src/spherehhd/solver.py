@@ -251,7 +251,7 @@ def cscy_to_z(w, m, n):
     degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``, and the
     top equation is redundant.
     """
-    mu, _, L = _slice_order("cscy_to_z", m, n)
+    mu, Lz, L = _slice_order("cscy_to_z", m, n)
     w = _real_array("cscy_to_z", w)
     if w.shape != (L,):
         raise ValueError(f"cscy_to_z: expected length {L} at m={m}, got {w.shape}")
@@ -261,9 +261,9 @@ def cscy_to_z(w, m, n):
         z = (-w[:n, None] / a)[:, :, None]
         _recurrence(z, b=-b / a, work={})
         return z[:, 0, 0]
-    z = np.zeros((n - mu + 2, 1, 1))
-    z[: n - mu + 1, 0, 0] = w
-    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), n - mu + 2), {})[:, 0, 0]
+    z = np.zeros((Lz, 1, 1))
+    z[:L, 0, 0] = w
+    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), Lz), {})[:, 0, 0]
 
 
 def _lsq_sweep(segments, rotations, factor, rhs, work):

@@ -62,11 +62,16 @@ def _l2_norm(*arrays):
         return math.inf
 
 
-def _require_integers(name, **values):
-    """Raise ``ValueError`` naming ``name`` and the first of ``values`` that is not an integer (or is a bool)."""
+def _require_integers(name, *, least=None, **values):
+    """Raise ``ValueError`` naming ``name`` and the first of ``values`` that is not an integer (or is a bool).
+
+    With ``least`` given, a value below it is refused too, in one wording: ``{name}: {key} must be >= {least}``.
+    """
     for key, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name}: {key} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name}: {key} must be >= {least}, got {value}")
 
 
 def _require_order(name, n, m):
@@ -128,9 +133,7 @@ class _CoeffTable:
     basis, shift = None, 0  # "Y" or "Z", and its shift
 
     def __init__(self, n, data=None):
-        _require_integers(type(self).__name__, n=n)
-        if n < 0:
-            raise ValueError(f"degree n={n}: truncation degree must be nonnegative")
+        _require_integers(type(self).__name__, least=0, n=n)
         self.n = int(n)
         # the table ends where the pair of the first order past it would start
         pos = self._size = self.order_offsets(self.max_order() + 1)[0]
@@ -193,25 +196,26 @@ class _CoeffTable:
 
     def order_slice(self, m):
         """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
-        _require_integers(type(self).__name__, m=m)
+        name = f"{type(self).__name__}.order_slice"
+        _require_integers(name, m=m)
         if not self._holds(self.n, m):
-            raise ValueError(f"order {m} outside basis {self.basis} with n={self.n}")
+            raise ValueError(f"{name}: order {m} outside basis {self.basis} with n={self.n}")
         pos, count = self.order_offsets(m)
         return self._data[pos : pos + count]
 
     def set_order_slice(self, m, values):
         sl = self.order_slice(m)
         if len(values) != len(sl):
-            raise ValueError(f"order {m}: expected {len(sl)} values, got {len(values)}")
+            raise ValueError(f"{type(self).__name__}.set_order_slice: order {m}: "
+                             f"expected {len(sl)} values, got {len(values)}")
         sl[:] = values
 
     def flat_index(self, l, m):
         """Position of coefficient ``(l, m)`` in :meth:`flat`."""
-        _require_integers(type(self).__name__, l=l, m=m)
+        name = f"{type(self).__name__}.flat_index"
+        _require_integers(name, l=l, m=m)
         if not self._holds(l, m):
-            raise ValueError(
-                f"(l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}"
-            )
+            raise ValueError(f"{name}: (l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}")
         return self.order_offsets(m)[0] + l - self.degree_start(m)
 
     def __getitem__(self, lm):
@@ -283,9 +287,7 @@ def random_spectrum(n_pot, seed):
     Uses the PCG64 generator, so results are reproducible across platforms
     for a fixed seed, a non-negative integer.
     """
-    _require_integers("random_spectrum", seed=seed)
-    if seed < 0:
-        raise ValueError(f"random_spectrum: seed must be >= 0, got {seed}")
+    _require_integers("random_spectrum", least=0, n_pot=n_pot, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = ScalarSpectrum(n_pot)
     spec._data[:] = rng.standard_normal(spec.size)
@@ -294,9 +296,7 @@ def random_spectrum(n_pot, seed):
 
 def random_potentials(n, seed):
     """``random_spectrum(n - 1, seed)`` and ``(n - 1, seed + 1_000_000)``, constant modes zeroed."""
-    _require_integers("random_potentials", n=n)
-    if n < 1:
-        raise ValueError(f"random_potentials: need n >= 1, got {n}")
+    _require_integers("random_potentials", least=1, n=n)
     s, t = random_spectrum(n - 1, seed), random_spectrum(n - 1, seed + 1_000_000)
     s[0, 0] = t[0, 0] = 0.0
     return s, t
@@ -600,22 +600,21 @@ class _DataRows:
 
     Data rows are the lines that are neither blank nor comments, so a ``#`` inside a row stays
     an error and the parser counts data rows only.  The line where each run of rows starts is
-    kept, so :meth:`line` needs no second read, which a pipe could not give.  ``last`` is the
-    last row read, the one the parser stopped at if it failed.
+    kept, so :meth:`line` needs no second read, which a pipe could not give.  ``rows`` counts
+    the rows read and ``last`` is the last of them, the one the parser stopped at if it failed.
     """
 
     def __init__(self, fh):
-        self.fh, self.last, self.runs = fh, "", [(0, 2)]  # (row, its line): the next rows are the next lines
+        self.fh, self.rows, self.last, self.runs = fh, 0, "", [(0, 2)]  # (row, its line): the next rows are the next lines
 
     def __iter__(self):
-        row = 0
         for lineno, line in enumerate(self.fh, start=2):
             line = line.lstrip()
             if line and line[0] != "#":
-                row, self.last = row + 1, line
+                self.rows, self.last = self.rows + 1, line
                 yield line
             else:
-                self.runs.append((row, lineno + 1))
+                self.runs.append((self.rows, lineno + 1))
 
     def line(self, row):
         """Line number of data row ``row`` (0-based)."""
@@ -685,16 +684,11 @@ def read_spectrum(path):
                 warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
                 rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE)
         except ValueError as exc:
-            message = str(exc)
-            # the last match: a conversion error quotes the field text first
-            named = re.findall(r"at row (\d+)", message)
-            if not named:
+            if isinstance(exc, UnicodeDecodeError) or not lines.rows:
                 raise ValueError(f"{path}: {exc}") from None
-            # loadtxt counts data rows from 0 in conversion errors and from 1
-            # in column-count errors
-            converting = message.startswith("could not convert")
-            problem = f"malformed row {lines.last.strip()!r}" if converting else "expected 'l,m,value'"
-            raise ValueError(f"{path}:{lines.line(int(named[-1]) - (not converting))}: {problem}") from None
+            # loadtxt stops pulling rows at the one it fails on: the last one read
+            problem = "expected 'l,m,value'" if lines.last.count(",") != 2 else f"malformed row {lines.last.strip()!r}"
+            raise ValueError(f"{path}:{lines.line(lines.rows - 1)}: {problem}") from None
 
         l, m, values = rows["l"], rows["m"], rows["value"]
         outside = ~spec._holds(l, m)

@@ -59,10 +59,14 @@ def test_legendre_refuses_non_finite_abscissae(x):
 
 
 def test_eval_refuses_a_nan_colatitude():
-    # eval_Y, eval_Z and eval_gradY read legendre_table, so they inherit its check
-    for evaluate in (eval_Y, eval_Z, eval_gradY):
-        with pytest.raises(ValueError, match="^legendre_table: "):
-            evaluate(2, 1, np.array([0.5, np.nan]), 0.5)
+    # and an infinite colatitude or a NaN longitude, under the evaluator's own
+    # name, before cos(inf) warns or a NaN longitude passes through to the value
+    cases = ((np.array([0.5, np.nan]), 0.5, "theta: non-finite value in row 1"),
+             (np.inf, 0.5, "theta: non-finite value in row 0"), (0.5, np.nan, "phi: non-finite value in row 0"))
+    for theta, phi, message in cases:
+        for evaluate in (eval_Y, eval_Z, eval_gradY):
+            with pytest.raises(ValueError, match=f"^{evaluate.__name__}: {message}$"):
+                evaluate(2, 1, theta, phi)
 
 
 def test_gauss_grid_integrates_polynomials_exactly():

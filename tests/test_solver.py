@@ -46,6 +46,7 @@ from spherehhd.spectra import (
     ZSpectrum,
     new_scalar_spectrum,
     random_potentials,
+    random_spectrum,
     relative_l2_error,
 )
 
@@ -766,6 +767,35 @@ def test_degrees_and_orders_must_be_integers(call, bad, good):
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}"):
         call(bad)
     call(good)
+
+
+# (function name, argument, its floor, the call with that argument set)
+@pytest.mark.parametrize("name,arg,floor,call", [
+    ("ScalarSpectrum", "n", 0, ScalarSpectrum),
+    ("ZSpectrum", "n", 0, ZSpectrum),
+    ("random_spectrum", "n_pot", 0, lambda v: random_spectrum(v, 1)),
+    ("random_spectrum", "seed", 0, lambda v: random_spectrum(2, v)),
+    ("random_potentials", "n", 1, lambda v: random_potentials(v, 1)),
+    ("legendre_table", "m", 0, lambda v: legendre_table(v, 3, 0.2)),
+    ("GridSpec", "n_theta", 1, lambda v: GridSpec(v, 4)),
+    ("GridSpec", "n_phi", 1, lambda v: GridSpec(4, v)),
+    ("GridSpec.for_degree", "n", 0, GridSpec.for_degree),
+    ("GridSpec.check_resolves", "n", 0, lambda v: GridSpec.for_degree(4).check_resolves(v)),
+    ("analyze_z", "n", 0, lambda v: analyze_z(np.zeros((5, 12)), np.zeros((5, 12)), GridSpec.for_degree(4), v)),
+    ("build_A", "m", 0, lambda v: build_A(5, v)),
+    ("shuffle_permutation", "size", 0, shuffle_permutation),
+    ("build_R", "n", 1, lambda v: build_R(v, 2)),
+    ("build_R", "m", 1, lambda v: build_R(4, v)),
+    ("qi_singular_bounds", "n", 1, lambda v: qi_singular_bounds(v, 2)),
+    ("qi_singular_bounds", "m", 1, lambda v: qi_singular_bounds(4, v)),
+    ("inverse_norm_frobenius_bound", "n", 1, inverse_norm_frobenius_bound),
+    ("inverse_norm_conjecture", "n", 2, inverse_norm_conjecture),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_an_integer_below_its_floor_is_refused(name, arg, floor, call):
+    # one message for every floor, naming the function the caller called
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}: {arg} must be >= {floor}, got {floor - 1}$"):
+        call(floor - 1)
+    call(floor)
 
 
 # every entry point that takes an order m of a truncation n

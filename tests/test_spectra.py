@@ -59,7 +59,8 @@ def test_index_validation():
     spec = new_scalar_spectrum(3)
     spec[2, -2] = 1.5
     assert spec[2, -2] == 1.5
-    with pytest.raises(ValueError):
+    # each accessor's error names the class and the method
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.flat_index: \(l=1, m=2\) outside the basis-Y index set for n=3$"):
         spec[1, 2]
     with pytest.raises(ValueError):
         spec[4, 0]
@@ -68,6 +69,10 @@ def test_index_validation():
     assert z[0, 1] == 2.0
     with pytest.raises(ValueError):
         z[0, 2]  # l < ||m|-1|
+    with pytest.raises(ValueError, match=r"^ZSpectrum\.order_slice: order 9 outside basis Z with n=3$"):
+        z.order_slice(9)
+    with pytest.raises(ValueError, match=r"^ZSpectrum\.set_order_slice: order 1: expected 4 values, got 1$"):
+        z.set_order_slice(1, [1.0])
 
 
 def test_random_spectrum_deterministic():
@@ -86,7 +91,7 @@ def test_random_spectrum_rejects_a_seed_that_is_no_nonnegative_integer(seed):
     assert random_spectrum(3, np.int64(5)).flat().tolist() == random_spectrum(3, 5).flat().tolist()
 
 
-@pytest.mark.parametrize("n,message", [(0, "need n >= 1, got 0"), (1.5, "n must be an integer, got 1.5")])
+@pytest.mark.parametrize("n,message", [(0, "n must be >= 1, got 0"), (1.5, "n must be an integer, got 1.5")])
 def test_random_potentials_names_itself(n, message):
     with pytest.raises(ValueError, match=f"^random_potentials: {re.escape(message)}$"):
         random_potentials(n, 1)
