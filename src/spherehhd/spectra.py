@@ -33,8 +33,6 @@ __all__ = [
     "ZSpectrum",
     "TangentField",
     "HHDResult",
-    "new_scalar_spectrum",
-    "new_z_spectrum",
     "random_spectrum",
     "random_potentials",
     "relative_l2_error",
@@ -194,35 +192,41 @@ class _CoeffTable:
         orders = np.append(0, np.column_stack([mu, -mu]).ravel())
         return orders[self._holds(self.n, orders)].tolist()
 
-    def order_slice(self, m):
-        """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
-        name = f"{type(self).__name__}.order_slice"
-        _require_integers(name, m=m)
+    def _order_view(self, method, m):
+        """View of order ``m``'s coefficients; an order outside the table is refused under ``{class}.{method}``."""
+        _require_integers(name := f"{type(self).__name__}.{method}", m=m)
         if not self._holds(self.n, m):
             raise ValueError(f"{name}: order {m} outside basis {self.basis} with n={self.n}")
         pos, count = self.order_offsets(m)
         return self._data[pos : pos + count]
 
-    def set_order_slice(self, m, values):
-        sl = self.order_slice(m)
-        if len(values) != len(sl):
-            raise ValueError(f"{type(self).__name__}.set_order_slice: order {m}: "
-                             f"expected {len(sl)} values, got {len(values)}")
-        sl[:] = values
-
-    def flat_index(self, l, m):
-        """Position of coefficient ``(l, m)`` in :meth:`flat`."""
-        name = f"{type(self).__name__}.flat_index"
-        _require_integers(name, l=l, m=m)
+    def _position(self, method, l, m):
+        """Flat position of ``(l, m)``; a pair outside the index set is refused under ``{class}.{method}``."""
+        _require_integers(name := f"{type(self).__name__}.{method}", l=l, m=m)
         if not self._holds(l, m):
             raise ValueError(f"{name}: (l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}")
         return self.order_offsets(m)[0] + l - self.degree_start(m)
 
+    def order_slice(self, m):
+        """Contiguous view of the coefficients of signed order ``m`` (ascending degree)."""
+        return self._order_view("order_slice", m)
+
+    def set_order_slice(self, m, values):
+        sl, shape = self._order_view("set_order_slice", m), np.shape(values)
+        if shape != sl.shape:
+            raise ValueError(f"{type(self).__name__}.set_order_slice: order {m}: expected {len(sl)} values, "
+                             f"got {shape[0] if len(shape) == 1 else f'shape {shape}'}")
+        sl[:] = values
+
+    def flat_index(self, l, m):
+        """Position of coefficient ``(l, m)`` in :meth:`flat`."""
+        return self._position("flat_index", l, m)
+
     def __getitem__(self, lm):
-        return float(self._data[self.flat_index(*lm)])
+        return float(self._data[self._position("__getitem__", *lm)])
 
     def __setitem__(self, lm, value):
-        self._data[self.flat_index(*lm)] = value
+        self._data[self._position("__setitem__", *lm)] = value
 
     def require_finite(self, name):
         """Raise ``ValueError`` naming ``name`` and the ``(l, m)`` of the first non-finite value.
@@ -271,16 +275,6 @@ class ZSpectrum(_CoeffTable):
     basis, shift = "Z", 1
 
 
-def new_scalar_spectrum(n_pot):
-    """Zero-filled scalar spectrum with ``(n_pot + 1)**2`` coefficients."""
-    return ScalarSpectrum(n_pot)
-
-
-def new_z_spectrum(n):
-    """Zero-filled tangential-component spectrum for truncation degree ``n``."""
-    return ZSpectrum(n)
-
-
 def random_spectrum(n_pot, seed):
     """Scalar spectrum with i.i.d. standard-normal coefficients.
 
@@ -307,6 +301,8 @@ def relative_l2_error(a, b):
 
     Falls back to the absolute norm ``||a||`` when ``b`` is identically zero.
     """
+    if not (isinstance(a, _CoeffTable) and isinstance(b, _CoeffTable)):
+        raise ValueError("relative_l2_error: arguments must be spectra (ScalarSpectrum or ZSpectrum)")
     if type(a) is not type(b) or a.n != b.n:
         raise ValueError("relative_l2_error: spectra must share basis and degree")
     # if a - b or a norm could overflow, one power of two scales both tables: exact, so the ratio is unchanged
@@ -378,31 +374,35 @@ def _split(a):
     return c - (c - a), a - (c - (c - a))
 
 
+def _double_doubles(ratios):
+    """``(hi, *_split(hi), lo)`` of each exact ``n / d`` in ``ratios``, both halves rounded: ``|hi + lo - n / d| <= 2**-106 n / d``."""
+    hi = np.array([n / d for n, d in ratios])  # int / int rounds correctly
+    lo = np.array([(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(ratios, map(float.as_integer_ratio, hi.tolist()))])
+    return hi, *_split(hi), lo
+
+
 @functools.cache
 def _format_tables():
     """The writer's tables: row ``E + 281`` (``E`` in -281..280) of ``(ph, *_split(ph), pl)``,
     ``ph + pl ~ 10**(16 - E)``, and of ``e±XX[X]`` and a line end, padded with zero bytes."""
     tens = [(10 ** max(16 - e, 0), 10 ** max(e - 16, 0)) for e in range(-281, 281)]  # 10**(16 - e) = n / d
-    ph = np.array([n / d for n, d in tens])  # int / int rounds correctly
-    pl = np.array([(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(tens, map(float.as_integer_ratio, ph.tolist()))])
     exps = np.array([b"e%+03d\n" % e for e in range(-281, 281)], "S8").view("<u8")
-    return (ph, *_split(ph), pl), exps
+    return _double_doubles(tens), exps
 
 
 @functools.cache
 def _parse_tables():
     """The exact reader's table: row ``E + 280`` (``E`` in -280..280) of ``(qh, *_split(qh), ql)``,
     ``qh + ql ~ 10**(E - 16) / 2**k`` with ``qh`` in ``[1, 2)``, and of ``2**k``."""
-    rows = []
+    ratios, powers = [], []
     for e in range(-296, 265):  # E - 16
         n, d = 10 ** max(e, 0), 10 ** max(-e, 0)
         k = n.bit_length() - d.bit_length()  # n / d / 2**k in (1/2, 2)
         n, d = (n, d << k) if k >= 0 else (n << -k, d)
         k, n = (k - 1, 2 * n) if n < d else (k, n)
-        a, b = (n / d).as_integer_ratio()
-        rows.append((n / d, (n * b - a * d) / (d * b), math.ldexp(1.0, k)))
-    qh, ql, powers = (np.array(c) for c in zip(*rows))
-    return (qh, *_split(qh), ql), powers
+        ratios.append((n, d))
+        powers.append(math.ldexp(1.0, k))
+    return _double_doubles(ratios), np.array(powers)
 
 
 def _label_tables(top, width):
@@ -444,6 +444,8 @@ def write_spectrum(spectrum, path):
     point by :func:`_ascii8`.  Other rows (near-ties, wrong guesses, ``|x|``
     out of range) go to one ``%`` call per chunk; ``±0.0`` prints as zeros.
     """
+    if not isinstance(spectrum, _CoeffTable):
+        raise ValueError("write_spectrum: the spectrum must be a ScalarSpectrum or ZSpectrum")
     spectrum.require_finite(f"write_spectrum: {path}")
     (ph, ph_hi, ph_lo, pl), exps = _format_tables()
     top, k = spectrum.max_order(), (len(str(spectrum.max_order())) + 12) // 8

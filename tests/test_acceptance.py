@@ -17,7 +17,7 @@ import pytest
 from spherehhd import verify
 from spherehhd.recurrences import chol_d, chol_e, chol_f
 from spherehhd.solver import decompose, differentiate, solve_order
-from spherehhd.spectra import TangentField, ZSpectrum, new_scalar_spectrum, random_potentials
+from spherehhd.spectra import ScalarSpectrum, TangentField, ZSpectrum, random_potentials
 
 
 def _report(num, name, detail):
@@ -164,14 +164,14 @@ def test_criterion_09_normalization():
 def test_criterion_10_order_zero_separability():
     n = 16
     rng = np.random.default_rng(6)
-    s = new_scalar_spectrum(n - 1)
-    t = new_scalar_spectrum(n - 1)
+    s = ScalarSpectrum(n - 1)
+    t = ScalarSpectrum(n - 1)
     t.order_slice(0)[1:] = rng.standard_normal(n - 1)
     result = decompose(differentiate(s, t))  # pure-toroidal order-zero data
     spher_norm = float(np.linalg.norm(result.spheroidal.order_slice(0)))
     assert spher_norm <= 1e-13
     s.order_slice(0)[1:] = rng.standard_normal(n - 1)
-    t = new_scalar_spectrum(n - 1)
+    t = ScalarSpectrum(n - 1)
     result = decompose(differentiate(s, t))  # pure-spheroidal order-zero data
     tor_norm = float(np.linalg.norm(result.toroidal.order_slice(0)))
     assert tor_norm <= 1e-13

@@ -44,7 +44,7 @@ def test_decompose_zero_field_files(tmp_path, capsys):
     import spherehhd as sh
 
     for name in ("th", "ph"):
-        sh.write_spectrum(sh.new_z_spectrum(5), tmp_path / f"{name}.csv")
+        sh.write_spectrum(sh.ZSpectrum(5), tmp_path / f"{name}.csv")
     code, out, _ = run_cli(
         capsys,
         "decompose",
@@ -63,8 +63,8 @@ def test_decompose_zero_field_files(tmp_path, capsys):
 def test_decompose_mismatched_degrees_fails(tmp_path, capsys):
     import spherehhd as sh
 
-    sh.write_spectrum(sh.new_z_spectrum(5), tmp_path / "a.csv")
-    sh.write_spectrum(sh.new_z_spectrum(6), tmp_path / "b.csv")
+    sh.write_spectrum(sh.ZSpectrum(5), tmp_path / "a.csv")
+    sh.write_spectrum(sh.ZSpectrum(6), tmp_path / "b.csv")
     code, _, err = run_cli(
         capsys,
         "decompose",
@@ -79,8 +79,8 @@ def test_decompose_mismatched_degrees_fails(tmp_path, capsys):
 def test_decompose_wrong_basis_fails(tmp_path, capsys):
     import spherehhd as sh
 
-    sh.write_spectrum(sh.new_scalar_spectrum(5), tmp_path / "y.csv")
-    sh.write_spectrum(sh.new_z_spectrum(5), tmp_path / "z.csv")
+    sh.write_spectrum(sh.ScalarSpectrum(5), tmp_path / "y.csv")
+    sh.write_spectrum(sh.ZSpectrum(5), tmp_path / "z.csv")
     code, _, err = run_cli(
         capsys,
         "decompose",
@@ -188,6 +188,19 @@ def test_committed_bench_files_load(path):
         assert run["decompose_s"] > 0 and run["differentiate_s"] > 0 and run["peak_rss_mib"] > 0
         assert run["roundtrip_rel_err"] <= 1e-12
     assert f"`{path.name}`" in (REPO / "README.md").read_text()
+
+
+def test_readme_quickstart_runs(capsys):
+    # README's "Library quickstart" block, run as written
+    readme = (REPO / "README.md").read_text()
+    code = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3 and float(printed[0]) <= 1e-12
+    result, s, t = namespace["result"], namespace["s"], namespace["t"]
+    assert relative_l2_error(result.spheroidal, s) <= 1e-12
+    assert relative_l2_error(result.toroidal, t) <= 1e-12
 
 
 def test_bench_bad_json_path_fails_before_any_output(tmp_path, capsys):

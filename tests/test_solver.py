@@ -44,7 +44,6 @@ from spherehhd.spectra import (
     ScalarSpectrum,
     TangentField,
     ZSpectrum,
-    new_scalar_spectrum,
     random_potentials,
     random_spectrum,
     relative_l2_error,
@@ -257,15 +256,15 @@ def test_factor_domain_errors():
 
 
 def test_differentiate_zero_potentials():
-    field = differentiate(new_scalar_spectrum(5), new_scalar_spectrum(5))
+    field = differentiate(ScalarSpectrum(5), ScalarSpectrum(5))
     assert field.norm() == 0.0
 
 
 def test_differentiate_single_mode_order_zero():
     # gradient of the degree-1 zonal harmonic lives at order 0 only
-    s = new_scalar_spectrum(3)
+    s = ScalarSpectrum(3)
     s[1, 0] = 1.0
-    field = differentiate(s, new_scalar_spectrum(3))
+    field = differentiate(s, ScalarSpectrum(3))
     assert field.phi.norm() == 0.0
     nonzero_orders = [m for m in field.theta.orders() if np.any(field.theta.order_slice(m))]
     assert nonzero_orders == [0]
@@ -288,11 +287,11 @@ def test_differentiate_order_zero_is_one_scale():
 
 def test_differentiate_degree_mismatch():
     with pytest.raises(ValueError):
-        differentiate(new_scalar_spectrum(3), new_scalar_spectrum(4))
+        differentiate(ScalarSpectrum(3), ScalarSpectrum(4))
 
 
 @pytest.mark.parametrize("s,t", [(ZSpectrum(3), ZSpectrum(3)),
-                                 (new_scalar_spectrum(3), ZSpectrum(3))])
+                                 (ScalarSpectrum(3), ZSpectrum(3))])
 def test_differentiate_rejects_non_scalar_potentials(s, t):
     with pytest.raises(ValueError, match="basis-Y"):
         differentiate(s, t)
@@ -308,9 +307,9 @@ def test_decompose_zero_field():
 
 def test_decompose_single_gradient_mode():
     n = 4
-    s = new_scalar_spectrum(n - 1)
+    s = ScalarSpectrum(n - 1)
     s[1, 0] = 1.0
-    field = differentiate(s, new_scalar_spectrum(n - 1))
+    field = differentiate(s, ScalarSpectrum(n - 1))
     result = decompose(field)
     assert result.spheroidal[1, 0] == pytest.approx(1.0, rel=1e-14)
     assert result.toroidal.norm() < 1e-14
@@ -336,8 +335,8 @@ def test_decompose_normalization_exact_zero():
 
 def test_decompose_order_zero_separable():
     n = 16
-    s = new_scalar_spectrum(n - 1)
-    t = new_scalar_spectrum(n - 1)
+    s = ScalarSpectrum(n - 1)
+    t = ScalarSpectrum(n - 1)
     rng = np.random.default_rng(8)
     s.order_slice(0)[1:] = rng.standard_normal(n - 1)
     t.order_slice(0)[1:] = rng.standard_normal(n - 1)
@@ -346,10 +345,10 @@ def test_decompose_order_zero_separable():
     assert relative_l2_error(result.spheroidal, s) < 1e-13
     assert relative_l2_error(result.toroidal, t) < 1e-13
     # pure-toroidal order-zero data leaves the spheroidal part empty
-    t_only = differentiate(new_scalar_spectrum(n - 1), t)
+    t_only = differentiate(ScalarSpectrum(n - 1), t)
     result = decompose(t_only)
     assert np.linalg.norm(result.spheroidal.order_slice(0)) < 1e-13
-    s_only = differentiate(s, new_scalar_spectrum(n - 1))
+    s_only = differentiate(s, ScalarSpectrum(n - 1))
     result = decompose(s_only)
     assert np.linalg.norm(result.toroidal.order_slice(0)) < 1e-13
 
@@ -814,7 +813,8 @@ def test_an_order_outside_its_truncation_is_refused(name, n, m):
 
 def test_exported_names_resolve():
     # a deleted name must leave its module's __all__ and the package's
-    # re-exports; every re-export is listed in the __all__ of its module
+    # re-exports; every re-export is listed in the __all__ of its module,
+    # and every name of a library module's __all__ is re-exported as itself
     modules = [importlib.import_module(f"spherehhd.{info.name}") for info in pkgutil.iter_modules(spherehhd.__path__)
                if info.name != "__main__"]
     for module in modules:
@@ -822,6 +822,9 @@ def test_exported_names_resolve():
     for name, value in vars(spherehhd).items():
         if not name.startswith("_") and not inspect.ismodule(value):
             assert name in sys.modules[value.__module__].__all__, name
+    for module in ("spectra", "operators", "solver", "conditioning", "pointwise"):
+        for name in sys.modules[f"spherehhd.{module}"].__all__:
+            assert getattr(spherehhd, name, None) is getattr(sys.modules[f"spherehhd.{module}"], name), name
 
 
 # every entry point that takes coefficients as an array, with complex ones:

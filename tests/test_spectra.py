@@ -7,6 +7,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,6 @@ from spherehhd.spectra import (
     ScalarSpectrum,
     TangentField,
     ZSpectrum,
-    new_scalar_spectrum,
-    new_z_spectrum,
     random_potentials,
     random_spectrum,
     read_spectrum,
@@ -33,14 +32,14 @@ from spherehhd.spectra import (
 
 @pytest.mark.parametrize("n_pot,count", [(0, 1), (2, 9), (5, 36)])
 def test_scalar_spectrum_size(n_pot, count):
-    spec = new_scalar_spectrum(n_pot)
+    spec = ScalarSpectrum(n_pot)
     assert spec.size == count == (n_pot + 1) ** 2
     assert not np.any(spec.flat())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
 def test_z_spectrum_size(n):
-    spec = new_z_spectrum(n)
+    spec = ZSpectrum(n)
     # orders |m| <= n+1, degrees ||m|-1|..n
     expected = sum(
         n - abs(abs(m) - 1) + 1
@@ -52,27 +51,39 @@ def test_z_spectrum_size(n):
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        new_scalar_spectrum(-1)
+        ScalarSpectrum(-1)
 
 
 def test_index_validation():
-    spec = new_scalar_spectrum(3)
+    spec = ScalarSpectrum(3)
     spec[2, -2] = 1.5
     assert spec[2, -2] == 1.5
-    # each accessor's error names the class and the method
-    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.flat_index: \(l=1, m=2\) outside the basis-Y index set for n=3$"):
+    # each accessor's error names the class and the method the caller called
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.__getitem__: \(l=1, m=2\) outside the basis-Y index set for n=3$"):
         spec[1, 2]
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.__setitem__: \(l=1, m=2\) outside the basis-Y index set for n=3$"):
+        spec[1, 2] = 1.0
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.flat_index: \(l=1, m=2\) outside the basis-Y index set for n=3$"):
+        spec.flat_index(1, 2)
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.set_order_slice: order 1: expected 3 values, got shape \(\)$"):
+        spec.set_order_slice(1, 5.0)
+    with pytest.raises(ValueError, match=r"^ScalarSpectrum\.set_order_slice: order 1: expected 3 values, got shape \(1, 3\)$"):
+        spec.set_order_slice(1, [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         spec[4, 0]
-    z = new_z_spectrum(3)
+    z = ZSpectrum(3)
     z[0, 1] = 2.0
     assert z[0, 1] == 2.0
     with pytest.raises(ValueError):
         z[0, 2]  # l < ||m|-1|
     with pytest.raises(ValueError, match=r"^ZSpectrum\.order_slice: order 9 outside basis Z with n=3$"):
         z.order_slice(9)
+    with pytest.raises(ValueError, match=r"^ZSpectrum\.set_order_slice: order 9 outside basis Z with n=3$"):
+        z.set_order_slice(9, [1.0])
     with pytest.raises(ValueError, match=r"^ZSpectrum\.set_order_slice: order 1: expected 4 values, got 1$"):
         z.set_order_slice(1, [1.0])
+    z.set_order_slice(1, np.arange(4.0))
+    assert z.order_slice(1).tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_random_spectrum_deterministic():
@@ -119,7 +130,7 @@ def test_relative_l2_error_matches_flat_vectors():
 
 def test_relative_l2_error_zero_reference():
     a = random_spectrum(3, seed=5)
-    zero = new_scalar_spectrum(3)
+    zero = ScalarSpectrum(3)
     assert relative_l2_error(a, zero) == pytest.approx(np.linalg.norm(a.flat()))
 
 
@@ -134,8 +145,15 @@ def test_relative_l2_error_flattening_order_invariant(rng):
 
 
 def test_relative_l2_error_mismatch_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^relative_l2_error: spectra must share basis and degree$"):
         relative_l2_error(random_spectrum(3, 1), random_spectrum(4, 1))
+    with pytest.raises(ValueError, match="^relative_l2_error: spectra must share basis and degree$"):
+        relative_l2_error(ScalarSpectrum(3), ZSpectrum(3))
+    # a non-spectrum is refused by name, not met by an AttributeError
+    for a, b in [(np.zeros(3), np.zeros(3)), (TangentField.zeros(2), TangentField.zeros(2)),
+                 (random_spectrum(3, 1), np.zeros(16))]:
+        with pytest.raises(ValueError, match=r"^relative_l2_error: arguments must be spectra \(ScalarSpectrum or ZSpectrum\)$"):
+            relative_l2_error(a, b)
 
 
 @pytest.mark.parametrize("cls,n", [(ScalarSpectrum, 3), (ZSpectrum, 3), (ZSpectrum, 0)])
@@ -152,7 +170,7 @@ def test_serialization_roundtrip_bit_exact(tmp_path, cls, n):
 
 
 def test_serialization_extreme_values_bit_exact(tmp_path):
-    spec = new_scalar_spectrum(1)
+    spec = ScalarSpectrum(1)
     spec[0, 0] = 1e-308  # subnormal neighborhood
     spec[1, -1] = -1.7976931348623157e308  # largest finite magnitude
     spec[1, 0] = -0.0
@@ -575,6 +593,31 @@ def test_read_rejects_digit_group_underscores(tmp_path):
         read_spectrum(path)
 
 
+def _significant_bits(x):
+    numerator = abs(Fraction(x).numerator)
+    return (numerator // (numerator & -numerator)).bit_length() if numerator else 0
+
+
+def test_power_tables_meet_the_premise_of_their_proofs():
+    # write_spectrum's and _read_exact's proofs take each power of ten as a
+    # double-double to 2**-106 and split its high half into 26-bit halves
+    from spherehhd.spectra import _format_tables, _parse_tables
+
+    (ph, ph_hi, ph_lo, pl), _ = _format_tables()
+    (qh, qh_hi, qh_lo, ql), powers = _parse_tables()
+    assert len(ph) == 562 and len(qh) == 561
+    for E, row in zip(range(-281, 281), zip(ph.tolist(), pl.tolist())):
+        exact = Fraction(10) ** (16 - E)
+        assert abs(sum(map(Fraction, row)) - exact) <= exact / 2**106, E
+    for E, (*row, power) in zip(range(-280, 281), zip(qh.tolist(), ql.tolist(), powers.tolist())):
+        assert 1 <= row[0] < 2, E
+        assert abs(sum(map(Fraction, row)) - Fraction(10) ** (E - 16) / Fraction(power)) <= Fraction(1, 2**106), E
+    for high, hi, lo in (ph, ph_hi, ph_lo), (qh, qh_hi, qh_lo):
+        for h, x, y in zip(high.tolist(), hi.tolist(), lo.tolist()):
+            assert Fraction(x) + Fraction(y) == Fraction(h)  # Dekker's split is exact
+            assert _significant_bits(x) <= 26 and _significant_bits(y) <= 26
+
+
 def test_write_exact_text(tmp_path):
     y = ScalarSpectrum(1)
     y[0, 0], y[1, 0], y[1, 1], y[1, -1] = 0.5, -0.0, 1e-308, -1.7976931348623157e308
@@ -660,7 +703,7 @@ def test_write_matches_cpython_format_at_four_digit_labels(tmp_path):
     assert (tmp_path / "z999.csv").read_bytes() == _reference_bytes(spec)
 
 
-@pytest.mark.parametrize("make", [lambda: random_spectrum(255, 0), lambda: new_z_spectrum(256)], ids=["random", "zero"])
+@pytest.mark.parametrize("make", [lambda: random_spectrum(255, 0), lambda: ZSpectrum(256)], ids=["random", "zero"])
 def test_write_formats_normal_values_without_cpython(tmp_path, monkeypatch, make):
     # the slow path is a fallback: a slide of ordinary values onto it is a bug
     # that the bytes alone would not show
@@ -680,6 +723,13 @@ def test_write_refuses_a_non_finite_spectrum_before_creating_the_file(tmp_path, 
     spec[2, -1] = bad
     with pytest.raises(ValueError, match=r"^write_spectrum: .*spec\.csv: non-finite coefficient .* at \(l=2, m=-1\)$"):
         write_spectrum(spec, tmp_path / "spec.csv")
+    assert not (tmp_path / "spec.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), TangentField.zeros(2), None], ids=["array", "field", "none"])
+def test_write_refuses_a_non_spectrum_before_creating_the_file(tmp_path, bad):
+    with pytest.raises(ValueError, match=r"^write_spectrum: the spectrum must be a ScalarSpectrum or ZSpectrum$"):
+        write_spectrum(bad, tmp_path / "spec.csv")
     assert not (tmp_path / "spec.csv").exists()
 
 
@@ -727,7 +777,7 @@ def test_tangent_field_rejects_non_z_components(theta, phi):
 
 
 def test_order_slices_are_contiguous_views():
-    spec = new_scalar_spectrum(4)
+    spec = ScalarSpectrum(4)
     sl = spec.order_slice(-2)
     sl[:] = 7.0
     assert spec[2, -2] == 7.0
@@ -736,7 +786,7 @@ def test_order_slices_are_contiguous_views():
 
 
 def test_hhd_result_totals():
-    result = HHDResult(new_scalar_spectrum(2), new_scalar_spectrum(2))
+    result = HHDResult(ScalarSpectrum(2), ScalarSpectrum(2))
     result.residual_by_order = {0: 3.0, 1: 4.0}
     result.out_of_range_by_order = {3: 1.0}
     assert result.total_residual() == pytest.approx(5.0)
