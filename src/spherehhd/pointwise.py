@@ -23,7 +23,6 @@ from .spectra import TangentField, _real_array, _require_field, _require_finite,
 
 __all__ = [
     "GridSpec",
-    "legendre_norm",
     "legendre_table",
     "eval_Y",
     "eval_Z",
@@ -78,14 +77,6 @@ def legendre_table(m, lmax, x):
     return out
 
 
-def legendre_norm(l, m, x):
-    """Single normalized associated Legendre function ``P~_l^m(x)``."""
-    _require_integers("legendre_norm", l=l, m=m)
-    if not 0 <= m <= l:
-        raise ValueError(f"legendre_norm: need 0 <= m <= l, got l={l}, m={m}")
-    return legendre_table(m, l, x)[-1]
-
-
 def _azimuthal(m, phi):
     phi = np.asarray(phi, dtype=np.float64)
     fac = np.sqrt((2.0 - (m == 0)) / (2.0 * np.pi))
@@ -110,8 +101,8 @@ def _dtheta_legendre(l, m, legendre):
 
 class _Basis:
     """The basis functions at nodes ``(theta, phi)`` up to degree ``lmax``, reading rows of one
-    Legendre table per order, built on first use.  The recurrence runs forward from
-    ``l == m``, so a row does not depend on the table's length: it is :func:`legendre_norm`'s."""
+    Legendre table per order, built on first use.  The recurrence runs forward from ``l == m``,
+    so a row does not depend on the table's length: degree ``l``'s is the last of ``legendre_table(m, l, x)``."""
 
     def __init__(self, lmax, theta, phi):
         self.lmax, self.theta, self.phi, self.tables = lmax, theta, phi, {}
@@ -189,10 +180,8 @@ class GridSpec:
 
     def __post_init__(self):
         _require_integers("GridSpec", least=1, n_theta=self.n_theta, n_phi=self.n_phi)
-        x, w = np.polynomial.legendre.leggauss(self.n_theta)
-        self.x = x
-        self.weights = w
-        self.theta = np.arccos(x)
+        self.x, self.weights = np.polynomial.legendre.leggauss(self.n_theta)
+        self.theta = np.arccos(self.x)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
 
     @classmethod
@@ -219,8 +208,7 @@ def synthesize(field_, grid):
     _require_field("synthesize", field_)
     n = field_.n
     grid.check_resolves(n)
-    vth = np.zeros((grid.n_theta, grid.n_phi))
-    vph = np.zeros((grid.n_theta, grid.n_phi))
+    vth, vph = np.zeros((2, grid.n_theta, grid.n_phi))
     tables = [legendre_table(k, n, grid.x) for k in range(n + 1)]
     for m in field_.theta.orders():
         tab = tables[abs(abs(m) - 1)]  # degrees ||m|-1| .. n
@@ -243,18 +231,16 @@ def synthesize_from_potentials(s, t, grid):
     potentials that are not basis-Y spectra of one degree or hold a non-finite coefficient.
     """
     _require_potentials("synthesize_from_potentials", s, t)
-    grid.check_resolves(s.n_pot + 1)
-    vth = np.zeros((grid.n_theta, grid.n_phi))
-    vph = np.zeros((grid.n_theta, grid.n_phi))
+    grid.check_resolves(s.n + 1)
+    vth, vph = np.zeros((2, grid.n_theta, grid.n_phi))
     sin_th = np.sin(grid.theta)
-    tables = [legendre_table(k, s.n_pot, grid.x) for k in range(s.n_pot + 1)]
+    tables = [legendre_table(k, s.n, grid.x) for k in range(s.n + 1)]
     for m in s.orders():
         mu = abs(m)
         az = _azimuthal(m, grid.phi)
         daz = _azimuthal_deriv(m, grid.phi)
-        for l in range(max(mu, 1), s.n_pot + 1):
-            cs = s[l, m]
-            ct = t[l, m]
+        for l in range(max(mu, 1), s.n + 1):
+            cs, ct = s[l, m], t[l, m]
             if cs == 0.0 and ct == 0.0:
                 continue
             dth = _dtheta_legendre(l, mu, lambda l, k: tables[k][l - k])
@@ -279,8 +265,7 @@ def analyze_z(vtheta, vphi, grid, n):
     """
     _require_integers("analyze_z", least=0, n=n)
     grid.check_resolves(n)
-    vtheta = _real_array("analyze_z", vtheta)
-    vphi = _real_array("analyze_z", vphi)
+    vtheta, vphi = _real_array("analyze_z", vtheta), _real_array("analyze_z", vphi)
     if vtheta.shape != (grid.n_theta, grid.n_phi) or vphi.shape != vtheta.shape:
         raise ValueError("analyze_z: sample arrays do not match the grid")
     _require_finite("analyze_z: vtheta", vtheta)

@@ -36,10 +36,11 @@ def _checked(name, l, m, lmin, mmin):
         if not whole.all():
             raise ValueError(f"{name}: {what} must be a finite integer, got {x[~whole][0]}")
     arr, orders = checked
-    if np.any(orders < mmin):
-        raise ValueError(f"{name}: order m must be >= {mmin}")
-    if np.any(arr < lmin(orders)):
-        raise ValueError(f"{name}: degree l must be >= {lmin(orders)}, got {l}")
+    if np.any(below := orders < mmin):
+        raise ValueError(f"{name}: order m must be >= {mmin}, got {np.asarray(m)[below].flat[0]}")
+    if np.any(below := arr < (floor := lmin(orders))):  # the first offending entry of the broadcast grid
+        got, least, at = (np.broadcast_to(x, below.shape)[below].flat[0] for x in (np.asarray(l), floor, np.asarray(m)))
+        raise ValueError(f"{name}: degree l must be >= {int(least)}, got {got} at m={at}")
     return arr
 
 

@@ -178,8 +178,8 @@ def _z_to_cscy_block(z, grid, work):
     """:func:`z_to_cscy` for ``c`` slices in each of ``K`` lanes of ``z``, shape ``(rows, c, K)``.
 
     Row by row, ``grid = (l, m, keep)`` gives the order ``m`` and degree
-    ``l - 2`` a lane row holds (orders ``>= 1`` one behind the other, each
-    from degree ``m - 1``) and zero coupling where ``keep`` is False, on
+    ``l - 2`` a lane row holds (orders one behind the other, each from
+    degree ``m - 1``, order zero padded) and zero coupling where ``keep`` is False, on
     the zero rows between orders.  Result row ``i`` is csc degree ``l - 1``,
     an order's dropped tail past its ``n - m + 1`` rows.  ``z`` is
     overwritten, and the result is ``work``'s ``"w"`` (see :func:`_empty`).
@@ -210,13 +210,18 @@ def _cscy_to_z_block(w, grid, work):
     return w
 
 
-def _slice_order(name, m, n):
-    """``|m|`` and the lengths of its slices in bases Z and Y at degree ``n``, once integer ``m`` is an order of Z there."""
+def _slice_order(name, m, n, values, label, shift):
+    """``|m|`` and ``values`` as a float64 array, once integer ``m`` is an order of Z at degree ``n`` and ``values``,
+    named ``label``, are its finite slice in Z (``shift`` 1) or Y (0); anything else is refused under ``name``."""
     _require_integers(name, m=m, n=n)
-    (_, z_count), (_, y_count) = (_order_offsets(int(n), shift, int(m)) for shift in (1, 0))  # ints: no int64 wrap
+    (_, z_count), (_, count) = (_order_offsets(int(n), s, int(m)) for s in (1, shift))  # ints: no int64 wrap
     if z_count < 1:
         raise ValueError(f"{name}: order {m} outside basis Z with n={n}")
-    return abs(m), z_count, y_count
+    values = _real_array(name, values)
+    if values.shape != (count,):
+        raise ValueError(f"{name}: expected length {count} at m={m}, got {values.shape}")
+    _require_finite(f"{name}: {label}", values)
+    return abs(m), values
 
 
 def z_to_cscy(z, m, n):
@@ -227,16 +232,11 @@ def z_to_cscy(z, m, n):
     not representable and is dropped here; callers that need it account for
     ``beta(n, |m|) * z[-1]`` separately.
     """
-    mu, L, _ = _slice_order("z_to_cscy", m, n)
-    z = _real_array("z_to_cscy", z)
-    if z.shape != (L,):
-        raise ValueError(f"z_to_cscy: expected length {L} at m={m}, got {z.shape}")
-    _require_finite("z_to_cscy: z", z)
-    if mu:
-        return _z_to_cscy_block(z.copy()[:, None, None], _lane_grid(np.array([mu]), L - 1), {})[:, 0, 0]
-    alpha, beta = rec._conversion(np.arange(1.0, n + 2), 0)  # order zero's basis enters with the opposite sign
-    z = np.concatenate(([-0.0, -0.0], z, [-0.0]))  # degrees -1 .. n + 1; the -0.0 pads fix the signs of zero results
-    return -(beta * z[:-2] + alpha * z[2:])
+    mu, z = _slice_order("z_to_cscy", m, n, z, "z", 1)
+    # order zero's basis enters negated; -0.0 pads at degrees -1, 0, n + 1 fix the signs of zero results
+    z = np.concatenate(([-0.0, -0.0], z, [-0.0])) if mu == 0 else z.copy()
+    w = _z_to_cscy_block(z[:, None, None], _lane_grid(np.array([mu]), len(z) - 1), {})[: n + 1 - mu, 0, 0]
+    return w if mu else -w
 
 
 def cscy_to_z(w, m, n):
@@ -251,19 +251,15 @@ def cscy_to_z(w, m, n):
     degree 1, ``z_l = -(w_{l-1} + beta(l - 2) z_{l-2}) / alpha(l)``, and the
     top equation is redundant.
     """
-    mu, Lz, L = _slice_order("cscy_to_z", m, n)
-    w = _real_array("cscy_to_z", w)
-    if w.shape != (L,):
-        raise ValueError(f"cscy_to_z: expected length {L} at m={m}, got {w.shape}")
-    _require_finite("cscy_to_z: w", w)
+    mu, w = _slice_order("cscy_to_z", m, n, w, "w", 0)
     if mu == 0:  # alpha(l, 0) and beta(l - 2, 0) at degree l of row i; beta(-1, 0) == beta(0, 0) == 0
         a, b = rec._conversion(np.arange(1.0, n + 1)[:, None], 0)
         z = (-w[:n, None] / a)[:, :, None]
         _recurrence(z, b=-b / a, work={})
         return z[:, 0, 0]
-    z = np.zeros((Lz, 1, 1))
-    z[:L, 0, 0] = w
-    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), Lz), {})[:, 0, 0]
+    z = np.zeros((len(w) + 1, 1, 1))
+    z[:-1, 0, 0] = w
+    return _cscy_to_z_block(z, _lane_grid(np.array([mu]), len(z)), {})[:, 0, 0]
 
 
 def _lsq_sweep(segments, rotations, factor, rhs, work):
@@ -438,7 +434,7 @@ def _scatter(spans, specs, grids):
 def differentiate(s, t):
     """Tangential field of the potentials: ``grad(s) + e_r x grad(t)``.
 
-    Both potentials must share a degree ``n_pot = n - 1``; their ``(0, 0)``
+    Both potentials must share a degree ``n - 1``; their ``(0, 0)``
     coefficients are ignored since constants have no gradient.  The result
     is expressed in the tangential basis at truncation degree ``n``, which
     is exactly the range :func:`decompose` inverts, orders ``m >= 1`` in
@@ -446,9 +442,9 @@ def differentiate(s, t):
     non-finite coefficient or on potentials that are not basis-Y spectra.
     """
     _require_potentials("differentiate", s, t)
-    if s.n_pot < 1:
+    if s.n < 1:
         raise ValueError("differentiate: need potential degree >= 1")
-    n = s.n_pot + 1
+    n = s.n + 1
     out = TangentField.zeros(n)
     # order zero is one scale: its tangential basis is P~_l^1, and the
     # colatitude derivative of P~_l^0 is -sqrt(l (l + 1)) P~_l^1; z_n stays zero

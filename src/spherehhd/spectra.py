@@ -3,7 +3,7 @@
 Two triangular tables are used throughout:
 
 * ``ScalarSpectrum`` -- expansion coefficients of a scalar field in the
-  orthonormal spherical harmonics, degrees ``0..n_pot``, orders ``|m| <= l``.
+  orthonormal spherical harmonics, degrees ``0..n``, orders ``|m| <= l``.
 * ``ZSpectrum`` -- expansion coefficients of one angular component of a
   tangential field in the complementary orthonormal basis, degrees
   ``||m|-1| <= l <= n`` with orders up to ``|m| = n + 1``.
@@ -106,10 +106,16 @@ def _require_field(name, field):
 
 
 def _real_array(name, values):
-    """``values`` as a float64 array, once they are not complex (an O(1) dtype check for arrays)."""
-    if np.iscomplexobj(values):
+    """``values`` as a float64 array, once they are real numbers: not ragged, of a bool, integer or float dtype (O(1) for arrays)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise ValueError(f"{name}: values must be real numbers, got a ragged sequence") from None
+    if array.dtype.kind == "c":
         raise ValueError(f"{name}: values must be real, got complex input")
-    return np.asarray(values, dtype=np.float64)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name}: values must be real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 def _order_offsets(n, shift, orders):
@@ -200,9 +206,13 @@ class _CoeffTable:
         pos, count = self.order_offsets(m)
         return self._data[pos : pos + count]
 
-    def _position(self, method, l, m):
-        """Flat position of ``(l, m)``; a pair outside the index set is refused under ``{class}.{method}``."""
-        _require_integers(name := f"{type(self).__name__}.{method}", l=l, m=m)
+    def _position(self, method, key):
+        """Flat position of the pair ``key = (l, m)``; any other key, or a pair outside the index set, is refused under ``{class}.{method}``."""
+        name = f"{type(self).__name__}.{method}"
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(f"{name}: key must be a pair (l, m), got {key!r}")
+        l, m = key
+        _require_integers(name, l=l, m=m)
         if not self._holds(l, m):
             raise ValueError(f"{name}: (l={l}, m={m}) outside the basis-{self.basis} index set for n={self.n}")
         return self.order_offsets(m)[0] + l - self.degree_start(m)
@@ -212,21 +222,26 @@ class _CoeffTable:
         return self._order_view("order_slice", m)
 
     def set_order_slice(self, m, values):
-        sl, shape = self._order_view("set_order_slice", m), np.shape(values)
-        if shape != sl.shape:
-            raise ValueError(f"{type(self).__name__}.set_order_slice: order {m}: expected {len(sl)} values, "
-                             f"got {shape[0] if len(shape) == 1 else f'shape {shape}'}")
+        name = f"{type(self).__name__}.set_order_slice"
+        sl, values = self._order_view("set_order_slice", m), _real_array(name, values)
+        if values.shape != sl.shape:
+            got = len(values) if values.ndim == 1 else f"shape {values.shape}"
+            raise ValueError(f"{name}: order {m}: expected {len(sl)} values, got {got}")
         sl[:] = values
 
     def flat_index(self, l, m):
         """Position of coefficient ``(l, m)`` in :meth:`flat`."""
-        return self._position("flat_index", l, m)
+        return self._position("flat_index", (l, m))
 
     def __getitem__(self, lm):
-        return float(self._data[self._position("__getitem__", *lm)])
+        return float(self._data[self._position("__getitem__", lm)])
 
     def __setitem__(self, lm, value):
-        self._data[self._position("__setitem__", *lm)] = value
+        name = f"{type(self).__name__}.__setitem__"
+        pos, value = self._position("__setitem__", lm), _real_array(name, value)
+        if value.shape:
+            raise ValueError(f"{name}: expected one value, got shape {value.shape}")
+        self._data[pos] = value
 
     def require_finite(self, name):
         """Raise ``ValueError`` naming ``name`` and the ``(l, m)`` of the first non-finite value.
@@ -255,13 +270,9 @@ class _CoeffTable:
 
 
 class ScalarSpectrum(_CoeffTable):
-    """Spherical-harmonic coefficients of a scalar field, degrees ``0..n_pot``."""
+    """Spherical-harmonic coefficients of a scalar field, degrees ``0..n``."""
 
     basis = "Y"
-
-    @property
-    def n_pot(self):
-        return self.n
 
 
 class ZSpectrum(_CoeffTable):
@@ -275,15 +286,15 @@ class ZSpectrum(_CoeffTable):
     basis, shift = "Z", 1
 
 
-def random_spectrum(n_pot, seed):
+def random_spectrum(n, seed):
     """Scalar spectrum with i.i.d. standard-normal coefficients.
 
     Uses the PCG64 generator, so results are reproducible across platforms
     for a fixed seed, a non-negative integer.
     """
-    _require_integers("random_spectrum", least=0, n_pot=n_pot, seed=seed)
+    _require_integers("random_spectrum", least=0, n=n, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = ScalarSpectrum(n_pot)
+    spec = ScalarSpectrum(n)
     spec._data[:] = rng.standard_normal(spec.size)
     return spec
 

@@ -230,6 +230,18 @@ def test_pointwise_identity_sign_flips_at_order_zero():
             assert abs(eval_Z(l, 0, th, 0.0) + rhs) < 1e-13
 
 
+def test_order_zero_conversion_is_its_closed_stencil_to_the_byte(rng):
+    # w_{l-1} = -(beta(l - 2, 0) z_{l-2} + alpha(l, 0) z_l) for l = 1 .. n + 1, with the z of degrees -1, 0
+    # and n + 1 read as -0.0: they set the signs of zero results, which no test of closeness sees
+    for n in range(1, 41):
+        a = alpha(np.arange(1, n + 2), 0)
+        b = np.concatenate(([0.0], beta(np.arange(n), 0)))  # beta(-1, 0) = 0 meets a pad
+        for z in (np.zeros(n), -np.zeros(n), rng.choice([0.0, -0.0], n), rng.choice([0.0, -0.0, 1.5, -0.25], n)):
+            padded = np.concatenate(([-0.0, -0.0], z, [-0.0]))
+            want = -(b * padded[:-2] + a * padded[2:])
+            assert z_to_cscy(z, 0, n).tobytes() == want.tobytes(), (n, z)
+
+
 def test_m_zero_conversion_roundtrip():
     n = 9
     s, t = random_potentials(n, seed=13)
@@ -281,7 +293,7 @@ def test_vectorized_chain_matches_reference(n, m, rng):
 
 def _differentiate_reference(s, t):
     """Per-order differentiate: one dense ``build_A`` product and one naive chain per slice."""
-    n = s.n_pot + 1
+    n = s.n + 1
     out = TangentField.zeros(n)
     a0 = build_A(n, 0)
     for comp, pot in ((out.theta, s), (out.phi, t)):

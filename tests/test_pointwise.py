@@ -10,7 +10,6 @@ from spherehhd.pointwise import (
     eval_Y,
     eval_Z,
     eval_gradY,
-    legendre_norm,
     legendre_table,
     synthesize,
     synthesize_from_potentials,
@@ -22,18 +21,18 @@ INTERIOR = [0.3, 1.1, 1.9, 2.7]
 
 def test_legendre_constant():
     for x in (-0.9, 0.0, 0.7):
-        assert legendre_norm(0, 0, x) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert legendre_table(0, 0, x)[-1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
 def test_legendre_degree_one():
-    assert legendre_norm(1, 0, 1.0) == pytest.approx(math.sqrt(1.5), rel=1e-15)
-    assert legendre_norm(1, 0, 0.5) == pytest.approx(math.sqrt(1.5) * 0.5, rel=1e-14)
+    assert legendre_table(0, 1, 1.0)[-1] == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    assert legendre_table(0, 1, 0.5)[-1] == pytest.approx(math.sqrt(1.5) * 0.5, rel=1e-14)
 
 
 def test_legendre_sectorial_positive():
     # the Condon-Shortley phase is cancelled by the normalization prefactor
     for m in range(1, 6):
-        assert legendre_norm(m, m, 0.3) > 0.0
+        assert legendre_table(m, m, 0.3)[-1] > 0.0
 
 
 def test_legendre_orthonormality_by_quadrature():
@@ -45,10 +44,10 @@ def test_legendre_orthonormality_by_quadrature():
 
 
 def test_legendre_domain_errors():
-    with pytest.raises(ValueError):
-        legendre_norm(2, 3, 0.5)
-    with pytest.raises(ValueError):
-        legendre_norm(2, 1, 1.5)
+    with pytest.raises(ValueError, match=r"^legendre_table: need lmax >= m$"):
+        legendre_table(3, 2, 0.5)
+    with pytest.raises(ValueError, match=r"^legendre_table: abscissae must lie in \[-1, 1\]$"):
+        legendre_table(1, 2, 1.5)
 
 
 @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan], -np.inf])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,22 @@ def test_chol_e_bounded_for_huge_degree():
 def test_domain_violations_raise(fn, l, m):
     name = "chol_d/e/f" if fn.__name__.startswith("chol_") else fn.__name__  # one checked pass gives all three
     with pytest.raises(ValueError, match=f"^{name}: "):
+        fn(l, m)
+
+
+# the first offending entry, in the floor wording of every integer argument; a degree's floor follows its order
+@pytest.mark.parametrize("fn,l,m,message", [
+    (delta, np.arange(1, 6), 2, "delta: degree l must be >= 2, got 1 at m=2"),
+    (alpha, 2, 3, "alpha: degree l must be >= 3, got 2 at m=3"),
+    (alpha, np.arange(3, 9), -1, "alpha: order m must be >= 0, got -1"),
+    (beta, np.array([2, -1, -2]), 0, "beta: degree l must be >= 0, got -1 at m=0"),
+    (gamma, np.array([[3], [1]]), np.array([[0, 2]]), "gamma: degree l must be >= 2, got 1 at m=2"),
+    (delta, 4, np.array([1, -3, -1]), "delta: order m must be >= 0, got -3"),
+    (chol_e, 0, 2, "chol_d/e/f: degree l must be >= 1, got 0 at m=2"),
+    (chol_f, 3, np.array([2, 0]), "chol_d/e/f: order m must be >= 1, got 0"),
+], ids=["delta-l", "alpha-l", "alpha-m", "beta-l", "gamma-grid", "delta-m", "chol-l", "chol-m"])
+def test_domain_errors_name_the_first_offending_entry(fn, l, m, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(l, m)
 
 

@@ -24,7 +24,7 @@ from spherehhd.conditioning import (
     qi_singular_bounds,
 )
 from spherehhd.operators import _dense_system, build_A, build_B, shuffle_permutation
-from spherehhd.pointwise import GridSpec, analyze_z, eval_gradY, eval_Y, eval_Z, legendre_norm, legendre_table
+from spherehhd.pointwise import GridSpec, analyze_z, eval_gradY, eval_Y, eval_Z, legendre_table
 from spherehhd.solver import (
     BLOCK_CHUNK_STEPS,
     CHUNK_STEPS,
@@ -744,7 +744,7 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
     (lambda m: eval_Z(2, m, 0.5, 0.5), 1.0, np.int64(1)),
     (lambda m: eval_gradY(2, m, 0.5, 0.5), 1.0, np.int64(1)),
     (lambda m: legendre_table(m, 3, 0.2), 1.5, np.int64(1)),
-    (lambda l: legendre_norm(l, 1, 0.2), 2.0, np.int64(2)),
+    (lambda l: legendre_table(1, l, 0.2), 2.0, np.int64(2)),
     (lambda n: GridSpec(n, 4), 2.5, np.int64(2)),
     (GridSpec.for_degree, 2.5, np.int64(2)),
     (lambda m: ZSpectrum(3).flat_index(2, m), 1.0, np.int64(1)),
@@ -759,7 +759,7 @@ def test_decompose_rejects_a_field_that_is_not_a_tangent_field(field):
         "build_B-m", "build_R-n", "build_CD-n", "kappa_bound-n", "qi_singular_bounds-n",
         "kappa_numeric-n", "inverse_norm_frobenius_bound-n", "inverse_norm_conjecture-n",
         "shuffle_permutation-size", "eval_Y-l", "eval_Y-bool", "eval_Z-m", "eval_gradY-m", "legendre_table-m",
-        "legendre_norm-l", "GridSpec-n_theta", "GridSpec.for_degree-n", "flat_index-m", "getitem-bool",
+        "legendre_table-lmax", "GridSpec-n_theta", "GridSpec.for_degree-n", "flat_index-m", "getitem-bool",
         "getitem-float", "order_slice-bool", "check_resolves-n", "check_resolves-bool", "analyze_z-n",
         "analyze_z-bool"])
 def test_degrees_and_orders_must_be_integers(call, bad, good):
@@ -772,7 +772,7 @@ def test_degrees_and_orders_must_be_integers(call, bad, good):
 @pytest.mark.parametrize("name,arg,floor,call", [
     ("ScalarSpectrum", "n", 0, ScalarSpectrum),
     ("ZSpectrum", "n", 0, ZSpectrum),
-    ("random_spectrum", "n_pot", 0, lambda v: random_spectrum(v, 1)),
+    ("random_spectrum", "n", 0, lambda v: random_spectrum(v, 1)),
     ("random_spectrum", "seed", 0, lambda v: random_spectrum(2, v)),
     ("random_potentials", "n", 1, lambda v: random_potentials(v, 1)),
     ("legendre_table", "m", 0, lambda v: legendre_table(v, 3, 0.2)),
@@ -842,6 +842,21 @@ COMPLEX_CALLS = {
 def test_complex_input_is_refused(name):
     with pytest.raises(ValueError, match=f"^{name}: values must be real"):
         COMPLEX_CALLS[name]()
+
+
+# and with values that are no numbers: strings, None or a ragged sequence, which a cast would
+# turn into numpy's unnamed error or, for None, into NaN
+@pytest.mark.parametrize("name,call,got", [
+    ("ScalarSpectrum", lambda: ScalarSpectrum(1, ["x"] * 4), "dtype <U1"),
+    ("ZSpectrum", lambda: ZSpectrum(1, [None] * ZSpectrum(1).size), "dtype object"),
+    ("z_to_cscy", lambda: z_to_cscy(["a"] * 5, 1, 4), "dtype <U1"),
+    ("cscy_to_z", lambda: cscy_to_z([None] * 4, 1, 4), "dtype object"),
+    ("solve_order", lambda: solve_order(3, 1, ["x"] * 6), "dtype <U1"),
+    ("solve_order", lambda: solve_order(3, 1, [[1.0], [1.0, 2.0]] + [[1.0]] * 4), "a ragged sequence"),
+], ids=["ScalarSpectrum", "ZSpectrum", "z_to_cscy", "cscy_to_z", "solve_order", "solve_order-ragged"])
+def test_values_that_are_no_numbers_are_refused(name, call, got):
+    with pytest.raises(ValueError, match=f"^{name}: values must be real numbers, got {re.escape(got)}$"):
+        call()
 
 
 def test_decompose_rejects_non_finite_input():

@@ -84,6 +84,38 @@ def test_index_validation():
         z.set_order_slice(1, [1.0])
     z.set_order_slice(1, np.arange(4.0))
     assert z.order_slice(1).tolist() == [0.0, 1.0, 2.0, 3.0]
+    # a key that is not an (l, m) pair, a tuple of two entries, is refused by name, as a list is
+    for key in (1, (1, 1, 1), (1,), [1, 1]):
+        got = re.escape(repr(key))
+        with pytest.raises(ValueError, match=rf"^ScalarSpectrum\.__getitem__: key must be a pair \(l, m\), got {got}$"):
+            spec[key]
+        with pytest.raises(ValueError, match=rf"^ScalarSpectrum\.__setitem__: key must be a pair \(l, m\), got {got}$"):
+            spec[key] = 1.0
+
+
+# values that are not real numbers, each refused under the accessor's name before anything is written
+@pytest.mark.parametrize("call,message", [
+    (lambda s: s.__setitem__((1, 1), None), r"__setitem__: values must be real numbers, got dtype object"),
+    (lambda s: s.__setitem__((1, 1), "x"), r"__setitem__: values must be real numbers, got dtype <U1"),
+    (lambda s: s.__setitem__((1, 1), b"x"), r"__setitem__: values must be real numbers, got dtype \|S1"),
+    (lambda s: s.__setitem__((1, 1), 1 + 2j), r"__setitem__: values must be real, got complex input"),
+    (lambda s: s.__setitem__((1, 1), [1.0]), r"__setitem__: expected one value, got shape \(1,\)"),
+    (lambda s: s.__setitem__((1, 1), np.ones((1, 1))), r"__setitem__: expected one value, got shape \(1, 1\)"),
+    (lambda s: s.set_order_slice(-1, [5.0, "x", 2.0]), r"set_order_slice: values must be real numbers, got dtype <U\d+"),
+    (lambda s: s.set_order_slice(1, [None, 1.0, 2.0]), r"set_order_slice: values must be real numbers, got dtype object"),
+    (lambda s: s.set_order_slice(1, [[1.0], [2.0, 3.0]]), r"set_order_slice: values must be real numbers, got a ragged sequence"),
+    (lambda s: s.set_order_slice(1, [1.0, 2.0, 3j]), r"set_order_slice: values must be real, got complex input"),
+], ids=["none", "str", "bytes", "complex", "list", "array", "slice-str", "slice-none", "slice-ragged", "slice-complex"])
+def test_values_that_are_not_real_numbers_leave_the_table_unchanged(call, message):
+    spec = random_spectrum(3, 7)
+    before = spec.flat().tobytes()
+    with pytest.raises(ValueError, match=rf"^ScalarSpectrum\.{message}$"):
+        call(spec)
+    assert spec.flat().tobytes() == before
+    # one real number of any real dtype is stored as float64
+    for value in (2, np.float32(0.5), True, np.array(-3.0)):
+        spec[1, 1] = value
+        assert spec[1, 1] == float(value)
 
 
 def test_random_spectrum_deterministic():
