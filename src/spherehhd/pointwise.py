@@ -53,7 +53,7 @@ def legendre_table(m, lmax, x):
     _require_integers("legendre_table", least=0, m=m)
     _require_integers("legendre_table", lmax=lmax)
     if lmax < m:
-        raise ValueError("legendre_table: need lmax >= m")
+        raise ValueError(f"legendre_table: need lmax >= m, got lmax={lmax}, m={m}")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise ValueError("legendre_table: abscissae must lie in [-1, 1]")

@@ -5,8 +5,8 @@ order.  The four couplings below give every nonzero entry of the
 conversions and of the colatitude block ``A``; the diagonal of the
 longitude block ``B`` is the order ``m`` itself.  The other three are the
 entries of the closed-form Cholesky factor of an order ``m >= 1``'s
-normal matrix, which the solver back-substitutes with and the
-conditioning analysis bounds.  ``m`` is always the absolute order
+normal matrix, which the conditioning analysis bounds and the solver
+uses row-scaled to a unit diagonal.  ``m`` is always the absolute order
 (callers pass ``abs(m)``); ``l`` and ``m`` may be scalars or numpy arrays
 that broadcast together, e.g. a (degree, order) grid.
 
@@ -20,6 +20,8 @@ it in closed form).  The solver calls them; the public functions check
 every entry and wrap them.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = ["alpha", "beta", "gamma", "delta", "chol_d", "chol_e", "chol_f"]
@@ -30,7 +32,10 @@ def _checked(name, l, m, lmin, mmin):
     checked = []
     for what, x in (("degree l", l), ("order m", m)):
         x = np.asarray(x)  # an int past int64 stays a Python int: compared exactly, converted only within the float range
-        whole = (x.dtype != bool) & (np.abs(x) <= float(np.finfo(np.float64).max))
+        for v in [] if x.dtype.kind in "iuf" else x.ravel().tolist():  # no bool, complex number, string or None
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name}: {what} must be a finite integer, got {v!r}")
+        whole = np.abs(x) <= float(np.finfo(np.float64).max)
         checked.append(np.where(whole, x, 0.0).astype(np.float64))
         whole &= np.trunc(checked[-1]) == checked[-1]
         if not whole.all():

@@ -10,10 +10,12 @@ column, and ``R = Q'(A + B)`` is the closed-form Cholesky factor of the
 normal matrix, with two superdiagonals.  :func:`.recurrences._qr` gives
 both for a whole block of orders in one pass.  The sweep takes them as
 inputs: it applies the rotations to the right-hand sides and
-back-substitutes with the closed-form ``R`` itself, so the paper's proved
-bounds describe the very factor it uses.  Order zero's least-squares
-problem has a closed-form minimizer, which :func:`decompose` evaluates
-directly from the field's order-zero slices, with no sweep.
+back-substitutes with ``diag(R)^-1 R``.  Row scaling keeps the solution,
+and substitution's backward error is componentwise (Higham, *Accuracy and
+Stability*, Thm 8.5), so the quotients add one rounding per entry and the
+bounds proved for ``R`` still hold.  Order zero's least-squares problem
+has a closed-form minimizer, which :func:`decompose` evaluates directly
+from the field's order-zero slices, with no sweep.
 
 Every sequential sweep over degree -- the rotations, the back-substitution
 and the conversion to the tangential basis (:func:`cscy_to_z`, two
@@ -21,9 +23,7 @@ interleaved parity chains; :func:`z_to_cscy` is a two-term stencil) -- is a
 linear recurrence, run by one partitioned kernel, :func:`_recurrence`, on
 (degree, right-hand side, lane) arrays, in chunks of ``BLOCK_CHUNK_STEPS``
 steps on a block of several lanes and of ``CHUNK_STEPS`` on a grid of one
-problem.  The problem builders return the bare closed forms, and the sweep
-gives them zero rotations and off-diagonals and unit pivots off each
-problem's rows.  :func:`decompose` and :func:`differentiate` fold the order
+problem.  :func:`decompose` and :func:`differentiate` fold the order
 triangle into blocks of ``BLOCK_ORDERS`` lanes: order ``m`` has ``n - m``
 unknowns and order ``n - m`` has ``m``, so a lane holds both
 (:func:`_lanes`), and about ``n / 64`` blocks cover all orders.  A block's
@@ -89,16 +89,15 @@ def _empty(work, key, shape):
     return buffer[:size].reshape(shape)
 
 
-def _recurrence(g, a=None, b=None, d=None, *, work):
-    """Solve ``y[i] = (g[i] + a[i] y[i-1] + b[i] y[i-2]) / d[i]`` in place, ``y[-1] = y[-2] = 0``.
+def _recurrence(g, a=None, b=None, *, work):
+    """Solve ``y[i] = g[i] + a[i] y[i-1] + b[i] y[i-2]`` in place, ``y[-1] = y[-2] = 0``.
 
     ``g`` has shape ``(rows, r, K)``, any ``rows``: ``r`` right-hand sides
-    of ``K`` problems, whose coefficients ``a``, ``b``, ``d`` have shape
-    ``(rows, K)``; ``None`` stands for zero ``a`` or ``b`` and unit ``d``,
-    and ``a`` or ``b`` is given.  A recurrence that runs downward takes
-    reversed views.  Without ``a`` the two parities never meet, and each
-    pair of rows is one step of a first-order recurrence.  The step-major
-    copies live in ``work`` (see :func:`_empty`).
+    of ``K`` problems, whose coefficients ``a`` and ``b`` have shape
+    ``(rows, K)``, or are ``None`` for zero; one is given.  A recurrence
+    that runs downward takes reversed views.  Without ``a`` the parities
+    never meet, and each pair of rows is one step of a first-order
+    recurrence.  The step-major copies live in ``work`` (:func:`_empty`).
 
     Partition method (Wang 1981; the SPIKE solver of Polizzi & Sameh 2006):
     every chunk of ``CHUNK_STEPS`` steps, ``BLOCK_CHUNK_STEPS`` when ``K >
@@ -106,13 +105,12 @@ def _recurrence(g, a=None, b=None, d=None, *, work):
     values to a unit inflow carried as extra right-hand sides; one step per
     chunk then carries the true last values across the chunks, and the
     chunks run again from their true inflow with the arithmetic of a
-    sequential loop.  Filler rows of zero ``g``, ``a``, ``b`` and unit ``d``
-    lead a short first chunk and keep y zero.
+    sequential loop.  Filler rows of zero ``g``, ``a`` and ``b`` lead a
+    short first chunk and keep y zero.
     """
     rows, r, nprob = g.shape
     length = CHUNK_STEPS if nprob == 1 else BLOCK_CHUNK_STEPS  # steps per chunk
-    pair = 1 if a is not None else 2
-    a, b = (a, b) if pair == 1 else (b, None)
+    pair, a, b = (1, a, b) if a is not None else (2, b, None)
     span = pair * length  # rows per chunk
     head = rows % span  # rows of a short first chunk, which filler rows lead
     q, nchunk = 1 if b is None else 2, -(-rows // span)
@@ -125,20 +123,18 @@ def _recurrence(g, a=None, b=None, d=None, *, work):
             found.append((chunks[0, (span - head + j) // pair :, h], x[j:head:pair]))
         return found
 
-    # the coefficients step-major, past filler rows of zero a and b and unit d in a short first chunk
-    coefs = _empty(work, "coefs", (length, 3, nchunk, pair * nprob))
+    # the coefficients step-major, past filler rows of zero a and b in a short first chunk
+    coefs = _empty(work, "coefs", (length, q, nchunk, pair * nprob))
     if head:
-        coefs[:, :2, 0], coefs[:, 2, 0] = 0.0, 1.0
-    copies = [p for k, x in enumerate((a, b, d)) if x is not None for p in places(x[:, None], coefs[:, k : k + 1])]
-    a, b, d = (None if x is None else coefs[:, k] for k, x in enumerate((a, b, d)))
+        coefs[:, :, 0] = 0.0
+    copies = [p for k, x in enumerate((a, b)[:q]) for p in places(x[:, None], coefs[:, k : k + 1])]
+    a, b = coefs[:, 0], (coefs[:, 1] if q == 2 else None)
 
-    def sweep(y, y1, y2, t):  # y[i] = ((y[i] + a[i] y1) + b[i] y2) / d[i], step by step
+    def sweep(y, y1, y2, t):  # y[i] = (y[i] + a[i] y1) + b[i] y2, step by step
         for i, out in enumerate(y):
             out += np.multiply(a[i], y1, out=t)
             if b is not None:
                 out += np.multiply(b[i], y2, out=t)
-            if d is not None:
-                out /= d[i]
             y1, y2 = out, y1
 
     # phase 1: every chunk from zero inflow; columns r + j of each step
@@ -284,20 +280,18 @@ def _lsq_sweep(segments, rotations, factor, rhs, work):
         x *= live
     np.putmask(c[:-1], live[1:] > live[:-1], 1.0)
     np.putmask(d, ~live, 1.0)
-    # s[j] rhs[j + 1] for row j of Q'rhs (below), before the rotations overwrite rhs:
+    # (s[j] / d[j]) rhs[j + 1] for row j of diag(d)^-1 Q'rhs (below), before the rotations overwrite rhs:
     # they leave t[j] = c[j - 1] rhs[j] - s[j - 1] t[j - 1] in row j
-    below = np.multiply(s[:-1, None], rhs[1:], out=_empty(work, "spare", rhs[1:].shape))
-    t, a = rhs, _empty(work, "a", s.shape)
+    below = np.multiply((s[:-1] / d[:-1])[:, None], rhs[1:], out=_empty(work, "spare", rhs[1:].shape))
+    t = rhs
     t[1:] *= c[:-1, None]
-    a[0] = 0.0
-    np.negative(s[:-1], out=a[1:])
-    _recurrence(t, a, work=work)
+    _recurrence(t, np.concatenate((np.zeros_like(s[:1]), -s[:-1])), work=work)
     residual = t[ends[0], :, ends[1]]
-    # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution
-    # x[j] = (q[j] + e[j] x[j + 1] + f[j] x[j + 2]) / d[j] runs from the bottom
-    t *= c[:, None]
+    # row j of Q'rhs is q[j] = c[j] t[j] + s[j] rhs[j + 1]; the back-substitution with the unit-diagonal
+    # diag(d)^-1 R, x[j] = q[j] / d[j] + (e[j] / d[j]) x[j + 1] + (f[j] / d[j]) x[j + 2], runs from the bottom
+    t *= (c / d)[:, None]
     t[:-1] += below
-    _recurrence(t[::-1], e[::-1], f[::-1], d=d[::-1], work=work)
+    _recurrence(t[::-1], (e / d)[::-1], (f / d)[::-1], work=work)
     return t[:-1], residual
 
 

@@ -302,17 +302,19 @@ def test_verify_detects_flipped_coefficient(monkeypatch, capsys):
     assert code == 0
 
 
-def test_verify_detects_perturbed_cholesky_factor(monkeypatch):
-    # the solver back-substitutes with the closed-form factor of rec._qr
-    # itself, so a superdiagonal off by 1e-9 must fail the solver and
-    # round-trip suites
+@pytest.mark.parametrize("which", range(3), ids=["d", "e", "f"])
+def test_verify_detects_perturbed_cholesky_factor(monkeypatch, which):
+    # the solver back-substitutes with diag(d)^-1 R, the closed-form factor
+    # of rec._qr with each row divided by its diagonal, so the diagonal or
+    # either superdiagonal off by 1e-9 must fail the solver and round-trip
+    # suites
     import spherehhd.recurrences as rec
 
     true_qr = rec._qr
 
     def perturbed_qr(l, m):
-        rotations, (d, e, f) = true_qr(l, m)
-        return rotations, (d, e * (1 + 1e-9), f)
+        rotations, factor = true_qr(l, m)
+        return rotations, tuple(x * (1 + 1e-9) if k == which else x for k, x in enumerate(factor))
 
     monkeypatch.setattr(rec, "_qr", perturbed_qr)
     results = {name: ok for name, ok, _ in run_verification("quick")}

@@ -44,7 +44,7 @@ def test_legendre_orthonormality_by_quadrature():
 
 
 def test_legendre_domain_errors():
-    with pytest.raises(ValueError, match=r"^legendre_table: need lmax >= m$"):
+    with pytest.raises(ValueError, match=r"^legendre_table: need lmax >= m, got lmax=2, m=3$"):
         legendre_table(3, 2, 0.5)
     with pytest.raises(ValueError, match=r"^legendre_table: abscissae must lie in \[-1, 1\]$"):
         legendre_table(1, 2, 1.5)

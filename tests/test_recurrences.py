@@ -84,6 +84,15 @@ def test_chol_e_bounded_for_huge_degree():
         pytest.param(gamma, 10**400, 2, id="gamma-huge-l"),
         pytest.param(alpha, 3, 10**400, id="alpha-huge-m"),
         pytest.param(delta, [3, -(10**400)], 0, id="delta-huge-negative-l"),
+        # nor a complex number, whose imaginary part would be dropped, a string or None
+        pytest.param(alpha, 3 + 2j, 1, id="alpha-complex-l"),
+        pytest.param(chol_d, 2j, 1, id="chol_d-complex-l"),
+        pytest.param(beta, 3, 1 + 0j, id="beta-complex-m"),
+        pytest.param(alpha, "4", 1, id="alpha-string-l"),
+        pytest.param(gamma, 3, "1", id="gamma-string-m"),
+        pytest.param(alpha, None, 1, id="alpha-none-l"),
+        pytest.param(chol_e, 3, None, id="chol_e-none-m"),
+        pytest.param(delta, [3, None], 0, id="delta-none-entry"),
     ],
 )
 def test_domain_violations_raise(fn, l, m):
@@ -102,7 +111,11 @@ def test_domain_violations_raise(fn, l, m):
     (delta, 4, np.array([1, -3, -1]), "delta: order m must be >= 0, got -3"),
     (chol_e, 0, 2, "chol_d/e/f: degree l must be >= 1, got 0 at m=2"),
     (chol_f, 3, np.array([2, 0]), "chol_d/e/f: order m must be >= 1, got 0"),
-], ids=["delta-l", "alpha-l", "alpha-m", "beta-l", "gamma-grid", "delta-m", "chol-l", "chol-m"])
+    (chol_d, np.array([2.0, 3.0 + 0j]), 1, "chol_d/e/f: degree l must be a finite integer, got (2+0j)"),
+    (alpha, np.array(["4"]), 1, "alpha: degree l must be a finite integer, got '4'"),
+    (beta, 3, [1, None], "beta: order m must be a finite integer, got None"),
+], ids=["delta-l", "alpha-l", "alpha-m", "beta-l", "gamma-grid", "delta-m", "chol-l", "chol-m", "chol-complex",
+        "alpha-string", "beta-none"])
 def test_domain_errors_name_the_first_offending_entry(fn, l, m, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(l, m)
