@@ -19,16 +19,13 @@ from spherehhd import (
     GridSpec,
     analyze_z,
     differentiate,
-    random_spectrum,
+    random_potentials,
     synthesize,
     synthesize_from_potentials,
 )
 
 n = 12
-s = random_spectrum(n - 1, seed=10)
-t = random_spectrum(n - 1, seed=11)
-s[0, 0] = 0.0
-t[0, 0] = 0.0
+s, t = random_potentials(n, seed=10)
 
 grid = GridSpec.for_degree(n)
 print(f"grid: {grid.n_theta} Gauss colatitudes x {grid.n_phi} uniform longitudes")

@@ -10,14 +10,11 @@ is well conditioned.
 
 import time
 
-from spherehhd import decompose, differentiate, random_spectrum, relative_l2_error
+from spherehhd import decompose, differentiate, random_potentials, relative_l2_error
 
 print(f"{'n':>6} {'rel error (s)':>14} {'rel error (t)':>14} {'seconds':>9}")
 for n in (16, 32, 64, 128, 256, 512):
-    s = random_spectrum(n - 1, seed=1)
-    t = random_spectrum(n - 1, seed=2)
-    s[0, 0] = 0.0
-    t[0, 0] = 0.0
+    s, t = random_potentials(n, seed=1)
 
     t0 = time.perf_counter()
     field = differentiate(s, t)
@@ -32,10 +29,7 @@ print()
 print("Least-squares residuals and unrepresentable content are reported per order;")
 print("for exact data both vanish:")
 n = 32
-s = random_spectrum(n - 1, seed=3)
-t = random_spectrum(n - 1, seed=4)
-s[0, 0] = 0.0
-t[0, 0] = 0.0
+s, t = random_potentials(n, seed=3)
 result = decompose(differentiate(s, t))
 print(f"  total residual      = {result.total_residual():.3e}")
 print(f"  total out-of-range  = {result.total_out_of_range():.3e}")

@@ -16,16 +16,13 @@ import time
 
 import numpy as np
 
-from spherehhd import decompose, differentiate, random_spectrum, solve_order
+from spherehhd import decompose, differentiate, random_potentials, solve_order
 
 sizes = (128, 256, 512, 1024)
 times = {"differentiate": [], "decompose": []}
 print(f"{'n':>6} {'differentiate s':>16} {'decompose s':>12}")
 for n in sizes:
-    s = random_spectrum(n - 1, seed=1)
-    t = random_spectrum(n - 1, seed=2)
-    s[0, 0] = 0.0
-    t[0, 0] = 0.0
+    s, t = random_potentials(n, seed=1)
     t0 = time.perf_counter()
     field = differentiate(s, t)
     t1 = time.perf_counter()

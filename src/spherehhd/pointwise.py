@@ -54,7 +54,7 @@ def legendre_table(m, lmax, x):
     _require_integers("legendre_table", lmax=lmax)
     if lmax < m:
         raise ValueError(f"legendre_table: need lmax >= m, got lmax={lmax}, m={m}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array("legendre_table", x)
     if not np.all(np.abs(x) <= 1.0):  # NaN too
         raise ValueError("legendre_table: abscissae must lie in [-1, 1]")
     out = np.zeros((lmax - m + 1,) + x.shape)
@@ -135,6 +135,10 @@ def _basis(name, l, m, shift, theta, phi):
     if abs(abs(m) - shift) > l:
         raise ValueError(f"{name}: (l={l}, m={m}) outside basis {'YZ'[shift]}")
     theta, phi = _real_array(f"{name}: theta", theta), _real_array(f"{name}: phi", phi)
+    try:
+        np.broadcast_shapes(theta.shape, phi.shape)
+    except ValueError:
+        raise ValueError(f"{name}: theta and phi must broadcast together, got shapes {theta.shape} and {phi.shape}") from None
     _require_finite(f"{name}: theta", np.atleast_1d(theta))
     _require_finite(f"{name}: phi", np.atleast_1d(phi))
     return _Basis(l, theta, phi)
@@ -201,13 +205,20 @@ class GridSpec:
             raise ValueError(f"GridSpec.check_resolves: grid ({self.n_theta}, {self.n_phi}) under-resolves degree n={n}")
 
 
+def _require_grid(name, grid, n):
+    """Raise ``ValueError`` naming ``name`` unless ``grid`` is a :class:`GridSpec`; then :meth:`GridSpec.check_resolves` ``n``."""
+    if not isinstance(grid, GridSpec):
+        raise ValueError(f"{name}: the grid must be a GridSpec")
+    grid.check_resolves(n)
+
+
 def synthesize(field_, grid):
     """Pointwise samples ``(V_theta, V_phi)``, shape ``(n_theta, n_phi)``, of a :class:`TangentField`
     on ``grid``, summed directly in the tangential basis.  Raises ``ValueError`` on any other field or
     a non-finite coefficient, naming its component and ``(l, m)``."""
     _require_field("synthesize", field_)
     n = field_.n
-    grid.check_resolves(n)
+    _require_grid("synthesize", grid, n)
     vth, vph = np.zeros((2, grid.n_theta, grid.n_phi))
     tables = [legendre_table(k, n, grid.x) for k in range(n + 1)]
     for m in field_.theta.orders():
@@ -231,7 +242,7 @@ def synthesize_from_potentials(s, t, grid):
     potentials that are not basis-Y spectra of one degree or hold a non-finite coefficient.
     """
     _require_potentials("synthesize_from_potentials", s, t)
-    grid.check_resolves(s.n + 1)
+    _require_grid("synthesize_from_potentials", grid, s.n + 1)
     vth, vph = np.zeros((2, grid.n_theta, grid.n_phi))
     sin_th = np.sin(grid.theta)
     tables = [legendre_table(k, s.n, grid.x) for k in range(s.n + 1)]
@@ -264,7 +275,7 @@ def analyze_z(vtheta, vphi, grid, n):
     non-finite sample.
     """
     _require_integers("analyze_z", least=0, n=n)
-    grid.check_resolves(n)
+    _require_grid("analyze_z", grid, n)
     vtheta, vphi = _real_array("analyze_z", vtheta), _real_array("analyze_z", vphi)
     if vtheta.shape != (grid.n_theta, grid.n_phi) or vphi.shape != vtheta.shape:
         raise ValueError("analyze_z: sample arrays do not match the grid")

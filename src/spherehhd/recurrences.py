@@ -31,7 +31,8 @@ def _checked(name, l, m, lmin, mmin):
     """Degrees ``l`` as float64, once every entry is a finite integer (no bool) with ``m >= mmin`` and ``l >= lmin(m)``."""
     checked = []
     for what, x in (("degree l", l), ("order m", m)):
-        x = np.asarray(x)  # an int past int64 stays a Python int: compared exactly, converted only within the float range
+        # a list keeps its entries (a ragged one too), and an int past int64 stays a Python int: compared exactly
+        x = np.asarray(x, dtype=object if isinstance(x, (list, tuple)) else None)
         for v in [] if x.dtype.kind in "iuf" else x.ravel().tolist():  # no bool, complex number, string or None
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name}: {what} must be a finite integer, got {v!r}")

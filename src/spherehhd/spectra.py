@@ -22,6 +22,7 @@ import bisect
 import functools
 import math
 import numbers
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -60,14 +61,17 @@ def _l2_norm(*arrays):
         return math.inf
 
 
-def _require_integers(name, *, least=None, **values):
+def _require_integers(name, *, least=None, index=True, **values):
     """Raise ``ValueError`` naming ``name`` and the first of ``values`` that is not an integer (or is a bool).
 
     With ``least`` given, a value below it is refused too, in one wording: ``{name}: {key} must be >= {least}``.
+    With ``index`` (a degree or a size, not a seed), so is a value past int64, where numpy would refuse it.
     """
     for key, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name}: {key} must be an integer, got {value!r}")
+        if index and not -(1 << 63) <= value < 1 << 63:
+            raise ValueError(f"{name}: {key} must fit in an int64, got an integer of {int(value).bit_length()} bits")
         if least is not None and value < least:
             raise ValueError(f"{name}: {key} must be >= {least}, got {value}")
 
@@ -144,12 +148,12 @@ class _CoeffTable:
         if data is None:
             try:
                 self._data = np.zeros(pos)
-            except MemoryError:
+            except (MemoryError, ValueError):  # numpy raises the latter past its largest array
                 raise ValueError(f"degree n={n}: cannot allocate a table of {pos} coefficients") from None
         else:
             data = _real_array(type(self).__name__, data)
             if data.shape != (pos,):
-                raise ValueError(f"expected flat data of length {pos}, got {data.shape}")
+                raise ValueError(f"{type(self).__name__}: expected flat data of length {pos}, got {data.shape}")
             self._data = data
 
     def degree_start(self, m):
@@ -292,7 +296,8 @@ def random_spectrum(n, seed):
     Uses the PCG64 generator, so results are reproducible across platforms
     for a fixed seed, a non-negative integer.
     """
-    _require_integers("random_spectrum", least=0, n=n, seed=seed)
+    _require_integers("random_spectrum", least=0, n=n)
+    _require_integers("random_spectrum", least=0, index=False, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = ScalarSpectrum(n)
     spec._data[:] = rng.standard_normal(spec.size)
@@ -302,6 +307,7 @@ def random_spectrum(n, seed):
 def random_potentials(n, seed):
     """``random_spectrum(n - 1, seed)`` and ``(n - 1, seed + 1_000_000)``, constant modes zeroed."""
     _require_integers("random_potentials", least=1, n=n)
+    _require_integers("random_potentials", least=0, index=False, seed=seed)
     s, t = random_spectrum(n - 1, seed), random_spectrum(n - 1, seed + 1_000_000)
     s[0, 0] = t[0, 0] = 0.0
     return s, t
@@ -333,7 +339,7 @@ class TangentField:
         if not (isinstance(self.theta, ZSpectrum) and isinstance(self.phi, ZSpectrum)):
             raise ValueError("TangentField: components must be basis-Z spectra (ZSpectrum)")
         if self.theta.n != self.phi.n:
-            raise ValueError("theta and phi components must share one truncation degree")
+            raise ValueError("TangentField: theta and phi components must share one truncation degree")
 
     @property
     def n(self):
@@ -344,6 +350,7 @@ class TangentField:
 
     @classmethod
     def zeros(cls, n):
+        _require_integers("TangentField.zeros", least=0, n=n)
         return cls(ZSpectrum(n), ZSpectrum(n))
 
 
@@ -457,6 +464,8 @@ def write_spectrum(spectrum, path):
     """
     if not isinstance(spectrum, _CoeffTable):
         raise ValueError("write_spectrum: the spectrum must be a ScalarSpectrum or ZSpectrum")
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() would take an int as a file descriptor
+        raise ValueError(f"write_spectrum: path must be a str, bytes or os.PathLike, got {path!r}")
     spectrum.require_finite(f"write_spectrum: {path}")
     (ph, ph_hi, ph_lo, pl), exps = _format_tables()
     top, k = spectrum.max_order(), (len(str(spectrum.max_order())) + 12) // 8
@@ -657,6 +666,8 @@ def read_spectrum(path):
     the table follow.  Both paths give ``float()`` of each value's text,
     bit for bit.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() would take an int as a file descriptor
+        raise ValueError(f"read_spectrum: path must be a str, bytes or os.PathLike, got {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip()

@@ -243,7 +243,7 @@ def _run_check(check, tol, args):
 def run_verification(level="quick"):
     """Run every suite at ``level`` ("quick" or "full"); returns a list of (name, passed, detail)."""
     if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
+        raise ValueError(f"run_verification: level must be 'quick' or 'full', got {level!r}")
     results = {}
     for name, check, tol, quick, full in SUITES:
         ok, detail = _run_check(check, tol, quick if level == "quick" else full)

@@ -121,11 +121,6 @@ def test_domain_errors_name_the_first_offending_entry(fn, l, m, message):
         fn(l, m)
 
 
-def test_negative_order_raises():
-    with pytest.raises(ValueError):
-        beta(3, -1)
-
-
 def test_integers_of_every_type_give_the_same_coefficients():
     # numpy integers and integer-valued floats pass the check as Python ints do, to the bit
     for fn in (alpha, beta, gamma, delta, chol_d, chol_e, chol_f):

@@ -49,11 +49,6 @@ def test_z_spectrum_size(n):
     assert spec.size == expected == n * n + 4 * n + 2
 
 
-def test_negative_degree_rejected():
-    with pytest.raises(ValueError):
-        ScalarSpectrum(-1)
-
-
 def test_index_validation():
     spec = ScalarSpectrum(3)
     spec[2, -2] = 1.5
